@@ -1,7 +1,7 @@
 GO ?= go
 ANUFSVET := $(CURDIR)/bin/anufsvet
 
-.PHONY: all build test vet fuzz-smoke bench-sat bench-trace bench-vol bench-alloc clean
+.PHONY: all build test vet fuzz-smoke bench-vol bench-alloc clean
 
 all: build test vet
 
@@ -26,16 +26,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTaggedFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterMap -fuzztime 10s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
-
-# bench-sat measures sdk saturation (blocking vs pipelined vs batched) and
-# enforces the batched >= 5x blocking throughput floor, as CI does.
-bench-sat:
-	$(GO) run ./cmd/benchsat -check
-
-# bench-trace measures edge-tracing overhead on the pipelined transport
-# and enforces the <=5% throughput-loss budget, as CI does.
-bench-trace:
-	$(GO) run ./cmd/benchsat -trace -trace-check
 
 # bench-vol measures cross-tenant isolation (victim p99 under a noisy
 # neighbour, WFQ vs global FIFO) and enforces the 3x degradation ceiling

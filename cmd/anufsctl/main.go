@@ -28,7 +28,6 @@ import (
 	"anufs/internal/fleet"
 	"anufs/internal/metrics"
 	"anufs/internal/placement"
-	"anufs/internal/sdk"
 	"anufs/internal/sharedisk"
 	"anufs/internal/volume"
 	"anufs/internal/wire"
@@ -317,25 +316,15 @@ func main() {
 			check(tw.Flush())
 		}
 	case "ping":
-		// Health probe that also reports the negotiated protocol: an sdk
-		// dial upgrades to tagged frames when the server speaks them and
-		// falls back to the line protocol when it does not.
 		n := 3
 		if len(rest) >= 1 {
 			n, err = strconv.Atoi(rest[0])
 			check(err)
 		}
-		sc, err := sdk.Dial(*addr, sdk.Options{Timeout: 5 * time.Second})
-		check(err)
-		defer sc.Close()
-		proto := "line"
-		if sc.Tagged() {
-			proto = "tagged-v1"
-		}
 		for i := 0; i < n; i++ {
 			start := time.Now()
-			check(sc.Ping())
-			fmt.Printf("pong from %s (%s): %s\n", *addr, proto, time.Since(start))
+			check(c.Ping())
+			fmt.Printf("pong from %s: %s\n", *addr, time.Since(start))
 		}
 	case "sync":
 		check(data.Sync())

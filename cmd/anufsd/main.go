@@ -1,10 +1,10 @@
 // Command anufsd runs an ANU-managed metadata cluster as a network daemon:
 // a live cluster (goroutine metadata servers over an in-memory shared
 // disk) behind the wire TCP protocol. Drive it with cmd/anufsctl.
-// Connections start in the newline-delimited line protocol and may upgrade
-// to tagged binary frames via an OpHello handshake (internal/sdk dials
-// this way), multiplexing many in-flight requests per connection with
-// out-of-order completion; old line-mode clients are served unchanged.
+// Every connection speaks tagged binary frames from its first byte
+// (internal/wire), multiplexing many in-flight requests per connection
+// with out-of-order completion; anything else is counted as a bad frame
+// and dropped.
 //
 // With -journal-dir the shared disk becomes durable: every file-set
 // creation and image flush is write-ahead-logged (group-committed fsyncs),

@@ -1,8 +1,9 @@
 // Command anufsgw is the fleet gateway: a wire-protocol endpoint fronting
 // a sharded anufsd fleet. Clients that do not speak the cluster map
-// (plain wire.Client users, netcat) connect here; the gateway routes
-// every file-set-addressed request to its owning daemon over pipelined
-// connection pools (internal/sdk), transparently absorbing wrong-owner
+// (plain wire.Client users such as anufsctl) connect here, speaking the
+// same tagged frames a daemon serves; the gateway routes every
+// file-set-addressed request to its owning daemon over connection pools
+// (internal/sdk), transparently absorbing wrong-owner
 // rejections and live handoffs. Namespace mounts broadcast to every
 // daemon, global-path ops resolve then route, and lock sessions map to
 // per-daemon sessions — so one gateway looks like one logical server.

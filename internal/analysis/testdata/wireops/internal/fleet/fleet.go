@@ -20,9 +20,3 @@ func (m *Member) Fleet(req wire.Request) int { // want `Fleet dispatch misses Op
 	}
 	return 0
 }
-
-// probe holds a transport obtained via the self-armed constructor: no
-// deadline diagnostic, because DialTimeout arms one at birth.
-func probe() (*wire.Client, error) {
-	return wire.DialTimeout("127.0.0.1:7460", 30)
-}

@@ -1,35 +1,8 @@
-// Package sdk is a fixture for the wireops analyzer's sdk rules: ops sent
-// in Request literals without a file set must have a gateway demux case,
-// and every transport construction must arm a deadline.
+// Package sdk is a fixture for the wireops analyzer's sdk rule: ops sent
+// in Request literals without a file set must have a gateway demux case.
 package sdk
 
 import "anufs/internal/wire"
-
-// Options configures transports; a Timeout key in a literal arms the
-// deadline at construction.
-type Options struct {
-	Timeout int
-}
-
-// Conn is a pipelined connection.
-type Conn struct{ timeout int }
-
-// SetTimeout arms the per-call deadline.
-func (c *Conn) SetTimeout(d int) { c.timeout = d }
-
-// Dial opens a connection.
-func Dial(addr string, opts Options) (*Conn, error) {
-	return &Conn{timeout: opts.Timeout}, nil
-}
-
-// Pool is a connection pool.
-type Pool struct{ opts Options }
-
-// SetTimeout arms the deadline on pooled connections.
-func (p *Pool) SetTimeout(d int) { p.opts.Timeout = d }
-
-// NewPool builds a pool.
-func NewPool(addr string, opts Options) *Pool { return &Pool{opts: opts} }
 
 func send(req wire.Request) wire.Request { return req }
 

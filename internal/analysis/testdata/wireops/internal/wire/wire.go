@@ -31,10 +31,7 @@ type Request struct {
 }
 
 // Client is the protocol client.
-type Client struct{ timeout int }
-
-// SetTimeout arms the per-call deadline.
-func (c *Client) SetTimeout(d int) { c.timeout = d }
+type Client struct{}
 
 func (c *Client) call(req Request) Request { return req }
 
@@ -52,16 +49,6 @@ func (c *Client) Map() (Request, Request, Request) {
 // VolumeCreate and VolumeList send the volume-administration ops.
 func (c *Client) VolumeCreate() (Request, Request) {
 	return c.call(Request{Op: OpVolumeCreate}), c.call(Request{Op: OpVolumeList})
-}
-
-// Dial connects a client.
-func Dial(addr string) (*Client, error) { return &Client{}, nil }
-
-// DialTimeout connects a client whose deadline is armed at birth.
-func DialTimeout(addr string, d int) (*Client, error) {
-	c := &Client{}
-	c.SetTimeout(d)
-	return c, nil
 }
 
 func serve(req Request) int {

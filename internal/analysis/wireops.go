@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// WireOps enforces protocol symmetry and client hygiene:
+// WireOps enforces protocol symmetry:
 //
 //  1. Inside the wire package, every Op* constant of the protocol's Op
 //     type must appear both in a server dispatch switch (a case clause)
@@ -19,14 +19,7 @@ import (
 //     op with no file set cannot ride the default forward-by-owner route,
 //     so a missing case means the sdk client can emit a request no
 //     gateway will ever route.
-//  3. In every package, a function that obtains a wire transport —
-//     wire.Dial, sdk.Dial, sdk.NewPool, or sdk.NewClient — must also arm
-//     a deadline before returning: a SetTimeout call or an sdk.Options
-//     literal with a Timeout key. An undeadlined client hangs forever on
-//     a stalled peer. wire.DialTimeout is born with its deadline armed
-//     and is exempt (but does not excuse other dials in the same
-//     function). Justified exceptions carry //anufs:allow.
-//  4. The fleet dispatch tables must stay complete end to end: the wire
+//  3. The fleet dispatch tables must stay complete end to end: the wire
 //     server's forward clause (the case listing OpMap and friends) and
 //     the fleet member's Fleet method must each handle every fleet op
 //     the protocol defines — membership ops included. An op missing
@@ -36,9 +29,8 @@ import (
 var WireOps = &Analyzer{
 	Name: "wireops",
 	Doc: "wire ops must be registered in both the client encode and server " +
-		"dispatch tables (and, for the sdk, in the gateway demux), the " +
-		"fleet forward clause and Fleet dispatch must cover every fleet op, " +
-		"and dialed clients and pools must set a deadline",
+		"dispatch tables (and, for the sdk, in the gateway demux), and the " +
+		"fleet forward clause and Fleet dispatch must cover every fleet op",
 	Run: runWireOps,
 }
 
@@ -67,7 +59,6 @@ func runWireOps(pass *Pass) error {
 	if pathHasSuffix(pass.Pkg.Path(), "internal/fleet") {
 		checkFleetDispatch(pass)
 	}
-	checkDialDeadlines(pass)
 	return nil
 }
 
@@ -376,76 +367,6 @@ func checkGatewayDemux(pass *Pass) {
 		if !demuxed[s.obj] {
 			pass.Reportf(s.pos.Pos(),
 				"%s is sent without a file set but has no gateway demux case: a gateway cannot route it (add a case to the route switch or set FileSet)", s.obj.Name())
-		}
-	}
-}
-
-// checkDialDeadlines flags functions that obtain a wire transport — a
-// wire.Dial'ed client, an sdk Conn, Pool, or Client — but never arm a
-// deadline before the function ends: no SetTimeout call and no sdk.Options
-// literal carrying a Timeout key.
-func checkDialDeadlines(pass *Pass) {
-	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			type dial struct {
-				call *ast.CallExpr
-				name string
-			}
-			var dials []dial
-			armed := false
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					obj := calleeObject(pass, n)
-					if obj == nil {
-						return true
-					}
-					if obj.Pkg() != nil {
-						switch {
-						case obj.Name() == "DialTimeout" && pathHasSuffix(obj.Pkg().Path(), "internal/wire"):
-							// Born with its deadline armed: neither a dial to
-							// flag nor an arm that would excuse other dials
-							// in this function.
-						case obj.Name() == "Dial" && pathHasSuffix(obj.Pkg().Path(), "internal/wire"):
-							dials = append(dials, dial{n, "wire.Dial"})
-						case pathHasSuffix(obj.Pkg().Path(), "internal/sdk") &&
-							(obj.Name() == "Dial" || obj.Name() == "NewPool" || obj.Name() == "NewClient"):
-							dials = append(dials, dial{n, "sdk." + obj.Name()})
-						}
-					}
-					if obj.Name() == "SetTimeout" {
-						armed = true
-					}
-				case *ast.CompositeLit:
-					// An sdk.Options{Timeout: ...} literal counts: the
-					// transport it configures is born with the deadline.
-					t := pass.TypesInfo.TypeOf(n)
-					if t == nil || !strings.HasSuffix(t.String(), ".Options") {
-						return true
-					}
-					for _, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Timeout" {
-								armed = true
-							}
-						}
-					}
-				}
-				return true
-			})
-			if !armed {
-				for _, d := range dials {
-					pass.Reportf(d.call.Pos(),
-						"%s without a deadline in %s: an undeadlined client blocks forever on a stalled peer (call SetTimeout, set Options.Timeout, or //anufs:allow wireops <why>)", d.name, fn.Name.Name)
-				}
-			}
 		}
 	}
 }

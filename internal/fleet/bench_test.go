@@ -27,7 +27,7 @@ func benchStartFleet(b *testing.B, n int) *testFleet {
 // router) to see the sharding overhead.
 func BenchmarkFleetRoutedOp(b *testing.B) {
 	f := benchStartFleet(b, 3)
-	r, err := NewRouter(RouterConfig{AuthorityAddr: f.daemons[0].addr, Dial: testDial})
+	r, err := NewRouter(RouterConfig{AuthorityAddr: f.daemons[0].addr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkDirectOp(b *testing.B) {
 // transfer, adopt, drop) of a small file set bouncing between two daemons.
 func BenchmarkHandoff(b *testing.B) {
 	f := benchStartFleet(b, 2)
-	r, err := NewRouter(RouterConfig{AuthorityAddr: f.daemons[0].addr, Dial: testDial})
+	r, err := NewRouter(RouterConfig{AuthorityAddr: f.daemons[0].addr})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,10 +11,8 @@ import (
 
 // Caller is the transport the router works over: anything that can carry
 // one wire request/response exchange. *wire.Client satisfies it (one
-// line-mode connection), and so do the sdk's pipelined Conn and Pool —
-// the router's retry discipline is transport-agnostic because every
-// implementation surfaces errors through wire.ResponseError's typed
-// vocabulary.
+// connection), and so does the sdk's Pool of them — both surface errors
+// through wire.ResponseError's typed vocabulary.
 type Caller interface {
 	Call(req wire.Request) (wire.Response, error)
 	Close() error

@@ -46,10 +46,9 @@ const (
 )
 
 // unplacedMsg prefixes rejections of operations on file sets absent from
-// the cluster map; the Router treats it as transient when its own (newer)
-// map places the file set. The text is wire.UnplacedMsg so the client
-// fallback for pre-code peers cannot drift from what the gate emits.
-const unplacedMsg = wire.UnplacedMsg
+// the cluster map (typed wire.CodeUnplaced; the Router treats it as
+// transient when its own, newer map places the file set).
+const unplacedMsg = "fleet: unplaced file set"
 
 // DefaultDrainTimeout bounds how long a donor waits for in-flight
 // operations on a departing file set; DefaultPollInterval is the join-mode
@@ -488,11 +487,7 @@ func (m *Member) Gate(op wire.Op, fileSet string) (func(), error) {
 // Fleet implements wire.FleetHandler: dispatch for the fleet ops.
 func (m *Member) Fleet(req wire.Request) wire.Response {
 	var resp wire.Response
-	fail := func(err error) wire.Response {
-		resp.Err = err.Error()
-		resp.Code = wire.ErrorCode(err)
-		return resp
-	}
+	fail := func(err error) wire.Response { return wire.Fail(resp, err) }
 	switch req.Op {
 	case wire.OpMap:
 		encoded, err := m.CurrentMap().Encode()

@@ -109,7 +109,6 @@ func (f *testFleet) router(t testing.TB) *Router {
 	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        5 * time.Second,
-		Dial:          testDial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +310,6 @@ func TestStaleRouterRetriesOncePerRefetch(t *testing.T) {
 	short, err := NewRouter(RouterConfig{
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        300 * time.Millisecond,
-		Dial:          testDial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -456,7 +456,6 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: d0.addr,
 		Budget:        5 * time.Second,
-		Dial:          testDial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,12 +35,8 @@ type RouterConfig struct {
 	Budget time.Duration
 	// Obs receives per-daemon route counters; nil disables.
 	Obs *obs.Registry
-	// Dial overrides outbound connections; nil uses wire.Dial. Ignored
-	// when DialCaller is set.
-	Dial func(addr string) (*wire.Client, error)
-	// DialCaller overrides outbound connections with an arbitrary Caller —
-	// the sdk plugs pipelined connection pools in here. Takes precedence
-	// over Dial.
+	// DialCaller overrides outbound connections — the sdk plugs connection
+	// pools in here; nil uses one wire.Dial connection per daemon.
 	DialCaller func(addr string) (Caller, error)
 }
 
@@ -70,12 +66,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.Budget = DefaultRouteBudget
 	}
 	if cfg.DialCaller == nil {
-		dial := cfg.Dial
-		if dial == nil {
-			dial = wire.Dial
-		}
 		cfg.DialCaller = func(addr string) (Caller, error) {
-			c, err := dial(addr)
+			c, err := wire.Dial(addr)
 			if err != nil {
 				return nil, err
 			}
@@ -177,15 +169,6 @@ func (r *Router) invalidate(addr string) {
 	}
 }
 
-// transientErr reports connection-level failures worth a reconnect+retry,
-// as opposed to application errors the caller must see. The decision
-// lives in wire.TransientError: typed sentinels first, with one
-// sanctioned text fallback for errors whose type was lost crossing the
-// wire.
-func transientErr(err error) bool {
-	return wire.TransientError(err)
-}
-
 // Do routes one operation against the file set's owning daemon, converging
 // through wrong-owner refetches, adoption waits, and reconnects within the
 // route budget. fn runs against the owner's transport and is retried at
@@ -217,6 +200,7 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 		})
 	}
 	var lastErr error
+	refetched := false
 	for {
 		cm, _ := r.maps.Get()
 		if cm == nil {
@@ -224,6 +208,13 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 		}
 		d, placed := cm.Owner(fileSet)
 		if !placed {
+			// The cached map may simply predate the file set's creation:
+			// ask once before answering from it.
+			if !refetched {
+				refetched = true
+				_, _ = r.Refresh()
+				continue
+			}
 			return fmt.Errorf("fleet: file set %q is not in the cluster map (epoch %d)", fileSet, cm.Epoch)
 		}
 		attempt := time.Now()
@@ -256,7 +247,7 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 			if !ok {
 				return lastErr
 			}
-		case transientErr(err):
+		case wire.TransientError(err):
 			r.counters.Add("fleet_router_reconnects", 1)
 			r.invalidate(d.Addr)
 			ok := sleepUntil(backoff.Next(), deadline)
@@ -317,8 +308,7 @@ func sleepUntil(d time.Duration, deadline time.Time) bool {
 // --- typed convenience methods -------------------------------------------
 
 // The typed methods speak raw wire requests through the Caller interface,
-// so they work identically over a line-mode wire.Client and the sdk's
-// pipelined pools.
+// so they work identically over one wire.Client and the sdk's pools.
 
 // CallAuthority sends one request to the fleet authority, preferring the
 // daemon the current map advertises (which survives a standby promotion —
@@ -342,7 +332,7 @@ func (r *Router) CallAuthority(req wire.Request) (wire.Response, error) {
 		resp, err := c.Call(req)
 		if err != nil {
 			lastErr = err
-			if transientErr(err) {
+			if wire.TransientError(err) {
 				r.invalidate(addr)
 				continue
 			}

@@ -25,16 +25,11 @@ const DefaultTracePullTimeout = 2 * time.Second
 // node that cannot be reached (or refuses the op) yields a NodeTrace with
 // Err set — the stitcher reports it as a possibly-missing hop instead of
 // silently narrowing the timeline. dial overrides the transport (nil uses
-// wire.Dial with the default pull timeout).
+// wire.DialTimeout with the default pull timeout).
 func PullTrace(trace uint64, nodes []TraceNode, dial func(addr string) (*wire.Client, error)) []obs.NodeTrace {
 	if dial == nil {
 		dial = func(addr string) (*wire.Client, error) {
-			c, err := wire.Dial(addr)
-			if err != nil {
-				return nil, err
-			}
-			c.SetTimeout(DefaultTracePullTimeout)
-			return c, nil
+			return wire.DialTimeout(addr, DefaultTracePullTimeout)
 		}
 	}
 	out := make([]obs.NodeTrace, len(nodes))

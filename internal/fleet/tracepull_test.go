@@ -22,7 +22,6 @@ func TestForwardTracePropagationAndPull(t *testing.T) {
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        5 * time.Second,
 		Obs:           reg,
-		Dial:          testDial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -284,36 +282,31 @@ func (r *Receiver) serveConn(conn net.Conn) {
 		r.mu.Unlock()
 		conn.Close()
 	}()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	// Snapshot ships carry a full base64 store cut in one frame; allow the
-	// same ceiling as a journal frame plus base64+JSON overhead.
-	sc.Buffer(make([]byte, 64<<10), 96<<20)
-	for sc.Scan() {
-		var req wire.Request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			r.counters.Add("replica_recv_bad_frames", 1)
-			continue
-		}
-		resp := r.handle(req)
-		resp.ID = req.ID
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+	fs := &wire.FrameServer{
+		Handle: func(req wire.Request) wire.Response {
+			resp := r.handle(req)
+			resp.ID = req.ID
+			return resp
+		},
+		OnBadFrame: func() { r.counters.Add("replica_recv_bad_frames", 1) },
 	}
+	// The Shipper keeps one ship in flight per connection, so the frame
+	// loop's per-request dispatch cannot reorder entries (and absorb checks
+	// sequences regardless).
+	fs.Serve(conn, maxShipFrame)
 }
 
 func (r *Receiver) handle(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpShipStatus:
 		if r.isPromoted() {
-			return wire.Response{Err: ErrPromoted.Error()}
+			return wire.Fail(wire.Response{}, ErrPromoted)
 		}
 		r.elector.Heartbeat(PrimaryID)
 		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
 	case wire.OpShip:
 		if r.isPromoted() {
-			return wire.Response{Err: ErrPromoted.Error()}
+			return wire.Fail(wire.Response{}, ErrPromoted)
 		}
 		r.elector.Heartbeat(PrimaryID)
 		r.mu.Lock()
@@ -321,7 +314,7 @@ func (r *Receiver) handle(req wire.Request) wire.Response {
 		r.mu.Unlock()
 		if err := r.absorb(req); err != nil {
 			r.counters.Add("replica_recv_errors", 1)
-			return wire.Response{Err: err.Error()}
+			return wire.Fail(wire.Response{}, err)
 		}
 		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
 	case wire.OpTracePull:

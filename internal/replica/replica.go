@@ -8,10 +8,11 @@
 // availability — recovery replays the whole journal tail before the first
 // request is served. This package closes that window: a Shipper on the
 // primary tails the journal (internal/journal.Tailer) and streams sealed
-// and in-progress segments to a Receiver over the ordinary wire protocol
-// (ship / ship-status ops); the standby appends them to its own journal
-// under the primary's sequence numbering and applies them to a warm
-// in-memory store. Promotion is then a pointer swap, not a replay.
+// and in-progress segments to a Receiver over the ordinary wire framing
+// (ship / ship-status ops on a wire.Client, served by wire.FrameServer);
+// the standby appends them to its own journal under the primary's
+// sequence numbering and applies them to a warm in-memory store.
+// Promotion is then a pointer swap, not a replay.
 //
 // Resume is sequence-based: the standby's durable sequence IS its ack, so
 // after any disconnect (or standby restart — ordinary recovery rebuilds
@@ -72,6 +73,17 @@ const (
 	// enough to keep ack latency (and therefore sync write latency) flat.
 	maxShipEntries = 512
 	maxShipBytes   = 1 << 20
+
+	// maxShipFrame is the frame-payload ceiling of the replication hop —
+	// the standby's listener and the shipper's connection. A snapshot ship
+	// carries a full base64 store cut in one frame: the ceiling of a
+	// journal frame plus base64+JSON overhead.
+	maxShipFrame = 96 << 20
+
+	// shipTimeout is the shipper's per-call deadline (and connect bound):
+	// snapshot ships can be large, so calls get a generous deadline instead
+	// of the client default.
+	shipTimeout = 30 * time.Second
 )
 
 // ShipperOptions parameterizes a Shipper.
@@ -277,11 +289,8 @@ func (s *Shipper) run() {
 			return
 		default:
 		}
-		c, err := wire.Dial(s.opts.Addr)
+		c, err := wire.DialLimit(s.opts.Addr, shipTimeout, maxShipFrame)
 		if err == nil {
-			// Snapshot ships can be large; give calls a generous deadline
-			// instead of the client default.
-			c.SetTimeout(30 * time.Second)
 			err = s.stream(c, backoff)
 			c.Close()
 		}

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,6 +338,48 @@ func TestStandbyRefusesClientOps(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Owner("fs00"); err == nil {
 		t.Fatal("standby served a client op before promotion")
+	}
+}
+
+// TestSnapshotShipAboveTheClientCeiling: a snapshot ship whose frame is
+// larger than wire.MaxFramePayload round-trips to the standby over the
+// replication hop's own ceiling and is applied; a connection dialed under
+// the ordinary ceiling refuses to send it.
+func TestSnapshotShipAboveTheClientCeiling(t *testing.T) {
+	recv, addr := startStandby(t, t.TempDir(), ReceiverOptions{})
+	big := sharedisk.Image{Version: 1, Records: map[string]sharedisk.Record{}}
+	owner := strings.Repeat("o", 1<<10)
+	for i := 0; i < 13<<10; i++ { // 13 MiB raw, above 16 MiB once base64-framed
+		big.Records[fmt.Sprintf("/f%05d", i)] = sharedisk.Record{Size: int64(i), Owner: owner}
+	}
+	images := map[string]sharedisk.Image{"fs00": big}
+	snap := journal.EncodeImages(images)
+	if framed := len(snap) * 4 / 3; framed <= wire.MaxFramePayload {
+		t.Fatalf("snapshot frames to ~%d bytes, not above the %d client ceiling", framed, wire.MaxFramePayload)
+	}
+
+	small, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	if _, err := small.ShipSnapshot(9, snap); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("ship under the ordinary ceiling = %v, want ErrFrameTooLarge", err)
+	}
+
+	c, err := wire.DialLimit(addr, shipTimeout, maxShipFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ack, err := c.ShipSnapshot(9, snap)
+	if err != nil || ack != 9 {
+		t.Fatalf("ShipSnapshot = ack %d, %v", ack, err)
+	}
+	warm, applied := recv.State()
+	if applied != 9 || !reflect.DeepEqual(warm, images) {
+		t.Fatalf("standby applied %d with %d file sets (%d records), want the shipped cut at 9",
+			applied, len(warm), len(warm["fs00"].Records))
 	}
 }
 

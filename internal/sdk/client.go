@@ -39,11 +39,7 @@ func NewClient(opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	c := &Client{opts: opts, counters: metrics.NewCounterSet()}
 	opts.counters = c.counters // pools sum their redial/health counters here
-	dial := func(addr string) (fleet.Caller, error) {
-		p := NewPool(addr, opts)
-		p.SetTimeout(opts.Timeout)
-		return p, nil
-	}
+	dial := func(addr string) (fleet.Caller, error) { return NewPool(addr, opts), nil }
 	router, err := fleet.NewRouter(fleet.RouterConfig{
 		AuthorityAddr: opts.Authority,
 		MapSources:    opts.Peers,

@@ -1,274 +1,22 @@
 package sdk
 
-import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
+import "anufs/internal/wire"
 
-	"anufs/internal/obs"
-	"anufs/internal/wire"
-)
+// Conn is the wire's one pipelined connection type under its sdk name
+// (pools hold Conns; the benchmark dials them directly).
+type Conn = wire.Client
 
-// errConnClosed fails pending calls when the connection dies. The message
-// contains "connection closed" on purpose: the fleet router's transient-
-// error detection keys on it and retries through a reconnect.
-var errConnClosed = errors.New("sdk: connection closed")
-
-// helloTimeout bounds the line-mode hello exchange at dial time.
-const helloTimeout = 5 * time.Second
-
-// Conn is one pipelined connection: many in-flight requests multiplexed
-// over one TCP connection as tagged frames, completing out of order. Safe
-// for concurrent use. When the server does not speak the tagged protocol
-// the Conn transparently degrades to a plain line-mode wire.Client — same
-// API, one request per response wait slot, still concurrency-safe.
-type Conn struct {
-	conn net.Conn
-	line *wire.Client // non-nil = line-mode fallback; all calls delegate
-
-	writeMu sync.Mutex
-	bw      *bufio.Writer
-	fw      *wire.FrameWriter
-	encBuf  []byte // reused request encode buffer, guarded by writeMu
-
-	mu      sync.Mutex
-	nextTag uint64
-	pending map[uint64]chan wire.Response
-	err     error
-
-	done     chan struct{}
-	inflight atomic.Int64
-	timeout  atomic.Int64
-	caps     uint64         // capability bits the server granted at hello
-	depth    *obs.Histogram // client-side pipeline depth; may be nil
-}
-
-// Dial connects to a wire server and negotiates the tagged protocol: it
-// sends an OpHello as the connection's first (line-mode) request. A server
-// that accepts switches the connection to frames; any error answer —
-// including an old server's "unknown op" — makes Dial fall back to a
-// line-mode wire.Client, so the sdk interoperates with pre-tagged servers.
+// Dial connects to a wire server with opts.Timeout as the per-call
+// deadline and, when opts.Obs is set, the connection's pipeline depth
+// recorded into sdk_pipeline_depth.
 func Dial(addr string, opts Options) (*Conn, error) {
-	nc, err := net.Dial("tcp", addr)
+	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	_ = nc.SetDeadline(time.Now().Add(helloTimeout))
-	br := bufio.NewReaderSize(nc, 64<<10)
-	enc := json.NewEncoder(nc)
-	hello := wire.HelloRequest()
-	hello.ID = 1
-	if err := enc.Encode(hello); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("sdk: hello: %w", err)
-	}
-	lineBytes, err := br.ReadBytes('\n')
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("sdk: hello reply: %w", err)
-	}
-	var resp wire.Response
-	if err := json.Unmarshal(lineBytes, &resp); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("sdk: hello reply: %w", err)
-	}
-	if resp.Err != "" || resp.Proto != wire.TaggedProtoV1 {
-		// The peer does not speak frames (old server, or a proxy that only
-		// relays lines): fall back to the line protocol on a fresh
-		// connection, so the half-upgraded one cannot leak state.
-		nc.Close()
-		lc, err := wire.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		lc.SetTimeout(opts.Timeout)
-		return &Conn{line: lc, done: make(chan struct{})}, nil
-	}
-	_ = nc.SetDeadline(time.Time{})
-	c := &Conn{
-		conn:    nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: map[uint64]chan wire.Response{},
-		done:    make(chan struct{}),
-		caps:    resp.Caps,
-	}
-	c.fw = wire.NewFrameWriter(c.bw)
-	c.timeout.Store(int64(opts.Timeout))
+	c.SetTimeout(opts.Timeout)
 	if opts.Obs != nil {
-		c.depth = opts.Obs.Hist.Get("sdk_pipeline_depth", "")
+		c.ObserveDepth(opts.Obs.Hist.Get("sdk_pipeline_depth", ""))
 	}
-	go c.readLoop(br)
 	return c, nil
-}
-
-// Tagged reports whether the connection upgraded to the tagged protocol
-// (false = line-mode fallback).
-func (c *Conn) Tagged() bool { return c.line == nil }
-
-// Caps returns the capability bits the server granted at hello — the
-// intersection of both sides' wire.SupportedCaps. Zero for line-mode
-// fallbacks and pre-capability servers: trace context still travels (the
-// fields are simply ignored by old peers), but callers can use this to
-// know whether the far side records it.
-func (c *Conn) Caps() uint64 { return c.caps }
-
-// InFlight returns the number of calls currently awaiting responses — the
-// load signal pool picking compares.
-func (c *Conn) InFlight() int64 { return c.inflight.Load() }
-
-// SetTimeout overrides the per-call response deadline: 0 restores
-// wire.DefaultCallTimeout, negative disables it. Applies to calls started
-// after it.
-func (c *Conn) SetTimeout(d time.Duration) {
-	if c.line != nil {
-		c.line.SetTimeout(d)
-		return
-	}
-	c.timeout.Store(int64(d))
-}
-
-// Close tears the connection down; in-flight calls fail.
-func (c *Conn) Close() error {
-	if c.line != nil {
-		return c.line.Close()
-	}
-	err := c.conn.Close()
-	<-c.done
-	return err
-}
-
-// Ping round-trips a no-op (health checks).
-func (c *Conn) Ping() error {
-	_, err := c.Call(wire.Request{Op: wire.OpPing})
-	return err
-}
-
-// readLoop decodes response frames and completes the tagged calls.
-func (c *Conn) readLoop(br *bufio.Reader) {
-	defer close(c.done)
-	fr := wire.NewFrameReader(br)
-	var dec wire.Decoder
-	var resp wire.Response // reused across frames for the fast decoder's string reuse
-	for {
-		kind, tag, payload, err := fr.ReadFrame()
-		if err != nil {
-			break
-		}
-		if kind != wire.FrameResponse {
-			break // protocol violation; framing is not trustworthy anymore
-		}
-		fast := dec.DecodeResponse(payload, &resp)
-		if !fast {
-			resp = wire.Response{}
-			if err := json.Unmarshal(payload, &resp); err != nil {
-				continue // intact framing, broken payload: let the call time out
-			}
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[tag]
-		delete(c.pending, tag)
-		c.mu.Unlock()
-		if ok {
-			delivered := resp
-			if fast && delivered.Record != nil {
-				// The fast decoder's Record points into its scratch, which
-				// the next frame overwrites; the waiter gets its own copy.
-				rec := *delivered.Record
-				delivered.Record = &rec
-			}
-			ch <- delivered
-		}
-	}
-	// Connection gone: fail everything pending.
-	c.mu.Lock()
-	c.err = errConnClosed
-	for tag, ch := range c.pending {
-		ch <- wire.Response{ID: tag, Err: c.err.Error()}
-		delete(c.pending, tag)
-	}
-	c.mu.Unlock()
-}
-
-// sendRequest encodes and writes one request frame under the write lock,
-// reusing the connection's encode buffer; requests the fast encoder
-// cannot represent fall back to encoding/json. The flush per frame keeps
-// latency flat at low depth; at high depth the kernel coalesces the
-// small writes anyway.
-//
-//anufs:hotpath
-func (c *Conn) sendRequest(tag uint64, req *wire.Request) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	payload, ok := wire.AppendRequest(c.encBuf[:0], req)
-	if ok {
-		c.encBuf = payload
-	} else {
-		var err error
-		if payload, err = json.Marshal(req); err != nil {
-			return err
-		}
-	}
-	if err := c.fw.WriteFrame(wire.FrameRequest, tag, payload); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-// Call sends a request and waits for its response; concurrent calls share
-// the connection and complete independently (out-of-order).
-func (c *Conn) Call(req wire.Request) (wire.Response, error) {
-	n := c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	if c.depth != nil {
-		// Depth histogram buckets read as request counts, not seconds.
-		c.depth.Observe(time.Duration(n))
-	}
-	if c.line != nil {
-		return c.line.Call(req)
-	}
-	ch := make(chan wire.Response, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		return wire.Response{}, c.err
-	}
-	c.nextTag++
-	tag := c.nextTag
-	req.ID = tag
-	c.pending[tag] = ch
-	c.mu.Unlock()
-
-	if err := c.sendRequest(tag, &req); err != nil {
-		c.mu.Lock()
-		delete(c.pending, tag)
-		c.mu.Unlock()
-		return wire.Response{}, fmt.Errorf("%w: %w", wire.ErrSendFailed, err)
-	}
-	d := time.Duration(c.timeout.Load())
-	if d == 0 {
-		d = wire.DefaultCallTimeout
-	}
-	var resp wire.Response
-	if d < 0 {
-		resp = <-ch
-	} else {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case resp = <-ch:
-		case <-timer.C:
-			// Abandon the call: readLoop's send into the buffered channel
-			// cannot block, and deleting the entry keeps the map bounded.
-			c.mu.Lock()
-			delete(c.pending, tag)
-			c.mu.Unlock()
-			return wire.Response{}, fmt.Errorf("wire: %s call %w after %v", req.Op, wire.ErrTimedOut, d)
-		}
-	}
-	return resp, wire.ResponseError(resp)
 }

@@ -2,27 +2,25 @@ package sdk
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
 
-// Against a current server, Dial upgrades to the tagged protocol and many
-// concurrent calls share one connection.
-func TestDialUpgradesAndPipelines(t *testing.T) {
+// Dial yields the wire's pipelined connection: many concurrent calls share
+// it, and with a registry its depth lands in sdk_pipeline_depth.
+func TestDialPipelines(t *testing.T) {
 	f := startFleet(t, 1)
-	c, err := Dial(f.daemons[0].addr, Options{Timeout: 5 * time.Second})
+	reg := obs.New()
+	c, err := Dial(f.daemons[0].addr, Options{Timeout: 5 * time.Second, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Tagged() {
-		t.Fatal("connection did not upgrade to the tagged protocol")
-	}
 	if _, err := f.auth.Assign("fs00", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -66,79 +64,7 @@ func TestDialUpgradesAndPipelines(t *testing.T) {
 	if c.InFlight() != 0 {
 		t.Fatalf("in-flight count %d after all calls returned", c.InFlight())
 	}
-}
-
-// Against an old server that rejects OpHello, Dial transparently degrades
-// to a line-mode client with the same API.
-func TestDialFallsBackToLineMode(t *testing.T) {
-	addr := startLineOnlyServer(t)
-	c, err := Dial(addr, Options{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Tagged() {
-		t.Fatal("connection claims tagged against a line-only server")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("line-mode fallback ping: %v", err)
-	}
-}
-
-// A call whose response never arrives times out with the standard wire
-// timeout message (the router treats it as transient).
-func TestConnCallTimesOut(t *testing.T) {
-	addr := startSilentTaggedServer(t)
-	c, err := Dial(addr, Options{Timeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !c.Tagged() {
-		t.Fatal("silent stub did not upgrade")
-	}
-	_, err = c.Call(wire.Request{Op: wire.OpPing})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want a timeout", err)
-	}
-}
-
-// Closing the connection fails every pending call with the closed error
-// instead of leaving it hung.
-func TestConnCloseFailsPending(t *testing.T) {
-	addr := startSilentTaggedServer(t)
-	c, err := Dial(addr, Options{Timeout: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Call(wire.Request{Op: wire.OpPing})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the call get pending
-	c.Close()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "connection closed") {
-			t.Fatalf("pending call err = %v, want connection closed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending call still hung after Close")
-	}
-}
-
-// A server-side error string comes back as the same typed errors the
-// line-mode client produces — the router's vocabulary is shared.
-func TestConnErrorVocabulary(t *testing.T) {
-	f := startFleet(t, 1)
-	c, err := Dial(f.daemons[0].addr, Options{Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Call(wire.Request{Op: wire.OpStat, FileSet: "nope", Path: "/x"})
-	if err == nil {
-		t.Fatal("stat of unknown file set succeeded")
+	if n := reg.Hist.Get("sdk_pipeline_depth", "").Summarize().Count; n < 2*workers {
+		t.Fatalf("sdk_pipeline_depth observed %d calls, want >= %d", n, 2*workers)
 	}
 }

@@ -52,9 +52,9 @@ type GatewayConfig struct {
 // session-mapped so plain wire clients see one logical server. Statelessness
 // is what makes the tier horizontally scalable — any gateway can serve any
 // client, and the only cross-gateway state (the cluster map) is a cache
-// that peers share and epochs invalidate. Client connections may upgrade
-// to the tagged protocol (wire.FrameServer handles the hello), so the
-// pipelining extends end to end.
+// that peers share and epochs invalidate. Client connections are served by
+// the same wire.FrameServer loop as a daemon's, so the pipelining extends
+// end to end.
 //
 // The exception to statelessness is lock sessions: a session minted here
 // maps lazily to per-daemon sessions, which pins a lock holder to the
@@ -123,11 +123,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		sessions: map[uint64]*gwSession{},
 		conns:    map[net.Conn]struct{}{},
 	}
-	dial := func(addr string) (fleet.Caller, error) {
-		p := NewPool(addr, opts)
-		p.SetTimeout(opts.Timeout)
-		return p, nil
-	}
+	dial := func(addr string) (fleet.Caller, error) { return NewPool(addr, opts), nil }
 	router, err := fleet.NewRouter(fleet.RouterConfig{
 		AuthorityAddr: cfg.Authority,
 		MapSources:    cfg.Peers,
@@ -140,7 +136,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	g.router = router
 	g.auth = NewPool(cfg.Authority, Options{PoolSize: 1, Timeout: authorityTimeout})
-	g.auth.SetTimeout(authorityTimeout)
 	if cfg.Obs != nil {
 		cfg.Obs.AddCounters(g.counters.Snapshot)
 		cfg.Obs.AddGauges(func() []obs.Gauge {
@@ -172,8 +167,7 @@ func (g *Gateway) ServeListener(ln net.Listener) {
 	}
 }
 
-// ServeConn serves one client connection (line mode, upgrading to tagged
-// frames on hello) until it closes.
+// ServeConn serves one client connection until it closes.
 func (g *Gateway) ServeConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -186,7 +180,7 @@ func (g *Gateway) ServeConn(conn net.Conn) {
 		OnBadFrame: func() { g.counters.Add(CtrGwBadFrames, 1) },
 		OnInflight: func(d int64) { g.inflight.Add(d) },
 	}
-	fs.Serve(conn)
+	fs.Serve(conn, wire.MaxFramePayload)
 }
 
 // Close tears down client connections and daemon pools. Idempotent.
@@ -215,9 +209,9 @@ func (g *Gateway) session(id uint64) *gwSession {
 }
 
 // serve routes one request. Responses keep the caller's request ID even
-// when the routed call failed; server-reported error strings are relayed
-// verbatim so a client behind the gateway sees the same errors it would
-// see against the daemon.
+// when the routed call failed; server-reported errors are relayed with
+// their Code (and wrong-owner epoch), so a client behind the gateway sees
+// the same typed errors it would see against the daemon.
 //
 // With a registry, the gateway is the fleet's trace edge: a request
 // arriving without trace context gets a fresh trace ID minted here, the
@@ -266,10 +260,7 @@ func (g *Gateway) serve(req wire.Request) wire.Response {
 
 func (g *Gateway) route(req wire.Request) wire.Response {
 	resp := wire.Response{ID: req.ID}
-	fail := func(err error) wire.Response {
-		resp.Err = err.Error()
-		return resp
-	}
+	fail := func(err error) wire.Response { return wire.Fail(resp, err) }
 	switch req.Op {
 	case wire.OpPing:
 		return resp
@@ -352,8 +343,7 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 		// may land on different daemons.
 		out := g.anyDaemon(wire.Request{Op: wire.OpResolve, Path: req.Path})
 		if out.Err != "" {
-			resp.Err = out.Err
-			return resp
+			return out
 		}
 		fwd := wire.Request{FileSet: out.FileSet, Path: out.Rel, Record: req.Record}
 		switch req.Op {
@@ -425,11 +415,11 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 }
 
 // forward routes a file-set-addressed request to its owner, relaying
-// server error strings.
+// the owner's error response as is.
 func (g *Gateway) forward(req wire.Request) wire.Response {
 	out, err := g.router.Forward(req)
 	if err != nil && out.Err == "" {
-		out.Err = err.Error()
+		return wire.Fail(out, err)
 	}
 	return out
 }
@@ -437,7 +427,6 @@ func (g *Gateway) forward(req wire.Request) wire.Response {
 // broadcast sends a request to every daemon in the map; first error wins
 // but every daemon is attempted.
 func (g *Gateway) broadcast(req wire.Request) wire.Response {
-	resp := wire.Response{}
 	var firstErr error
 	for _, d := range g.router.Map().Daemons {
 		c, err := g.router.Caller(d.Addr)
@@ -449,9 +438,9 @@ func (g *Gateway) broadcast(req wire.Request) wire.Response {
 		}
 	}
 	if firstErr != nil {
-		resp.Err = firstErr.Error()
+		return wire.Fail(wire.Response{}, firstErr)
 	}
-	return resp
+	return wire.Response{}
 }
 
 // anyDaemon tries the request against each daemon until one answers
@@ -464,21 +453,16 @@ func (g *Gateway) anyDaemon(req wire.Request) wire.Response {
 		if err == nil {
 			out, err2 := c.Call(req)
 			if err2 == nil || out.Err != "" {
-				if err2 != nil && out.Err == "" {
-					out.Err = err2.Error()
-				}
 				return out
 			}
 			err = err2
 		}
 		lastErr = err
 	}
-	resp := wire.Response{}
 	if lastErr == nil {
 		lastErr = errNoMap
 	}
-	resp.Err = lastErr.Error()
-	return resp
+	return wire.Fail(wire.Response{}, lastErr)
 }
 
 // authorityCall forwards one raw request to the authority over the

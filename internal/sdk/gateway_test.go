@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,12 +10,13 @@ import (
 	"time"
 
 	"anufs/internal/fleet"
+	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
 
 // TestGatewayRoutesOps is the routed-op integration test: one plain
-// line-mode wire.Client against a gateway exercises the full op surface —
+// wire.Client against a gateway exercises the full op surface —
 // file-set data ops, mounts, global-path resolution, and lock sessions —
 // across a 3-daemon fleet, without ever learning the cluster map.
 func TestGatewayRoutesOps(t *testing.T) {
@@ -107,19 +109,128 @@ func TestGatewayRoutesOps(t *testing.T) {
 		t.Fatalf("unroutable op = %v", err)
 	}
 
-	// The tagged protocol upgrades end to end: a pipelined sdk.Conn speaks
-	// to the gateway exactly as it would to a daemon.
-	tc, err := Dial(addr, Options{Timeout: 5 * time.Second})
+}
+
+// TestGatewayRoutesToFileSetCreatedAfterStart is the stale-map regression
+// test: a gateway whose cached cluster map predates a file set's creation
+// used to answer "not in the cluster map" from that cache until it was
+// restarted; now the router refetches once before giving up.
+func TestGatewayRoutesToFileSetCreatedAfterStart(t *testing.T) {
+	f := startFleet(t, 2)
+	gw, addr := startGateway(t, f)
+	other, err := NewClient(Options{Authority: f.authority(), HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Close()
-	if !tc.Tagged() {
-		t.Fatal("gateway did not accept the tagged upgrade")
+	defer other.Close()
+	if err := other.CreateFileSet("late"); err != nil { // behind the gateway's back
+		t.Fatal(err)
 	}
-	resp, err := tc.Call(wire.Request{Op: wire.OpStat, FileSet: "vol02", Path: "/a"})
-	if err != nil || resp.Record == nil || resp.Record.Size != 3 {
-		t.Fatalf("tagged stat via gateway = %+v, %v", resp, err)
+	if _, placed := gw.Router().Map().Owner("late"); placed {
+		t.Fatal("gateway's cached map already has the file set; the test proves nothing")
+	}
+	before := gw.Router().Counters().Get("fleet_router_refreshes")
+	c, err := testWireDial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Create("late", "/a", sharedisk.Record{Size: 7}); err != nil {
+		t.Fatalf("create through a gateway started before the file set existed: %v", err)
+	}
+	if got := gw.Router().Counters().Get("fleet_router_refreshes") - before; got != 1 {
+		t.Fatalf("%d map refreshes for one stale-map miss, want 1", got)
+	}
+	// A file set that really does not exist still fails — after one refetch.
+	if err := c.Create("never", "/a", sharedisk.Record{}); err == nil ||
+		!strings.Contains(err.Error(), "not in the cluster map") {
+		t.Fatalf("create in a nonexistent file set = %v", err)
+	}
+}
+
+// TestTypedErrorsSurviveGateway: errors keep their typed identity through
+// daemon → gateway → sdk.Pool. A create-fileset refused by a tenant quota
+// used to reach a client behind anufsgw with its code stripped.
+func TestTypedErrorsSurviveGateway(t *testing.T) {
+	f := startFleet(t, 2)
+	_, addr := startGateway(t, f)
+	admin, err := testWireDial(f.authority())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if _, err := admin.VolumeCreate("acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.VolumeSetQuota("acme", 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(addr, Options{PoolSize: 2, HealthInterval: -1})
+	defer pool.Close()
+	if _, err := pool.Call(wire.Request{Op: wire.OpCreateFileSet, FileSet: "acme/a"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = pool.Call(wire.Request{Op: wire.OpCreateFileSet, FileSet: "acme/b"})
+	if !wire.IsQuotaExceeded(err) {
+		t.Fatalf("quota refusal through the gateway = %v (code %q), want quota-exceeded", err, wire.ErrorCode(err))
+	}
+}
+
+// TestWrongOwnerSurvivesGateway: when the gateway's router cannot converge
+// (the owner rejects under an epoch no map source ever reaches), the
+// client behind it gets a wrong-owner error carrying that epoch.
+func TestWrongOwnerSurvivesGateway(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// One stub plays authority and daemon: it serves a map at epoch 5 that
+	// assigns vol00 to itself, and rejects every other op as wrong-owner
+	// under epoch 9.
+	cm := &placement.ClusterMap{Epoch: 5,
+		Daemons: []placement.DaemonInfo{{ID: 0, Addr: ln.Addr().String(), Speed: 1}},
+		Assign:  map[string]int{"vol00": 0}}
+	encoded, err := cm.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := &wire.FrameServer{Handle: func(req wire.Request) wire.Response {
+		if req.Op == wire.OpMap {
+			return wire.Response{ID: req.ID, Map: encoded, Epoch: cm.Epoch}
+		}
+		return wire.Fail(wire.Response{ID: req.ID}, &wire.WrongOwnerError{Epoch: 9})
+	}}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				stub.Serve(conn, wire.MaxFramePayload)
+			}()
+		}
+	}()
+	gw, err := NewGateway(GatewayConfig{Authority: ln.Addr().String(), Budget: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go gw.ServeListener(gln)
+	defer func() {
+		gln.Close()
+		gw.Close()
+	}()
+	pool := NewPool(gln.Addr().String(), Options{PoolSize: 1, HealthInterval: -1})
+	defer pool.Close()
+	_, err = pool.Call(wire.Request{Op: wire.OpStat, FileSet: "vol00", Path: "/a"})
+	if epoch, ok := wire.IsWrongOwner(err); !ok || epoch != 9 {
+		t.Fatalf("unconverged route through the gateway = %v, want wrong-owner at epoch 9", err)
 	}
 }
 

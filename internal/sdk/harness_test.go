@@ -1,8 +1,6 @@
 package sdk
 
 import (
-	"bufio"
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -130,85 +128,4 @@ func startGateway(t testing.TB, f *testFleet, peers ...string) (*Gateway, string
 		gw.Close()
 	})
 	return gw, ln.Addr().String()
-}
-
-// startLineOnlyServer is a pre-tagged-protocol server stand-in: it speaks
-// only the line protocol and answers OpHello the way an old daemon would —
-// with an error. Every other request gets an empty OK response.
-func startLineOnlyServer(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
-				enc := json.NewEncoder(conn)
-				for {
-					var req wire.Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := wire.Response{ID: req.ID}
-					if req.Op == wire.OpHello {
-						resp.Err = `wire: unknown op "hello"`
-					}
-					if enc.Encode(resp) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// startSilentTaggedServer accepts the hello upgrade and then swallows
-// every frame — for timeout and close-with-pending tests.
-func startSilentTaggedServer(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				line, err := br.ReadBytes('\n')
-				if err != nil {
-					return
-				}
-				var req wire.Request
-				if json.Unmarshal(line, &req) != nil || req.Op != wire.OpHello {
-					return
-				}
-				enc := json.NewEncoder(conn)
-				if enc.Encode(wire.Response{ID: req.ID, Proto: wire.TaggedProtoV1}) != nil {
-					return
-				}
-				fr := wire.NewFrameReader(br)
-				for {
-					if _, _, _, err := fr.ReadFrame(); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
 }

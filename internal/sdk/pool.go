@@ -21,11 +21,12 @@ const (
 	CtrPoolHealthFailures = "sdk_pool_health_failures"
 )
 
-// Pool errors. errNoConn contains "sdk: no connection" on purpose: the
-// fleet router treats it as transient and retries through a backoff.
+// Pool errors. Both wrap wire.ErrConnClosed: the fleet router treats them
+// as transient — a caller that lost the race with an invalidated pool, or
+// found every slot backing off, reconnects and retries like everyone else.
 var (
-	errNoConn     = errors.New("sdk: no connection available")
-	errPoolClosed = errors.New("sdk: pool closed")
+	errNoConn     = fmt.Errorf("sdk: no connection available: %w", wire.ErrConnClosed)
+	errPoolClosed = fmt.Errorf("sdk: pool closed: %w", wire.ErrConnClosed)
 )
 
 // Pool is a fixed-size pool of pipelined connections to one address.
@@ -190,9 +191,6 @@ func (p *Pool) dialSlot(slot int) *Conn {
 		p.mu.Unlock()
 	}
 	c, err := Dial(p.addr, p.opts)
-	if err == nil {
-		c.SetTimeout(p.opts.Timeout)
-	}
 	p.mu.Lock()
 	p.dialing[slot] = false
 	if err != nil {
@@ -242,7 +240,7 @@ func (p *Pool) Call(req wire.Request) (wire.Response, error) {
 	if err != nil {
 		// Only connection-level failures poison the slot; wire.ErrTimedOut
 		// does not — a slow server is not a dead socket.
-		if errors.Is(err, errConnClosed) || errors.Is(err, wire.ErrConnClosed) || errors.Is(err, wire.ErrSendFailed) {
+		if errors.Is(err, wire.ErrConnClosed) || errors.Is(err, wire.ErrSendFailed) {
 			p.discard(c)
 		}
 	}
@@ -253,23 +251,6 @@ func (p *Pool) Call(req wire.Request) (wire.Response, error) {
 func (p *Pool) Ping() error {
 	_, err := p.Call(wire.Request{Op: wire.OpPing})
 	return err
-}
-
-// SetTimeout overrides the per-call deadline on current and future
-// connections.
-func (p *Pool) SetTimeout(d time.Duration) {
-	p.mu.Lock()
-	p.opts.Timeout = d
-	conns := make([]*Conn, 0, len(p.conns))
-	for _, c := range p.conns {
-		if c != nil {
-			conns = append(conns, c)
-		}
-	}
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.SetTimeout(d)
-	}
 }
 
 // InFlight sums the in-flight calls across the pool's connections.

@@ -1,17 +1,14 @@
 // Package sdk is the high-throughput client layer over the wire protocol:
-// pipelined connections (tagged frames, many in-flight requests per
-// connection, out-of-order completion), per-daemon connection pools with
-// health checks and power-of-two-choices load spreading, and client-side
-// op batching that folds small metadata writes for the same owner into
-// single journal group commits.
+// per-daemon pools of the wire's pipelined connections (wire.Client, here
+// also named Conn) with health checks and power-of-two-choices load
+// spreading, and client-side op batching that folds small metadata writes
+// for the same owner into single journal group commits. It holds no
+// transport code of its own.
 //
 // The layering mirrors the paper's client/server split: clients talk to
 // whichever daemon owns a file set (internal/fleet routes by the cluster
 // map) and the sdk makes that path saturate heterogeneous daemons instead
-// of serializing on one round trip at a time. Every connection starts in
-// the plain line protocol and upgrades via OpHello, so an sdk client
-// against an old server — or an old client against a new server — keeps
-// working unchanged, just without pipelining.
+// of serializing on one round trip at a time.
 //
 // Gateway (gateway.go) is the same machinery turned server-side: a
 // stateless wire endpoint that fronts the fleet, scaled horizontally by

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,82 +17,95 @@ import (
 	"anufs/internal/volume"
 )
 
-// Client is a connection to a wire server. It multiplexes concurrent
-// requests over one TCP connection, correlating responses by ID. Safe for
-// concurrent use.
+// Client is one pipelined connection to a wire server: many in-flight
+// requests multiplexed over one TCP connection as tagged frames, completing
+// out of order. It is the only client transport — the typed methods below,
+// the sdk's pools, the fleet's control plane and the replication shipper
+// all ride it. Safe for concurrent use.
 type Client struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
+	bw      *bufio.Writer
+	fw      *FrameWriter
+	encBuf  []byte // reused request encode buffer, guarded by writeMu
 
 	mu      sync.Mutex
-	nextID  uint64
+	nextTag uint64
 	pending map[uint64]chan Response
-	err     error
-	done    chan struct{}
+	closed  bool // the read loop has exited; no call can be answered
+
+	done     chan struct{}
+	inflight atomic.Int64
+	depth    *obs.Histogram // pipeline depth at each call; may be nil
 
 	// lastTrace remembers the most recent server-echoed trace ID, so a
 	// caller can fetch the span timeline of the call it just made.
 	lastTrace atomic.Uint64
 
 	// timeout bounds each call's wait for a response (SetTimeout): 0 means
-	// DefaultCallTimeout, negative disables the deadline.
+	// DefaultCallTimeout, negative disables the deadline. Whatever built
+	// the Client, a call never waits unbounded unless a caller asked for
+	// exactly that.
 	timeout atomic.Int64
 }
 
+// maxKeptEncodeBuf bounds the encode buffer a connection keeps between
+// calls: ordinary requests and journal ships reuse it, a snapshot ship's
+// tens of megabytes are released after the write.
+const maxKeptEncodeBuf = 4 << 20
+
 // DefaultCallTimeout bounds how long a call waits for its response when
-// SetTimeout has not been called — a hung or wedged server must not block
+// no other deadline was set — a hung or wedged server must not block
 // every caller forever.
 const DefaultCallTimeout = 5 * time.Second
 
 // SetTimeout overrides the per-call response deadline: 0 restores
-// DefaultCallTimeout, a negative duration disables the deadline entirely
-// (bulk transfers like snapshot shipping set their own, longer budget).
+// DefaultCallTimeout, a negative duration disables the deadline entirely.
 // Safe to call concurrently with in-flight calls; it applies to calls
 // started after it.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
-// Dial connects to a wire server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// Dial connects to a wire server; calls wait DefaultCallTimeout.
+func Dial(addr string) (*Client, error) { return DialLimit(addr, 0, MaxFramePayload) }
+
+// DialTimeout connects with d bounding BOTH the TCP connect and, as the
+// initial per-call deadline, every call (override with SetTimeout).
+// Control-plane paths that must stay responsive with a dead peer in the
+// fleet — map publishes, membership heartbeats, failure-time takeovers —
+// dial this way: a blackholed address costs d, not the OS connect timeout.
+func DialTimeout(addr string, d time.Duration) (*Client, error) {
+	return DialLimit(addr, d, MaxFramePayload)
+}
+
+// DialLimit is DialTimeout under an explicit frame-payload ceiling
+// (d <= 0 leaves the connect unbounded). Everything dials under
+// MaxFramePayload except the replication shipper, whose snapshot ships
+// need the standby listener's higher one.
+func DialLimit(addr string, d time.Duration, maxPayload int) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, max(d, 0))
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		nextID:  1,
+		bw:      bufio.NewWriterSize(conn, connBufBytes),
 		pending: map[uint64]chan Response{},
 		done:    make(chan struct{}),
 	}
-	go c.readLoop()
+	c.fw = NewFrameWriter(c.bw, maxPayload)
+	c.SetTimeout(d)
+	go c.readLoop(NewFrameReader(bufio.NewReaderSize(conn, connBufBytes), maxPayload))
 	return c, nil
 }
 
-// DialTimeout connects to a wire server with a bound on BOTH the TCP
-// connect and, as the initial per-call deadline, every call (override with
-// SetTimeout). Control-plane paths that must stay responsive with a dead
-// peer in the fleet — map publishes, membership heartbeats, failure-time
-// takeovers — dial this way: a blackholed address costs d, not the OS
-// connect timeout. The client is born with its deadline armed, which is
-// what the wireops deadline rule checks for.
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, d)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		nextID:  1,
-		pending: map[uint64]chan Response{},
-		done:    make(chan struct{}),
-	}
-	c.SetTimeout(d)
-	go c.readLoop()
-	return c, nil
-}
+// ObserveDepth records the connection's pipeline depth (calls in flight,
+// this one included) into h at every call. Set it before the first call.
+func (c *Client) ObserveDepth(h *obs.Histogram) { c.depth = h }
+
+// InFlight returns the number of calls currently awaiting responses — the
+// load signal pool picking compares.
+func (c *Client) InFlight() int64 { return c.inflight.Load() }
 
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() error {
@@ -101,52 +114,102 @@ func (c *Client) Close() error {
 	return err
 }
 
-func (c *Client) readLoop() {
+// readLoop decodes response frames and completes the calls their tags
+// name, until the connection dies or loses framing; then every pending
+// call fails with ErrConnClosed.
+func (c *Client) readLoop(fr *FrameReader) {
 	defer close(c.done)
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			continue // skip garbage frames; the call times out with conn close
+	var dec Decoder
+	var resp Response // reused across frames for the fast decoder's string reuse
+	for {
+		kind, tag, payload, err := fr.ReadFrame()
+		if err != nil || kind != FrameResponse {
+			break // framing is not trustworthy anymore
+		}
+		fast := dec.DecodeResponse(payload, &resp)
+		if !fast {
+			resp = Response{}
+			if err := json.Unmarshal(payload, &resp); err != nil {
+				continue // intact framing, broken payload: let the call time out
+			}
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		ch, ok := c.pending[tag]
+		delete(c.pending, tag)
 		c.mu.Unlock()
 		if ok {
-			ch <- resp
+			delivered := resp
+			if fast && delivered.Record != nil {
+				// The fast decoder's Record points into its scratch, which
+				// the next frame overwrites; the waiter gets its own copy.
+				rec := *delivered.Record
+				delivered.Record = &rec
+			}
+			ch <- delivered
 		}
 	}
-	// Connection gone: fail everything pending.
 	c.mu.Lock()
-	c.err = ErrConnClosed
-	for id, ch := range c.pending {
-		ch <- Response{ID: id, Err: c.err.Error()}
-		delete(c.pending, id)
+	c.closed = true
+	for tag, ch := range c.pending {
+		close(ch) // a closed channel is how Call learns the connection died
+		delete(c.pending, tag)
 	}
 	c.mu.Unlock()
 }
 
-// call sends a request and waits for its response.
+// sendRequest encodes and writes one request frame under the write lock,
+// reusing the connection's encode buffer; requests the fast encoder
+// cannot represent fall back to encoding/json — through an Encoder into
+// the same buffer, because json.Marshal would hand every ship and batch
+// a fresh copy of its payload. The flush per frame keeps latency flat at
+// low depth; at high depth the kernel coalesces the small writes anyway.
+//
+//anufs:hotpath
+func (c *Client) sendRequest(tag uint64, req *Request) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	payload, ok := AppendRequest(c.encBuf[:0], req)
+	if !ok {
+		buf := bytes.NewBuffer(c.encBuf[:0])
+		if err := json.NewEncoder(buf).Encode(req); err != nil {
+			return err
+		}
+		payload = buf.Bytes()
+		payload = payload[:len(payload)-1] // Encode ends the document with '\n'
+	}
+	if cap(payload) <= maxKeptEncodeBuf {
+		c.encBuf = payload
+	}
+	if err := c.fw.WriteFrame(FrameRequest, tag, payload); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// call sends a request and waits for its response; concurrent calls share
+// the connection and complete independently.
 func (c *Client) call(req Request) (Response, error) {
+	n := c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if c.depth != nil {
+		// Depth histogram buckets read as request counts, not seconds.
+		c.depth.Observe(time.Duration(n))
+	}
 	ch := make(chan Response, 1)
 	c.mu.Lock()
-	if c.err != nil {
+	if c.closed {
 		c.mu.Unlock()
-		return Response{}, c.err
+		return Response{}, ErrConnClosed
 	}
-	req.ID = c.nextID
-	c.nextID++
-	c.pending[req.ID] = ch
+	c.nextTag++
+	tag := c.nextTag
+	req.ID = tag
+	c.pending[tag] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := c.enc.Encode(req)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := c.sendRequest(tag, &req); err != nil {
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		delete(c.pending, tag)
 		c.mu.Unlock()
 		return Response{}, fmt.Errorf("%w: %w", ErrSendFailed, err)
 	}
@@ -154,65 +217,54 @@ func (c *Client) call(req Request) (Response, error) {
 	if d == 0 {
 		d = DefaultCallTimeout
 	}
-	var resp Response
-	if d < 0 {
-		resp = <-ch
-	} else {
+	var timeout <-chan time.Time
+	if d > 0 {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
-		select {
-		case resp = <-ch:
-		case <-timer.C:
-			// Abandon the call: readLoop's send into the (buffered) channel
-			// cannot block, and deleting the pending entry keeps the map from
-			// accumulating abandoned IDs.
-			c.mu.Lock()
-			delete(c.pending, req.ID)
-			c.mu.Unlock()
-			return Response{}, fmt.Errorf("wire: %s call %w after %v", req.Op, ErrTimedOut, d)
+		timeout = timer.C
+	}
+	select {
+	case resp, ok := <-ch:
+		if !ok {
+			return Response{}, ErrConnClosed
 		}
+		if resp.Trace != 0 {
+			c.lastTrace.Store(resp.Trace)
+		}
+		return resp, ResponseError(resp)
+	case <-timeout:
+		// Abandon the call: readLoop's send into the buffered channel
+		// cannot block, and deleting the entry keeps the map bounded.
+		c.mu.Lock()
+		delete(c.pending, tag)
+		c.mu.Unlock()
+		return Response{}, fmt.Errorf("wire: %s call %w after %v", req.Op, ErrTimedOut, d)
 	}
-	if resp.Trace != 0 {
-		c.lastTrace.Store(resp.Trace)
-	}
-	return resp, ResponseError(resp)
 }
 
-// ResponseError maps a server-reported error string back to the typed
-// error vocabulary: wrong-owner and arriving rejections cross the wire as
-// strings and are rebuilt here (carrying Response.Epoch), so callers can
-// switch on them without string matching. Every client that decodes raw
-// responses — wire.Client, the sdk's pipelined connections — shares this
-// mapping, which is what keeps the fleet router's retry discipline
-// working no matter which transport carried the frame. Nil when the
-// response carries no error.
+// ResponseError rebuilds the typed error a response carries from its
+// Code: wrong-owner (with Response.Epoch), arriving, or a *CodedError for
+// any other code, so callers branch with IsWrongOwner / IsArriving /
+// ErrorCode and never on the message. Nil when the response carries no
+// error.
 func ResponseError(resp Response) error {
-	if resp.Err == "" {
+	switch {
+	case resp.Err == "":
 		return nil
-	}
-	if strings.HasPrefix(resp.Err, wrongOwnerMsg) {
+	case resp.Code == "":
+		return errors.New(resp.Err)
+	case resp.Code == CodeWrongOwner:
 		return &WrongOwnerError{Epoch: resp.Epoch}
-	}
-	// Response.Code is authoritative. Peers that predate the typed codes
-	// send Code == "" — only then do the message-prefix fallbacks apply
-	// (matching resp.Err is fine: it is a string field of the protocol,
-	// not an error's message).
-	if resp.Code == CodeArriving || resp.Code == "" && strings.HasPrefix(resp.Err, arrivingMsg) {
+	case resp.Code == CodeArriving:
 		return fmt.Errorf("%w (server: %s)", ErrArriving, resp.Err)
 	}
-	if resp.Code == "" && strings.HasPrefix(resp.Err, UnplacedMsg) {
-		return &CodedError{Code: CodeUnplaced, Err: errors.New(resp.Err)}
-	}
-	if resp.Code != "" {
-		return &CodedError{Code: resp.Code, Err: errors.New(resp.Err)}
-	}
-	return errors.New(resp.Err)
+	return &CodedError{Code: resp.Code, Err: errors.New(resp.Err)}
 }
 
 // Call sends a raw request (the ID is assigned by the client) and returns
 // the raw response — the pass-through the fleet gateway uses to forward
 // frames without enumerating every op. The response is returned even when
-// err is non-nil, so forwarders can relay server-side error strings.
+// err is non-nil, so forwarders can relay server-side errors.
 func (c *Client) Call(req Request) (Response, error) {
 	return c.call(req)
 }

@@ -1,8 +1,7 @@
 package wire
 
-// Hand-rolled JSON codec for the hot request/response paths. The wire
-// protocol stays plain JSON — debuggable with netcat, interoperable with
-// every old peer — but the common metadata/lock frames no longer pay
+// Hand-rolled JSON codec for the hot request/response paths. Frame
+// payloads stay plain JSON, but the common metadata/lock frames do not pay
 // encoding/json's reflection and allocation: AppendRequest/AppendResponse
 // emit into a caller-reused buffer and Decoder reads frames in place,
 // reusing its scratch Record and the target struct's strings.
@@ -11,10 +10,9 @@ package wire
 // hot ops (create/stat/update/remove/lock/unlock/renew/batchless ping)
 // use; anything else — ship entries, snapshots, cluster maps, volume
 // registries, floats, escaped strings, non-compact framing — makes it
-// bail (return false) and the caller falls back to encoding/json. The
-// fallback is the compatibility story: the fast path only ever has to be
-// right about the JSON it produces itself, because foreign encodings that
-// deviate land in encoding/json, which is authoritative.
+// bail (return false) and the caller falls back to encoding/json, which
+// is authoritative: the fast path only ever has to be right about the
+// JSON it produces itself.
 //
 // Every encoded document the fast path produces is byte-identical to
 // json.Marshal's output for the same value (same field order, same
@@ -88,10 +86,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 		dst = append(dst, `,"parent":`...)
 		dst = strconv.AppendUint(dst, r.Parent, 10)
 	}
-	if r.Caps != 0 {
-		dst = append(dst, `,"caps":`...)
-		dst = strconv.AppendUint(dst, r.Caps, 10)
-	}
 	if r.Count != 0 {
 		dst = append(dst, `,"count":`...)
 		dst = strconv.AppendInt(dst, int64(r.Count), 10)
@@ -113,10 +107,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 		if dst, ok = appendKeyString(dst, `,"journal_dir":`, r.JournalDir); !ok {
 			return dst[:orig], false
 		}
-	}
-	if r.Proto != 0 {
-		dst = append(dst, `,"proto":`...)
-		dst = strconv.AppendInt(dst, int64(r.Proto), 10)
 	}
 	if r.Durable {
 		dst = append(dst, `,"durable":true`...)
@@ -184,14 +174,6 @@ func AppendResponse(dst []byte, r *Response) ([]byte, bool) {
 	if r.Epoch != 0 {
 		dst = append(dst, `,"epoch":`...)
 		dst = strconv.AppendUint(dst, r.Epoch, 10)
-	}
-	if r.Proto != 0 {
-		dst = append(dst, `,"proto":`...)
-		dst = strconv.AppendInt(dst, int64(r.Proto), 10)
-	}
-	if r.Caps != 0 {
-		dst = append(dst, `,"caps":`...)
-		dst = strconv.AppendUint(dst, r.Caps, 10)
 	}
 	dst = append(dst, '}')
 	return dst, true
@@ -263,13 +245,11 @@ const (
 	reqPrefix
 	reqTrace
 	reqParent
-	reqCaps
 	reqCount
 	reqEpoch
 	reqAddr
 	reqDaemon
 	reqJournalDir
-	reqProto
 	reqDurable
 )
 
@@ -340,9 +320,6 @@ func (d *Decoder) DecodeRequest(data []byte, r *Request) bool {
 		case "parent":
 			r.Parent, ok = s.u64()
 			seen |= reqParent
-		case "caps":
-			r.Caps, ok = s.u64()
-			seen |= reqCaps
 		case "count":
 			var v int64
 			v, ok = s.i64()
@@ -368,11 +345,6 @@ func (d *Decoder) DecodeRequest(data []byte, r *Request) bool {
 				setString(&r.JournalDir, b)
 			}
 			seen |= reqJournalDir
-		case "proto":
-			var v int64
-			v, ok = s.i64()
-			r.Proto = int(v)
-			seen |= reqProto
 		case "durable":
 			r.Durable, ok = s.boolean()
 			seen |= reqDurable
@@ -416,9 +388,6 @@ func (d *Decoder) DecodeRequest(data []byte, r *Request) bool {
 	if seen&reqParent == 0 {
 		r.Parent = 0
 	}
-	if seen&reqCaps == 0 {
-		r.Caps = 0
-	}
 	if seen&reqCount == 0 {
 		r.Count = 0
 	}
@@ -433,9 +402,6 @@ func (d *Decoder) DecodeRequest(data []byte, r *Request) bool {
 	}
 	if seen&reqJournalDir == 0 {
 		r.JournalDir = ""
-	}
-	if seen&reqProto == 0 {
-		r.Proto = 0
 	}
 	if seen&reqDurable == 0 {
 		r.Durable = false
@@ -472,8 +438,6 @@ const (
 	respTrace
 	respAckSeq
 	respEpoch
-	respProto
-	respCaps
 )
 
 // DecodeResponse is DecodeRequest's response-side twin.
@@ -543,14 +507,6 @@ func (d *Decoder) DecodeResponse(data []byte, r *Response) bool {
 		case "epoch":
 			r.Epoch, ok = s.u64()
 			seen |= respEpoch
-		case "proto":
-			var v int64
-			v, ok = s.i64()
-			r.Proto = int(v)
-			seen |= respProto
-		case "caps":
-			r.Caps, ok = s.u64()
-			seen |= respCaps
 		default:
 			return false
 		}
@@ -593,12 +549,6 @@ func (d *Decoder) DecodeResponse(data []byte, r *Response) bool {
 	}
 	if seen&respEpoch == 0 {
 		r.Epoch = 0
-	}
-	if seen&respProto == 0 {
-		r.Proto = 0
-	}
-	if seen&respCaps == 0 {
-		r.Caps = 0
 	}
 	r.Paths = nil
 	r.Stats = nil
@@ -764,8 +714,8 @@ func (s *jsonScan) eat(c byte) bool {
 	return false
 }
 
-// end reports whether only trailing whitespace remains (line-mode frames
-// end in '\n').
+// end reports whether only trailing whitespace remains (json.Encoder
+// output, for one, ends in '\n').
 func (s *jsonScan) end() bool {
 	for ; s.i < len(s.b); s.i++ {
 		switch s.b[s.i] {

@@ -23,7 +23,6 @@ func fastRequests() []Request {
 			Record: &sharedisk.Record{Size: -1, Mode: 0, Owner: ""}},
 		{ID: 5, Op: OpLock, FileSet: "fs02", Path: "/x", Client: 9, Exclusive: true},
 		{ID: 6, Op: OpResolve, Prefix: "/mnt", Path: "/mnt/data/file"},
-		{ID: 7, Op: OpHello, Caps: SupportedCaps, Proto: TaggedProtoV1},
 		{ID: 8, Op: OpHeartbeat, Daemon: 3, Epoch: 12, Addr: "127.0.0.1:7070", JournalDir: "/var/anufs/wal"},
 		{ID: 9, Op: OpTrace, Count: 100},
 		{ID: 10, Op: OpSync, Durable: true},
@@ -40,7 +39,7 @@ func fastResponses() []Response {
 		{ID: 4, Owner: 2, Epoch: 41},
 		{ID: 5, Client: 12345},
 		{ID: 6, FileSet: "fs03", Rel: "/data/file"},
-		{ID: 7, Proto: TaggedProtoV1, Caps: SupportedCaps},
+		{ID: 7, Err: "wire: wrong owner (epoch 41): refetch the cluster map", Code: CodeWrongOwner, Epoch: 41},
 		{ID: 8, AckSeq: 99},
 		{},
 	}

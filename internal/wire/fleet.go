@@ -9,28 +9,20 @@ import (
 // vocabulary of the wrong-owner protocol and the hook a fleet member uses
 // to fence file-set operations on its daemon.
 
-// wrongOwnerMsg prefixes every wrong-owner rejection. The error crosses the
-// wire as a string, so the client matches the prefix and rebuilds a typed
-// *WrongOwnerError carrying Response.Epoch.
-const wrongOwnerMsg = "wire: wrong owner"
-
-// arrivingMsg prefixes rejections of operations on a file set this daemon
-// owns but has not finished adopting — a transient state clients retry.
-const arrivingMsg = "wire: file set arriving"
-
 // WrongOwnerError rejects an operation on a file set this daemon does not
 // own under the current cluster map. Epoch tells the client which epoch it
-// must at least fetch before the retry can possibly land.
+// must at least fetch before the retry can possibly land. It crosses the
+// wire as CodeWrongOwner plus Response.Epoch, and ResponseError rebuilds it.
 type WrongOwnerError struct {
 	Epoch uint64
 }
 
 func (e *WrongOwnerError) Error() string {
-	return fmt.Sprintf("%s (epoch %d): refetch the cluster map", wrongOwnerMsg, e.Epoch)
+	return fmt.Sprintf("wire: wrong owner (epoch %d): refetch the cluster map", e.Epoch)
 }
 
 // IsWrongOwner reports whether err is a wrong-owner rejection (locally
-// typed or reconstructed from the wire) and returns the rejecting daemon's
+// typed or rebuilt from the wire) and returns the rejecting daemon's
 // epoch.
 func IsWrongOwner(err error) (epoch uint64, ok bool) {
 	var woe *WrongOwnerError
@@ -47,21 +39,12 @@ func IsWrongOwner(err error) (epoch uint64, ok bool) {
 // and clients rebuild the decision without reading the message.
 var ErrArriving error = &CodedError{
 	Code: CodeArriving,
-	Err:  errors.New(arrivingMsg + ": adoption in progress, retry"),
+	Err:  errors.New("wire: file set arriving: adoption in progress, retry"),
 }
 
-// UnplacedMsg prefixes the fleet gate's rejection of an operation on a
-// file set no daemon is assigned. Servers that predate CodeUnplaced send
-// only this text, so ResponseError keeps a prefix fallback against it;
-// internal/fleet builds the message from this constant so the two sides
-// cannot drift.
-const UnplacedMsg = "fleet: unplaced file set"
-
-// Machine-readable codes for the fleet errors client control flow keys
-// on. They ride Response.Code so the decision survives any rewording of
-// the human-readable message (matching on message substrings silently
-// broke when a message changed — or matched an unrelated error that
-// happened to embed the phrase).
+// Machine-readable codes for the errors client control flow keys on. They
+// ride Response.Code so the decision survives any rewording of the
+// human-readable message; no client reads Response.Err to branch.
 const (
 	// CodeJoinFirst answers a heartbeat from a daemon the authority does
 	// not know: the member must re-join before its lease can renew.
@@ -84,6 +67,13 @@ const (
 	// disagrees (the daemon's map is behind); otherwise the caller must
 	// assign the file set first.
 	CodeUnplaced = "unplaced"
+	// CodeWrongOwner marks a *WrongOwnerError; the rejecting daemon's
+	// epoch rides next to it in Response.Epoch.
+	CodeWrongOwner = "wrong-owner"
+	// CodeTransient marks a transport failure (TransientError) that a hop
+	// hit downstream and relayed in its response: the client may
+	// reconnect and retry, exactly as if its own connection had failed.
+	CodeTransient = "transient"
 )
 
 // QuotaExceeded wraps err with CodeQuotaExceeded.
@@ -104,22 +94,38 @@ type CodedError struct {
 func (e *CodedError) Error() string { return e.Err.Error() }
 func (e *CodedError) Unwrap() error { return e.Err }
 
-// ErrorCode extracts the machine-readable code from an error chain; empty
-// when the error carries none.
+// ErrorCode classifies an error for Response.Code: a *CodedError's own
+// code, CodeWrongOwner for a wrong-owner rejection, CodeTransient for a
+// transport failure, empty for an error no client branches on. Every
+// server-side dispatch stamps its failures with it, so an error keeps its
+// typed identity across any number of hops.
 func ErrorCode(err error) string {
 	var ce *CodedError
 	if errors.As(err, &ce) {
 		return ce.Code
 	}
+	if _, ok := IsWrongOwner(err); ok {
+		return CodeWrongOwner
+	}
+	if TransientError(err) {
+		return CodeTransient
+	}
 	return ""
 }
 
+// Fail returns resp answering err: the message, its ErrorCode, and — for
+// a wrong-owner rejection — the rejecting daemon's epoch.
+func Fail(resp Response, err error) Response {
+	resp.Err = err.Error()
+	resp.Code = ErrorCode(err)
+	if epoch, ok := IsWrongOwner(err); ok {
+		resp.Epoch = epoch
+	}
+	return resp
+}
+
 // IsArriving reports whether err is an arriving rejection, locally typed
-// or rebuilt from Response.Code by ResponseError. The old string match on
-// err.Error() is gone — the errcode analyzer's first scalp — because it
-// silently matched any error that embedded the phrase and broke when the
-// message was reworded; responses from pre-code peers are normalized by
-// ResponseError's prefix fallback before they ever reach this check.
+// or rebuilt from Response.Code by ResponseError.
 func IsArriving(err error) bool {
 	if err == nil {
 		return false
@@ -131,8 +137,7 @@ func IsArriving(err error) bool {
 func Unplaced(err error) error { return &CodedError{Code: CodeUnplaced, Err: err} }
 
 // IsUnplaced reports whether err is an unplaced rejection, locally typed
-// or rebuilt from Response.Code (with ResponseError's text fallback
-// covering pre-code peers).
+// or rebuilt from Response.Code.
 func IsUnplaced(err error) bool { return ErrorCode(err) == CodeUnplaced }
 
 // FleetHandler is what the wire server needs from a fleet member

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +36,7 @@ func fuzzCluster(f *testing.F) *Server {
 	return NewServer(cl)
 }
 
-// FuzzRequestDecode drives the server-side frame path — JSON decode plus
+// FuzzRequestDecode drives the server-side payload path — JSON decode plus
 // dispatch — with arbitrary client bytes. A malformed or malicious frame
 // must produce an error response (or be rejected), never a panic: one bad
 // client must not take the daemon down.
@@ -68,7 +70,7 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
-			return // bad frame: serveConn answers with an error response
+			return // bad payload: the frame loop answers with an error response
 		}
 		resp := srv.serve(&connState{remote: "fuzz"}, req)
 		if resp.ID != req.ID {
@@ -108,7 +110,7 @@ func FuzzTaggedFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
+		fr := NewFrameReader(bytes.NewReader(data), MaxFramePayload)
 		for {
 			kind, tag, payload, err := fr.ReadFrame()
 			if err != nil {
@@ -122,7 +124,7 @@ func FuzzTaggedFrame(f *testing.F) {
 			}
 			var hdr [FrameHeaderSize]byte
 			PutFrameHeader(hdr[:], kind, tag, len(payload))
-			k2, t2, n2, err := ParseFrameHeader(hdr[:])
+			k2, t2, n2, err := ParseFrameHeader(hdr[:], MaxFramePayload)
 			if err != nil || k2 != kind || t2 != tag || n2 != len(payload) {
 				t.Fatalf("re-encode round trip: kind %d/%d tag %d/%d n %d/%d err %v",
 					kind, k2, tag, t2, len(payload), n2, err)
@@ -131,27 +133,37 @@ func FuzzTaggedFrame(f *testing.F) {
 	})
 }
 
-// TestGarbageFramesOverTCP feeds raw garbage through a real connection:
-// the connection may be dropped, but the server must keep serving others.
+// TestGarbageFramesOverTCP feeds raw garbage through real connections:
+// each is dropped at its first non-frame bytes, and the server keeps
+// serving others.
 func TestGarbageFramesOverTCP(t *testing.T) {
 	c, _ := startServer(t, 1)
 	addr := c.conn.RemoteAddr().String()
-
-	bad, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
 	payloads := []string{
 		"garbage\n",
 		"{\"id\":1,\"op\":\"stat\"\n",
-		strings.Repeat("A", 128<<10) + "\n", // over the scanner line cap
+		strings.Repeat("A", 128<<10) + "\n",
 		"\x00\xff\xfe\n",
 	}
 	for _, p := range payloads {
-		if _, err := bad.Write([]byte(p)); err != nil {
-			break // server may hang up mid-way; that is acceptable
+		bad, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, _ = bad.Write([]byte(p)) // the server may hang up mid-write
+		_ = bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// EOF, or a reset when the close left garbage unread — not a timeout.
+		if _, err := bad.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("after %.20q: read = %v, want the server to close the connection", p, err)
+		}
+		bad.Close()
+	}
+	ws, _, err := c.WireStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws[CtrBadFrames] != int64(len(payloads)) {
+		t.Fatalf("%d bad frames counted for %d garbage connections", ws[CtrBadFrames], len(payloads))
 	}
 	// A healthy client still gets service afterwards.
 	for i := 0; i < 3; i++ {

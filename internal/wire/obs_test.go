@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/json"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -59,33 +57,29 @@ func TestRequestTracing(t *testing.T) {
 func TestConnCounters(t *testing.T) {
 	c, _ := startServer(t, 1)
 	addr := c.conn.RemoteAddr().String()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	sc := bufio.NewScanner(raw)
-	send := func(line string) Response {
-		if _, err := raw.Write([]byte(line + "\n")); err != nil {
+	raw, fw, fr := frameConn(t, addr)
+	send := func(tag uint64, payload string) Response {
+		if err := fw.WriteFrame(FrameRequest, tag, []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
-		if !sc.Scan() {
-			t.Fatalf("no response to %q: %v", line, sc.Err())
+		_, got, body, err := fr.ReadFrame()
+		if err != nil || got != tag {
+			t.Fatalf("no response to %q: tag %d, %v", payload, got, err)
 		}
 		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("bad response to %q: %v", line, err)
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("bad response to %q: %v", payload, err)
 		}
 		return resp
 	}
 
-	if resp := send(`{"id":1,`); !strings.HasPrefix(resp.Err, "bad frame") {
-		t.Fatalf("malformed frame answered %+v", resp)
+	if resp := send(1, `{"id":1,`); !strings.HasPrefix(resp.Err, "bad frame") {
+		t.Fatalf("malformed payload answered %+v", resp)
 	}
-	if resp := send(`{"id":2,"op":"stat","fileset":"fs00","path":"/missing"}`); resp.Err == "" {
+	if resp := send(2, `{"id":2,"op":"stat","fileset":"fs00","path":"/missing"}`); resp.Err == "" {
 		t.Fatal("stat of missing path succeeded")
 	}
-	if resp := send(`{"id":3,"op":"owner","fileset":"fs00"}`); resp.Err != "" {
+	if resp := send(3, `{"id":3,"op":"owner","fileset":"fs00"}`); resp.Err != "" {
 		t.Fatalf("owner failed: %s", resp.Err)
 	}
 

@@ -39,14 +39,15 @@ type connState struct {
 	slow      atomic.Int64
 	badFrames atomic.Int64
 	// inflight counts requests admitted but not yet answered on this
-	// connection — with the tagged protocol one connection carries many.
+	// connection — one connection carries many.
 	inflight atomic.Int64
 }
 
 // Server exposes a live.Cluster over TCP. One goroutine per connection
-// reads frames; each request is served on its own goroutine so a slow
-// metadata operation does not head-of-line-block the connection's other
-// requests (responses are correlated by ID, not order).
+// reads frames (FrameServer); each request is served on its own goroutine
+// so a slow metadata operation does not head-of-line-block the
+// connection's other requests (responses are correlated by tag, not
+// order).
 //
 // Every request is traced: the server mints a trace ID (unless the client
 // supplied one), times the handler into a per-op latency histogram, emits a
@@ -266,7 +267,7 @@ func (s *Server) serveConn(conn net.Conn, cs *connState) {
 			}
 		},
 	}
-	fs.Serve(conn)
+	fs.Serve(conn, MaxFramePayload)
 }
 
 // serve instruments one request around handle: per-op latency histogram,
@@ -359,10 +360,7 @@ func (s *Server) connStats() []ConnStat {
 
 func (s *Server) handle(trace uint64, req Request) Response {
 	resp := Response{ID: req.ID}
-	fail := func(err error) Response {
-		resp.Err = err.Error()
-		return resp
-	}
+	fail := func(err error) Response { return Fail(resp, err) }
 	s.mu.Lock()
 	fleet := s.fleet
 	s.mu.Unlock()
@@ -380,14 +378,6 @@ func (s *Server) handle(trace uint64, req Request) Response {
 	if fleet != nil && gatedOp(req.Op) {
 		release, err := fleet.Gate(req.Op, req.FileSet)
 		if err != nil {
-			// A wrong-owner rejection carries the rejecting daemon's epoch so
-			// the client knows how fresh a map it needs before retrying; a
-			// coded rejection (quota-exceeded) carries its machine-readable
-			// code so the client can branch without string matching.
-			if epoch, ok := IsWrongOwner(err); ok {
-				resp.Epoch = epoch
-			}
-			resp.Code = ErrorCode(err)
 			return fail(err)
 		}
 		defer release()
@@ -567,10 +557,7 @@ func (s *Server) handle(trace uint64, req Request) Response {
 // no partially-admitted batch can be acknowledged.
 func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Response {
 	resp := Response{ID: req.ID}
-	fail := func(err error) Response {
-		resp.Err = err.Error()
-		return resp
-	}
+	fail := func(err error) Response { return Fail(resp, err) }
 	n := len(req.Batch)
 	if n == 0 {
 		return fail(errors.New("wire: empty batch"))
@@ -609,10 +596,6 @@ func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Resp
 		for _, fs := range order {
 			release, err := fleet.Gate(OpBatch, fs)
 			if err != nil {
-				if epoch, ok := IsWrongOwner(err); ok {
-					resp.Epoch = epoch
-				}
-				resp.Code = ErrorCode(err)
 				return fail(err)
 			}
 			releases = append(releases, release)

@@ -5,32 +5,29 @@ import (
 	"io"
 )
 
-// This file is the tagged-frame protocol extension: a binary framing that
-// lets one connection carry many in-flight requests with out-of-order
-// completion. The line protocol stays the wire's lingua franca — every
-// connection starts in line mode, and a client that wants pipelining sends
-// an OpHello first (HelloRequest). A server that understands it answers
-// with Response.Proto = TaggedProtoV1 and both ends switch to frames; an
-// old server answers "unknown op" and the client stays in line mode, so
-// old clients and old servers interoperate with new ones unchanged.
+// This file is the wire's framing: every connection carries tagged binary
+// frames from its first byte, so one connection holds many in-flight
+// requests and completes them out of order. There is no other framing and
+// no negotiation — a peer whose first bytes are not a frame header is
+// counted as one bad frame and dropped.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset  size  field
 //	0       2     magic "aF"
-//	2       1     protocol version (TaggedProtoV1)
+//	2       1     framing version (frameVersion)
 //	3       1     kind (FrameRequest | FrameResponse)
-//	4       4     payload length (bytes; <= MaxFramePayload)
+//	4       4     payload length (bytes; at most the connection's ceiling)
 //	8       8     tag (correlates a response to its request)
 //	16      n     payload (JSON-encoded Request or Response)
 //
-// The payload stays JSON: the framing buys correlation-by-tag and
-// length-delimited reads (no per-byte newline scanning); the encoding
-// stays debuggable. Tags are chosen by the sender of a request and echoed
-// verbatim by the responder — they are per-connection, not global.
+// The payload is JSON: the framing buys correlation-by-tag and
+// length-delimited reads. Tags are chosen by the sender of a request and
+// echoed verbatim by the responder — they are per-connection, not global.
 
-// TaggedProtoV1 is the protocol version negotiated by OpHello.
-const TaggedProtoV1 = 1
+// frameVersion is the header's version byte; a frame carrying any other
+// value is refused.
+const frameVersion = 1
 
 // Frame kinds.
 const (
@@ -41,9 +38,11 @@ const (
 // FrameHeaderSize is the fixed header length preceding every payload.
 const FrameHeaderSize = 16
 
-// MaxFramePayload caps one frame's payload — larger than any legitimate
-// request (snapshot ships stay on line mode today), small enough that a
-// hostile length field cannot make the server allocate gigabytes.
+// MaxFramePayload is the payload ceiling of every daemon and gateway
+// connection — larger than any legitimate client request, small enough
+// that a hostile length field cannot make the server allocate gigabytes.
+// Only the replication hop, whose snapshot ships carry a whole store cut,
+// runs under a higher ceiling (internal/replica passes its own).
 const MaxFramePayload = 16 << 20
 
 const (
@@ -55,20 +54,9 @@ const (
 // hot path and the caller drops the connection on any of them anyway.
 var (
 	ErrBadFrameHeader = errors.New("wire: bad frame header")
-	ErrFrameTooLarge  = errors.New("wire: frame payload exceeds MaxFramePayload")
+	ErrFrameTooLarge  = errors.New("wire: frame payload exceeds the connection's ceiling")
 	ErrBadFrameKind   = errors.New("wire: unknown frame kind")
 )
-
-// HelloRequest is the line-mode request a client sends first on a
-// connection to negotiate the tagged protocol. The server answers with
-// Response.Proto = TaggedProtoV1 on success; any error response means the
-// peer does not speak frames and the connection stays in line mode. The
-// request offers this build's capability bits (trace context, ...); the
-// server grants the intersection in Response.Caps — an old server leaves
-// it zero and everything it implies simply stays off.
-func HelloRequest() Request {
-	return Request{Op: OpHello, Proto: TaggedProtoV1, Caps: SupportedCaps}
-}
 
 // PutFrameHeader writes a frame header into dst, which must be at least
 // FrameHeaderSize bytes. n is the payload length that follows.
@@ -78,7 +66,7 @@ func PutFrameHeader(dst []byte, kind byte, tag uint64, n int) {
 	_ = dst[FrameHeaderSize-1]
 	dst[0] = frameMagic0
 	dst[1] = frameMagic1
-	dst[2] = TaggedProtoV1
+	dst[2] = frameVersion
 	dst[3] = kind
 	dst[4] = byte(n >> 24)
 	dst[5] = byte(n >> 16)
@@ -95,15 +83,16 @@ func PutFrameHeader(dst []byte, kind byte, tag uint64, n int) {
 }
 
 // ParseFrameHeader decodes a frame header: kind, tag, and payload length.
-// It rejects bad magic or version, unknown kinds, and oversized lengths —
+// It rejects bad magic or version, unknown kinds, and lengths above
+// maxPayload —
 // the caller must drop the connection on error, since framing is lost.
 //
 //anufs:hotpath
-func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
+func ParseFrameHeader(hdr []byte, maxPayload int) (kind byte, tag uint64, n int, err error) {
 	if len(hdr) < FrameHeaderSize {
 		return 0, 0, 0, ErrBadFrameHeader
 	}
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 || hdr[2] != TaggedProtoV1 {
+	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 || hdr[2] != frameVersion {
 		return 0, 0, 0, ErrBadFrameHeader
 	}
 	kind = hdr[3]
@@ -111,7 +100,7 @@ func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
 		return 0, 0, 0, ErrBadFrameKind
 	}
 	n = int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	if n > MaxFramePayload {
+	if n > maxPayload {
 		return 0, 0, 0, ErrFrameTooLarge
 	}
 	tag = uint64(hdr[8])<<56 | uint64(hdr[9])<<48 | uint64(hdr[10])<<40 | uint64(hdr[11])<<32 |
@@ -123,12 +112,14 @@ func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
 // serialize writes (one writer mutex per connection).
 type FrameWriter struct {
 	w   io.Writer
+	max int
 	hdr [FrameHeaderSize]byte
 }
 
-// NewFrameWriter wraps w (typically a *bufio.Writer the caller flushes).
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w}
+// NewFrameWriter wraps w (typically a *bufio.Writer the caller flushes);
+// maxPayload is the connection's payload ceiling.
+func NewFrameWriter(w io.Writer, maxPayload int) *FrameWriter {
+	return &FrameWriter{w: w, max: maxPayload}
 }
 
 // WriteFrame writes one frame. The header buffer is reused across calls,
@@ -136,7 +127,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 //
 //anufs:hotpath
 func (fw *FrameWriter) WriteFrame(kind byte, tag uint64, payload []byte) error {
-	if len(payload) > MaxFramePayload {
+	if len(payload) > fw.max {
 		return ErrFrameTooLarge
 	}
 	PutFrameHeader(fw.hdr[:], kind, tag, len(payload))
@@ -151,13 +142,16 @@ func (fw *FrameWriter) WriteFrame(kind byte, tag uint64, payload []byte) error {
 // reads: the returned payload is only valid until the next ReadFrame.
 type FrameReader struct {
 	r   io.Reader
+	max int
 	hdr [FrameHeaderSize]byte
 	buf []byte
 }
 
-// NewFrameReader wraps r (typically a *bufio.Reader).
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r}
+// NewFrameReader wraps r (typically a *bufio.Reader); maxPayload is the
+// connection's payload ceiling, checked against the header's length field
+// before the payload buffer is sized.
+func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
+	return &FrameReader{r: r, max: maxPayload}
 }
 
 // ReadFrame reads one frame. On any error the stream's framing must be
@@ -166,10 +160,19 @@ func NewFrameReader(r io.Reader) *FrameReader {
 //
 //anufs:hotpath
 func (fr *FrameReader) ReadFrame() (kind byte, tag uint64, payload []byte, err error) {
-	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+	// The magic is checked as soon as it arrives: a peer speaking anything
+	// else (a short text line, say) is refused at once instead of being
+	// waited on for the rest of a header it will never send.
+	if _, err = io.ReadFull(fr.r, fr.hdr[:2]); err != nil {
 		return 0, 0, nil, err
 	}
-	kind, tag, n, err := ParseFrameHeader(fr.hdr[:])
+	if fr.hdr[0] != frameMagic0 || fr.hdr[1] != frameMagic1 {
+		return 0, 0, nil, ErrBadFrameHeader
+	}
+	if _, err = io.ReadFull(fr.r, fr.hdr[2:]); err != nil {
+		return 0, 0, nil, err
+	}
+	kind, tag, n, err := ParseFrameHeader(fr.hdr[:], fr.max)
 	if err != nil {
 		return 0, 0, nil, err
 	}

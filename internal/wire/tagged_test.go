@@ -1,16 +1,12 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"anufs/internal/live"
 	"anufs/internal/sharedisk"
@@ -19,7 +15,7 @@ import (
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	var hdr [FrameHeaderSize]byte
 	PutFrameHeader(hdr[:], FrameResponse, 0xdeadbeefcafe, 12345)
-	kind, tag, n, err := ParseFrameHeader(hdr[:])
+	kind, tag, n, err := ParseFrameHeader(hdr[:], MaxFramePayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +39,37 @@ func TestFrameHeaderRejections(t *testing.T) {
 		{"bad version", func(h []byte) { h[2] = 99 }, ErrBadFrameHeader},
 		{"bad kind", func(h []byte) { h[3] = 9 }, ErrBadFrameKind},
 		{"oversize", func(h []byte) { h[4], h[5], h[6], h[7] = 0xff, 0xff, 0xff, 0xff }, ErrFrameTooLarge},
+		{"one over the ceiling", func(h []byte) { PutFrameHeader(h, FrameRequest, 7, MaxFramePayload+1) }, ErrFrameTooLarge},
 	}
 	for _, tc := range cases {
 		h := good()
 		tc.mutate(h)
-		if _, _, _, err := ParseFrameHeader(h); !errors.Is(err, tc.want) {
+		if _, _, _, err := ParseFrameHeader(h, MaxFramePayload); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if _, _, _, err := ParseFrameHeader(good()[:8]); !errors.Is(err, ErrBadFrameHeader) {
+	if _, _, _, err := ParseFrameHeader(good()[:8], MaxFramePayload); !errors.Is(err, ErrBadFrameHeader) {
 		t.Errorf("short header: err = %v", err)
+	}
+	// The ceiling is the connection's, not the protocol's: the same header
+	// passes under a higher one.
+	h := good()
+	PutFrameHeader(h, FrameRequest, 7, MaxFramePayload+1)
+	if _, _, n, err := ParseFrameHeader(h, 2*MaxFramePayload); err != nil || n != MaxFramePayload+1 {
+		t.Errorf("under a higher ceiling: n %d err %v", n, err)
 	}
 }
 
 func TestFrameWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
+	fw := NewFrameWriter(&buf, MaxFramePayload)
 	payloads := [][]byte{[]byte(`{"id":1}`), []byte(``), bytes.Repeat([]byte("x"), 100000)}
 	for i, p := range payloads {
 		if err := fw.WriteFrame(FrameRequest, uint64(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(&buf, MaxFramePayload)
 	for i, p := range payloads {
 		kind, tag, got, err := fr.ReadFrame()
 		if err != nil {
@@ -80,78 +84,22 @@ func TestFrameWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// startTaggedServer is startServer, but it also exposes the listen
-// address for tests that speak the protocol by hand.
-func startTaggedServer(t *testing.T, nFileSets int) (*Client, string) {
-	t.Helper()
-	disk := sharedisk.NewStore(0)
-	for i := 0; i < nFileSets; i++ {
-		if err := disk.CreateFileSet(fmt.Sprintf("fs%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := liveDefaultTestConfig()
-	cl, err := live.NewCluster(cfg, disk, map[int]float64{0: 1, 1: 3, 2: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(cl)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		cl.Stop()
-	})
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	return client, addr
-}
-
-func liveDefaultTestConfig() live.Config {
-	cfg := live.DefaultConfig()
-	cfg.Window = time.Hour // no background tuning in protocol tests
-	cfg.OpCost = 0
-	return cfg
-}
-
-// taggedConn dials addr, performs the hello upgrade by hand, and returns
-// the raw framing primitives — the lowest-level tagged client, so the
-// test exercises the protocol rather than any sdk convenience.
-func taggedConn(t *testing.T, addr string) (net.Conn, *FrameWriter, *FrameReader) {
+// frameConn dials addr and returns the raw framing primitives — the
+// lowest-level client, so a test exercises the protocol rather than
+// Client's conveniences.
+func frameConn(t *testing.T, addr string) (net.Conn, *FrameWriter, *FrameReader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := json.NewEncoder(conn).Encode(HelloRequest()); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || resp.Proto != TaggedProtoV1 {
-		t.Fatalf("hello reply = %+v", resp)
-	}
-	return conn, NewFrameWriter(conn), NewFrameReader(br)
+	return conn, NewFrameWriter(conn, MaxFramePayload), NewFrameReader(conn, MaxFramePayload)
 }
 
-func TestHelloUpgradeAndPipelining(t *testing.T) {
-	c, addr := startTaggedServer(t, 1)
-	c.Close()
-
-	_, fw, fr := taggedConn(t, addr)
+func TestPipelining(t *testing.T) {
+	c, _ := startServer(t, 1)
+	_, fw, fr := frameConn(t, c.conn.RemoteAddr().String())
 	// Send N requests back to back without reading a single response —
 	// only a pipelined server can answer them all.
 	const n = 32
@@ -191,106 +139,60 @@ func TestHelloUpgradeAndPipelining(t *testing.T) {
 	}
 }
 
-func TestHelloMustBeFirst(t *testing.T) {
-	c, addr := startTaggedServer(t, 1)
-	c.Close()
+// gatedFleet is a FleetHandler whose takeover and adopt announce their
+// arrival and then block until released — the slow control-plane calls a
+// pipelined connection must not let head-of-line-block a heartbeat.
+type gatedFleet struct{ arrived, release chan struct{} }
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+func (g *gatedFleet) Gate(Op, string) (func(), error) { return func() {}, nil }
+
+func (g *gatedFleet) Fleet(req Request) Response {
+	if req.Op == OpTakeover || req.Op == OpAdopt {
+		g.arrived <- struct{}{}
+		<-g.release
 	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	br := bufio.NewReader(conn)
-	readResp := func() Response {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if err := enc.Encode(Request{ID: 1, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if resp := readResp(); resp.Err != "" {
-		t.Fatalf("ping = %+v", resp)
-	}
-	if err := enc.Encode(Request{ID: 2, Op: OpHello, Proto: TaggedProtoV1}); err != nil {
-		t.Fatal(err)
-	}
-	if resp := readResp(); !strings.Contains(resp.Err, "first request") {
-		t.Fatalf("late hello = %+v", resp)
-	}
-	// The rejected hello must leave the connection in working line mode.
-	if err := enc.Encode(Request{ID: 3, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if resp := readResp(); resp.Err != "" {
-		t.Fatalf("ping after rejected hello = %+v", resp)
-	}
+	return Response{Epoch: 7}
 }
 
-func TestHelloRejectsUnknownVersion(t *testing.T) {
-	c, addr := startTaggedServer(t, 1)
-	c.Close()
-
-	conn, err := net.Dial("tcp", addr)
+// TestControlPlaneCallsCompleteOutOfOrder: a takeover and an adopt are
+// being served on one Client's connection when a heartbeat is sent behind
+// them; the heartbeat's answer overtakes both.
+func TestControlPlaneCallsCompleteOutOfOrder(t *testing.T) {
+	cl, err := live.NewCluster(liveTestConfig(), sharedisk.NewStore(0), map[int]float64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(Request{ID: 1, Op: OpHello, Proto: 42}); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadBytes('\n')
+	defer cl.Stop()
+	srv := NewServer(cl)
+	gate := &gatedFleet{arrived: make(chan struct{}), release: make(chan struct{})}
+	srv.SetFleet(gate)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Err, "unsupported") {
-		t.Fatalf("hello v42 = %+v", resp)
-	}
-}
-
-func TestGarbagePayloadAfterUpgradeKeepsConnection(t *testing.T) {
-	c, addr := startTaggedServer(t, 1)
-	c.Close()
-
-	_, fw, fr := taggedConn(t, addr)
-	// Intact framing, broken JSON: the server answers the tag with an
-	// error and keeps serving.
-	if err := fw.WriteFrame(FrameRequest, 7, []byte("{nonsense")); err != nil {
-		t.Fatal(err)
-	}
-	kind, tag, payload, err := fr.ReadFrame()
-	if err != nil || kind != FrameResponse || tag != 7 {
-		t.Fatalf("ReadFrame = kind %d tag %d err %v", kind, tag, err)
-	}
-	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Err, "bad frame") {
-		t.Fatalf("garbage payload resp = %+v", resp)
-	}
-	// Healthy request still served on the same connection.
-	good, err := json.Marshal(Request{ID: 8, Op: OpPing})
+	defer srv.Close()
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.WriteFrame(FrameRequest, 8, good); err != nil {
-		t.Fatal(err)
+	defer c.Close()
+
+	slow := make(chan error, 2)
+	go func() { slow <- c.Takeover(7, []string{"fs00"}, "", nil) }()
+	go func() { slow <- c.Adopt(7, "fs00", nil, nil) }()
+	<-gate.arrived
+	<-gate.arrived
+	if epoch, err := c.Heartbeat(1, "127.0.0.1:1", 1, ""); err != nil || epoch != 7 {
+		t.Fatalf("heartbeat behind two blocked calls = epoch %d, %v", epoch, err)
 	}
-	if _, tag, _, err := fr.ReadFrame(); err != nil || tag != 8 {
-		t.Fatalf("ping after garbage: tag %d err %v", tag, err)
+	if n := c.InFlight(); n != 2 {
+		t.Fatalf("%d calls in flight after the heartbeat returned, want the 2 it overtook", n)
+	}
+	close(gate.release)
+	for i := 0; i < 2; i++ {
+		if err := <-slow; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -355,40 +257,4 @@ func TestPingOp(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestTaggedConcurrentClients hammers the upgraded path with the race
-// detector: several goroutines share one tagged connection's server side
-// through separate connections while a line-mode client works alongside.
-func TestTaggedAndLineClientsCoexist(t *testing.T) {
-	c, addr := startTaggedServer(t, 1)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			_, fw, fr := taggedConn(t, addr)
-			for i := 1; i <= 20; i++ {
-				payload, err := json.Marshal(Request{ID: uint64(i), Op: OpPing})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := fw.WriteFrame(FrameRequest, uint64(i), payload); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, _, err := fr.ReadFrame(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	for i := 0; i < 20; i++ {
-		if err := c.Ping(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -58,6 +59,39 @@ func TestCallTimesOutOnStalledServer(t *testing.T) {
 	case conn := <-accepted:
 		conn.Close()
 	default:
+	}
+}
+
+// TestCloseFailsPendingCalls: closing the connection fails every pending
+// call with ErrConnClosed instead of leaving it hung, and later calls fail
+// the same way.
+func TestCloseFailsPendingCalls(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := Dial(ln.Addr().String()) // accepted by the kernel, never served
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTimeout(-1)
+	done := make(chan error, 1)
+	go func() { done <- c.Ping() }()
+	for c.InFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrConnClosed) && !errors.Is(err, ErrSendFailed) {
+			t.Fatalf("pending call err = %v, want a typed connection failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending call still hung after Close")
+	}
+	if err := c.Ping(); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("call after Close = %v, want ErrConnClosed", err)
 	}
 }
 

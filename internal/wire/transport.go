@@ -4,15 +4,13 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 )
 
 // Typed sentinels for the transport-level failures the fleet router and
-// sdk pool key their retry discipline on. The texts are chosen so the
-// wrapped errors read exactly as they did when they were bare strings —
-// peers and logs see no change — while errors.Is works locally.
+// sdk pool key their retry discipline on.
 var (
-	// ErrConnClosed fails calls on a wire.Client whose connection died.
+	// ErrConnClosed fails calls on a Client whose connection died, and is
+	// what the sdk pool's no-connection and pool-closed errors wrap.
 	ErrConnClosed = errors.New("wire: connection closed")
 	// ErrSendFailed wraps a write that failed mid-request; the message
 	// composes as "wire: send: <cause>".
@@ -22,29 +20,14 @@ var (
 	ErrTimedOut = errors.New("timed out")
 )
 
-// transientFragments recognizes transport failures that reach us as bare
-// text: errors that crossed the wire in Response.Err (the type does not
-// survive serialization), OS dial errors, and errors from peers that
-// predate the typed sentinels. Matching text here is the single
-// sanctioned fallback; everything the current tree produces locally is
-// typed and never reaches this list.
-var transientFragments = []string{
-	"connection closed", // wire + sdk conn teardown
-	"timed out",         // call deadlines, net dial timeouts
-	"wire: send:",       // mid-request write failures
-	"connection refused",
-	"connection reset",
-	"sdk: no connection",
-	// A pool the router just invalidated fails its in-flight callers
-	// with "pool closed"; they must reconnect and retry like everyone
-	// else, not surface a fatal error for a race they lost.
-	"sdk: pool closed",
-}
-
 // TransientError reports connection-level failures worth a
-// reconnect+retry, as opposed to application errors the caller must
-// see. Typed checks run first; the text fallback only catches errors
-// whose type was lost crossing the wire or minted by older peers.
+// reconnect+retry, as opposed to application errors the caller must see:
+// the sentinels above, the io and net failures a dial or a read can
+// return, and — for a failure some hop hit downstream and relayed in a
+// response — CodeTransient, which ErrorCode stamps on exactly these
+// errors before they cross the wire. The net check is *net.OpError, not
+// the net.Error interface: a bare syscall.Errno satisfies the interface,
+// and a daemon's disk error must not be relayed as "reconnect and retry".
 func TransientError(err error) bool {
 	if err == nil {
 		return false
@@ -55,15 +38,10 @@ func TransientError(err error) bool {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 		return true
 	}
-	var ne net.Error
-	if errors.As(err, &ne) {
+	var oe *net.OpError
+	if errors.As(err, &oe) {
 		return true
 	}
-	s := err.Error()
-	for _, frag := range transientFragments {
-		if strings.Contains(s, frag) { //anufs:allow errcode wire-crossed and pre-sentinel errors arrive as bare text; this loop is the single sanctioned fallback
-			return true
-		}
-	}
-	return false
+	var ce *CodedError
+	return errors.As(err, &ce) && ce.Code == CodeTransient
 }

@@ -1,13 +1,15 @@
-// Package wire puts the live ANU cluster on the network: a small
-// newline-delimited JSON protocol over TCP, a server that fronts a
-// live.Cluster, and a client with typed methods for every metadata and
-// lock operation.
+// Package wire puts the live ANU cluster on the network: one framing
+// (tagged binary frames from a connection's first byte, see tagged.go)
+// carrying JSON requests and responses over TCP, one pipelined client
+// (Client) with typed methods for every metadata and lock operation, one
+// server loop (FrameServer), and the server that fronts a live.Cluster
+// with it.
 //
 // In the paper's architecture (§2) clients obtain metadata and locks from
 // the file servers over the LAN and then go straight to shared disks for
-// data; this package is that metadata/lock path. The protocol is
-// deliberately plain — one JSON request per line, one JSON response per
-// line, correlated by ID — so it can be driven with netcat when debugging.
+// data; this package is that metadata/lock path. cmd/anufsctl is the
+// debugging surface: every op has a subcommand, and -json renders the
+// decoded reply.
 package wire
 
 import (
@@ -110,32 +112,14 @@ const (
 	OpVolumeList      Op = "volume-list"
 	OpVolumeSetQuota  Op = "volume-set-quota"
 	OpVolumeSetPolicy Op = "volume-set-policy"
-	// Tagged-protocol operations (internal/sdk is the primary client).
-	// OpHello, sent as the first request on a connection, negotiates the
-	// tagged-frame protocol (see tagged.go); OpPing is the no-op liveness
-	// probe connection pools use for health checks; OpBatch applies many
-	// small metadata writes in one frame — the server folds each file
-	// set's items into a single owner-queue task (live.Cluster.Batch), so
-	// a batch pays one queue wait and, with Request.Durable, one journal
-	// group commit instead of one per item.
-	OpHello Op = "hello"
+	// OpPing is the no-op liveness probe connection pools use for health
+	// checks; OpBatch applies many small metadata writes in one frame — the
+	// server folds each file set's items into a single owner-queue task
+	// (live.Cluster.Batch), so a batch pays one queue wait and, with
+	// Request.Durable, one journal group commit instead of one per item.
 	OpPing  Op = "ping"
 	OpBatch Op = "batch"
 )
-
-// Capability bits negotiated via OpHello (Request.Caps offered by the
-// client, Response.Caps the intersection the server accepted). They ride
-// the existing hello exchange: old servers simply echo no caps and old
-// clients offer none, so every mix of versions interoperates.
-const (
-	// CapTraceContext: the peer understands distributed trace context —
-	// Request.Trace/Parent carried end to end (and inside tagged-frame
-	// payloads), Response.Trace echoed, OpTracePull served.
-	CapTraceContext uint64 = 1 << 0
-)
-
-// SupportedCaps is the capability set this build negotiates.
-const SupportedCaps = CapTraceContext
 
 // MaxBatchItems caps one OpBatch request — enough to amortize the
 // round-trip and the owner-queue hop, small enough that one batch cannot
@@ -205,8 +189,6 @@ type Request struct {
 	// half): the receiving hop parents its own spans under it.
 	Trace  uint64 `json:"trace,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Caps offers capability bits on OpHello (see CapTraceContext).
-	Caps uint64 `json:"caps,omitempty"`
 	// Count bounds how many entries OpTrace/OpTunerLog return (0 = all
 	// retained).
 	Count int `json:"count,omitempty"`
@@ -248,8 +230,6 @@ type Request struct {
 	Policy         string        `json:"policy,omitempty"`
 	Volumes        []volume.Info `json:"volumes,omitempty"`
 	VolumesVersion uint64        `json:"volumes_version,omitempty"`
-	// Proto is the protocol version offered by OpHello (TaggedProtoV1).
-	Proto int `json:"proto,omitempty"`
 	// Batch carries the items of an OpBatch; Durable asks the server to
 	// checkpoint each touched file set after applying the batch, so the
 	// whole batch rides one journal group commit before it is acked.
@@ -281,10 +261,9 @@ type ServerStat struct {
 type Response struct {
 	ID  uint64 `json:"id"`
 	Err string `json:"err,omitempty"`
-	// Code is a machine-readable classification of Err for the errors
-	// client control flow keys on (CodeJoinFirst, CodeDialRecipient) —
-	// rewording Err must never change a caller's behavior. Empty for
-	// errors no client branches on.
+	// Code is a machine-readable classification of Err (ErrorCode) for the
+	// errors client control flow keys on — rewording Err must never change
+	// a caller's behavior. Empty for errors no client branches on.
 	Code   string            `json:"code,omitempty"`
 	Record *sharedisk.Record `json:"record,omitempty"`
 	Paths  []string          `json:"paths,omitempty"`
@@ -323,10 +302,6 @@ type Response struct {
 	// least reach before retrying. Map answers OpMap.
 	Epoch uint64 `json:"epoch,omitempty"`
 	Map   []byte `json:"map,omitempty"`
-	// Proto answers OpHello: the protocol version the server accepted.
-	// Caps is the capability intersection the server granted.
-	Proto int    `json:"proto,omitempty"`
-	Caps  uint64 `json:"caps,omitempty"`
 	// Node and Now answer OpTracePull: the responding process's identity
 	// and wall clock (UnixNano) at reply time, feeding the stitcher's
 	// per-hop clock-skew estimate.

@@ -1,9 +1,8 @@
 package wire
 
 import (
-	"bufio"
+	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -21,10 +20,7 @@ func startServer(t *testing.T, nFileSets int) (*Client, *live.Cluster) {
 			t.Fatal(err)
 		}
 	}
-	cfg := live.DefaultConfig()
-	cfg.Window = time.Hour // no background tuning in protocol tests
-	cfg.OpCost = 0
-	cl, err := live.NewCluster(cfg, disk, map[int]float64{0: 1, 1: 3, 2: 5})
+	cl, err := live.NewCluster(liveTestConfig(), disk, map[int]float64{0: 1, 1: 3, 2: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +39,13 @@ func startServer(t *testing.T, nFileSets int) (*Client, *live.Cluster) {
 	}
 	t.Cleanup(func() { client.Close() })
 	return client, cl
+}
+
+func liveTestConfig() live.Config {
+	cfg := live.DefaultConfig()
+	cfg.Window = time.Hour // no background tuning in protocol tests
+	cfg.OpCost = 0
+	return cfg
 }
 
 func TestEndToEndMetadataOps(t *testing.T) {
@@ -259,29 +262,31 @@ func TestBadFrameGetsErrorResponse(t *testing.T) {
 }
 
 func TestRawProtocolGarbage(t *testing.T) {
-	// Drive the TCP protocol directly with malformed frames: the server
-	// must answer each line (error responses) and survive.
+	// Drive the TCP protocol directly with malformed payloads in intact
+	// frames: the server must answer each under its tag and survive.
 	c, _ := startServer(t, 1)
-	conn, err := net.Dial("tcp", c.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
+	_, fw, fr := frameConn(t, c.conn.RemoteAddr().String())
+	for tag, payload := range map[uint64]string{5: "this is not json", 7: `{"op":"bogus","id":7}`} {
+		if err := fw.WriteFrame(FrameRequest, tag, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n{\"op\":\"bogus\",\"id\":7}\n")); err != nil {
-		t.Fatal(err)
+	got := map[uint64]Response{}
+	for len(got) < 2 {
+		kind, tag, payload, err := fr.ReadFrame()
+		if err != nil || kind != FrameResponse {
+			t.Fatalf("ReadFrame = kind %d, %v", kind, err)
+		}
+		var resp Response
+		if err := json.Unmarshal(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		got[tag] = resp
 	}
-	sc := bufio.NewScanner(conn)
-	var got []string
-	for len(got) < 2 && sc.Scan() {
-		got = append(got, sc.Text())
+	if !strings.Contains(got[5].Err, "bad frame") {
+		t.Fatalf("tag 5 response %+v, want bad-frame error", got[5])
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d responses, want 2: %v", len(got), got)
-	}
-	if !strings.Contains(got[0], "bad frame") {
-		t.Fatalf("first response %q, want bad-frame error", got[0])
-	}
-	if !strings.Contains(got[1], "unknown op") || !strings.Contains(got[1], `"id":7`) {
-		t.Fatalf("second response %q, want id-correlated unknown-op error", got[1])
+	if !strings.Contains(got[7].Err, "unknown op") || got[7].ID != 7 {
+		t.Fatalf("tag 7 response %+v, want id-correlated unknown-op error", got[7])
 	}
 }
