@@ -1,7 +1,7 @@
 GO ?= go
 ANUFSVET := $(CURDIR)/bin/anufsvet
 
-.PHONY: all build test vet fuzz-smoke bench-vol bench-alloc clean
+.PHONY: all build test vet fuzz-smoke bench-alloc clean
 
 all: build test vet
 
@@ -26,16 +26,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTaggedFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterMap -fuzztime 10s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
-
-# bench-vol measures cross-tenant isolation (victim p99 under a noisy
-# neighbour, WFQ vs global FIFO) and enforces the 3x degradation ceiling
-# on the WFQ path, as CI does.
-bench-vol:
-	$(GO) run ./cmd/benchvol -check
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
 
 # bench-alloc measures the marked hot paths (wire fast codec, journal
-# frame encoding) and enforces the 0 allocs/op budget via cmd/allocguard,
-# as CI does. Baseline benchmarks (encoding/json comparison) are exempt.
+# image and delta frame encoding) and enforces the 0 allocs/op budget via
+# cmd/allocguard, as CI does. Baseline benchmarks (encoding/json comparison) are exempt.
 bench-alloc:
 	$(GO) test -run=NONE -bench=BenchmarkEncode -benchmem ./internal/wire/ ./internal/journal/ \
 		| tee bench_alloc.txt

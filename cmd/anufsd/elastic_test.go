@@ -45,7 +45,7 @@ func TestFleetDaemonDeathJournalFailover(t *testing.T) {
 	// Daemon 0 hosts the authority with itself as the only roster entry;
 	// daemons 1 and 2 join dynamically — the elastic path, not the static
 	// roster.
-	common := "-filesets 6 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0 -fsync-interval 1ms"
+	common := "-filesets 6 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0"
 	cmds := make([]*exec.Cmd, 3)
 	cmds[0] = startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -fleet 0 -fleet-authority 0=%s@1 -fleet-lease %s -journal-dir %s %s",
@@ -239,7 +239,7 @@ func TestFleetAuthorityFailoverPromotesStandby(t *testing.T) {
 	aAddr, bAddr, sAddr := freeAddr(t), freeAddr(t), freeAddr(t)
 	aDir, bDir, sDir := t.TempDir(), t.TempDir(), t.TempDir()
 
-	common := "-filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0 -fsync-interval 1ms"
+	common := "-filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0"
 
 	// Standby first so the authority's first semi-sync append can ack.
 	standby := startDaemonArgs(t, fmt.Sprintf(

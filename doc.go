@@ -7,6 +7,6 @@
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate each figure at quick scale;
-// cmd/expall regenerates them at full paper scale.
+// cmd/anusim regenerates one figure at a chosen scale, cmd/expall all of
+// them at full paper scale; cmd/bench is the fleet benchmark.
 package anufs

@@ -6,16 +6,19 @@ import (
 	"strings"
 )
 
-// determinismPkgs are the packages whose outputs the paper's results
-// depend on being bit-reproducible: the discrete-event simulation
-// kernel, the ANU placement algorithms, the adaptive mapper core, and
-// the hash family. Any wall-clock read or process-global randomness in
-// them silently breaks run-to-run reproducibility.
+// determinismPkgs are the packages whose outputs must be
+// bit-reproducible: the discrete-event simulation kernel, the ANU
+// placement algorithms, the adaptive mapper core and the hash family,
+// on which the paper's results depend, and the journal, whose bytes
+// must be a function of the operation history alone (a standby's log is
+// compared with its primary's). Any wall-clock read, process-global
+// randomness or map-ordered output in them silently breaks that.
 var determinismPkgs = []string{
 	"internal/desim",
 	"internal/placement",
 	"internal/core",
 	"internal/hashfam",
+	"internal/journal",
 }
 
 // forbiddenTimeFuncs are the wall-clock entry points of package time.
@@ -35,8 +38,8 @@ var forbiddenTimeFuncs = map[string]bool{
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid wall-clock, global math/rand, and map iteration in the " +
-		"simulation, placement, mapper-core, and hash packages, whose outputs " +
-		"must be bit-reproducible",
+		"simulation, placement, mapper-core, hash, and journal packages, whose " +
+		"outputs must be bit-reproducible",
 	Run: runSimDeterminism,
 }
 

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,7 +371,7 @@ func startElasticDaemon(t *testing.T, id int, journaled bool) *elasticDaemon {
 	d := &elasticDaemon{id: id}
 	if journaled {
 		d.dir = t.TempDir()
-		jnl, st, _, err := journal.Open(d.dir, journal.Options{FsyncInterval: time.Millisecond})
+		jnl, st, _, err := journal.Open(d.dir, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,6 +398,79 @@ func startElasticDaemon(t *testing.T, id int, journaled bool) *elasticDaemon {
 	return d
 }
 
+// deltaRounds drives fs through n write+sync rounds, each journaling one
+// delta on the owning daemon — a create, an overwrite of /acked and, from
+// the third round on, a remove — and returns the sizes the file set must
+// hold afterwards, on top of have. tag keeps one call's paths apart from
+// another's.
+func deltaRounds(t *testing.T, r *Router, fs, tag string, n int, have map[string]int64, sync func() error) map[string]int64 {
+	t.Helper()
+	want := map[string]int64{}
+	for p, size := range have {
+		want[p] = size
+	}
+	for i := 0; i < n; i++ {
+		p := fmt.Sprintf("/%s%02d", tag, i)
+		if err := r.Create(fs, p, sharedisk.Record{Size: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		want[p] = int64(i)
+		if err := r.Update(fs, "/acked", sharedisk.Record{Size: int64(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		want["/acked"] = int64(100 + i)
+		if i >= 2 {
+			old := fmt.Sprintf("/%s%02d", tag, i-2)
+			if err := r.Remove(fs, old); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, old)
+		}
+		if err := sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// requireRecords checks, through the router, that fs holds exactly want.
+func requireRecords(t *testing.T, r *Router, fs string, want map[string]int64) {
+	t.Helper()
+	paths, err := r.List(fs, "/")
+	if err != nil || len(paths) != len(want) {
+		t.Fatalf("%s lists %v (%v), want the %d paths of %v", fs, paths, err, len(want), want)
+	}
+	for p, size := range want {
+		if rec, err := r.Stat(fs, p); err != nil || rec.Size != size {
+			t.Fatalf("Stat %s %s = %+v, %v; want size %d", fs, p, rec, err, size)
+		}
+	}
+}
+
+// requireRecovers checks that the journal in dir replays fs to exactly
+// want (nil: the file set must be gone).
+func requireRecovers(t *testing.T, dir, fs string, want map[string]int64) {
+	t.Helper()
+	st, _, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, ok := st.Images()[fs]
+	if want == nil {
+		if ok {
+			t.Fatalf("journal %s still replays %s: %+v", dir, fs, im)
+		}
+		return
+	}
+	got := map[string]int64{}
+	for p, rec := range im.Records {
+		got[p] = rec.Size
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal %s replays %s to %v, want %v", dir, fs, got, want)
+	}
+}
+
 // TestFailoverReplaysJournal is the tentpole's in-process end: the
 // authority's heartbeat detector declares a silent daemon dead, and the
 // surviving daemon adopts its file sets only after replaying the victim's
@@ -404,7 +479,8 @@ func startElasticDaemon(t *testing.T, id int, journaled bool) *elasticDaemon {
 func TestFailoverReplaysJournal(t *testing.T) {
 	lease := 150 * time.Millisecond
 
-	d0 := startElasticDaemon(t, 0, false)
+	d0 := startElasticDaemon(t, 0, true)
+	t.Cleanup(func() { d0.jnl.Close() })
 	d1 := startElasticDaemon(t, 1, true)
 
 	auth, err := NewAuthority(AuthorityConfig{
@@ -478,6 +554,13 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	if err := d1.clus.CheckpointAll(); err != nil {
 		t.Fatal(err)
 	}
+	// From here on every flush journals only the records it changed: the
+	// victim's journal holds each file set as a create, an image-free run
+	// of deltas — and the takeover must still move the complete image.
+	want := map[string]map[string]int64{}
+	for _, fs := range []string{"vol00", "vol01"} {
+		want[fs] = deltaRounds(t, r, fs, "before", 12, nil, d1.clus.CheckpointAll)
+	}
 
 	// The victim was roster-seeded, so the authority learns its journal
 	// directory from the heartbeat loop; wait for the first one (a joining
@@ -511,11 +594,11 @@ func TestFailoverReplaysJournal(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The acked, flushed writes survived onto the new owner via replay.
+	// The acked, flushed writes survived onto the new owner via replay —
+	// every record of every delta — and into the new owner's own journal.
 	for _, fs := range []string{"vol00", "vol01"} {
-		if rec, err := r.Stat(fs, "/acked"); err != nil || rec.Size != 42 {
-			t.Fatalf("Stat %s after failover = %+v, %v", fs, rec, err)
-		}
+		requireRecords(t, r, fs, want[fs])
+		requireRecovers(t, d0.dir, fs, want[fs])
 	}
 	ac := auth.Counters().Snapshot()
 	if ac[CtrFailovers] != 1 {
@@ -534,7 +617,8 @@ func TestFailoverReplaysJournal(t *testing.T) {
 
 	// The dead daemon restarts (fresh store, same identity): like anufsd, it
 	// joins first and builds its member from the join reply's map.
-	d1b := startElasticDaemon(t, 1, false)
+	d1b := startElasticDaemon(t, 1, true)
+	t.Cleanup(func() { d1b.jnl.Close() })
 	cmJoin, err := auth.Join(1, d1b.addr, 1, "")
 	if err != nil {
 		t.Fatal(err)
@@ -564,6 +648,17 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	if got := auth.Map().Assign["vol00"]; got != 0 {
 		t.Fatalf("vol00 snapped back to the restarted daemon (owner %d)", got)
 	}
+
+	// A live handoff after more deltas on the new owner: the recipient gets
+	// — and journals — the complete image, the donor journals the drop.
+	want["vol00"] = deltaRounds(t, r, "vol00", "after", 12, want["vol00"], d0.clus.CheckpointAll)
+	if _, err := auth.Assign("vol00", 1); err != nil {
+		t.Fatal(err)
+	}
+	requireRecords(t, r, "vol00", want["vol00"])
+	requireRecovers(t, d1b.dir, "vol00", want["vol00"])
+	requireRecovers(t, d0.dir, "vol00", nil)
+	requireRecovers(t, d0.dir, "vol01", want["vol01"])
 }
 
 // TestRejoinAfterFalseDeath: a daemon partitioned long enough to be

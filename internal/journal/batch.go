@@ -7,13 +7,15 @@ import (
 )
 
 // Group commit. One committer goroutine owns the write path: it pulls the
-// first queued append, gathers whatever else is concurrently queued (plus,
-// with FsyncInterval > 0, whatever arrives within the gather window),
+// first queued append, takes whatever else is queued at that moment (plus,
+// with FsyncInterval > 0, whatever arrives within that gather window),
 // writes the whole batch with one write syscall and one fsync, and then
-// releases every waiter. Appends that arrive while an fsync is in flight
-// simply ride the next batch — that is where the amortization comes from
-// under concurrent flush load (cf. IOPathTune's adaptive I/O-path batching:
-// sync cost per record falls roughly linearly in batch size).
+// releases every waiter. Appends that arrive while that fsync is in flight
+// form the next batch. With no window the fsync is the only gather window:
+// a lone append never waits for company and concurrent ones share a sync
+// exactly when the disk is what they would have waited for anyway (cf.
+// IOPathTune: a stage's batching is set by that stage's own signal, not by
+// a constant).
 
 // run is the committer loop.
 func (j *Journal) run() {
@@ -30,13 +32,15 @@ func (j *Journal) run() {
 	}
 }
 
-// gather collects the batch that will share first's fsync.
+// gather collects the batch that will share first's fsync: what is queued
+// now and, with a gather window, what arrives before it closes.
 func (j *Journal) gather(first *appendReq) []*appendReq {
 	batch := []*appendReq{first}
 	if j.opts.NoGroupCommit {
 		return batch
 	}
 	if j.opts.FsyncInterval > 0 {
+		//anufs:allow simdeterminism the window decides which frames share an fsync, never a frame's bytes or their order
 		t := time.NewTimer(j.opts.FsyncInterval)
 		defer t.Stop()
 		for {
@@ -66,7 +70,7 @@ func (j *Journal) gather(first *appendReq) []*appendReq {
 // per-request view of the amortization trade-off.
 func (j *Journal) commit(batch []*appendReq) {
 	err := j.writeBatch(batch)
-	done := time.Now()
+	done := now()
 	if j.obs != nil {
 		errStr := ""
 		if err != nil {
@@ -127,12 +131,12 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	if _, err := j.f.Write(buf); err != nil {
 		return err
 	}
-	syncStart := time.Now()
-	if err := j.f.Sync(); err != nil {
+	syncStart := now()
+	if err := j.syncFile(j.f); err != nil {
 		return err
 	}
 	if j.obs != nil {
-		syncDur := time.Since(syncStart)
+		syncDur := now().Sub(syncStart)
 		j.histFsync.Observe(syncDur)
 		// Attribute the fsync to the first traced record in the batch, so a
 		// traced request's timeline includes the sync it rode.

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,8 +10,16 @@ import (
 	"anufs/internal/sharedisk"
 )
 
-// buildLog journals a fixed multi-record history and returns the segment
-// file plus the entry list in append order.
+// delta builds a KindDelta entry producing version: img's records for the
+// put paths, plus removed paths.
+func delta(fileSet string, version uint64, removed []string, put ...string) Entry {
+	return Entry{Kind: KindDelta, FileSet: fileSet, Image: img(version, put...), Removed: removed}
+}
+
+// buildLog journals a fixed multi-record history that mixes every entry
+// kind — creates, whole images, deltas (puts, removes, both), a drop and a
+// re-adoption — and returns the segment file plus the entry list in append
+// order.
 func buildLog(t *testing.T) (dir string, seg string, entries []Entry) {
 	t.Helper()
 	dir = t.TempDir()
@@ -21,24 +30,18 @@ func buildLog(t *testing.T) (dir string, seg string, entries []Entry) {
 	entries = []Entry{
 		{Kind: KindCreateFileSet, FileSet: "vol00"},
 		{Kind: KindCreateFileSet, FileSet: "vol01"},
-		{Kind: KindFlush, FileSet: "vol00", Image: img(2, "/a")},
+		delta("vol00", 2, nil, "/a"),
 		{Kind: KindFlush, FileSet: "vol01", Image: img(2, "/x", "/y")},
-		{Kind: KindFlush, FileSet: "vol00", Image: img(3, "/a", "/b")},
+		delta("vol00", 3, nil, "/a", "/b"),
 		{Kind: KindCreateFileSet, FileSet: "vol02"},
-		{Kind: KindFlush, FileSet: "vol02", Image: img(2, "/only")},
-		{Kind: KindFlush, FileSet: "vol01", Image: img(3, "/x")},
+		delta("vol01", 3, []string{"/y"}),
+		delta("vol02", 2, nil, "/only"),
+		{Kind: KindDrop, FileSet: "vol00"},
+		delta("vol01", 4, []string{"/x"}, "/z"),
+		{Kind: KindFlush, FileSet: "vol00", Image: img(2, "/adopted")},
+		delta("vol00", 3, []string{"/never-there"}, "/adopted", "/more"),
 	}
-	for _, e := range entries {
-		var err error
-		if e.Kind == KindCreateFileSet {
-			err = j.LogCreateFileSet(e.FileSet)
-		} else {
-			err = j.LogFlush(e.FileSet, e.Image)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendEntries(t, j, entries)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +74,29 @@ func frameEnds(t *testing.T, seg string) []int {
 	return ends
 }
 
+// fold applies entries onto a deep copy of base, as recovery would. A delta
+// applies to an image in place, so each entry is folded from its own
+// decoded copy and the caller's entries stay reusable.
+func fold(base map[string]sharedisk.Image, entries []Entry) (map[string]sharedisk.Image, error) {
+	images := sharedisk.NewStoreFromImages(base, 0).Images()
+	for i, e := range entries {
+		e, err := decodeEntry(encodeEntry(e))
+		if err == nil {
+			err = applyEntry(images, e)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("entry %d (%+v): %w", i, e, err)
+		}
+	}
+	return images, nil
+}
+
 // expectedPrefix folds the first k entries into the image map recovery
 // should produce.
 func expectedPrefix(entries []Entry, k int) map[string]sharedisk.Image {
-	images := map[string]sharedisk.Image{}
-	for _, e := range entries[:k] {
-		applyEntry(images, e)
+	images, err := fold(nil, entries[:k])
+	if err != nil {
+		panic(err)
 	}
 	return images
 }

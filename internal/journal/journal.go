@@ -1,15 +1,16 @@
 // Package journal is the durability layer under the shared disk: a
-// segmented, CRC32-checksummed write-ahead log of file-set flush deltas,
-// with group commit to amortize fsync cost under concurrent flushes,
-// periodic snapshot + segment compaction to bound replay time, and a
-// Recover path that rebuilds a sharedisk.Store from snapshot + log tail,
-// truncating at the first torn or corrupt record.
+// segmented, CRC32-checksummed write-ahead log of file-set flush deltas
+// (whole images only where an image is what happened: an adopted file set,
+// a re-base, a snapshot), with group commit to amortize fsync cost under
+// concurrent flushes, periodic snapshot + segment compaction to bound
+// replay time, and a Recover path that rebuilds a sharedisk.Store from
+// snapshot + log tail, truncating at the first torn or corrupt record.
 //
 // The paper's shared-disk substrate assumes "a flushed image is a
 // consistent cut another server can adopt" (§7); this package is what makes
 // that cut survive a server process crash rather than living only in
-// memory. sharedisk.Durable journals every CreateFileSet/Flush through the
-// WAL interface; on restart, Open replays the log and hands back an
+// memory. sharedisk.Durable journals every CreateFileSet/FlushDelta through
+// the WAL interface; on restart, Open replays the log and hands back an
 // equivalent store.
 //
 // Layout of a journal directory:
@@ -65,6 +66,13 @@ func parseHeader(data []byte, magic uint32) (seq uint64, ok bool) {
 	return binary.LittleEndian.Uint64(data[5:13]), true
 }
 
+// now is the journal's one reading of the wall clock. It times things —
+// commit waits, fsyncs, recovery — for histograms, spans and RecoverInfo;
+// no value it returns reaches a journal byte.
+func now() time.Time {
+	return time.Now() //anufs:allow simdeterminism latency instrumentation only, never encoded
+}
+
 // ErrClosed is returned for appends to a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
@@ -88,10 +96,9 @@ type Options struct {
 	// SegmentBytes is the rotation threshold; default 4 MiB.
 	SegmentBytes int64
 	// FsyncInterval is the group-commit gather window: after the first
-	// record of a batch arrives, the committer keeps collecting concurrent
-	// appends for this long before issuing the single write+fsync. Zero
-	// commits as soon as the momentarily queued appends are drained (still
-	// group commit: appends arriving during an fsync ride the next batch).
+	// queued append the committer waits this long for company before the
+	// fsync. Zero (the default) means none: take what is queued now, and
+	// let the fsync in flight be the only window.
 	FsyncInterval time.Duration
 	// NoGroupCommit forces one fsync per record — the baseline the group
 	// commit benchmark compares against. Not for production use.
@@ -101,7 +108,7 @@ type Options struct {
 	Counters *metrics.CounterSet
 	// Obs, when set, receives commit-path latency histograms
 	// (journal_fsync_seconds, journal_commit_wait_seconds), request trace
-	// spans for traced appends (LogFlushTraced), and the journal counters.
+	// spans for traced appends (LogDelta), and the journal counters.
 	Obs *obs.Registry
 }
 
@@ -142,6 +149,9 @@ type Journal struct {
 	segFirst uint64 // sequence of the active segment's first entry
 	segSize  int64
 	writeBuf []byte // reused batch write buffer (committer-only, under mu)
+	// syncFile is the fsync a commit waits on; tests replace it (under mu)
+	// to hold a commit in flight.
+	syncFile func(*os.File) error
 	nextSeq  uint64 // sequence the next appended entry will get
 	closeErr error
 	closed   bool
@@ -178,6 +188,7 @@ func (j *Journal) TraceOf(seq uint64) uint64 {
 
 type appendReq struct {
 	frame []byte
+	keys  []string // sort scratch for the frame's encoder
 	done  chan error
 	// trace is the client request trace ID that triggered this append (0 =
 	// untraced); enq timestamps the hand-off to the committer so the
@@ -221,6 +232,7 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		done:      make(chan struct{}),
 		nextSeq:   info.LastSeq + 1,
 		commitSig: make(chan struct{}),
+		syncFile:  (*os.File).Sync,
 	}
 	j.counters.Set(CtrRecoveryNanos, info.Duration.Nanoseconds())
 	j.counters.Set(CtrRecoveredEntries, int64(info.Entries))
@@ -257,21 +269,26 @@ func (j *Journal) LogDrop(fileSet string) error {
 	return j.append(0, Entry{Kind: KindDrop, FileSet: fileSet})
 }
 
-// LogFlush journals a flushed image; returns once durable.
+// LogFlush journals a whole image; returns once durable.
 func (j *Journal) LogFlush(fileSet string, im sharedisk.Image) error {
 	return j.append(0, Entry{Kind: KindFlush, FileSet: fileSet, Image: im})
 }
 
-// LogFlushTraced is LogFlush carrying the client request trace that forced
-// the flush: the append's group-commit wait is recorded as a span under
-// that trace (sharedisk.TracedWAL).
-func (j *Journal) LogFlushTraced(trace uint64, fileSet string, im sharedisk.Image) error {
-	return j.append(trace, Entry{Kind: KindFlush, FileSet: fileSet, Image: im})
+// LogDelta journals one flush as the delta it applied, at the version it
+// produced (d.Base+1); returns once durable. trace is the client request
+// that forced the flush (0 = untraced): the append's group-commit wait and
+// fsync are recorded as spans under it.
+func (j *Journal) LogDelta(trace uint64, fileSet string, d sharedisk.Delta) error {
+	return j.append(trace, Entry{
+		Kind: KindDelta, FileSet: fileSet,
+		Image:   sharedisk.Image{Version: d.Base + 1, Records: d.Puts},
+		Removed: d.Removes,
+	})
 }
 
-// appendReqPool recycles append requests — frame buffer and reply channel
-// included — so a steady append load encodes into warmed buffers instead
-// of allocating one frame per record. The buffered reply channel is
+// appendReqPool recycles append requests — frame buffer, sort scratch and
+// reply channel included — so a steady append load encodes into warmed
+// buffers instead of allocating one frame per record. The buffered reply channel is
 // always drained before a request is pooled, so reuse cannot deliver a
 // stale error.
 var appendReqPool = sync.Pool{
@@ -286,9 +303,9 @@ var appendReqPool = sync.Pool{
 //anufs:hotpath
 func (j *Journal) append(trace uint64, e Entry) error {
 	r := appendReqPool.Get().(*appendReq)
-	r.frame = appendEntryFrame(r.frame[:0], e)
+	r.frame = appendEntryFrame(r.frame[:0], e, &r.keys)
 	r.trace = trace
-	r.enq = time.Now()
+	r.enq = now()
 	r.seq = 0
 	select {
 	case j.appendCh <- r:

@@ -299,54 +299,6 @@ func TestAutomaticSnapshot(t *testing.T) {
 	requireImagesEqual(t, rec, d.Store.Images())
 }
 
-// TestGroupCommitAmortizesFsyncs: with a gather window and 64 concurrent
-// writers, fsyncs must be far fewer than records — the (>=2x, in practice
-// >>2x) amortization the group-commit batcher exists for.
-func TestGroupCommitAmortizesFsyncs(t *testing.T) {
-	dir := t.TempDir()
-	j, _, _, err := Open(dir, Options{FsyncInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, each = 64, 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fs := fmt.Sprintf("vol%02d", w)
-			for i := 0; i < each; i++ {
-				if err := j.LogFlush(fs, img(uint64(i+2), "/a")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	records := j.Counters().Get(CtrRecords)
-	fsyncs := j.Counters().Get(CtrFsyncs)
-	if records != writers*each {
-		t.Fatalf("records = %d, want %d", records, writers*each)
-	}
-	if fsyncs*2 > records {
-		t.Fatalf("group commit did not amortize: %d fsyncs for %d records", fsyncs, records)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, info, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.LastSeq != uint64(records) {
-		t.Fatalf("lastSeq = %d, want %d", info.LastSeq, records)
-	}
-	if got := len(st.FileSets()); got != writers {
-		t.Fatalf("recovered %d file sets, want %d", got, writers)
-	}
-}
-
 // TestConcurrentAppendAndSnapshot races flushes against snapshots and then
 // verifies recovery equals the final in-memory state (run with -race).
 func TestConcurrentAppendAndSnapshot(t *testing.T) {

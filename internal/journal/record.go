@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"anufs/internal/sharedisk"
@@ -40,20 +41,29 @@ type EntryKind uint8
 const (
 	// KindCreateFileSet records the birth of an empty file set.
 	KindCreateFileSet EntryKind = 1
-	// KindFlush records a flushed image (post-flush version included).
+	// KindFlush records a whole image at its post-flush version: an adopted
+	// file set, or the new base after a delta failed to append. Snapshots
+	// aside, it is the only entry replay can start a file set's history from.
 	KindFlush EntryKind = 2
 	// KindDrop records the removal of a file set from this journal's shared
 	// disk — written when a fleet handoff donates the file set to another
 	// daemon, so replay does not resurrect the fenced copy.
 	KindDrop EntryKind = 3
+	// KindDelta records one flush as the mutation it made — the records put
+	// and the paths removed — with the version the flush produced. It is the
+	// unit of durability; replay applies it only onto the version before.
+	KindDelta EntryKind = 4
 )
 
 // Entry is one decoded journal record.
 type Entry struct {
 	Kind    EntryKind
 	FileSet string
-	// Image is the flushed image for KindFlush entries.
+	// Image is the flushed image for KindFlush entries. For KindDelta it
+	// holds the post-flush version and only the records the flush put.
 	Image sharedisk.Image
+	// Removed lists the paths a KindDelta entry deletes.
+	Removed []string
 }
 
 // appendFrame encodes the payload as a length+CRC frame onto dst.
@@ -84,30 +94,43 @@ func nextFrame(data []byte) (payload []byte, n int, ok bool) {
 	return payload, frameHeaderLen + int(ln), true
 }
 
-// appendEntry serializes an entry payload (no frame header) onto dst.
-func appendEntry(dst []byte, e Entry) []byte {
+// appendEntry serializes an entry payload (no frame header) onto dst. A
+// delta is the image encoding of its version and puts, then the removed
+// paths, sorted like the records. keys is sort scratch (see appendImage).
+func appendEntry(dst []byte, e Entry, keys *[]string) []byte {
 	dst = append(dst, byte(e.Kind))
 	dst = appendString(dst, e.FileSet)
-	if e.Kind == KindFlush {
-		dst = appendImage(dst, e.Image)
+	switch e.Kind {
+	case KindFlush:
+		dst = appendImage(dst, e.Image, keys)
+	case KindDelta:
+		dst = appendImage(dst, e.Image, keys)
+		removed := append((*keys)[:0], e.Removed...)
+		slices.Sort(removed)
+		dst = binary.AppendUvarint(dst, uint64(len(removed)))
+		for _, path := range removed {
+			dst = appendString(dst, path)
+		}
+		*keys = release(removed)
 	}
 	return dst
 }
 
 // encodeEntry serializes an entry payload into a fresh buffer.
-func encodeEntry(e Entry) []byte { return appendEntry(nil, e) }
+func encodeEntry(e Entry) []byte { return appendEntry(nil, e, new([]string)) }
 
 // appendEntryFrame appends e as one complete framed record onto dst: the
 // 8-byte header slot is reserved up front, the payload is encoded in
 // place, and length+CRC are backfilled — one pass, no intermediate
-// payload buffer, so a pooled dst makes the append path allocation-free.
+// payload buffer, so a pooled dst and pooled sort scratch make the append
+// path allocation-free.
 //
 //anufs:hotpath
-func appendEntryFrame(dst []byte, e Entry) []byte {
+func appendEntryFrame(dst []byte, e Entry, keys *[]string) []byte {
 	hdrOff := len(dst)
 	var hdr [frameHeaderLen]byte
 	dst = append(dst, hdr[:]...)
-	dst = appendEntry(dst, e)
+	dst = appendEntry(dst, e, keys)
 	payload := dst[hdrOff+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[hdrOff:hdrOff+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[hdrOff+4:hdrOff+8], crc32.ChecksumIEEE(payload))
@@ -124,6 +147,9 @@ func decodeEntry(payload []byte) (Entry, error) {
 	case KindCreateFileSet, KindDrop:
 	case KindFlush:
 		e.Image = c.image()
+	case KindDelta:
+		e.Image = c.image()
+		e.Removed = c.strs()
 	default:
 		return Entry{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, e.Kind)
 	}
@@ -141,13 +167,29 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// release empties sort scratch for its next use, so that it does not pin
+// the strings it held.
+func release(scratch []string) []string {
+	clear(scratch)
+	return scratch[:0]
+}
+
 // appendImage serializes an image: version, record count, then each record
 // as path, size, mode, mod time (zero flagged explicitly — the zero
-// time.Time has no representable UnixNano), owner.
-func appendImage(dst []byte, im sharedisk.Image) []byte {
+// time.Time has no representable UnixNano), owner. Records go in sorted
+// path order, so the bytes are a function of the image alone, not of map
+// iteration; keys is the reusable scratch the paths are sorted in.
+func appendImage(dst []byte, im sharedisk.Image, keys *[]string) []byte {
 	dst = binary.AppendUvarint(dst, im.Version)
 	dst = binary.AppendUvarint(dst, uint64(len(im.Records)))
-	for path, rec := range im.Records {
+	paths := (*keys)[:0]
+	//anufs:allow simdeterminism the paths are sorted before any byte is written
+	for path := range im.Records {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	for _, path := range paths {
+		rec := im.Records[path]
 		dst = appendString(dst, path)
 		dst = binary.AppendVarint(dst, rec.Size)
 		dst = binary.AppendUvarint(dst, uint64(rec.Mode))
@@ -159,6 +201,7 @@ func appendImage(dst []byte, im sharedisk.Image) []byte {
 		}
 		dst = appendString(dst, rec.Owner)
 	}
+	*keys = release(paths)
 	return dst
 }
 
@@ -221,6 +264,25 @@ func (c *cursor) str() string {
 	s := string(c.b[c.off : c.off+int(ln)])
 	c.off += int(ln)
 	return s
+}
+
+// strs decodes a counted string list.
+func (c *cursor) strs() []string {
+	n := c.uvarint()
+	// Each string needs at least its length byte; reject counts that cannot
+	// fit before allocating.
+	if c.err != nil || n > uint64(len(c.b)-c.off) {
+		c.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := uint64(0); i < n && c.err == nil; i++ {
+		out = append(out, c.str())
+	}
+	return out
 }
 
 func (c *cursor) image() sharedisk.Image {

@@ -97,7 +97,7 @@ func Recover(dir string) (*sharedisk.Store, RecoverInfo, error) {
 
 // replayDir does the work of Recover without materializing a store.
 func replayDir(dir string) (map[string]sharedisk.Image, RecoverInfo, error) {
-	start := time.Now()
+	start := now()
 	info := RecoverInfo{}
 	images := map[string]sharedisk.Image{}
 
@@ -135,7 +135,7 @@ func replayDir(dir string) (map[string]sharedisk.Image, RecoverInfo, error) {
 		}
 	}
 	info.FileSets = len(images)
-	info.Duration = time.Since(start)
+	info.Duration = now().Sub(start)
 	return images, info, nil
 }
 
@@ -169,13 +169,15 @@ func replaySegment(path string, images map[string]sharedisk.Image, info *Recover
 		if err != nil {
 			return torn(off)
 		}
+		if seq > info.SnapshotSeq {
+			if err := applyEntry(images, e); err != nil {
+				return torn(off)
+			}
+			info.Entries++
+		}
 		off += int64(n)
 		if seq > info.LastSeq {
 			info.LastSeq = seq
-		}
-		if seq > info.SnapshotSeq {
-			applyEntry(images, e)
-			info.Entries++
 		}
 		seq++
 	}
@@ -183,10 +185,14 @@ func replaySegment(path string, images map[string]sharedisk.Image, info *Recover
 }
 
 // applyEntry folds one entry into the image map. Application is
-// "if newer": a flush installs its image only over a lower version, and a
-// create never clobbers an existing file set — so replay is idempotent and
-// tolerant of entries a snapshot already covers.
-func applyEntry(images map[string]sharedisk.Image, e Entry) {
+// "if newer": a flush installs its image only over a lower version, a
+// create never clobbers an existing file set, and a delta lands only on
+// the version just before the one it produced — at or below the current
+// version it is already covered by a snapshot or a later image and is
+// skipped. So replay is idempotent and tolerant of entries a snapshot
+// already covers. A delta that would leave a version gap (or has no file
+// set to land on) is never applied: the log is corrupt at that entry.
+func applyEntry(images map[string]sharedisk.Image, e Entry) error {
 	switch e.Kind {
 	case KindCreateFileSet:
 		if _, ok := images[e.FileSet]; !ok {
@@ -196,9 +202,28 @@ func applyEntry(images map[string]sharedisk.Image, e Entry) {
 		if cur, ok := images[e.FileSet]; !ok || e.Image.Version > cur.Version {
 			images[e.FileSet] = e.Image
 		}
+	case KindDelta:
+		cur, ok := images[e.FileSet]
+		if ok && e.Image.Version <= cur.Version {
+			return nil
+		}
+		if !ok || e.Image.Version != cur.Version+1 {
+			return fmt.Errorf("%w: delta of %q to version %d does not follow version %d",
+				ErrCorrupt, e.FileSet, e.Image.Version, cur.Version)
+		}
+		//anufs:allow simdeterminism puts land in a map; their order cannot show
+		for path, rec := range e.Image.Records {
+			cur.Records[path] = rec
+		}
+		for _, path := range e.Removed {
+			delete(cur.Records, path)
+		}
+		cur.Version = e.Image.Version
+		images[e.FileSet] = cur
 	case KindDrop:
 		delete(images, e.FileSet)
 	}
+	return nil
 }
 
 // loadSnapshot reads and verifies one snapshot file.

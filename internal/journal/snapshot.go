@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"anufs/internal/sharedisk"
 )
@@ -112,12 +113,19 @@ func writeSnapshot(dir string, seq uint64, images map[string]sharedisk.Image) er
 	return syncDir(dir)
 }
 
-// encodeImages serializes a full store cut.
+// encodeImages serializes a full store cut, file sets in sorted order.
 func encodeImages(images map[string]sharedisk.Image) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(images)))
-	for fs, im := range images {
+	fileSets := make([]string, 0, len(images))
+	//anufs:allow simdeterminism the names are sorted before any byte is written
+	for fs := range images {
+		fileSets = append(fileSets, fs)
+	}
+	slices.Sort(fileSets)
+	var keys []string
+	for _, fs := range fileSets {
 		buf = appendString(buf, fs)
-		buf = appendImage(buf, im)
+		buf = appendImage(buf, images[fs], &keys)
 	}
 	return buf
 }

@@ -36,9 +36,10 @@ func DecodeEntry(payload []byte) (Entry, error) { return decodeEntry(payload) }
 func EncodeEntry(e Entry) []byte { return encodeEntry(e) }
 
 // Apply folds one entry into an image map exactly as recovery replay does:
-// idempotent, version-guarded. The standby uses it to keep a warm in-memory
-// state alongside its journal.
-func Apply(images map[string]sharedisk.Image, e Entry) { applyEntry(images, e) }
+// idempotent, version-guarded, ErrCorrupt for a delta that does not follow
+// the version it finds. The standby uses it to keep a warm in-memory state
+// alongside its journal; a delta is applied to the map's image in place.
+func Apply(images map[string]sharedisk.Image, e Entry) error { return applyEntry(images, e) }
 
 // EncodeImages serializes a full store cut for snapshot shipping.
 func EncodeImages(images map[string]sharedisk.Image) []byte { return encodeImages(images) }

@@ -16,10 +16,15 @@ func appendEntries(t *testing.T, j *Journal, entries []Entry) {
 	t.Helper()
 	for _, e := range entries {
 		var err error
-		if e.Kind == KindCreateFileSet {
+		switch e.Kind {
+		case KindCreateFileSet:
 			err = j.LogCreateFileSet(e.FileSet)
-		} else {
+		case KindFlush:
 			err = j.LogFlush(e.FileSet, e.Image)
+		case KindDelta:
+			err = j.LogDelta(0, e.FileSet, sharedisk.Delta{Base: e.Image.Version - 1, Puts: e.Image.Records, Removes: e.Removed})
+		case KindDrop:
+			err = j.LogDrop(e.FileSet)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +207,9 @@ func TestTailerSnapshotFallbackAndInstall(t *testing.T) {
 	images := map[string]sharedisk.Image{}
 	apply := func(es []Entry) {
 		for _, e := range es {
-			Apply(images, e)
+			if err := Apply(images, e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	head := []Entry{

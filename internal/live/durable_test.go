@@ -130,3 +130,43 @@ func TestCheckpointAllFlushesDirtyState(t *testing.T) {
 		t.Fatalf("clean checkpoint bumped version %d -> %d", v1, v2)
 	}
 }
+
+// TestCheckpointAllSkipsSystemImages: once a volume exists, a journaled
+// authority's disk also holds system images (the volume registry, the
+// fleet map) that no server owns. The sync barrier must pass them over —
+// it used to wait out the retry budget for an owner and then fail.
+func TestCheckpointAllSkipsSystemImages(t *testing.T) {
+	jnl, st, _, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	disk := sharedisk.NewDurable(st, jnl, 0)
+	c, err := NewCluster(durableConfig(), disk, map[int]float64{0: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if err := c.CreateFileSet("acme/logs"); err != nil {
+		t.Fatal(err)
+	}
+	// What the fleet authority does when a volume is created or the map
+	// changes: install the image straight onto the disk.
+	for _, system := range []string{"__volumes/registry", "__fleet/map"} {
+		if err := disk.Install(system, sharedisk.Image{Version: 2, Records: map[string]sharedisk.Record{"/blob": {Size: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Create("acme/logs", "/a", sharedisk.Record{Size: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckpointAll(); err != nil {
+		t.Fatalf("sync with system images on the disk: %v", err)
+	}
+	if err := c.WithTrace(7).CheckpointAll(); err != nil {
+		t.Fatalf("traced sync with system images on the disk: %v", err)
+	}
+	if im, _ := disk.Load("acme/logs"); im.Records["/a"].Size != 42 {
+		t.Fatalf("sync skipped a real file set: %+v", im)
+	}
+}

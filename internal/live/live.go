@@ -26,6 +26,7 @@ import (
 	"anufs/internal/lockmgr"
 	"anufs/internal/metaserver"
 	"anufs/internal/metrics"
+	"anufs/internal/namespace"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
@@ -519,15 +520,7 @@ func (c *Cluster) Checkpoint(fileSet string) error {
 // the wire "sync" op: when it returns nil, everything created or updated
 // before the call is on shared disk (and, with a Durable store, in the
 // journal). Clean file sets are no-ops.
-func (c *Cluster) CheckpointAll() error {
-	var firstErr error
-	for _, fs := range c.disk.FileSets() {
-		if err := c.Checkpoint(fs); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (c *Cluster) CheckpointAll() error { return c.WithTrace(0).CheckpointAll() }
 
 // Traced is a view of the cluster whose operations are attributed to one
 // request trace: each queued task emits queue-wait/apply spans under the
@@ -589,10 +582,16 @@ func (v Traced) Checkpoint(fileSet string) error {
 	})
 }
 
-// CheckpointAll is Cluster.CheckpointAll under the view's trace.
+// CheckpointAll is Cluster.CheckpointAll under the view's trace. System
+// images the disk also holds (the fleet map, the volume registry) are
+// skipped: no server owns them, so there is no cache to flush and waiting
+// for an owner would only time out.
 func (v Traced) CheckpointAll() error {
 	var firstErr error
 	for _, fs := range v.c.disk.FileSets() {
+		if namespace.SystemVolume(namespace.VolumeOf(fs)) {
+			continue
+		}
 		if err := v.Checkpoint(fs); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -2,12 +2,8 @@ package live
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
 	"time"
-
-	"anufs/internal/sharedisk"
 )
 
 func mkTask(fileSet string) task {
@@ -58,9 +54,9 @@ func TestTaskQueueFIFOWithinVolume(t *testing.T) {
 		}
 	}
 	next := 0
-	for {
+	for next < 10 { // stop at the last one: a pop of the drained queue would block
 		tk, ok := q.pop()
-		if !ok || next == 10 {
+		if !ok {
 			break
 		}
 		if tk.fileSet != "a/fs" {
@@ -157,123 +153,60 @@ func TestTaskQueueDrainOnClose(t *testing.T) {
 	}
 }
 
-// twoTenantCluster boots a single-server cluster holding one file set per
-// tenant, with fair queueing switchable.
-func twoTenantCluster(t testing.TB, fair bool, opCost time.Duration, depth int) *Cluster {
+// slotsUntilCold runs the acceptance scenario against the queue itself,
+// with service slots for time: the hot tenant keeps its backlog pinned at
+// the bound while the cold tenant submits one task at a time, n times over.
+// It returns, per cold task, how many service slots passed from its
+// submission to its completion (1 = served next, the solo figure).
+func slotsUntilCold(t *testing.T, q *taskQueue, hotBacklog, n int) []int {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Window = time.Hour // no background tuning mid-measurement
-	cfg.OpCost = opCost
-	cfg.QueueDepth = depth
-	cfg.FairQueue = fair
-	c, err := NewCluster(cfg, sharedisk.NewStore(0), map[int]float64{0: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	for _, fs := range []string{"hot/a", "cold/a"} {
-		if err := c.CreateFileSet(fs); err != nil {
+	push := func(fileSet string) {
+		t.Helper()
+		if err := q.push(mkTask(fileSet)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return c
-}
-
-// coldP99 issues n sequential cold-tenant ops and returns their p99.
-// phase keeps paths distinct across calls on the same cluster.
-func coldP99(t testing.TB, c *Cluster, phase string, n int) time.Duration {
-	t.Helper()
-	lats := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if err := c.Create("cold/a", fmt.Sprintf("/%s-%d", phase, i), sharedisk.Record{Size: 1}); err != nil {
-			t.Fatal(err)
-		}
-		lats = append(lats, time.Since(start))
+	for i := 0; i < hotBacklog; i++ {
+		push("hot/a")
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := (99*len(lats) + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return lats[idx]
-}
-
-// saturateHot floods the hot tenant from workers goroutines until the
-// returned stop function is called, and blocks until the hot tenant's
-// queue is actually full — the measurement must start under saturation.
-func saturateHot(t testing.TB, c *Cluster, workers, depth int) (stop func()) {
-	t.Helper()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				_ = c.Create("hot/a", fmt.Sprintf("/w%d-%d", w, i), sharedisk.Record{Size: 1})
+	slots := make([]int, n)
+	for i := range slots {
+		push("cold/a")
+		for served := ""; served != "cold/a"; slots[i]++ {
+			tk, ok := q.pop()
+			if !ok {
+				t.Fatal("pop returned closed")
 			}
-		}(w)
+			if served = tk.fileSet; served == "hot/a" {
+				push("hot/a") // the saturating tenant refills at once
+			}
+		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c.mu.Lock()
-		srv := c.servers[0]
-		c.mu.Unlock()
-		key := "hot"
-		if !srv.q.fair {
-			key = ""
-		}
-		if srv.q.depthOf(key) >= depth {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hot tenant never saturated its queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return func() { close(done); wg.Wait() }
+	return slots
 }
 
-// TestTwoTenantIsolationWFQ is the acceptance scenario: tenant A
-// saturates its owner queue while tenant B runs a light sequential load.
-// With weighted fair queueing, B's p99 stays within 3x its solo baseline;
-// with the legacy FIFO, B's p99 blows past that bound (unbounded
-// starvation) — both halves are asserted, so the test fails if WFQ stops
-// isolating OR if the FIFO baseline quietly stops starving (which would
-// mean the comparison no longer demonstrates anything).
+// TestTwoTenantIsolationWFQ is the acceptance scenario, counted rather
+// than timed: tenant A saturates its owner queue while tenant B runs a
+// light sequential load. Under the stride scheduler every B task is served
+// within 3 slots of its submission — 3x its solo figure of 1 — however
+// deep A's backlog; under the legacy FIFO it waits out A's whole backlog.
+// Both halves are asserted, so the test fails if WFQ stops isolating OR if
+// the FIFO baseline quietly stops starving (which would make the
+// comparison vacuous). The latency form of the claim is the benchmark's
+// mixed-tenants workload.
 func TestTwoTenantIsolationWFQ(t *testing.T) {
-	const (
-		opCost = 2 * time.Millisecond
-		depth  = 8
-		// Each worker issues sequential ops, so saturating a depth-8 queue
-		// needs comfortably more than 8 of them.
-		workers = 24
-	)
-	// WFQ on: solo baseline, then contended.
-	fair := twoTenantCluster(t, true, opCost, depth)
-	soloFair := coldP99(t, fair, "solo", 60)
-	stop := saturateHot(t, fair, workers, depth)
-	contendedFair := coldP99(t, fair, "contended", 60)
-	stop()
-	t.Logf("fair: solo p99=%v contended p99=%v (bound 3x=%v)", soloFair, contendedFair, 3*soloFair)
-	if contendedFair > 3*soloFair {
-		t.Fatalf("WFQ failed to isolate: cold p99 %v > 3x solo %v", contendedFair, soloFair)
+	const depth, rounds = 8, 60
+	fair := slotsUntilCold(t, newTaskQueue(true, depth), depth, rounds)
+	for i, n := range fair {
+		if n > 3 {
+			t.Fatalf("WFQ failed to isolate: cold task %d waited %d slots behind a saturating tenant (all: %v)", i, n, fair)
+		}
 	}
-
-	// WFQ off: same scenario starves the cold tenant.
-	fifo := twoTenantCluster(t, false, opCost, depth)
-	soloFifo := coldP99(t, fifo, "solo", 10)
-	stop = saturateHot(t, fifo, workers, depth)
-	contendedFifo := coldP99(t, fifo, "contended", 10)
-	stop()
-	t.Logf("fifo: solo p99=%v contended p99=%v", soloFifo, contendedFifo)
-	if contendedFifo <= 3*soloFifo {
-		t.Fatalf("FIFO baseline no longer starves (cold p99 %v <= 3x solo %v): the WFQ comparison is vacuous", contendedFifo, soloFifo)
+	// One shared queue: the cold task takes the last free place.
+	fifo := slotsUntilCold(t, newTaskQueue(false, depth), depth-1, rounds)
+	for i, n := range fifo {
+		if n != depth {
+			t.Fatalf("FIFO baseline: cold task %d waited %d slots, want the whole backlog + itself = %d (all: %v)", i, n, depth, fifo)
+		}
 	}
 }

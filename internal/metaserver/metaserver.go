@@ -44,7 +44,51 @@ type Server struct {
 
 type fileSetState struct {
 	image sharedisk.Image
-	dirty bool
+	// dirty holds the paths put or removed since the last flush; the next
+	// flush hands the disk exactly those records, never the whole image.
+	dirty map[string]struct{}
+}
+
+// put stores rec at path and marks the path dirty. A zero ModTime is
+// stamped with the current time — the one rule for every write.
+func (f *fileSetState) put(path string, rec sharedisk.Record) {
+	if rec.ModTime.IsZero() {
+		rec.ModTime = time.Now()
+	}
+	f.image.Records[path] = rec
+	f.mark(path)
+}
+
+func (f *fileSetState) mark(path string) {
+	if f.dirty == nil {
+		f.dirty = map[string]struct{}{}
+	}
+	f.dirty[path] = struct{}{}
+}
+
+// remark puts a delta's paths back among the dirty ones.
+func (f *fileSetState) remark(d sharedisk.Delta) {
+	for path := range d.Puts {
+		f.mark(path)
+	}
+	for _, path := range d.Removes {
+		f.mark(path)
+	}
+}
+
+// takeDelta returns the dirty paths as a delta over the version the cache
+// is based on, and leaves the file set clean.
+func (f *fileSetState) takeDelta() sharedisk.Delta {
+	d := sharedisk.Delta{Base: f.image.Version, Puts: make(map[string]sharedisk.Record, len(f.dirty))}
+	for path := range f.dirty {
+		if rec, ok := f.image.Records[path]; ok {
+			d.Puts[path] = rec
+		} else {
+			d.Removes = append(d.Removes, path)
+		}
+	}
+	f.dirty = nil
+	return d
 }
 
 // New creates a metadata server bound to the shared disk (the in-memory
@@ -111,18 +155,15 @@ func (s *Server) Release(fileSet string) error {
 		return ErrNotOwner
 	}
 	delete(s.owned, fileSet)
-	dirty := st.dirty
-	im := st.image
-	if dirty {
-		s.dirtyFlushes++
+	if len(st.dirty) == 0 {
+		s.mu.Unlock()
+		return nil
 	}
+	d := st.takeDelta()
+	s.dirtyFlushes++
 	s.mu.Unlock()
-	if dirty {
-		if _, err := s.disk.Flush(fileSet, im); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.disk.FlushDelta(0, fileSet, d)
+	return err
 }
 
 // Crash drops all owned file sets WITHOUT flushing — a server failure. The
@@ -140,12 +181,6 @@ func (s *Server) Checkpoint(fileSet string) error {
 	return s.CheckpointTraced(0, fileSet)
 }
 
-// tracedFlusher is optionally implemented by disks (sharedisk.Durable)
-// that can attribute a flush to the client request trace that forced it.
-type tracedFlusher interface {
-	FlushTraced(trace uint64, fileSet string, im sharedisk.Image) (uint64, error)
-}
-
 // CheckpointTraced is Checkpoint attributed to a request trace (0 =
 // untraced): a durable disk journals the flush under that trace so the
 // fsync it waits on appears in the request's timeline.
@@ -156,37 +191,24 @@ func (s *Server) CheckpointTraced(trace uint64, fileSet string) error {
 		s.mu.Unlock()
 		return ErrNotOwner
 	}
-	if !st.dirty {
+	if len(st.dirty) == 0 {
 		s.mu.Unlock()
 		return nil
 	}
-	im := st.clone()
+	d := st.takeDelta()
 	s.mu.Unlock()
-	var newV uint64
-	var err error
-	if tf, ok := s.disk.(tracedFlusher); ok && trace != 0 {
-		newV, err = tf.FlushTraced(trace, fileSet, im)
-	} else {
-		newV, err = s.disk.Flush(fileSet, im)
-	}
-	if err != nil {
-		return err
-	}
+	newV, err := s.disk.FlushDelta(trace, fileSet, d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st2, ok := s.owned[fileSet]; ok && st2 == st {
-		st.image.Version = newV
-		st.dirty = false
+		if newV != 0 {
+			st.image.Version = newV
+		}
+		if err != nil {
+			st.remark(d) // not durable: its paths ride the next flush
+		}
 	}
-	return nil
-}
-
-func (f *fileSetState) clone() sharedisk.Image {
-	cp := sharedisk.Image{Version: f.image.Version, Records: make(map[string]sharedisk.Record, len(f.image.Records))}
-	for k, v := range f.image.Records {
-		cp.Records[k] = v
-	}
-	return cp
+	return err
 }
 
 // withFileSet runs fn with the file set's state under the lock.
@@ -209,11 +231,7 @@ func (s *Server) Create(fileSet, path string, rec sharedisk.Record) error {
 		if _, dup := st.image.Records[path]; dup {
 			return ErrExists
 		}
-		if rec.ModTime.IsZero() {
-			rec.ModTime = time.Now()
-		}
-		st.image.Records[path] = rec
-		st.dirty = true
+		st.put(path, rec)
 		return nil
 	})
 }
@@ -238,8 +256,7 @@ func (s *Server) Update(fileSet, path string, rec sharedisk.Record) error {
 		if _, ok := st.image.Records[path]; !ok {
 			return ErrNotFound
 		}
-		st.image.Records[path] = rec
-		st.dirty = true
+		st.put(path, rec)
 		return nil
 	})
 }
@@ -251,7 +268,7 @@ func (s *Server) Remove(fileSet, path string) error {
 			return ErrNotFound
 		}
 		delete(st.image.Records, path)
-		st.dirty = true
+		st.mark(path)
 		return nil
 	})
 }

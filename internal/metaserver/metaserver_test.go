@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"anufs/internal/sharedisk"
 )
@@ -263,4 +264,137 @@ func TestConcurrentOps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestModTimeRule: Create and Update share one rule — a zero ModTime is
+// stamped, a supplied one is kept — so a record's bytes do not depend on
+// which of the two wrote it last.
+func TestModTimeRule(t *testing.T) {
+	_, srv := newPair(t)
+	given := time.Unix(1700000000, 42)
+	write := map[string]func(path string, rec sharedisk.Record) error{
+		"create": func(path string, rec sharedisk.Record) error { return srv.Create("proj", path, rec) },
+		"update": func(path string, rec sharedisk.Record) error {
+			if err := srv.Create("proj", path, sharedisk.Record{ModTime: given.Add(-time.Hour)}); err != nil {
+				return err
+			}
+			return srv.Update("proj", path, rec)
+		},
+	}
+	for name, op := range write {
+		before := time.Now()
+		if err := op("/"+name+"/zero", sharedisk.Record{Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := srv.Stat("proj", "/"+name+"/zero"); rec.ModTime.Before(before) {
+			t.Errorf("%s with a zero ModTime stored %v, want it stamped", name, rec.ModTime)
+		}
+		if err := op("/"+name+"/given", sharedisk.Record{Size: 1, ModTime: given}); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := srv.Stat("proj", "/"+name+"/given"); !rec.ModTime.Equal(given) {
+			t.Errorf("%s with ModTime %v stored %v, want it kept", name, given, rec.ModTime)
+		}
+	}
+}
+
+// deltaDisk records the deltas a server flushes and can refuse one the way
+// a durable disk does when its journal append fails: the image takes the
+// delta, the version steps, and an error comes back with it.
+type deltaDisk struct {
+	*sharedisk.Store
+	deltas   []sharedisk.Delta
+	failNext bool
+}
+
+func (d *deltaDisk) FlushDelta(trace uint64, fileSet string, dl sharedisk.Delta) (uint64, error) {
+	d.deltas = append(d.deltas, dl)
+	v, err := d.Store.FlushDelta(trace, fileSet, dl)
+	if err == nil && d.failNext {
+		d.failNext = false
+		err = errors.New("deltaDisk: injected journal failure")
+	}
+	return v, err
+}
+
+func newDeltaPair(t *testing.T) (*deltaDisk, *Server) {
+	t.Helper()
+	disk := &deltaDisk{Store: sharedisk.NewStore(0)}
+	if err := disk.CreateFileSet("proj"); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(1, disk)
+	if err := srv.Acquire("proj"); err != nil {
+		t.Fatal(err)
+	}
+	return disk, srv
+}
+
+// TestCheckpointFlushesOnlyDirtyPaths: a checkpoint hands the disk the
+// records touched since the last one — never the image — based on the
+// version the last flush produced, and leaves the file set clean.
+func TestCheckpointFlushesOnlyDirtyPaths(t *testing.T) {
+	disk, srv := newDeltaPair(t)
+	for _, p := range []string{"/a", "/b", "/c"} {
+		if err := srv.Create("proj", p, sharedisk.Record{Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Checkpoint("proj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Update("proj", "/b", sharedisk.Record{Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Remove("proj", "/c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Checkpoint("proj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Checkpoint("proj"); err != nil { // clean: no flush
+		t.Fatal(err)
+	}
+	if len(disk.deltas) != 2 {
+		t.Fatalf("%d flushes, want 2", len(disk.deltas))
+	}
+	first, second := disk.deltas[0], disk.deltas[1]
+	if first.Base != 1 || len(first.Puts) != 3 || len(first.Removes) != 0 {
+		t.Errorf("first delta = %+v, want 3 puts over version 1", first)
+	}
+	if second.Base != 2 || len(second.Puts) != 1 || second.Puts["/b"].Size != 2 ||
+		len(second.Removes) != 1 || second.Removes[0] != "/c" {
+		t.Errorf("second delta = %+v, want put /b and remove /c over version 2", second)
+	}
+	im, _ := disk.Load("proj")
+	if im.Version != 3 || len(im.Records) != 2 || im.Records["/b"].Size != 2 {
+		t.Errorf("disk image = %+v", im)
+	}
+}
+
+// TestFailedFlushKeepsPathsDirty: when the disk takes a delta but cannot
+// make it durable, the server adopts the stepped version and keeps the
+// delta's paths dirty, so the next checkpoint is neither stale nor short.
+func TestFailedFlushKeepsPathsDirty(t *testing.T) {
+	disk, srv := newDeltaPair(t)
+	if err := srv.Create("proj", "/a", sharedisk.Record{Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	disk.failNext = true
+	if err := srv.Checkpoint("proj"); err == nil {
+		t.Fatal("checkpoint reported a failed flush as durable")
+	}
+	if err := srv.Create("proj", "/b", sharedisk.Record{Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Checkpoint("proj"); err != nil {
+		t.Fatalf("checkpoint after a failed flush: %v", err)
+	}
+	retry := disk.deltas[len(disk.deltas)-1]
+	if retry.Base != 2 || len(retry.Puts) != 2 {
+		t.Errorf("retry delta = %+v, want /a and /b over version 2", retry)
+	}
+	if err := srv.Checkpoint("proj"); err != nil || len(disk.deltas) != 2 {
+		t.Errorf("file set still dirty after a durable flush: %v, %d flushes", err, len(disk.deltas))
+	}
 }

@@ -383,7 +383,9 @@ func (r *Receiver) absorb(req wire.Request) error {
 			// means memory corruption, not a protocol problem.
 			return fmt.Errorf("replica: entry %d: %w", e.Seq, err)
 		}
-		journal.Apply(r.images, ent)
+		if err := journal.Apply(r.images, ent); err != nil {
+			return fmt.Errorf("replica: entry %d: %w", e.Seq, err)
+		}
 		r.applied = e.Seq
 		applied++
 	}

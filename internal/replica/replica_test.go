@@ -383,6 +383,116 @@ func TestSnapshotShipAboveTheClientCeiling(t *testing.T) {
 	}
 }
 
+// flushDeltas runs n flushes of fs through the durable disk, as a server
+// would: each puts two records, overwrites one from the flush before and
+// removes one from two flushes before.
+func flushDeltas(t *testing.T, d *sharedisk.Durable, fs string, from, n int) {
+	t.Helper()
+	name := func(i int) string { return fmt.Sprintf("/f%04d", i) }
+	for i := from; i < from+n; i++ {
+		v, err := d.Version(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dl := sharedisk.Delta{Base: v, Puts: map[string]sharedisk.Record{
+			name(2 * i): {Size: int64(i), Owner: "w"}, name(2*i + 1): {Size: int64(i)}, name(2*i - 1): {Size: -1},
+		}}
+		if i >= from+2 {
+			dl.Removes = []string{name(2*i - 4)}
+		}
+		if _, err := d.FlushDelta(0, fs, dl); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireWarmEquals checks the standby's warm images against the primary's
+// live store at the primary's durable sequence.
+func requireWarmEquals(t *testing.T, recv *Receiver, d *sharedisk.Durable, seq uint64) {
+	t.Helper()
+	warm, applied := recv.State()
+	if applied != seq {
+		t.Fatalf("standby applied %d, primary durable %d", applied, seq)
+	}
+	if want := d.Store.Images(); !reflect.DeepEqual(warm, want) {
+		t.Fatalf("standby warm state diverged from the primary's store:\n standby %+v\n primary %+v", warm, want)
+	}
+}
+
+// TestDeltaStreamKeepsStandbyWarm: a standby fed record-level deltas holds
+// the primary's exact images — while streaming, across a standby restart
+// (its own journal of deltas replays to the resume point), and for a
+// standby that starts behind the primary's compaction horizon and is
+// seeded by a shipped snapshot before the deltas continue.
+func TestDeltaStreamKeepsStandbyWarm(t *testing.T) {
+	pDir, sDir := t.TempDir(), t.TempDir()
+	jnl, store := openJournal(t, pDir, journal.Options{})
+	defer jnl.Close()
+	d := sharedisk.NewDurable(store, jnl, 0)
+	for _, fs := range []string{"fs00", "fs01"} {
+		if err := d.CreateFileSet(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushDeltas(t, d, "fs00", 1, 10)
+
+	sJnl, sStore := openJournal(t, sDir, journal.Options{})
+	recv, err := NewReceiver(ReceiverOptions{Journal: sJnl, Images: sStore.Images()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: d.Store.Images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship.Start()
+	flushDeltas(t, d, "fs01", 1, 10)
+	waitAcked(t, ship, jnl.DurableSeq())
+	requireWarmEquals(t, recv, d, jnl.DurableSeq())
+
+	// Standby restart: its journal of deltas is all it has.
+	ship.Stop()
+	recv.Stop()
+	if err := sJnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flushDeltas(t, d, "fs00", 11, 10)
+	recv2, addr2 := startStandby(t, sDir, ReceiverOptions{})
+	ship2, err := NewShipper(ShipperOptions{Addr: addr2, Journal: jnl, Images: d.Store.Images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship2.Start()
+	flushDeltas(t, d, "fs01", 11, 10)
+	waitAcked(t, ship2, jnl.DurableSeq())
+	requireWarmEquals(t, recv2, d, jnl.DurableSeq())
+	ship2.Stop()
+
+	// Snapshot-ship fallback: compact the primary's log, then bring up a
+	// standby from nothing. It is seeded by the cut and fed deltas after.
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	recv3, addr3 := startStandby(t, t.TempDir(), ReceiverOptions{})
+	ship3, err := NewShipper(ShipperOptions{Addr: addr3, Journal: jnl, Images: d.Store.Images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship3.Start()
+	defer ship3.Stop()
+	waitAcked(t, ship3, jnl.DurableSeq())
+	if got := ship3.Counters().Get("replica_snapshots_shipped"); got == 0 {
+		t.Fatal("standby caught up without a snapshot ship")
+	}
+	flushDeltas(t, d, "fs00", 21, 10)
+	waitAcked(t, ship3, jnl.DurableSeq())
+	requireWarmEquals(t, recv3, d, jnl.DurableSeq())
+}
+
 func BenchmarkShipThroughput(b *testing.B) {
 	pDir, sDir := b.TempDir(), b.TempDir()
 	jnl, store := openJournal(b, pDir, journal.Options{})

@@ -27,14 +27,14 @@ func TestShipCarriesTraceToStandbyAck(t *testing.T) {
 	defer jnl.Close()
 
 	const trace = 424242
-	im := sharedisk.Image{
-		Version: 1,
-		Records: map[string]sharedisk.Record{"/t": {Size: 1, Owner: "w"}},
-	}
-	if err := jnl.LogFlushTraced(trace, "fs00", im); err != nil {
+	if err := jnl.LogCreateFileSet("fs00"); err != nil {
 		t.Fatal(err)
 	}
-	appendFlushes(t, jnl, "fs00", 2, 3) // untraced neighbours ship too
+	d := sharedisk.Delta{Base: 1, Puts: map[string]sharedisk.Record{"/t": {Size: 1, Owner: "w"}}}
+	if err := jnl.LogDelta(trace, "fs00", d); err != nil {
+		t.Fatal(err)
+	}
+	appendFlushes(t, jnl, "fs00", 3, 3) // untraced neighbours ship too
 
 	ship, err := NewShipper(ShipperOptions{
 		Addr: addr, Journal: jnl, Images: store.Images,

@@ -11,34 +11,26 @@ import (
 // Recover constructor).
 //
 // Log* calls must not return until the entry is durable (fsynced) — Durable
-// acknowledges a flush to its caller only after the WAL has.
+// acknowledges a flush to its caller only after the WAL has — and must not
+// keep a reference to an image or delta past their return.
 type WAL interface {
 	// LogCreateFileSet records the birth of an empty file set.
 	LogCreateFileSet(fileSet string) error
-	// LogFlush records a flushed image, including the version the store
-	// assigned it.
+	// LogDelta records a flushed delta — the unit of durability. trace
+	// attributes the append to the client request that forced it
+	// (0 = untraced).
+	LogDelta(trace uint64, fileSet string, d Delta) error
+	// LogFlush records a whole image at the version the store holds it:
+	// an adopted image, or the new base after a delta failed to append.
 	LogFlush(fileSet string, im Image) error
+	// LogDrop records the removal of a file set.
+	LogDrop(fileSet string) error
 	// Snapshot persists a full consistent cut of the store and lets the log
 	// compact everything the cut covers. It takes a closure so the log can
 	// capture the cut at a sequence of its choosing (with commits paused).
 	Snapshot(images func() map[string]Image) error
 	// Close flushes and closes the log.
 	Close() error
-}
-
-// TracedWAL is optionally implemented by WALs (internal/journal) that can
-// attribute a logged flush to the client request trace that forced it, so
-// the journal's group-commit wait and fsync show up as spans under that
-// request's trace ID.
-type TracedWAL interface {
-	LogFlushTraced(trace uint64, fileSet string, im Image) error
-}
-
-// DropWAL is optionally implemented by WALs (internal/journal) that can
-// journal a file-set removal. It is separate from WAL so existing WAL
-// implementations keep compiling; Durable.DropFileSet requires it.
-type DropWAL interface {
-	LogDrop(fileSet string) error
 }
 
 // Installer is optionally implemented by disks that can adopt a complete
@@ -54,7 +46,7 @@ type Dropper interface {
 }
 
 // Durable is a Store variant that write-ahead-logs every mutation, so the
-// shared disk's images survive a daemon crash: CreateFileSet and Flush
+// shared disk's images survive a daemon crash: CreateFileSet and FlushDelta
 // return only once the journal has fsynced the entry, and journal.Recover
 // rebuilds an equivalent Store on restart. Reads are served from the
 // embedded in-memory Store as before.
@@ -62,7 +54,7 @@ type Dropper interface {
 // Ordering note: the in-memory store applies first (it assigns the image
 // version), then the entry is journaled. A crash between the two loses an
 // un-acknowledged flush, which is exactly the contract callers already
-// have — a flush is durable when (and only when) Flush returns nil.
+// have — a flush is durable when (and only when) it returns nil.
 type Durable struct {
 	*Store
 	wal WAL
@@ -72,12 +64,16 @@ type Durable struct {
 	snapshotEvery int
 	mu            sync.Mutex
 	sinceSnapshot int
+	// rebase holds the file sets whose last delta the store took but the
+	// journal did not: the log has a hole there, so the next flush journals
+	// the whole image instead of a delta replay could not place.
+	rebase map[string]struct{}
 }
 
 // NewDurable wraps a store with a write-ahead log. The store is typically
 // the one journal recovery just rebuilt, so log and memory start aligned.
 func NewDurable(st *Store, wal WAL, snapshotEvery int) *Durable {
-	return &Durable{Store: st, wal: wal, snapshotEvery: snapshotEvery}
+	return &Durable{Store: st, wal: wal, snapshotEvery: snapshotEvery, rebase: map[string]struct{}{}}
 }
 
 // CreateFileSet initializes an empty image and journals the creation.
@@ -85,38 +81,41 @@ func (d *Durable) CreateFileSet(fileSet string) error {
 	if err := d.Store.CreateFileSet(fileSet); err != nil {
 		return err
 	}
-	if err := d.wal.LogCreateFileSet(fileSet); err != nil {
-		return fmt.Errorf("sharedisk: journal create of %q: %w", fileSet, err)
+	return d.settle(fileSet, "create", d.wal.LogCreateFileSet(fileSet))
+}
+
+// FlushDelta applies the delta to the image and journals it. After a
+// mutation of the file set whose append failed, it journals the whole
+// image instead: replay then finds a base that covers the hole rather than
+// a delta it must refuse.
+func (d *Durable) FlushDelta(trace uint64, fileSet string, dl Delta) (uint64, error) {
+	v, err := d.Store.FlushDelta(trace, fileSet, dl)
+	if err != nil {
+		return 0, err
 	}
-	return d.maybeSnapshot()
+	d.mu.Lock()
+	_, rebase := d.rebase[fileSet]
+	d.mu.Unlock()
+	if rebase {
+		var im Image
+		if im, err = d.Store.Load(fileSet); err == nil {
+			err = d.wal.LogFlush(fileSet, im)
+		}
+	} else {
+		err = d.wal.LogDelta(trace, fileSet, dl)
+	}
+	return v, d.settle(fileSet, "flush", err)
 }
 
-// Flush writes the image back and journals the flushed state. The journaled
-// entry carries the post-flush version, so replay installs exactly what the
-// store held.
+// Flush replaces the whole image and journals it at the version the store
+// assigned, so replay installs exactly what the store held.
 func (d *Durable) Flush(fileSet string, im Image) (uint64, error) {
-	return d.FlushTraced(0, fileSet, im)
-}
-
-// FlushTraced is Flush attributed to a client request trace (0 = untraced):
-// when the WAL supports tracing, the journal entry carries the trace ID so
-// the commit path's spans join the request's timeline.
-func (d *Durable) FlushTraced(trace uint64, fileSet string, im Image) (uint64, error) {
 	v, err := d.Store.Flush(fileSet, im)
 	if err != nil {
 		return 0, err
 	}
-	flushed := im.clone()
-	flushed.Version = v
-	if tw, ok := d.wal.(TracedWAL); ok && trace != 0 {
-		err = tw.LogFlushTraced(trace, fileSet, flushed)
-	} else {
-		err = d.wal.LogFlush(fileSet, flushed)
-	}
-	if err != nil {
-		return v, fmt.Errorf("sharedisk: journal flush of %q: %w", fileSet, err)
-	}
-	return v, d.maybeSnapshot()
+	im.Version = v
+	return v, d.settle(fileSet, "flush", d.wal.LogFlush(fileSet, im))
 }
 
 // Install adopts a complete image (fleet handoff) and journals it as a
@@ -133,38 +132,33 @@ func (d *Durable) Install(fileSet string, im Image) error {
 	if err != nil {
 		return err
 	}
-	if err := d.wal.LogFlush(fileSet, installed); err != nil {
-		return fmt.Errorf("sharedisk: journal install of %q: %w", fileSet, err)
-	}
-	return d.maybeSnapshot()
+	return d.settle(fileSet, "install", d.wal.LogFlush(fileSet, installed))
 }
 
 // DropFileSet removes the file set and journals the drop, so a restarted
-// donor cannot resurrect a copy it already donated. The WAL must implement
-// DropWAL.
+// donor cannot resurrect a copy it already donated.
 func (d *Durable) DropFileSet(fileSet string) error {
-	dw, ok := d.wal.(DropWAL)
-	if !ok {
-		return fmt.Errorf("sharedisk: WAL %T cannot journal drops", d.wal)
-	}
 	if err := d.Store.DropFileSet(fileSet); err != nil {
 		return err
 	}
-	if err := dw.LogDrop(fileSet); err != nil {
-		return fmt.Errorf("sharedisk: journal drop of %q: %w", fileSet, err)
-	}
-	return d.maybeSnapshot()
+	return d.settle(fileSet, "drop", d.wal.LogDrop(fileSet))
 }
 
-// maybeSnapshot counts journaled entries and cuts a snapshot (compacting
-// the log) every snapshotEvery of them.
-func (d *Durable) maybeSnapshot() error {
-	if d.snapshotEvery <= 0 {
-		return nil
-	}
+// settle closes one mutation the store has already taken, given the
+// journal's answer. A failed append leaves a hole in the file set's log,
+// so it is marked for re-basing; a durable one clears the mark, counts
+// toward the next snapshot and cuts it (compacting the log) every
+// snapshotEvery entries.
+func (d *Durable) settle(fileSet, what string, err error) error {
 	d.mu.Lock()
+	if err != nil {
+		d.rebase[fileSet] = struct{}{}
+		d.mu.Unlock()
+		return fmt.Errorf("sharedisk: journal %s of %q: %w", what, fileSet, err)
+	}
+	delete(d.rebase, fileSet)
 	d.sinceSnapshot++
-	due := d.sinceSnapshot >= d.snapshotEvery
+	due := d.snapshotEvery > 0 && d.sinceSnapshot >= d.snapshotEvery
 	if due {
 		d.sinceSnapshot = 0
 	}

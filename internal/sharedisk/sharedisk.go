@@ -37,6 +37,15 @@ type Record struct {
 	Owner   string
 }
 
+// Delta is what a flush hands the shared disk: the records put and the
+// paths removed since the writer's cache was at version Base. Applying it
+// steps the image to Base+1.
+type Delta struct {
+	Base    uint64
+	Puts    map[string]Record
+	Removes []string
+}
+
 // Disk is the shared-disk contract the rest of the stack (metaserver, live
 // cluster) programs against. *Store implements it in memory; *Durable adds
 // a write-ahead log underneath so images survive process crashes.
@@ -44,7 +53,14 @@ type Disk interface {
 	CreateFileSet(fileSet string) error
 	FileSets() []string
 	Load(fileSet string) (Image, error)
-	Flush(fileSet string, im Image) (newVersion uint64, err error)
+	// FlushDelta writes a file set's dirty records back. d.Base is the
+	// version the caller loaded or last flushed; a mismatch means another
+	// server flushed in between and nothing is applied. trace attributes
+	// the flush to a client request (0 = untraced). A non-zero newVersion
+	// returned WITH an error means the image took the delta but the flush
+	// is not durable: the caller adopts newVersion, keeps the delta's
+	// paths dirty, and flushes again.
+	FlushDelta(trace uint64, fileSet string, d Delta) (newVersion uint64, err error)
 	Version(fileSet string) (uint64, error)
 }
 
@@ -169,26 +185,59 @@ func (s *Store) Load(fileSet string) (Image, error) {
 	return im.clone(), nil
 }
 
-// Flush writes a file set's image back. The caller passes the version it
-// loaded; a mismatch means another server flushed in between, which the
-// ownership protocol is supposed to prevent — it is reported as an error
-// rather than silently lost.
+// current returns the file set's image for a writer based on version base.
+// A mismatch means another server flushed in between, which the ownership
+// protocol is supposed to prevent — it is reported as an error rather than
+// silently lost. Callers hold mu.
+func (s *Store) current(fileSet string, base uint64) (Image, error) {
+	cur, ok := s.images[fileSet]
+	if !ok {
+		return Image{}, fmt.Errorf("sharedisk: unknown file set %q", fileSet)
+	}
+	if base != cur.Version {
+		return Image{}, fmt.Errorf("sharedisk: stale flush of %q: have version %d, disk at %d",
+			fileSet, base, cur.Version)
+	}
+	return cur, nil
+}
+
+// Flush replaces a file set's whole image; the caller passes the version
+// it loaded. Servers flush by delta (FlushDelta); this is for callers that
+// hold a complete image and nothing else.
 func (s *Store) Flush(fileSet string, im Image) (newVersion uint64, err error) {
 	s.sleep()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.images[fileSet]
-	if !ok {
-		return 0, fmt.Errorf("sharedisk: unknown file set %q", fileSet)
-	}
-	if im.Version != cur.Version {
-		return 0, fmt.Errorf("sharedisk: stale flush of %q: have version %d, disk at %d",
-			fileSet, im.Version, cur.Version)
+	cur, err := s.current(fileSet, im.Version)
+	if err != nil {
+		return 0, err
 	}
 	next := im.clone()
 	next.Version = cur.Version + 1
 	s.images[fileSet] = next
 	return next.Version, nil
+}
+
+// FlushDelta applies d to the file set's image in place — the store never
+// hands out aliases of its record maps, so no copy is needed — and steps
+// the version. The in-memory disk has nothing to trace.
+func (s *Store) FlushDelta(_ uint64, fileSet string, d Delta) (newVersion uint64, err error) {
+	s.sleep()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, err := s.current(fileSet, d.Base)
+	if err != nil {
+		return 0, err
+	}
+	for path, rec := range d.Puts {
+		cur.Records[path] = rec
+	}
+	for _, path := range d.Removes {
+		delete(cur.Records, path)
+	}
+	cur.Version++
+	s.images[fileSet] = cur
+	return cur.Version, nil
 }
 
 // Version reports a file set's current image version.

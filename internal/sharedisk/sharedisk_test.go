@@ -1,6 +1,7 @@
 package sharedisk
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,39 @@ func TestFlushRoundTrip(t *testing.T) {
 	back, _ := s.Load("fs1")
 	if back.Version != 2 || back.Records["/a"].Size != 42 {
 		t.Fatalf("reloaded image %+v", back)
+	}
+}
+
+// TestFlushDelta: a delta lands on the stored image in place — puts,
+// removes, one version step — under the same stale-writer check as Flush,
+// and a refused delta applies nothing.
+func TestFlushDelta(t *testing.T) {
+	s := NewStore(0)
+	if err := s.CreateFileSet("fs1"); err != nil {
+		t.Fatal(err)
+	}
+	puts := map[string]Record{"/a": {Size: 1}, "/b": {Size: 2}}
+	v, err := s.FlushDelta(0, "fs1", Delta{Base: 1, Puts: puts})
+	if err != nil || v != 2 {
+		t.Fatalf("FlushDelta = %d, %v; want version 2", v, err)
+	}
+	puts["/a"] = Record{Size: 99} // the store copied the records, not the map
+	v, err = s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/c": {Size: 3}}, Removes: []string{"/b", "/never"}})
+	if err != nil || v != 3 {
+		t.Fatalf("FlushDelta = %d, %v; want version 3", v, err)
+	}
+	want := Image{Version: 3, Records: map[string]Record{"/a": {Size: 1}, "/c": {Size: 3}}}
+	if got, _ := s.Load("fs1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("image after deltas = %+v, want %+v", got, want)
+	}
+	if v, err := s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/stale": {}}}); err == nil || v != 0 {
+		t.Fatalf("stale delta = %d, %v; want refused", v, err)
+	}
+	if _, err := s.FlushDelta(0, "nope", Delta{Base: 1}); err == nil {
+		t.Fatal("delta to an unknown file set succeeded")
+	}
+	if got, _ := s.Load("fs1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused deltas changed the image: %+v", got)
 	}
 }
 
