@@ -29,12 +29,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
 
 # bench-alloc measures the marked hot paths (wire fast codec, journal
-# image and delta frame encoding) and enforces the 0 allocs/op budget via
-# cmd/allocguard, as CI does. Baseline benchmarks (encoding/json comparison) are exempt.
+# image and delta frame encoding, the journal's enqueue + wait) and enforces
+# the 0 allocs/op budget via cmd/allocguard, as CI does. Baseline benchmarks
+# (encoding/json comparison) are exempt.
 bench-alloc:
-	$(GO) test -run=NONE -bench=BenchmarkEncode -benchmem ./internal/wire/ ./internal/journal/ \
+	$(GO) test -run=NONE -bench='BenchmarkEncode|BenchmarkLogDeltaEnqueueWait' -benchmem ./internal/wire/ ./internal/journal/ \
 		| tee bench_alloc.txt
-	$(GO) run ./cmd/allocguard bench_alloc.txt
+	$(GO) run ./cmd/allocguard -match '^Benchmark(Encode|LogDeltaEnqueueWait)' bench_alloc.txt
 
 clean:
 	rm -rf bin bench_alloc.txt

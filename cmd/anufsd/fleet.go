@@ -140,11 +140,24 @@ func setupFleet(id int, roster, join string, nFileSets int, opts fleetOptions) (
 	}, nil
 }
 
-// resumeFleet rebuilds the fleet authority from a map image a promoted
-// standby replayed out of the shipped journal: this process takes over the
-// dead primary's daemon ID (its file sets are warm in the same store),
-// advertises its own address in the map, and resumes issuing epochs from a
-// floor safely above anything the primary could have published.
+// ownAuthorityMap returns the cluster-map image on the recovered disk when
+// it decodes and names daemon id as its authority: id hosted the authority
+// on this journal before.
+func ownAuthorityMap(disk sharedisk.Disk, id int) (sharedisk.Image, bool) {
+	im, err := disk.Load(fleet.MapFileSet)
+	if err != nil {
+		return sharedisk.Image{}, false
+	}
+	cm, err := fleet.DecodeMapImage(im)
+	return im, err == nil && id >= 0 && cm.Authority == id
+}
+
+// resumeFleet rebuilds the fleet authority from a journaled map image — one
+// a promoted standby replayed out of the shipped journal, or the
+// authority's own after a restart on the same journal directory: this
+// process takes the map's authority daemon ID (its file sets are warm in
+// the same store), advertises its own address in the map, and resumes
+// issuing epochs from a floor safely above anything published before.
 func resumeFleet(im sharedisk.Image, advertise string, opts fleetOptions) (*fleetState, error) {
 	cm, err := fleet.DecodeMapImage(im)
 	if err != nil {

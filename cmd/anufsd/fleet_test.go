@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -209,4 +210,80 @@ func TestFleetRebalanceUnderLoad(t *testing.T) {
 	}
 	t.Logf("fleet churn survived: %d acked writes, final epoch %d, %s",
 		len(writes), finalEpoch, strings.Join(names, " "))
+}
+
+// TestFleetAuthorityRestartResumesJournaledMap: an authority restarted with
+// its usual flags on the journal directory that holds the map it persisted
+// resumes THAT map — assignments kept, and the first epoch it publishes
+// strictly above the last one it journaled ("epochs never reused"). A
+// member still holding the old map is refreshed to the new epoch rather
+// than refusing, forever, a fresh roster map at an epoch it has already
+// seen.
+func TestFleetAuthorityRestartResumesJournaledMap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	addrs := []string{freeAddr(t), freeAddr(t)}
+	roster := fmt.Sprintf("0=%s@1,1=%s@1", addrs[0], addrs[1])
+	common := "-filesets 4 -speeds 1 -window 1h -opcost 0 -checkpoint-interval 0"
+	authArgs := fmt.Sprintf("-listen %s -fleet 0 -fleet-authority %s -journal-dir %s %s", addrs[0], roster, t.TempDir(), common)
+	kill := func(cmd *exec.Cmd) {
+		_ = cmd.Process.Kill() // SIGKILL; a no-op error when already dead
+		_ = cmd.Wait()
+	}
+	auth := startDaemonArgs(t, authArgs)
+	t.Cleanup(func() { kill(auth) })
+	member := startDaemonArgs(t, fmt.Sprintf("-listen %s -fleet 1 -fleet-join %s %s", addrs[1], addrs[0], common))
+	t.Cleanup(func() { kill(member) })
+	for _, a := range addrs {
+		waitListening(t, a)
+	}
+	ac, mc := dialRetry(t, addrs[0]), dialRetry(t, addrs[1])
+	defer mc.Close()
+
+	// A few reconfigurations, each a live handoff and a journaled map.
+	var last uint64
+	for _, to := range []int{1, 0, 1} {
+		epoch, err := ac.Assign("vol00", to)
+		if err != nil {
+			t.Fatalf("assign vol00 -> %d: %v", to, err)
+		}
+		last = epoch
+	}
+	waitEpoch := func(c *wire.Client, who string, want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			got, err := c.MapEpoch()
+			if err == nil && got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached map epoch %d (at %d, %v)", who, want, got, err)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	waitEpoch(mc, "member", last)
+	ac.Close()
+
+	kill(auth) // the journal is all that is left of the map
+	auth2 := startDaemonArgs(t, authArgs)
+	t.Cleanup(func() { kill(auth2) })
+	ac2 := dialRetry(t, addrs[0])
+	defer ac2.Close()
+	cm := fetchClusterMap(t, ac2)
+	if cm.Epoch <= last {
+		t.Fatalf("restarted authority publishes epoch %d, not above the journaled %d: epochs reused", cm.Epoch, last)
+	}
+	if cm.Authority != 0 || cm.Assign["vol00"] != 1 {
+		t.Fatalf("restarted authority's map %+v lost the journaled assignment of vol00 to daemon 1", cm)
+	}
+	waitEpoch(mc, "member holding the old map", cm.Epoch)
+	if err := mc.Create("vol00", "/after-restart", sharedisk.Record{Size: 1}); err != nil {
+		t.Fatalf("write to the member's file set after the authority restart: %v", err)
+	}
+	if epoch, err := ac2.Assign("vol01", 1-cm.Assign["vol01"]); err != nil || epoch <= cm.Epoch {
+		t.Fatalf("reconfiguration after the restart = epoch %d, %v; want above %d", epoch, err, cm.Epoch)
+	}
 }

@@ -265,7 +265,19 @@ func main() {
 		resumeVols:     resumeVols,
 		resumeVolsVer:  resumeVolsVer,
 	}
-	fl, err := setupFleet(*fleetID, *fleetAuthority, *fleetJoin, *fileSets, fopts)
+	var fl *fleetState
+	if im, ok := ownAuthorityMap(disk, *fleetID); ok && *fleetAuthority != "" {
+		// The authority restarted on its own journal: it resumes the map it
+		// persisted, above every epoch it ever published, instead of
+		// building a fresh one from the roster at the initial epoch.
+		fl, err = resumeFleet(im, advertise, fopts)
+		if err == nil {
+			log.Printf("anufsd: resuming fleet authority as daemon %d from the journaled map, at epoch %d",
+				fl.id, fl.initial.Epoch)
+		}
+	} else {
+		fl, err = setupFleet(*fleetID, *fleetAuthority, *fleetJoin, *fileSets, fopts)
+	}
 	if err != nil {
 		log.Fatalf("anufsd: %v", err)
 	}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"time"
 
 	"anufs/internal/obs"
@@ -16,6 +17,15 @@ import (
 // exactly when the disk is what they would have waited for anyway (cf.
 // IOPathTune: a stage's batching is set by that stage's own signal, not by
 // a constant).
+//
+// An append is two calls: enqueue puts the frame in the committer's queue,
+// where its position is its position in the log, and Wait blocks until the
+// batch it rode is on disk. A caller may enqueue and go on to other work —
+// the metadata server's owner goroutine does, which is how several appends
+// from one daemon come to share a batch — and collect the outcome later, so
+// an entry can be queued behind one that then fails. The committer
+// therefore fails stop: the first failed write or fsync ends appending for
+// good (see failLocked), and every entry behind it gets that error.
 
 // run is the committer loop.
 func (j *Journal) run() {
@@ -33,11 +43,12 @@ func (j *Journal) run() {
 }
 
 // gather collects the batch that will share first's fsync: what is queued
-// now and, with a gather window, what arrives before it closes.
+// now and, with a gather window, what arrives before it closes. The slice
+// is the committer's own, reused batch after batch.
 func (j *Journal) gather(first *appendReq) []*appendReq {
-	batch := []*appendReq{first}
+	j.batch = append(j.batch[:0], first)
 	if j.opts.NoGroupCommit {
-		return batch
+		return j.batch
 	}
 	if j.opts.FsyncInterval > 0 {
 		//anufs:allow simdeterminism the window decides which frames share an fsync, never a frame's bytes or their order
@@ -46,20 +57,20 @@ func (j *Journal) gather(first *appendReq) []*appendReq {
 		for {
 			select {
 			case r := <-j.appendCh:
-				batch = append(batch, r)
+				j.batch = append(j.batch, r)
 			case <-t.C:
-				return batch
+				return j.batch
 			case <-j.quit:
-				return batch
+				return j.batch
 			}
 		}
 	}
 	for {
 		select {
 		case r := <-j.appendCh:
-			batch = append(batch, r)
+			j.batch = append(j.batch, r)
 		default:
-			return batch
+			return j.batch
 		}
 	}
 }
@@ -112,6 +123,9 @@ func (j *Journal) finalDrain() {
 func (j *Journal) writeBatch(batch []*appendReq) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.failed != nil {
+		return j.failed
+	}
 	if j.f == nil {
 		return ErrClosed
 	}
@@ -120,7 +134,7 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	// O_EXCL when SegmentBytes is smaller than the header).
 	if j.segSize >= j.opts.SegmentBytes && j.segSize > headerLen {
 		if err := j.openSegmentLocked(); err != nil {
-			return err
+			return j.failLocked(err)
 		}
 	}
 	buf := j.writeBuf[:0]
@@ -129,11 +143,11 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	}
 	j.writeBuf = buf // keep the grown buffer for the next batch
 	if _, err := j.f.Write(buf); err != nil {
-		return err
+		return j.failLocked(err)
 	}
 	syncStart := now()
 	if err := j.syncFile(j.f); err != nil {
-		return err
+		return j.failLocked(err)
 	}
 	if j.obs != nil {
 		syncDur := now().Sub(syncStart)
@@ -168,4 +182,24 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	j.counters.Add(CtrBatches, 1)
 	j.counters.Max(CtrMaxBatch, int64(len(batch)))
 	return nil
+}
+
+// failLocked stops the journal at its first failed write or fsync and
+// returns the error every append from now on gets. Entries may already be
+// queued behind the failed batch, their file sets' images already stepped
+// past it; writing them would put a delta in the log above a hole, and
+// replay would stop there and drop whatever was acknowledged later. After a
+// failed fsync the page cache no longer vouches for earlier writes either,
+// so appending behind one was never safe. What the failed batch did get
+// into the file is cut off again, best effort, so the segment ends at the
+// last acknowledged entry; if the cut fails too, recovery drops a torn tail
+// and may replay whole frames nobody was told were durable, which the
+// contract allows. Callers hold mu.
+func (j *Journal) failLocked(cause error) error {
+	j.failed = fmt.Errorf("%w: %w", ErrFailed, cause)
+	j.counters.Set(CtrWriteFailed, 1)
+	if j.f != nil {
+		_ = j.f.Truncate(j.segSize) // best effort, see above
+	}
+	return j.failed
 }

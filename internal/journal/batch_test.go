@@ -104,7 +104,7 @@ func TestLoneAppendCommitsWithoutGatherWait(t *testing.T) {
 	defer j.Close()
 	for i := uint64(1); i <= 5; i++ {
 		start := time.Now()
-		if err := j.LogDelta(0, "vol", oneRecord(i)); err != nil {
+		if err := logDelta(j, 0, "vol", oneRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 		if took := time.Since(start); took > 5*time.Second {
@@ -138,7 +138,7 @@ func TestGatherWindowAmortizesFsyncs(t *testing.T) {
 				return
 			}
 			for i := uint64(1); i < each; i++ {
-				if err := j.LogDelta(0, fs, oneRecord(i)); err != nil {
+				if err := logDelta(j, 0, fs, oneRecord(i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -184,7 +184,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 					defer wg.Done()
 					fs := fmt.Sprintf("vol%02d", w)
 					for i := w; i < b.N; i += writers {
-						if err := j.LogDelta(0, fs, oneRecord(uint64(i))); err != nil {
+						if err := logDelta(j, 0, fs, oneRecord(uint64(i))); err != nil {
 							b.Error(err)
 							return
 						}

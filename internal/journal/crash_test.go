@@ -107,8 +107,13 @@ func expectedPrefix(entries []Entry, k int) map[string]sharedisk.Image {
 // the store described by the longest record prefix that survived, with no
 // torn record applied.
 func TestRecoverTruncatedAtEveryByte(t *testing.T) {
-	srcDir, seg, entries := buildLog(t)
-	_ = srcDir
+	for name, build := range logBuilders {
+		t.Run(name, func(t *testing.T) { recoverTruncatedAtEveryByte(t, build) })
+	}
+}
+
+func recoverTruncatedAtEveryByte(t *testing.T, build func(*testing.T) (string, string, []Entry)) {
+	_, seg, entries := build(t)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +174,13 @@ func atFrameBoundary(L int, ends []int, header int) bool {
 // corruption anywhere must yield some clean prefix of the history — never a
 // panic, an error, or a state that includes the damaged record.
 func TestRecoverBitflipAtEveryByte(t *testing.T) {
-	_, seg, entries := buildLog(t)
+	for name, build := range logBuilders {
+		t.Run(name, func(t *testing.T) { recoverBitflipAtEveryByte(t, build) })
+	}
+}
+
+func recoverBitflipAtEveryByte(t *testing.T, build func(*testing.T) (string, string, []Entry)) {
+	_, seg, entries := build(t)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

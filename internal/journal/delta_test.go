@@ -60,61 +60,76 @@ func TestDeltaGapStopsRecovery(t *testing.T) {
 	}
 }
 
-// flakyWAL is a journal whose next delta append can be made to fail before
-// anything is written.
-type flakyWAL struct {
-	*Journal
-	failNext bool
-}
+var errInjected = errors.New("injected fsync failure")
 
-func (w *flakyWAL) LogDelta(trace uint64, fileSet string, d sharedisk.Delta) error {
-	if w.failNext {
-		w.failNext = false
-		return errors.New("flakyWAL: injected append failure")
+// failNextSync makes the journal's next fsync, and only that one, fail.
+func failNextSync(j *Journal) {
+	j.mu.Lock()
+	real := j.syncFile
+	j.syncFile = func(*os.File) error {
+		j.syncFile = real // the committer calls the seam under mu
+		return errInjected
 	}
-	return w.Journal.LogDelta(trace, fileSet, d)
+	j.mu.Unlock()
 }
 
-// TestRebaseAfterFailedAppendRecovers: a delta whose append fails leaves a
-// hole in the file set's log. The next flush must journal the whole image,
-// and a crash after it must recover every acknowledged write — including
-// the records of the delta that was never journaled, which the re-base
-// carries.
-func TestRebaseAfterFailedAppendRecovers(t *testing.T) {
+// flushDelta is Durable.FlushDelta followed at once by its commit's wait.
+func flushDelta(d *sharedisk.Durable, fileSet string, dl sharedisk.Delta) (uint64, error) {
+	v, c, err := d.FlushDelta(0, fileSet, dl)
+	if err != nil {
+		return v, err
+	}
+	return v, c.Wait()
+}
+
+// TestNoFlushAckedAfterFailedAppend: a flush whose append fails is not
+// acknowledged, and neither is anything after it — the log stops rather
+// than take an entry above the hole, and there is no whole-image re-base to
+// paper over it. A crash then recovers exactly the acknowledged prefix.
+func TestNoFlushAckedAfterFailedAppend(t *testing.T) {
 	dir := t.TempDir()
 	j, st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal := &flakyWAL{Journal: j}
-	d := sharedisk.NewDurable(st, wal, 0)
+	d := sharedisk.NewDurable(st, j, 0)
 	if err := d.CreateFileSet("vol"); err != nil {
 		t.Fatal(err)
 	}
 	put := func(base uint64, path string, size int64) (uint64, error) {
-		return d.FlushDelta(0, "vol", sharedisk.Delta{Base: base, Puts: map[string]sharedisk.Record{path: {Size: size}}})
+		return flushDelta(d, "vol", sharedisk.Delta{Base: base, Puts: map[string]sharedisk.Record{path: {Size: size}}})
 	}
-	v, err := put(1, "/acked-1", 1)
+	v, err := put(1, "/acked", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal.failNext = true
-	v, err = put(v, "/unacked", 2)
-	if err == nil {
-		t.Fatal("failed append was acknowledged")
+	acked := d.Store.Images()
+	failNextSync(j)
+	v2, err := put(v, "/unacked", 2)
+	if !errors.Is(err, errInjected) || v2 != v+1 {
+		t.Fatalf("failed append = version %d, %v; want the applied version %d with the injected error", v2, err, v+1)
 	}
-	if v, err = put(v, "/acked-2", 3); err != nil {
-		t.Fatalf("flush after a failed append: %v", err)
+	// The fsync works again, but the page cache no longer vouches for the
+	// batch that failed: nothing may land behind it.
+	v3, err := put(v2, "/later", 3)
+	if !errors.Is(err, ErrFailed) || !errors.Is(err, errInjected) || v3 != v2+1 {
+		t.Fatalf("flush after a failed append = version %d, %v; want version %d, ErrFailed wrapping the cause", v3, err, v2+1)
 	}
-	if _, err = put(v, "/acked-3", 4); err != nil {
-		t.Fatal(err)
+	if err := d.CreateFileSet("other"); !errors.Is(err, errInjected) {
+		t.Fatalf("create after a failed append = %v", err)
 	}
-	// Crash: no Close, no snapshot — recovery sees only what was fsynced.
+	if err := d.Install("adopted", img(3, "/x")); !errors.Is(err, errInjected) {
+		t.Fatalf("install after a failed append = %v", err)
+	}
+	if got := j.Counters().Get(CtrWriteFailed); got != 1 {
+		t.Fatalf("%s = %d, want 1", CtrWriteFailed, got)
+	}
+	// Crash: no Close, no snapshot — recovery sees only what the log holds.
 	rec, info, err := Recover(dir)
-	if err != nil || info.Truncated {
-		t.Fatalf("Recover = %+v, %v", info, err)
+	if err != nil || info.Truncated || info.LastSeq != 2 {
+		t.Fatalf("Recover = %+v, %v; want the 2 acknowledged entries and no torn tail", info, err)
 	}
-	requireImagesEqual(t, rec, d.Store.Images())
+	requireImagesEqual(t, rec, acked)
 	var kinds []EntryKind
 	for _, s := range shipAll(t, j.NewTailer(1)) {
 		e, err := DecodeEntry(s.Payload)
@@ -123,8 +138,8 @@ func TestRebaseAfterFailedAppendRecovers(t *testing.T) {
 		}
 		kinds = append(kinds, e.Kind)
 	}
-	if want := []EntryKind{KindCreateFileSet, KindDelta, KindFlush, KindDelta}; !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("journaled kinds %v, want %v (the re-base is an image)", kinds, want)
+	if want := []EntryKind{KindCreateFileSet, KindDelta}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("journaled kinds %v, want %v", kinds, want)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -133,9 +148,11 @@ func TestRebaseAfterFailedAppendRecovers(t *testing.T) {
 
 // randomHistory drives a Durable over a real journal with a seeded mix of
 // what the product does to a shared disk — create, flush deltas (puts,
-// overwrites, removes), adopt an image, drop — plus append failures, and
-// returns the journal's entries as logged.
-func randomHistory(t *testing.T, seed int64, steps int) (dir string, entries []Entry, live map[string]sharedisk.Image) {
+// overwrites, removes), adopt an image, drop — and returns the journal's
+// entries as logged plus the store as of the last acknowledged step. With
+// failAt >= 0 the fsync under that step's append fails: that step and
+// every one after it must be refused.
+func randomHistory(t *testing.T, seed int64, steps, failAt int) (dir string, entries []Entry, acked map[string]sharedisk.Image) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dir = t.TempDir()
@@ -143,18 +160,20 @@ func randomHistory(t *testing.T, seed int64, steps int) (dir string, entries []E
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal := &flakyWAL{Journal: j}
-	d := sharedisk.NewDurable(st, wal, 0)
+	d := sharedisk.NewDurable(st, j, 0)
 	path := func() string { return fmt.Sprintf("/p%02d", rng.Intn(24)) }
 	rec := func() sharedisk.Record { return sharedisk.Record{Size: rng.Int63n(1 << 20), Owner: "o"} }
 	for i := 0; i < steps; i++ {
+		if i == failAt {
+			acked = d.Store.Images()
+			failNextSync(j)
+		}
 		fs := fmt.Sprintf("vol%d", rng.Intn(4))
 		v, verr := d.Version(fs)
+		var err error
 		switch op := rng.Intn(20); {
 		case verr != nil && op < 10:
-			if err := d.CreateFileSet(fs); err != nil {
-				t.Fatal(err)
-			}
+			err = d.CreateFileSet(fs)
 		case verr != nil || op == 0:
 			// Adopt an image from "another daemon", over or instead of ours.
 			// Strictly newer than a copy we hold: replay, like Install's
@@ -163,13 +182,9 @@ func randomHistory(t *testing.T, seed int64, steps int) (dir string, entries []E
 			for n := rng.Intn(5); n > 0; n-- {
 				im.Records[path()] = rec()
 			}
-			if err := d.Install(fs, im); err != nil {
-				t.Fatal(err)
-			}
+			err = d.Install(fs, im)
 		case op == 1:
-			if err := d.DropFileSet(fs); err != nil {
-				t.Fatal(err)
-			}
+			err = d.DropFileSet(fs)
 		default:
 			dl := sharedisk.Delta{Base: v, Puts: map[string]sharedisk.Record{}}
 			for n := rng.Intn(4); n > 0; n-- {
@@ -182,23 +197,10 @@ func randomHistory(t *testing.T, seed int64, steps int) (dir string, entries []E
 					}
 				}
 			}
-			wal.failNext = op == 2
-			_, err := d.FlushDelta(0, fs, dl)
-			// A file set already waiting for its re-base journals an image,
-			// which the injection does not touch.
-			failed := op == 2 && !wal.failNext
-			wal.failNext = false
-			if (err != nil) != failed {
-				t.Fatalf("step %d: FlushDelta err = %v, append failed = %v", i, err, failed)
-			}
+			_, err = flushDelta(d, fs, dl)
 		}
-	}
-	// A failed append's records are in the store but not the log until the
-	// file set's next flush re-bases it; flush each once so the log is whole.
-	for _, fs := range d.FileSets() {
-		v, _ := d.Version(fs)
-		if _, err := d.FlushDelta(0, fs, sharedisk.Delta{Base: v}); err != nil {
-			t.Fatal(err)
+		if failed := failAt >= 0 && i >= failAt; failed != (err != nil) || (failed && !errors.Is(err, errInjected)) {
+			t.Fatalf("seed %d step %d (failure injected at %d): err = %v", seed, i, failAt, err)
 		}
 	}
 	for _, s := range shipAll(t, j.NewTailer(1)) {
@@ -208,11 +210,13 @@ func randomHistory(t *testing.T, seed int64, steps int) (dir string, entries []E
 		}
 		entries = append(entries, e)
 	}
-	live = d.Store.Images()
-	if err := j.Close(); err != nil {
+	if failAt < 0 {
+		acked = d.Store.Images()
+	}
+	if err := j.Close(); failAt < 0 && err != nil {
 		t.Fatal(err)
 	}
-	return dir, entries, live
+	return dir, entries, acked
 }
 
 // replay is fold for histories that must apply cleanly.
@@ -230,10 +234,17 @@ func replay(t *testing.T, base map[string]sharedisk.Image, entries []Entry) map[
 // log and the live store all agree; a snapshot at ANY sequence plus the
 // tail after it gives the same state, also when the cut ran one mutation
 // ahead of its sequence (the store applies before the journal appends);
-// and replaying twice is replaying once.
+// and replaying twice is replaying once. Every other seed also has an
+// fsync fail partway: from then on nothing is acknowledged, and "the live
+// store" above is the store as of the last acknowledged step.
 func TestReplayProperties(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		dir, entries, live := randomHistory(t, seed, 150)
+		const steps = 150
+		failAt := -1
+		if seed%2 == 0 {
+			failAt = steps/2 + int(seed)*5
+		}
+		dir, entries, live := randomHistory(t, seed, steps, failAt)
 		kinds := map[EntryKind]int{}
 		for _, e := range entries {
 			kinds[e.Kind]++
@@ -247,6 +258,9 @@ func TestReplayProperties(t *testing.T) {
 		}
 		if got := rec.Images(); !reflect.DeepEqual(got, live) {
 			t.Fatalf("seed %d: recovered store differs from the live one:\n got %+v\nwant %+v", seed, got, live)
+		}
+		if twice, _, err := Recover(dir); err != nil || !reflect.DeepEqual(twice.Images(), live) {
+			t.Fatalf("seed %d: recovering twice differs from once (%v)", seed, err)
 		}
 		full := replay(t, nil, entries)
 		if !reflect.DeepEqual(full, live) {

@@ -1,7 +1,7 @@
 // Package journal is the durability layer under the shared disk: a
 // segmented, CRC32-checksummed write-ahead log of file-set flush deltas
 // (whole images only where an image is what happened: an adopted file set,
-// a re-base, a snapshot), with group commit to amortize fsync cost under
+// a snapshot), with group commit to amortize fsync cost under
 // concurrent flushes, periodic snapshot + segment compaction to bound
 // replay time, and a Recover path that rebuilds a sharedisk.Store from
 // snapshot + log tail, truncating at the first torn or corrupt record.
@@ -76,6 +76,10 @@ func now() time.Time {
 // ErrClosed is returned for appends to a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
+// ErrFailed marks every append a fail-stopped journal refuses; the write or
+// fsync error that stopped it is wrapped beside it.
+var ErrFailed = errors.New("journal: failed, appends stopped")
+
 // Counter names exported through metrics.CounterSet (and from there the
 // wire stats RPC).
 const (
@@ -89,6 +93,9 @@ const (
 	CtrCompacted        = "journal_segments_compacted"
 	CtrRecoveryNanos    = "journal_recovery_ns"
 	CtrRecoveredEntries = "journal_recovered_entries"
+	// CtrWriteFailed is 1 once a write or fsync has failed and the journal
+	// has stopped taking appends (see failLocked), else 0.
+	CtrWriteFailed = "journal_write_failed"
 )
 
 // Options parameterizes a journal.
@@ -148,16 +155,22 @@ type Journal struct {
 	f        *os.File
 	segFirst uint64 // sequence of the active segment's first entry
 	segSize  int64
-	writeBuf []byte // reused batch write buffer (committer-only, under mu)
+	writeBuf []byte       // reused batch write buffer (committer-only, under mu)
+	batch    []*appendReq // reused batch slice (committer-only, see gather)
 	// syncFile is the fsync a commit waits on; tests replace it (under mu)
 	// to hold a commit in flight.
 	syncFile func(*os.File) error
 	nextSeq  uint64 // sequence the next appended entry will get
+	// failed is the first write or fsync failure, wrapped in ErrFailed. It is
+	// sticky: every batch after it gets it instead of being written, so the
+	// log never holds an entry above a hole.
+	failed   error
 	closeErr error
 	closed   bool
-	// commitSig is closed (and replaced) whenever the durable boundary
-	// advances; CommitSignal hands it to tailers so log shipping can wait
-	// for new entries without polling.
+	// commitSig, made when CommitSignal is asked for it, is closed (and
+	// dropped) when the durable boundary next advances: tailers wait on it
+	// for new entries without polling, and a commit nobody waits for
+	// allocates no channel.
 	commitSig chan struct{}
 	// ackGate, when set, is called after an append is locally durable and
 	// must not return until the entry is replicated (or the replication
@@ -187,6 +200,7 @@ func (j *Journal) TraceOf(seq uint64) uint64 {
 }
 
 type appendReq struct {
+	j     *Journal
 	frame []byte
 	keys  []string // sort scratch for the frame's encoder
 	done  chan error
@@ -224,18 +238,18 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		}
 	}
 	j := &Journal{
-		dir:       dir,
-		opts:      opts,
-		counters:  opts.Counters,
-		appendCh:  make(chan *appendReq, 256),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		nextSeq:   info.LastSeq + 1,
-		commitSig: make(chan struct{}),
-		syncFile:  (*os.File).Sync,
+		dir:      dir,
+		opts:     opts,
+		counters: opts.Counters,
+		appendCh: make(chan *appendReq, 256),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		nextSeq:  info.LastSeq + 1,
+		syncFile: (*os.File).Sync,
 	}
 	j.counters.Set(CtrRecoveryNanos, info.Duration.Nanoseconds())
 	j.counters.Set(CtrRecoveredEntries, int64(info.Entries))
+	j.counters.Set(CtrWriteFailed, 0)
 	if opts.Obs != nil {
 		j.obs = opts.Obs
 		j.histFsync = opts.Obs.Hist.Get("journal_fsync_seconds", "")
@@ -259,31 +273,38 @@ func (j *Journal) Counters() *metrics.CounterSet { return j.counters }
 
 // LogCreateFileSet journals a file-set creation; returns once durable.
 func (j *Journal) LogCreateFileSet(fileSet string) error {
-	return j.append(0, Entry{Kind: KindCreateFileSet, FileSet: fileSet})
+	return j.append(Entry{Kind: KindCreateFileSet, FileSet: fileSet})
 }
 
 // LogDrop journals the removal of a file set (fleet handoff donated it);
 // returns once durable. Replay after a drop leaves no trace of the file
 // set, so a restarted donor cannot resurrect a fenced copy.
 func (j *Journal) LogDrop(fileSet string) error {
-	return j.append(0, Entry{Kind: KindDrop, FileSet: fileSet})
+	return j.append(Entry{Kind: KindDrop, FileSet: fileSet})
 }
 
 // LogFlush journals a whole image; returns once durable.
 func (j *Journal) LogFlush(fileSet string, im sharedisk.Image) error {
-	return j.append(0, Entry{Kind: KindFlush, FileSet: fileSet, Image: im})
+	return j.append(Entry{Kind: KindFlush, FileSet: fileSet, Image: im})
 }
 
-// LogDelta journals one flush as the delta it applied, at the version it
-// produced (d.Base+1); returns once durable. trace is the client request
-// that forced the flush (0 = untraced): the append's group-commit wait and
-// fsync are recorded as spans under it.
-func (j *Journal) LogDelta(trace uint64, fileSet string, d sharedisk.Delta) error {
-	return j.append(trace, Entry{
+// LogDelta queues one flush as the delta it applied, at the version it
+// produced (d.Base+1). The entry's place in the log is fixed when LogDelta
+// returns — deltas queued in version order are written in version order —
+// and the returned wait reports when it is durable. d is encoded before the
+// return and not kept. trace is the client request that forced the flush
+// (0 = untraced): the append's group-commit wait and fsync are recorded as
+// spans under it.
+func (j *Journal) LogDelta(trace uint64, fileSet string, d sharedisk.Delta) (sharedisk.LogWait, error) {
+	r, err := j.enqueue(trace, Entry{
 		Kind: KindDelta, FileSet: fileSet,
 		Image:   sharedisk.Image{Version: d.Base + 1, Records: d.Puts},
 		Removed: d.Removes,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // appendReqPool recycles append requests — frame buffer, sort scratch and
@@ -295,24 +316,45 @@ var appendReqPool = sync.Pool{
 	New: func() any { return &appendReq{done: make(chan error, 1)} },
 }
 
-// append encodes the entry as a framed record and hands it to the group
-// committer, blocking until the entry is fsynced (or the journal
-// fails/closes). With an ack gate armed (SetAckGate), a locally durable
-// append additionally waits for the gate — semi-synchronous replication.
+// append is enqueue followed at once by Wait: the blocking form every entry
+// kind but the delta uses.
+func (j *Journal) append(e Entry) error {
+	r, err := j.enqueue(0, e)
+	if err != nil {
+		return err
+	}
+	return r.Wait()
+}
+
+// enqueue is the first half of an append: it encodes the entry as a framed
+// record and hands it to the group committer. Queue position is log
+// position. The pooled request it returns is the second half; its Wait must
+// be called exactly once.
 //
 //anufs:hotpath
-func (j *Journal) append(trace uint64, e Entry) error {
+func (j *Journal) enqueue(trace uint64, e Entry) (*appendReq, error) {
 	r := appendReqPool.Get().(*appendReq)
+	r.j = j
 	r.frame = appendEntryFrame(r.frame[:0], e, &r.keys)
 	r.trace = trace
 	r.enq = now()
 	r.seq = 0
 	select {
 	case j.appendCh <- r:
+		return r, nil
 	case <-j.quit:
 		appendReqPool.Put(r) // never submitted: safe to recycle
-		return ErrClosed
+		return nil, ErrClosed
 	}
+}
+
+// Wait blocks until the queued entry is fsynced (or the journal
+// fails/closes). With an ack gate armed (SetAckGate), a locally durable
+// entry additionally waits for the gate — semi-synchronous replication.
+//
+//anufs:hotpath
+func (r *appendReq) Wait() error {
+	j := r.j
 	var err error
 	select {
 	case err = <-r.done:
@@ -368,14 +410,19 @@ func (j *Journal) DurableSeq() uint64 {
 func (j *Journal) CommitSignal() <-chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.commitSig == nil {
+		j.commitSig = make(chan struct{})
+	}
 	return j.commitSig
 }
 
 // signalCommitLocked wakes every CommitSignal waiter. Callers hold mu and
 // have just advanced nextSeq.
 func (j *Journal) signalCommitLocked() {
-	close(j.commitSig)
-	j.commitSig = make(chan struct{})
+	if j.commitSig != nil {
+		close(j.commitSig)
+		j.commitSig = nil
+	}
 }
 
 // Close commits everything queued, fsyncs, and closes the active segment.

@@ -41,9 +41,9 @@ type EntryKind uint8
 const (
 	// KindCreateFileSet records the birth of an empty file set.
 	KindCreateFileSet EntryKind = 1
-	// KindFlush records a whole image at its post-flush version: an adopted
-	// file set, or the new base after a delta failed to append. Snapshots
-	// aside, it is the only entry replay can start a file set's history from.
+	// KindFlush records a whole image at its version: an adopted file set.
+	// Snapshots and creates aside, it is the only entry replay can start a
+	// file set's history from.
 	KindFlush EntryKind = 2
 	// KindDrop records the removal of a file set from this journal's shared
 	// disk — written when a fleet handoff donates the file set to another

@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -230,12 +231,10 @@ func readFrameAt(f *os.File, off int64) (payload []byte, n int, ok bool, err err
 	if _, rerr := f.ReadAt(payload, off+frameHeaderLen); rerr != nil {
 		return nil, 0, false, nil
 	}
-	full := append(hdr[:], payload...)
-	got, n2, fok := nextFrame(full)
-	if !fok {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, 0, false, fmt.Errorf("%w: bad frame CRC below durable boundary", ErrCorrupt)
 	}
-	return got, n2, true, nil
+	return payload, frameHeaderLen + int(ln), true, nil
 }
 
 // AppendShipped persists replicated entries on a standby, preserving the
@@ -252,6 +251,9 @@ func (j *Journal) AppendShipped(ents []Shipped) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.failed != nil {
+		return j.failed
+	}
 	if j.f == nil || j.closed {
 		return ErrClosed
 	}
@@ -272,14 +274,14 @@ func (j *Journal) AppendShipped(ents []Shipped) error {
 	}
 	if j.segSize >= j.opts.SegmentBytes && j.segSize > headerLen {
 		if err := j.openSegmentLocked(); err != nil {
-			return err
+			return j.failLocked(err)
 		}
 	}
 	if _, err := j.f.Write(buf); err != nil {
-		return err
+		return j.failLocked(err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return err
+		return j.failLocked(err)
 	}
 	j.segSize += int64(len(buf))
 	j.nextSeq += count

@@ -11,6 +11,15 @@ import (
 	"anufs/internal/sharedisk"
 )
 
+// logDelta is LogDelta followed at once by its wait: a blocking append.
+func logDelta(j *Journal, trace uint64, fileSet string, d sharedisk.Delta) error {
+	w, err := j.LogDelta(trace, fileSet, d)
+	if err != nil {
+		return err
+	}
+	return w.Wait()
+}
+
 // appendEntries journals each entry through the public Log* API.
 func appendEntries(t *testing.T, j *Journal, entries []Entry) {
 	t.Helper()
@@ -22,7 +31,7 @@ func appendEntries(t *testing.T, j *Journal, entries []Entry) {
 		case KindFlush:
 			err = j.LogFlush(e.FileSet, e.Image)
 		case KindDelta:
-			err = j.LogDelta(0, e.FileSet, sharedisk.Delta{Base: e.Image.Version - 1, Puts: e.Image.Records, Removes: e.Removed})
+			err = logDelta(j, 0, e.FileSet, sharedisk.Delta{Base: e.Image.Version - 1, Puts: e.Image.Records, Removes: e.Removed})
 		case KindDrop:
 			err = j.LogDrop(e.FileSet)
 		}

@@ -6,6 +6,15 @@
 // driving the file-set move protocol (release on the shedding server, then
 // acquire on the gaining one).
 //
+// A server's goroutine is the paper's FIFO server and never sleeps on the
+// disk: the task a checkpoint queues is only the start of the flush (records
+// applied to the shared-disk image, journal entry queued), and the wait for
+// the commit runs on the requester's goroutine (Traced.Checkpoint). The
+// latency the delegate samples for a checkpoint task is therefore queue wait
+// plus service time — something re-scaling can act on; the commit wait
+// stays visible as the journal-commit-wait span and the
+// journal_commit_wait_seconds histogram.
+//
 // The simulator (internal/cluster) is what reproduces the paper's figures;
 // this package is what a downstream user embeds to get the paper's
 // self-managing behaviour in a running system. It is exercised with the
@@ -510,11 +519,10 @@ func (c *Cluster) List(fileSet, prefix string) ([]string, error) {
 }
 
 // Checkpoint flushes one file set's dirty state to shared disk without
-// releasing ownership, through the owner's queue (so it serializes with
-// that server's metadata operations and release-time flushes).
-func (c *Cluster) Checkpoint(fileSet string) error {
-	return c.do(fileSet, func(s *server) error { return s.ms.Checkpoint(fileSet) })
-}
+// releasing ownership. The flush starts in the owner's queue (so it
+// serializes with that server's metadata operations and release-time
+// flushes); Checkpoint returns once it is durable.
+func (c *Cluster) Checkpoint(fileSet string) error { return c.WithTrace(0).Checkpoint(fileSet) }
 
 // CheckpointAll checkpoints every file set — the durability barrier behind
 // the wire "sync" op: when it returns nil, everything created or updated
@@ -574,12 +582,52 @@ func (v Traced) List(fileSet, prefix string) ([]string, error) {
 
 // Checkpoint is Cluster.Checkpoint under the view's trace: the flush is
 // journaled under the trace ID, so the request's span timeline includes the
-// group-commit wait and fsync it rode.
+// group-commit wait and fsync it rode. Only the start of the flush is a
+// task of the owner; the wait for the journal runs here, on the caller's
+// goroutine, and the owner serves its next task meanwhile.
 func (v Traced) Checkpoint(fileSet string) error {
+	commit, err := v.startCheckpoint(fileSet)
+	if err != nil {
+		return err
+	}
+	return commit.Wait()
+}
+
+// startCheckpoint runs metaserver.CheckpointTraced as a task of the file
+// set's owner: on return the dirty records are on the shared disk's image
+// and queued for its log, and the Commit waits for them to be durable.
+func (v Traced) startCheckpoint(fileSet string) (metaserver.Commit, error) {
+	var commit metaserver.Commit
 	trace := v.trace
-	return v.c.doT(trace, "checkpoint", fileSet, func(s *server) error {
-		return s.ms.CheckpointTraced(trace, fileSet)
+	err := v.c.doT(trace, "checkpoint", fileSet, func(s *server) error {
+		var err error
+		commit, err = s.ms.CheckpointTraced(trace, fileSet)
+		return err
 	})
+	return commit, err
+}
+
+// CheckpointEach checkpoints the named file sets, starting every flush
+// before waiting for any, so they meet in the journal's group commit
+// instead of paying one commit each in turn. It returns the first failure,
+// naming its file set, after every started flush has been waited for.
+func (v Traced) CheckpointEach(fileSets []string) error {
+	commits := make([]metaserver.Commit, len(fileSets))
+	var firstErr error
+	note := func(fileSet string, err error) {
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("checkpoint of %q: %w", fileSet, err)
+		}
+	}
+	for i, fs := range fileSets {
+		var err error
+		commits[i], err = v.startCheckpoint(fs)
+		note(fs, err)
+	}
+	for i, fs := range fileSets {
+		note(fs, commits[i].Wait())
+	}
+	return firstErr
 }
 
 // CheckpointAll is Cluster.CheckpointAll under the view's trace. System
@@ -587,16 +635,13 @@ func (v Traced) Checkpoint(fileSet string) error {
 // skipped: no server owns them, so there is no cache to flush and waiting
 // for an owner would only time out.
 func (v Traced) CheckpointAll() error {
-	var firstErr error
+	var fileSets []string
 	for _, fs := range v.c.disk.FileSets() {
-		if namespace.SystemVolume(namespace.VolumeOf(fs)) {
-			continue
-		}
-		if err := v.Checkpoint(fs); err != nil && firstErr == nil {
-			firstErr = err
+		if !namespace.SystemVolume(namespace.VolumeOf(fs)) {
+			fileSets = append(fileSets, fs)
 		}
 	}
-	return firstErr
+	return v.CheckpointEach(fileSets)
 }
 
 // Owner reports which server currently serves the file set.

@@ -47,6 +47,51 @@ type fileSetState struct {
 	// dirty holds the paths put or removed since the last flush; the next
 	// flush hands the disk exactly those records, never the whole image.
 	dirty map[string]struct{}
+	// last is the most recently started flush, nil before the first. The
+	// disk's log is ordered and fails stop, so once it is durable every
+	// flush of the file set started before it is too: a checkpoint or
+	// release that finds nothing dirty waits on it.
+	last *flush
+}
+
+// flush is one started FlushDelta of st. Its outcome is collected once and
+// shared by everyone whose records rode it.
+type flush struct {
+	s      *Server
+	st     *fileSetState
+	d      sharedisk.Delta // kept to re-mark its paths if it fails
+	commit sharedisk.Commit
+	once   sync.Once
+	err    error
+}
+
+// wait blocks until the flush is durable; on failure its paths are dirty
+// again and ride the next one.
+func (f *flush) wait() error {
+	f.once.Do(func() {
+		f.err = f.commit.Wait()
+		if f.err != nil {
+			f.s.mu.Lock()
+			f.st.remark(f.d)
+			f.s.mu.Unlock()
+		}
+		f.d = sharedisk.Delta{}
+	})
+	return f.err
+}
+
+// Commit is the second half of a checkpoint (CheckpointTraced): the file
+// set's dirty records are on the shared disk's image and queued for its
+// log; Wait blocks until they are durable. The zero Commit has nothing to
+// wait for. Wait may be called from any goroutine.
+type Commit struct{ f *flush }
+
+// Wait blocks until the checkpoint is durable.
+func (c Commit) Wait() error {
+	if c.f == nil {
+		return nil
+	}
+	return c.f.wait()
 }
 
 // put stores rec at path and marks the path dirty. A zero ModTime is
@@ -146,24 +191,27 @@ func (s *Server) Acquire(fileSet string) error {
 
 // Release flushes the file set if dirty and stops serving it — the shedding
 // half of a move (paper §4: "the shedding server flushes its cache with
-// respect to shed file sets to create a consistent disk image").
+// respect to shed file sets to create a consistent disk image"). It returns
+// once every flush of the file set, this one and any started earlier, is
+// durable.
 func (s *Server) Release(fileSet string) error {
 	s.mu.Lock()
 	st, ok := s.owned[fileSet]
+	if ok {
+		delete(s.owned, fileSet)
+		if len(st.dirty) > 0 {
+			s.dirtyFlushes++
+		}
+	}
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return ErrNotOwner
 	}
-	delete(s.owned, fileSet)
-	if len(st.dirty) == 0 {
-		s.mu.Unlock()
-		return nil
+	c, err := s.startFlush(0, fileSet, st)
+	if err != nil {
+		return err
 	}
-	d := st.takeDelta()
-	s.dirtyFlushes++
-	s.mu.Unlock()
-	_, err := s.disk.FlushDelta(0, fileSet, d)
-	return err
+	return c.Wait()
 }
 
 // Crash drops all owned file sets WITHOUT flushing — a server failure. The
@@ -176,39 +224,58 @@ func (s *Server) Crash() {
 }
 
 // Checkpoint flushes a file set's dirty state without releasing ownership
-// (background cleaning; keeps the window of loss small).
+// (background cleaning; keeps the window of loss small) and returns once
+// the flush is durable.
 func (s *Server) Checkpoint(fileSet string) error {
-	return s.CheckpointTraced(0, fileSet)
+	c, err := s.CheckpointTraced(0, fileSet)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
 }
 
-// CheckpointTraced is Checkpoint attributed to a request trace (0 =
-// untraced): a durable disk journals the flush under that trace so the
-// fsync it waits on appears in the request's timeline.
-func (s *Server) CheckpointTraced(trace uint64, fileSet string) error {
+// CheckpointTraced starts a checkpoint: when it returns, the file set's
+// dirty records are on the shared disk's image, the cache has adopted the
+// new version and the flush has its place in the disk's log. The Commit's
+// Wait reports when it is durable, so the caller — the owner goroutine —
+// can serve the next operation meanwhile. Checkpoints of one file set must
+// be started from one goroutine at a time. trace attributes the flush to a
+// request (0 = untraced): a durable disk journals it under that trace, so
+// the fsync it rides appears in the request's timeline.
+func (s *Server) CheckpointTraced(trace uint64, fileSet string) (Commit, error) {
 	s.mu.Lock()
 	st, ok := s.owned[fileSet]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
-		return ErrNotOwner
+		return Commit{}, ErrNotOwner
 	}
+	return s.startFlush(trace, fileSet, st)
+}
+
+// startFlush hands the disk st's dirty paths as one delta. With nothing
+// dirty the Commit is that of the last flush started, whose records the
+// caller may be answering for.
+func (s *Server) startFlush(trace uint64, fileSet string, st *fileSetState) (Commit, error) {
+	s.mu.Lock()
 	if len(st.dirty) == 0 {
+		last := st.last
 		s.mu.Unlock()
-		return nil
+		return Commit{last}, nil
 	}
 	d := st.takeDelta()
 	s.mu.Unlock()
-	newV, err := s.disk.FlushDelta(trace, fileSet, d)
+	newV, commit, err := s.disk.FlushDelta(trace, fileSet, d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st2, ok := s.owned[fileSet]; ok && st2 == st {
-		if newV != 0 {
-			st.image.Version = newV
-		}
-		if err != nil {
-			st.remark(d) // not durable: its paths ride the next flush
-		}
+	if newV != 0 {
+		st.image.Version = newV
 	}
-	return err
+	if err != nil {
+		st.remark(d) // not durable: its paths ride the next flush
+		return Commit{}, err
+	}
+	st.last = &flush{s: s, st: st, d: d, commit: commit}
+	return Commit{st.last}, nil
 }
 
 // withFileSet runs fn with the file set's state under the lock.

@@ -2,7 +2,9 @@ package metaserver
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,14 +309,14 @@ type deltaDisk struct {
 	failNext bool
 }
 
-func (d *deltaDisk) FlushDelta(trace uint64, fileSet string, dl sharedisk.Delta) (uint64, error) {
+func (d *deltaDisk) FlushDelta(trace uint64, fileSet string, dl sharedisk.Delta) (uint64, sharedisk.Commit, error) {
 	d.deltas = append(d.deltas, dl)
-	v, err := d.Store.FlushDelta(trace, fileSet, dl)
+	v, c, err := d.Store.FlushDelta(trace, fileSet, dl)
 	if err == nil && d.failNext {
 		d.failNext = false
 		err = errors.New("deltaDisk: injected journal failure")
 	}
-	return v, err
+	return v, c, err
 }
 
 func newDeltaPair(t *testing.T) (*deltaDisk, *Server) {
@@ -396,5 +398,170 @@ func TestFailedFlushKeepsPathsDirty(t *testing.T) {
 	}
 	if err := srv.Checkpoint("proj"); err != nil || len(disk.deltas) != 2 {
 		t.Errorf("file set still dirty after a durable flush: %v, %d flushes", err, len(disk.deltas))
+	}
+}
+
+// heldWAL is a write-ahead log whose delta appends queue at once and become
+// durable, or fail, only when the test says so: each LogDelta hands back a
+// wait that blocks until the test sends that entry's outcome.
+type heldWAL struct {
+	mu     sync.Mutex
+	queued []chan error // one per LogDelta, in log order
+}
+
+type heldWait chan error
+
+func (w heldWait) Wait() error { return <-w }
+
+func (w *heldWAL) LogDelta(uint64, string, sharedisk.Delta) (sharedisk.LogWait, error) {
+	ch := make(chan error, 1)
+	w.mu.Lock()
+	w.queued = append(w.queued, ch)
+	w.mu.Unlock()
+	return heldWait(ch), nil
+}
+
+// entries returns the outcome channels of the deltas queued so far.
+func (w *heldWAL) entries() []chan error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]chan error(nil), w.queued...)
+}
+
+func (w *heldWAL) LogCreateFileSet(string) error                    { return nil }
+func (w *heldWAL) LogFlush(string, sharedisk.Image) error           { return nil }
+func (w *heldWAL) LogDrop(string) error                             { return nil }
+func (w *heldWAL) Snapshot(func() map[string]sharedisk.Image) error { return nil }
+func (w *heldWAL) Close() error                                     { return nil }
+
+func newHeldPair(t *testing.T) (*heldWAL, *sharedisk.Durable, *Server) {
+	t.Helper()
+	wal := &heldWAL{}
+	disk := sharedisk.NewDurable(sharedisk.NewStore(0), wal, 0)
+	if err := disk.CreateFileSet("proj"); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(1, disk)
+	if err := srv.Acquire("proj"); err != nil {
+		t.Fatal(err)
+	}
+	return wal, disk, srv
+}
+
+// TestCheckpointStartsThenWaits: when CheckpointTraced returns, the records
+// are on the disk's image, the cache has adopted the new version and the
+// entry is queued — all before the log says durable; operations and further
+// checkpoints proceed meanwhile, each wait gets its own outcome, and a
+// failed one leaves its paths dirty.
+func TestCheckpointStartsThenWaits(t *testing.T) {
+	wal, disk, srv := newHeldPair(t)
+	if err := srv.Create("proj", "/a", sharedisk.Record{Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.CheckpointTraced(0, "proj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if im, _ := disk.Load("proj"); im.Version != 2 || im.Records["/a"].Size != 1 || len(wal.entries()) != 1 {
+		t.Fatalf("after the start: image %+v, %d entries queued; want /a at version 2, 1 queued", im, len(wal.entries()))
+	}
+	// The owner goes on serving while the first commit is in flight.
+	if err := srv.Create("proj", "/b", sharedisk.Record{Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := srv.CheckpointTraced(0, "proj")
+	if err != nil {
+		t.Fatalf("second checkpoint while the first is in flight: %v", err)
+	}
+	if im, _ := disk.Load("proj"); im.Version != 3 || len(wal.entries()) != 2 {
+		t.Fatalf("second start: image version %d, %d queued; want 3, 2", im.Version, len(wal.entries()))
+	}
+	// Nothing is dirty now, but the records of whoever asks next rode the
+	// second flush: a clean checkpoint must wait for it, not return at once.
+	third, err := srv.CheckpointTraced(0, "proj")
+	if err != nil || len(wal.entries()) != 2 {
+		t.Fatalf("clean checkpoint: %v, %d queued; want no new entry", err, len(wal.entries()))
+	}
+	thirdDone := make(chan error, 1)
+	go func() { thirdDone <- third.Wait() }()
+	select {
+	case err := <-thirdDone:
+		t.Fatalf("a clean checkpoint returned (%v) before the flush carrying its records was durable", err)
+	default:
+	}
+	failure := errors.New("heldWAL: injected commit failure")
+	wal.entries()[0] <- nil
+	wal.entries()[1] <- failure
+	if err := first.Wait(); err != nil {
+		t.Fatalf("first wait = %v", err)
+	}
+	if err := second.Wait(); !errors.Is(err, failure) {
+		t.Fatalf("second wait = %v, want the injected failure", err)
+	}
+	if err := <-thirdDone; !errors.Is(err, failure) {
+		t.Fatalf("clean checkpoint's wait = %v, want the failure of the flush it rode", err)
+	}
+	// /b is dirty again and rides the next flush, over the adopted version.
+	retry, err := srv.CheckpointTraced(0, "proj")
+	if err != nil || len(wal.entries()) != 3 {
+		t.Fatalf("retry: %v, %d queued", err, len(wal.entries()))
+	}
+	wal.entries()[2] <- nil
+	if err := retry.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if im, _ := disk.Load("proj"); im.Version != 4 || im.Records["/b"].Size != 2 {
+		t.Fatalf("after the retry: %+v", im)
+	}
+}
+
+// TestReleaseWaitsForEarlierFlushes: a release returns only once every
+// flush of the file set started before it is durable — also when nothing is
+// dirty any more and the release itself has nothing to write. Order, not
+// time: the release must be seen to return after the log's answer.
+func TestReleaseWaitsForEarlierFlushes(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		wal, _, srv := newHeldPair(t)
+		if err := srv.Create("proj", "/a", sharedisk.Record{Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		inFlight, err := srv.CheckpointTraced(0, "proj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := 1
+		if dirty {
+			if err := srv.Create("proj", "/b", sharedisk.Record{Size: 2}); err != nil {
+				t.Fatal(err)
+			}
+			entries = 2 // the release's own flush queues behind the first
+		}
+		var events atomic.Int32
+		released := make(chan int32, 1)
+		go func() {
+			if err := srv.Release("proj"); err != nil {
+				t.Errorf("dirty=%v: release = %v", dirty, err)
+			}
+			released <- events.Add(1)
+		}()
+		for len(wal.entries()) < entries {
+			runtime.Gosched()
+		}
+		for i := 0; i < 1000; i++ { // room for a release that does not wait to show itself
+			runtime.Gosched()
+		}
+		answered := events.Add(1)
+		for _, e := range wal.entries() {
+			e <- nil
+		}
+		if at := <-released; at < answered {
+			t.Fatalf("dirty=%v: release returned before the flushes ahead of it were durable", dirty)
+		}
+		if err := inFlight.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if srv.Owns("proj") {
+			t.Fatal("still owned after release")
+		}
 	}
 }

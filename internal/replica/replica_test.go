@@ -400,7 +400,11 @@ func flushDeltas(t *testing.T, d *sharedisk.Durable, fs string, from, n int) {
 		if i >= from+2 {
 			dl.Removes = []string{name(2*i - 4)}
 		}
-		if _, err := d.FlushDelta(0, fs, dl); err != nil {
+		_, c, err := d.FlushDelta(0, fs, dl)
+		if err == nil {
+			err = c.Wait()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

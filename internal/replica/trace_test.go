@@ -31,7 +31,11 @@ func TestShipCarriesTraceToStandbyAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := sharedisk.Delta{Base: 1, Puts: map[string]sharedisk.Record{"/t": {Size: 1, Owner: "w"}}}
-	if err := jnl.LogDelta(trace, "fs00", d); err != nil {
+	w, err := jnl.LogDelta(trace, "fs00", d)
+	if err == nil {
+		err = w.Wait()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	appendFlushes(t, jnl, "fs00", 3, 3) // untraced neighbours ship too

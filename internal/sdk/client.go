@@ -17,7 +17,8 @@ import (
 // Client is the fleet-aware sdk client: it routes every operation to the
 // owning daemon through a fleet.Router whose transport is pipelined
 // connection pools, and (when Options.BatchDelay is set) coalesces small
-// writes per file set into single batched round trips. Safe for
+// writes that arrive behind an outstanding batch of their file set into
+// single batched round trips. Safe for
 // concurrent use; that concurrency is exactly what fills the pipelines
 // and batches.
 type Client struct {
@@ -104,8 +105,8 @@ func (c *Client) call(req wire.Request) (wire.Response, error) {
 }
 
 // addBatched queues one write into the batcher under its own minted
-// trace. The client span covers the full wait — coalescing delay included
-// — and the server links sibling items' traces to the carrying batch's,
+// trace. The client span covers the full wait — time spent folded behind
+// an outstanding batch included — and the server links sibling items' traces to the carrying batch's,
 // so a folded op's timeline still reaches the journal commit it rode.
 func (c *Client) addBatched(fileSet string, item wire.BatchItem) error {
 	reg := c.opts.Obs
@@ -241,8 +242,8 @@ func (c *Client) List(fileSet, prefix string) ([]string, error) {
 }
 
 // Batch applies pre-grouped items against one file set in a single round
-// trip, bypassing the delay-based coalescing — for callers that already
-// hold a batch in hand.
+// trip, bypassing the coalescing — for callers that already hold a batch
+// in hand.
 func (c *Client) Batch(fileSet string, items []wire.BatchItem) ([]wire.BatchResult, error) {
 	defer c.track()()
 	resp, err := c.call(wire.Request{Op: wire.OpBatch, FileSet: fileSet, Durable: c.opts.Durable, Batch: items})

@@ -48,8 +48,13 @@ type Options struct {
 	PoolSize int
 	// MaxBatch caps one coalesced batch (default DefaultMaxBatch).
 	MaxBatch int
-	// BatchDelay is how long a small write may wait for company before its
-	// batch is sent; 0 disables client-side batching.
+	// BatchDelay switches client-side write coalescing on when positive;
+	// its length means nothing. No write waits on a clock: one that finds
+	// no batch of its file set outstanding is sent at once, and those that
+	// arrive behind an outstanding batch share the next (see batcher). It
+	// keeps its name and type only because cmd/bench, frozen as the
+	// measuring instrument, sets it; the next PR that may touch cmd/bench
+	// deletes it and coalescing becomes unconditional.
 	BatchDelay time.Duration
 	// Durable asks the server to checkpoint batched writes before acking —
 	// the whole batch rides one journal group commit.

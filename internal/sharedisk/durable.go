@@ -12,16 +12,23 @@ import (
 //
 // Log* calls must not return until the entry is durable (fsynced) — Durable
 // acknowledges a flush to its caller only after the WAL has — and must not
-// keep a reference to an image or delta past their return.
+// keep a reference to an image or delta past their return. LogDelta alone
+// is two-phase: it returns once the entry has its place in the log, and the
+// LogWait it hands back reports durability.
+//
+// A WAL fails stop: once an append has failed, every later one fails too.
+// Durable relies on it — a delta may be queued behind one whose failure is
+// not known yet, and must not reach the log above the hole.
 type WAL interface {
 	// LogCreateFileSet records the birth of an empty file set.
 	LogCreateFileSet(fileSet string) error
-	// LogDelta records a flushed delta — the unit of durability. trace
-	// attributes the append to the client request that forced it
+	// LogDelta queues a flushed delta — the unit of durability — behind
+	// every entry logged before it. An error means nothing was queued.
+	// trace attributes the append to the client request that forced it
 	// (0 = untraced).
-	LogDelta(trace uint64, fileSet string, d Delta) error
-	// LogFlush records a whole image at the version the store holds it:
-	// an adopted image, or the new base after a delta failed to append.
+	LogDelta(trace uint64, fileSet string, d Delta) (LogWait, error)
+	// LogFlush records a whole image at the version the store holds it
+	// (an adopted image).
 	LogFlush(fileSet string, im Image) error
 	// LogDrop records the removal of a file set.
 	LogDrop(fileSet string) error
@@ -31,6 +38,31 @@ type WAL interface {
 	Snapshot(images func() map[string]Image) error
 	// Close flushes and closes the log.
 	Close() error
+}
+
+// LogWait is the second half of WAL.LogDelta: Wait blocks until the queued
+// entry is durable and must be called exactly once.
+type LogWait interface {
+	Wait() error
+}
+
+// Commit is the second half of Disk.FlushDelta: Wait blocks until the flush
+// is durable and returns what a blocking flush would have. The image took
+// the delta when FlushDelta returned; Wait only reports whether it will
+// survive a crash. The zero Commit (the in-memory Store's, where applied is
+// all there is) has nothing to wait for. Call Wait at most once.
+type Commit struct {
+	d       *Durable
+	fileSet string
+	entry   LogWait
+}
+
+// Wait blocks until the flush is durable.
+func (c Commit) Wait() error {
+	if c.d == nil {
+		return nil
+	}
+	return c.d.settle(c.fileSet, "flush", c.entry.Wait())
 }
 
 // Installer is optionally implemented by disks that can adopt a complete
@@ -54,7 +86,9 @@ type Dropper interface {
 // Ordering note: the in-memory store applies first (it assigns the image
 // version), then the entry is journaled. A crash between the two loses an
 // un-acknowledged flush, which is exactly the contract callers already
-// have — a flush is durable when (and only when) it returns nil.
+// have — a flush is durable when (and only when) its wait returns nil.
+// One file set's flushes must come from one goroutine at a time (its
+// owner), so that apply order is queue order is version order.
 type Durable struct {
 	*Store
 	wal WAL
@@ -64,16 +98,12 @@ type Durable struct {
 	snapshotEvery int
 	mu            sync.Mutex
 	sinceSnapshot int
-	// rebase holds the file sets whose last delta the store took but the
-	// journal did not: the log has a hole there, so the next flush journals
-	// the whole image instead of a delta replay could not place.
-	rebase map[string]struct{}
 }
 
 // NewDurable wraps a store with a write-ahead log. The store is typically
 // the one journal recovery just rebuilt, so log and memory start aligned.
 func NewDurable(st *Store, wal WAL, snapshotEvery int) *Durable {
-	return &Durable{Store: st, wal: wal, snapshotEvery: snapshotEvery, rebase: map[string]struct{}{}}
+	return &Durable{Store: st, wal: wal, snapshotEvery: snapshotEvery}
 }
 
 // CreateFileSet initializes an empty image and journals the creation.
@@ -84,27 +114,20 @@ func (d *Durable) CreateFileSet(fileSet string) error {
 	return d.settle(fileSet, "create", d.wal.LogCreateFileSet(fileSet))
 }
 
-// FlushDelta applies the delta to the image and journals it. After a
-// mutation of the file set whose append failed, it journals the whole
-// image instead: replay then finds a base that covers the hole rather than
-// a delta it must refuse.
-func (d *Durable) FlushDelta(trace uint64, fileSet string, dl Delta) (uint64, error) {
-	v, err := d.Store.FlushDelta(trace, fileSet, dl)
+// FlushDelta applies the delta to the image and queues it in the journal;
+// the Commit's Wait reports when it is durable. A refused append returns
+// the stepped version with the error: the image holds the delta, the log
+// never will.
+func (d *Durable) FlushDelta(trace uint64, fileSet string, dl Delta) (uint64, Commit, error) {
+	v, _, err := d.Store.FlushDelta(trace, fileSet, dl)
 	if err != nil {
-		return 0, err
+		return 0, Commit{}, err
 	}
-	d.mu.Lock()
-	_, rebase := d.rebase[fileSet]
-	d.mu.Unlock()
-	if rebase {
-		var im Image
-		if im, err = d.Store.Load(fileSet); err == nil {
-			err = d.wal.LogFlush(fileSet, im)
-		}
-	} else {
-		err = d.wal.LogDelta(trace, fileSet, dl)
+	entry, err := d.wal.LogDelta(trace, fileSet, dl)
+	if err != nil {
+		return v, Commit{}, d.settle(fileSet, "flush", err)
 	}
-	return v, d.settle(fileSet, "flush", err)
+	return v, Commit{d: d, fileSet: fileSet, entry: entry}, nil
 }
 
 // Flush replaces the whole image and journals it at the version the store
@@ -145,18 +168,15 @@ func (d *Durable) DropFileSet(fileSet string) error {
 }
 
 // settle closes one mutation the store has already taken, given the
-// journal's answer. A failed append leaves a hole in the file set's log,
-// so it is marked for re-basing; a durable one clears the mark, counts
-// toward the next snapshot and cuts it (compacting the log) every
-// snapshotEvery entries.
+// journal's answer: a durable one counts toward the next snapshot and cuts
+// it (compacting the log) every snapshotEvery entries. A failed one needs
+// no repair here — the WAL fails stop, so nothing can be logged above the
+// hole it left.
 func (d *Durable) settle(fileSet, what string, err error) error {
-	d.mu.Lock()
 	if err != nil {
-		d.rebase[fileSet] = struct{}{}
-		d.mu.Unlock()
 		return fmt.Errorf("sharedisk: journal %s of %q: %w", what, fileSet, err)
 	}
-	delete(d.rebase, fileSet)
+	d.mu.Lock()
 	d.sinceSnapshot++
 	due := d.snapshotEvery > 0 && d.sinceSnapshot >= d.snapshotEvery
 	if due {

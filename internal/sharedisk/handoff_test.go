@@ -56,28 +56,53 @@ func TestDropFileSet(t *testing.T) {
 	}
 }
 
-// fakeWAL records calls; failNext makes the next Log* call fail once
-// without recording it, as a journal whose append did not reach the disk.
+// fakeWAL records calls. failNext makes the next Log* call fail without
+// recording it, as a journal whose append did not reach the disk — and, as
+// the WAL contract requires, every call after it fails the same way. With
+// release set, delta appends queue but become durable only once it is
+// closed.
 type fakeWAL struct {
 	creates, deltas, flushes, drops []string
 	failNext                        bool
+	failed                          error
+	release                         chan struct{}
 }
 
 func (w *fakeWAL) log(list *[]string, fs string) error {
 	if w.failNext {
 		w.failNext = false
-		return errors.New("fakeWAL: injected append failure")
+		w.failed = errors.New("fakeWAL: injected append failure")
+	}
+	if w.failed != nil {
+		return w.failed
 	}
 	*list = append(*list, fs)
 	return nil
 }
 
-func (w *fakeWAL) LogCreateFileSet(fs string) error            { return w.log(&w.creates, fs) }
-func (w *fakeWAL) LogDelta(_ uint64, fs string, _ Delta) error { return w.log(&w.deltas, fs) }
-func (w *fakeWAL) LogFlush(fs string, _ Image) error           { return w.log(&w.flushes, fs) }
-func (w *fakeWAL) LogDrop(fs string) error                     { return w.log(&w.drops, fs) }
-func (w *fakeWAL) Snapshot(func() map[string]Image) error      { return nil }
-func (w *fakeWAL) Close() error                                { return nil }
+// fakeWait is a queued delta's wait: durable once release is closed (at
+// once when nil).
+type fakeWait struct{ release chan struct{} }
+
+func (w fakeWait) Wait() error {
+	if w.release != nil {
+		<-w.release
+	}
+	return nil
+}
+
+func (w *fakeWAL) LogDelta(_ uint64, fs string, _ Delta) (LogWait, error) {
+	if err := w.log(&w.deltas, fs); err != nil {
+		return nil, err
+	}
+	return fakeWait{w.release}, nil
+}
+
+func (w *fakeWAL) LogCreateFileSet(fs string) error       { return w.log(&w.creates, fs) }
+func (w *fakeWAL) LogFlush(fs string, _ Image) error      { return w.log(&w.flushes, fs) }
+func (w *fakeWAL) LogDrop(fs string) error                { return w.log(&w.drops, fs) }
+func (w *fakeWAL) Snapshot(func() map[string]Image) error { return nil }
+func (w *fakeWAL) Close() error                           { return nil }
 
 func TestDurableInstallJournalsFlush(t *testing.T) {
 	wal := &fakeWAL{}
@@ -96,11 +121,45 @@ func TestDurableInstallJournalsFlush(t *testing.T) {
 	}
 }
 
-// TestDurableRebasesAfterFailedAppend: a delta the store took but the
-// journal did not leaves a hole replay could not cross, so the next flush
-// of that file set — and only that one — journals the whole image, and
-// the one after is a delta again.
-func TestDurableRebasesAfterFailedAppend(t *testing.T) {
+// TestDurableFlushIsTwoPhase: when FlushDelta returns, the image has the
+// delta at the new version and the entry is in the log's queue; only the
+// Commit's Wait blocks for durability, so a second flush can be started —
+// and queued behind the first — before the first is durable.
+func TestDurableFlushIsTwoPhase(t *testing.T) {
+	wal := &fakeWAL{release: make(chan struct{})}
+	d := NewDurable(NewStore(0), wal, 0)
+	if err := d.CreateFileSet("vol00"); err != nil {
+		t.Fatal(err)
+	}
+	v1, c1, err := d.FlushDelta(0, "vol00", Delta{Base: 1, Puts: map[string]Record{"/a": {Size: 1}}})
+	if err != nil || v1 != 2 {
+		t.Fatalf("first flush = %d, %v", v1, err)
+	}
+	v2, c2, err := d.FlushDelta(0, "vol00", Delta{Base: v1, Puts: map[string]Record{"/b": {Size: 2}}})
+	if err != nil || v2 != 3 {
+		t.Fatalf("second flush, started with the first still in flight = %d, %v", v2, err)
+	}
+	if im, _ := d.Load("vol00"); im.Version != 3 || len(im.Records) != 2 {
+		t.Fatalf("image before either commit = %+v, want both deltas at version 3", im)
+	}
+	if got, want := wal.deltas, []string{"vol00", "vol00"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("queued %v, want %v", got, want)
+	}
+	close(wal.release)
+	if err := c1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableFailedAppendIsNotRepaired: a delta the store took but the
+// journal refused comes back as the applied version WITH an error — the
+// caller adopts the version and keeps the paths dirty. The log has a hole
+// there and, failing stop, takes nothing above it: Durable journals no
+// image to paper over it, and every later flush is refused too.
+func TestDurableFailedAppendIsNotRepaired(t *testing.T) {
 	wal := &fakeWAL{}
 	d := NewDurable(NewStore(0), wal, 0)
 	for _, fs := range []string{"vol00", "vol01"} {
@@ -109,7 +168,11 @@ func TestDurableRebasesAfterFailedAppend(t *testing.T) {
 		}
 	}
 	put := func(fs, path string, base uint64) (uint64, error) {
-		return d.FlushDelta(0, fs, Delta{Base: base, Puts: map[string]Record{path: {Size: 1}}})
+		v, c, err := d.FlushDelta(0, fs, Delta{Base: base, Puts: map[string]Record{path: {Size: 1}}})
+		if err != nil {
+			return v, err
+		}
+		return v, c.Wait()
 	}
 	if v, err := put("vol00", "/a", 1); err != nil || v != 2 {
 		t.Fatalf("first delta = %d, %v", v, err)
@@ -119,24 +182,21 @@ func TestDurableRebasesAfterFailedAppend(t *testing.T) {
 	if err == nil || v != 3 {
 		t.Fatalf("failed append returned version %d, err %v; want the applied version 3 and an error", v, err)
 	}
-	if _, err := put("vol01", "/other", 1); err != nil {
-		t.Fatal(err)
+	if v, err := put("vol00", "/c", 3); err == nil || v != 4 {
+		t.Fatalf("flush after a failed append = %d, %v; want version 4 and the log's refusal", v, err)
 	}
-	if v, err := put("vol00", "/c", 3); err != nil || v != 4 {
-		t.Fatalf("re-base flush = %d, %v", v, err)
+	if _, err := put("vol01", "/other", 1); err == nil {
+		t.Fatal("another file set's flush was acknowledged by a failed log")
 	}
-	if v, err := put("vol00", "/d", 4); err != nil || v != 5 {
-		t.Fatalf("delta after re-base = %d, %v", v, err)
-	}
-	if got, want := wal.deltas, []string{"vol00", "vol01", "vol00"}; !reflect.DeepEqual(got, want) {
+	if got, want := wal.deltas, []string{"vol00"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("deltas journaled for %v, want %v", got, want)
 	}
-	if got, want := wal.flushes, []string{"vol00"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("images journaled for %v, want %v (one re-base)", got, want)
+	if len(wal.flushes) != 0 {
+		t.Errorf("images journaled for %v, want none (there is no re-base)", wal.flushes)
 	}
 	im, _ := d.Load("vol00")
-	if len(im.Records) != 4 || im.Version != 5 {
-		t.Errorf("store holds %+v, want /a../d at version 5", im)
+	if len(im.Records) != 3 || im.Version != 4 {
+		t.Errorf("store holds %+v, want /a../c at version 4", im)
 	}
 }
 

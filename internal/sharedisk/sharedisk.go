@@ -53,14 +53,18 @@ type Disk interface {
 	CreateFileSet(fileSet string) error
 	FileSets() []string
 	Load(fileSet string) (Image, error)
-	// FlushDelta writes a file set's dirty records back. d.Base is the
-	// version the caller loaded or last flushed; a mismatch means another
-	// server flushed in between and nothing is applied. trace attributes
-	// the flush to a client request (0 = untraced). A non-zero newVersion
-	// returned WITH an error means the image took the delta but the flush
-	// is not durable: the caller adopts newVersion, keeps the delta's
-	// paths dirty, and flushes again.
-	FlushDelta(trace uint64, fileSet string, d Delta) (newVersion uint64, err error)
+	// FlushDelta writes a file set's dirty records back, in two phases.
+	// When it returns without error the image has taken the delta at
+	// newVersion — any server loading it sees the records — and the flush
+	// has its place in the disk's log; c.Wait() then blocks until it is
+	// durable. d.Base is the version the caller loaded or last flushed; a
+	// mismatch means another server flushed in between and nothing is
+	// applied. trace attributes the flush to a client request (0 =
+	// untraced). A non-zero newVersion returned WITH an error, or any error
+	// from c.Wait(), means the image took the delta but the flush is not
+	// durable: the caller adopts newVersion, keeps the delta's paths dirty,
+	// and flushes again. d is not kept past the return.
+	FlushDelta(trace uint64, fileSet string, d Delta) (newVersion uint64, c Commit, err error)
 	Version(fileSet string) (uint64, error)
 }
 
@@ -220,14 +224,15 @@ func (s *Store) Flush(fileSet string, im Image) (newVersion uint64, err error) {
 
 // FlushDelta applies d to the file set's image in place — the store never
 // hands out aliases of its record maps, so no copy is needed — and steps
-// the version. The in-memory disk has nothing to trace.
-func (s *Store) FlushDelta(_ uint64, fileSet string, d Delta) (newVersion uint64, err error) {
+// the version. The in-memory disk has nothing to trace and nothing to wait
+// for: its Commit is the zero one.
+func (s *Store) FlushDelta(_ uint64, fileSet string, d Delta) (newVersion uint64, c Commit, err error) {
 	s.sleep()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, err := s.current(fileSet, d.Base)
 	if err != nil {
-		return 0, err
+		return 0, Commit{}, err
 	}
 	for path, rec := range d.Puts {
 		cur.Records[path] = rec
@@ -237,7 +242,7 @@ func (s *Store) FlushDelta(_ uint64, fileSet string, d Delta) (newVersion uint64
 	}
 	cur.Version++
 	s.images[fileSet] = cur
-	return cur.Version, nil
+	return cur.Version, Commit{}, nil
 }
 
 // Version reports a file set's current image version.

@@ -73,12 +73,15 @@ func TestFlushDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	puts := map[string]Record{"/a": {Size: 1}, "/b": {Size: 2}}
-	v, err := s.FlushDelta(0, "fs1", Delta{Base: 1, Puts: puts})
+	v, c, err := s.FlushDelta(0, "fs1", Delta{Base: 1, Puts: puts})
 	if err != nil || v != 2 {
 		t.Fatalf("FlushDelta = %d, %v; want version 2", v, err)
 	}
 	puts["/a"] = Record{Size: 99} // the store copied the records, not the map
-	v, err = s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/c": {Size: 3}}, Removes: []string{"/b", "/never"}})
+	if err := c.Wait(); err != nil {
+		t.Fatalf("the in-memory store's commit has nothing to wait for, got %v", err)
+	}
+	v, _, err = s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/c": {Size: 3}}, Removes: []string{"/b", "/never"}})
 	if err != nil || v != 3 {
 		t.Fatalf("FlushDelta = %d, %v; want version 3", v, err)
 	}
@@ -86,10 +89,10 @@ func TestFlushDelta(t *testing.T) {
 	if got, _ := s.Load("fs1"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("image after deltas = %+v, want %+v", got, want)
 	}
-	if v, err := s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/stale": {}}}); err == nil || v != 0 {
+	if v, _, err := s.FlushDelta(0, "fs1", Delta{Base: 2, Puts: map[string]Record{"/stale": {}}}); err == nil || v != 0 {
 		t.Fatalf("stale delta = %d, %v; want refused", v, err)
 	}
-	if _, err := s.FlushDelta(0, "nope", Delta{Base: 1}); err == nil {
+	if _, _, err := s.FlushDelta(0, "nope", Delta{Base: 1}); err == nil {
 		t.Fatal("delta to an unknown file set succeeded")
 	}
 	if got, _ := s.Load("fs1"); !reflect.DeepEqual(got, want) {
