@@ -75,7 +75,7 @@ func (f *flush) wait() error {
 			f.st.remark(f.d)
 			f.s.mu.Unlock()
 		}
-		f.d = sharedisk.Delta{}
+		f.d, f.commit = sharedisk.Delta{}, sharedisk.Commit{} // done with both; the log's request is pooled
 	})
 	return f.err
 }
