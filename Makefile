@@ -23,15 +23,15 @@ $(ANUFSVET): FORCE
 # fuzz-smoke replays the committed corpora and fuzzes briefly, as CI does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRequestDecode -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzResponseDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzTaggedFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterMap -fuzztime 10s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
 
-# bench-alloc measures the marked hot paths (wire fast codec, journal
+# bench-alloc measures the marked hot paths (the wire body codec, journal
 # image and delta frame encoding, the journal's enqueue + wait) and enforces
-# the 0 allocs/op budget via cmd/allocguard, as CI does. Baseline benchmarks
-# (encoding/json comparison) are exempt.
+# the 0 allocs/op budget via cmd/allocguard, as CI does.
 bench-alloc:
 	$(GO) test -run=NONE -bench='BenchmarkEncode|BenchmarkLogDeltaEnqueueWait' -benchmem ./internal/wire/ ./internal/journal/ \
 		| tee bench_alloc.txt

@@ -1,18 +1,16 @@
 // Command allocguard enforces zero-allocation budgets from `go test
 // -bench -benchmem` output. It reads benchmark lines from stdin (or from
-// a file argument), selects the benchmarks matching -match, drops any
-// whose name matches -exempt, and exits nonzero if any selected line
-// reports a nonzero allocs/op — or if nothing matched at all, so a
-// renamed benchmark cannot silently dodge the guard.
+// a file argument), selects the benchmarks matching -match, and exits
+// nonzero if any selected line reports a nonzero allocs/op — or if nothing
+// matched at all, so a renamed benchmark cannot silently dodge the guard.
 //
 // Usage:
 //
 //	go test -run=NONE -bench=BenchmarkEncode -benchmem ./internal/wire/ | allocguard
-//	allocguard -match '^BenchmarkEncode' -exempt Baseline bench.txt
+//	allocguard -match '^BenchmarkEncode' bench.txt
 //
-// The defaults fit this repository's hot-path codec benchmarks: every
-// BenchmarkEncode* must be allocation-free except the *Baseline
-// variants, which measure encoding/json on purpose for comparison.
+// The default fits this repository's hot-path codec benchmarks: every
+// BenchmarkEncode* must be allocation-free.
 package main
 
 import (
@@ -28,20 +26,12 @@ import (
 
 func main() {
 	match := flag.String("match", "^BenchmarkEncode", "regexp selecting benchmark names to enforce")
-	exempt := flag.String("exempt", "Baseline", "regexp of matched names to skip (intentionally allocating comparisons); empty exempts none")
 	flag.Parse()
 
 	matchRE, err := regexp.Compile(*match)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "allocguard: bad -match: %v\n", err)
 		os.Exit(2)
-	}
-	var exemptRE *regexp.Regexp
-	if *exempt != "" {
-		if exemptRE, err = regexp.Compile(*exempt); err != nil {
-			fmt.Fprintf(os.Stderr, "allocguard: bad -exempt: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	in := io.Reader(os.Stdin)
@@ -72,9 +62,6 @@ func main() {
 			name = name[:i]
 		}
 		if !matchRE.MatchString(name) {
-			continue
-		}
-		if exemptRE != nil && exemptRE.MatchString(name) {
 			continue
 		}
 		checked++

@@ -1,6 +1,6 @@
 // Command anufsvet is the repository's invariant checker: a
 // multichecker over the custom analyzers in internal/analysis
-// (simdeterminism, journalkinds, wireops, lockdiscipline,
+// (simdeterminism, journalkinds, lockdiscipline,
 // hotpathalloc, goroutinelife, errcode — plus the implicit
 // allowhygiene checks on //anufs:allow annotations).
 //

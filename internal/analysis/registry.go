@@ -6,7 +6,6 @@ func Registry() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
 		JournalKinds,
-		WireOps,
 		LockDiscipline,
 		HotPathAlloc,
 		GoroutineLife,

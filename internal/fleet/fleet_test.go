@@ -473,3 +473,25 @@ func TestAdoptIdempotentRetry(t *testing.T) {
 		t.Fatalf("retry re-ran the adopt: counter %d -> %d", adopts, n)
 	}
 }
+
+// TestMemberServesEveryFleetClassOp: the wire server hands every op of a
+// fleet class (wire.Class.Fleet) to Member.Fleet, so a row added to
+// wire.Ops under one of those classes without an arm here would die in the
+// default arm at runtime — it fails this test instead.
+func TestMemberServesEveryFleetClassOp(t *testing.T) {
+	f := startFleet(t, []float64{1}, nil)
+	m := f.daemons[0].member
+	for _, info := range wire.Ops {
+		if !info.Class.Fleet() {
+			continue
+		}
+		// Daemon 99 is nobody: the membership ops answer their own errors.
+		resp := m.Fleet(wire.Request{Op: info.Op, Daemon: 99})
+		if strings.Contains(resp.Err, "unknown fleet op") {
+			t.Errorf("%s (class %d): %s", info.Op, info.Class, resp.Err)
+		}
+	}
+	if resp := m.Fleet(wire.Request{Op: wire.OpStat}); !strings.Contains(resp.Err, "unknown fleet op") {
+		t.Errorf("an op of no fleet class answered %+v", resp)
+	}
+}

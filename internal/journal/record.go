@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"anufs/internal/binenc"
 	"anufs/internal/sharedisk"
 )
 
@@ -99,7 +100,7 @@ func nextFrame(data []byte) (payload []byte, n int, ok bool) {
 // paths, sorted like the records. keys is sort scratch (see appendImage).
 func appendEntry(dst []byte, e Entry, keys *[]string) []byte {
 	dst = append(dst, byte(e.Kind))
-	dst = appendString(dst, e.FileSet)
+	dst = binenc.AppendString(dst, e.FileSet)
 	switch e.Kind {
 	case KindFlush:
 		dst = appendImage(dst, e.Image, keys)
@@ -109,7 +110,7 @@ func appendEntry(dst []byte, e Entry, keys *[]string) []byte {
 		slices.Sort(removed)
 		dst = binary.AppendUvarint(dst, uint64(len(removed)))
 		for _, path := range removed {
-			dst = appendString(dst, path)
+			dst = binenc.AppendString(dst, path)
 		}
 		*keys = release(removed)
 	}
@@ -140,31 +141,26 @@ func appendEntryFrame(dst []byte, e Entry, keys *[]string) []byte {
 // decodeEntry parses an entry payload. It never panics: any malformed input
 // yields ErrCorrupt.
 func decodeEntry(payload []byte) (Entry, error) {
-	c := &cursor{b: payload}
-	e := Entry{Kind: EntryKind(c.u8())}
-	e.FileSet = c.str()
+	c := &binenc.Cursor{B: payload}
+	e := Entry{Kind: EntryKind(c.U8())}
+	e.FileSet = c.Str()
 	switch e.Kind {
 	case KindCreateFileSet, KindDrop:
 	case KindFlush:
-		e.Image = c.image()
+		e.Image = decodeImage(c)
 	case KindDelta:
-		e.Image = c.image()
-		e.Removed = c.strs()
+		e.Image = decodeImage(c)
+		e.Removed = decodeStrings(c)
 	default:
 		return Entry{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, e.Kind)
 	}
-	if c.err != nil {
-		return Entry{}, c.err
+	if c.Bad {
+		return Entry{}, ErrCorrupt
 	}
-	if c.off != len(c.b) {
-		return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.b)-c.off)
+	if c.Len() != 0 {
+		return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, c.Len())
 	}
 	return e, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // release empties sort scratch for its next use, so that it does not pin
@@ -190,7 +186,7 @@ func appendImage(dst []byte, im sharedisk.Image, keys *[]string) []byte {
 	slices.Sort(paths)
 	for _, path := range paths {
 		rec := im.Records[path]
-		dst = appendString(dst, path)
+		dst = binenc.AppendString(dst, path)
 		dst = binary.AppendVarint(dst, rec.Size)
 		dst = binary.AppendUvarint(dst, uint64(rec.Mode))
 		if rec.ModTime.IsZero() {
@@ -199,111 +195,41 @@ func appendImage(dst []byte, im sharedisk.Image, keys *[]string) []byte {
 			dst = append(dst, 1)
 			dst = binary.AppendVarint(dst, rec.ModTime.UnixNano())
 		}
-		dst = appendString(dst, rec.Owner)
+		dst = binenc.AppendString(dst, rec.Owner)
 	}
 	*keys = release(paths)
 	return dst
 }
 
-// cursor is a bounds-checked little decoder: the first failure latches in
-// err and every subsequent read returns zero values.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = ErrCorrupt
-	}
-}
-
-func (c *cursor) u8() uint8 {
-	if c.err != nil || c.off >= len(c.b) {
-		c.fail()
-		return 0
-	}
-	v := c.b[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) str() string {
-	ln := c.uvarint()
-	if c.err != nil || ln > uint64(len(c.b)-c.off) {
-		c.fail()
-		return ""
-	}
-	s := string(c.b[c.off : c.off+int(ln)])
-	c.off += int(ln)
-	return s
-}
-
-// strs decodes a counted string list.
-func (c *cursor) strs() []string {
-	n := c.uvarint()
-	// Each string needs at least its length byte; reject counts that cannot
-	// fit before allocating.
-	if c.err != nil || n > uint64(len(c.b)-c.off) {
-		c.fail()
-		return nil
-	}
+// decodeStrings decodes a counted string list.
+func decodeStrings(c *binenc.Cursor) []string {
+	n := c.Count()
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		out = append(out, c.str())
+	for i := 0; i < n && !c.Bad; i++ {
+		out = append(out, c.Str())
 	}
 	return out
 }
 
-func (c *cursor) image() sharedisk.Image {
-	im := sharedisk.Image{Version: c.uvarint()}
-	n := c.uvarint()
-	// Each record needs at least a few bytes; reject counts that cannot fit
-	// before allocating.
-	if c.err != nil || n > uint64(len(c.b)-c.off) {
-		c.fail()
+func decodeImage(c *binenc.Cursor) sharedisk.Image {
+	im := sharedisk.Image{Version: c.Uvarint()}
+	n := c.Count()
+	if c.Bad {
 		return sharedisk.Image{}
 	}
 	im.Records = make(map[string]sharedisk.Record, n)
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		path := c.str()
+	for i := 0; i < n && !c.Bad; i++ {
+		path := c.Str()
 		var rec sharedisk.Record
-		rec.Size = c.varint()
-		rec.Mode = uint32(c.uvarint())
-		if c.u8() != 0 {
-			rec.ModTime = timeFromUnixNano(c.varint())
+		rec.Size = c.Varint()
+		rec.Mode = uint32(c.Uvarint())
+		if c.U8() != 0 {
+			rec.ModTime = timeFromUnixNano(c.Varint())
 		}
-		rec.Owner = c.str()
+		rec.Owner = c.Str()
 		im.Records[path] = rec
 	}
 	return im

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"anufs/internal/binenc"
 	"anufs/internal/sharedisk"
 )
 
@@ -124,7 +125,7 @@ func encodeImages(images map[string]sharedisk.Image) []byte {
 	slices.Sort(fileSets)
 	var keys []string
 	for _, fs := range fileSets {
-		buf = appendString(buf, fs)
+		buf = binenc.AppendString(buf, fs)
 		buf = appendImage(buf, images[fs], &keys)
 	}
 	return buf
@@ -132,21 +133,21 @@ func encodeImages(images map[string]sharedisk.Image) []byte {
 
 // decodeImages parses a full store cut; ErrCorrupt on any malformation.
 func decodeImages(payload []byte) (map[string]sharedisk.Image, error) {
-	c := &cursor{b: payload}
-	n := c.uvarint()
-	if c.err != nil || n > uint64(len(c.b)-c.off) {
+	c := &binenc.Cursor{B: payload}
+	n := c.Count()
+	if c.Bad {
 		return nil, ErrCorrupt
 	}
 	images := make(map[string]sharedisk.Image, n)
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		fs := c.str()
-		images[fs] = c.image()
+	for i := 0; i < n && !c.Bad; i++ {
+		fs := c.Str()
+		images[fs] = decodeImage(c)
 	}
-	if c.err != nil {
-		return nil, c.err
+	if c.Bad {
+		return nil, ErrCorrupt
 	}
-	if c.off != len(c.b) {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.b)-c.off)
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, c.Len())
 	}
 	return images, nil
 }

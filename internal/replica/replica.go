@@ -71,14 +71,16 @@ const (
 
 	// Per-ship batch bounds: enough to amortize the round trip, small
 	// enough to keep ack latency (and therefore sync write latency) flat.
-	maxShipEntries = 512
+	maxShipEntries = wire.MaxShipEntries
 	maxShipBytes   = 1 << 20
 
 	// maxShipFrame is the frame-payload ceiling of the replication hop —
-	// the standby's listener and the shipper's connection. A snapshot ship
-	// carries a full base64 store cut in one frame: the ceiling of a
-	// journal frame plus base64+JSON overhead.
-	maxShipFrame = 96 << 20
+	// the standby's listener and the shipper's connection. The largest
+	// thing a ship carries is one journal frame's worth of raw bytes (a
+	// snapshot cut, or a single entry that alone exceeds maxShipBytes): the
+	// journal's 64 MiB frame ceiling, plus 1 MiB for the body's own fields
+	// (at most maxShipEntries sequence/trace/length prefixes).
+	maxShipFrame = 65 << 20
 
 	// shipTimeout is the shipper's per-call deadline (and connect bound):
 	// snapshot ships can be large, so calls get a generous deadline instead

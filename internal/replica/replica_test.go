@@ -349,13 +349,13 @@ func TestSnapshotShipAboveTheClientCeiling(t *testing.T) {
 	recv, addr := startStandby(t, t.TempDir(), ReceiverOptions{})
 	big := sharedisk.Image{Version: 1, Records: map[string]sharedisk.Record{}}
 	owner := strings.Repeat("o", 1<<10)
-	for i := 0; i < 13<<10; i++ { // 13 MiB raw, above 16 MiB once base64-framed
+	for i := 0; i < 17<<10; i++ { // 17 MiB of owners: the cut travels raw
 		big.Records[fmt.Sprintf("/f%05d", i)] = sharedisk.Record{Size: int64(i), Owner: owner}
 	}
 	images := map[string]sharedisk.Image{"fs00": big}
 	snap := journal.EncodeImages(images)
-	if framed := len(snap) * 4 / 3; framed <= wire.MaxFramePayload {
-		t.Fatalf("snapshot frames to ~%d bytes, not above the %d client ceiling", framed, wire.MaxFramePayload)
+	if len(snap) <= wire.MaxFramePayload {
+		t.Fatalf("snapshot is %d bytes, not above the %d client ceiling", len(snap), wire.MaxFramePayload)
 	}
 
 	small, err := wire.Dial(addr)
@@ -517,4 +517,20 @@ func BenchmarkShipThroughput(b *testing.B) {
 	waitAcked(b, ship, jnl.DurableSeq())
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+// TestReceiverServesEveryStandbyOp: a row of wire.Ops under ClassStandby is
+// a promise that the standby serves it; one the receiver has no arm for is
+// refused as "replication only" and fails here.
+func TestReceiverServesEveryStandbyOp(t *testing.T) {
+	recv, _ := startStandby(t, t.TempDir(), ReceiverOptions{})
+	for _, info := range wire.Ops {
+		resp := recv.handle(wire.Request{Op: info.Op})
+		refused := strings.Contains(resp.Err, "standby serves replication only")
+		// Beside its own class the standby answers trace pulls: it is a hop in
+		// the fleet's traces.
+		if want := info.Class != wire.ClassStandby && info.Op != wire.OpTracePull; refused != want {
+			t.Errorf("%s (class %d): refused = %v, want %v (%q)", info.Op, info.Class, refused, want, resp.Err)
+		}
+	}
 }

@@ -310,20 +310,6 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 			return fail(err)
 		}
 		return resp
-	case wire.OpAssign, wire.OpRebalance,
-		wire.OpVolumeCreate, wire.OpVolumeDelete, wire.OpVolumeList,
-		wire.OpVolumeSetQuota, wire.OpVolumeSetPolicy:
-		// Authority-only: forward verbatim, then mark the map cache stale
-		// up to the answered epoch so every later map read (ours and our
-		// peers', via peer refresh) reaches it.
-		out, err := g.authorityCall(req)
-		if err != nil && out.Err == "" {
-			return fail(err)
-		}
-		if out.Epoch > 0 {
-			g.router.Maps().Invalidate(out.Epoch)
-		}
-		return out
 	case wire.OpCreateFileSet:
 		// Placement-aware create: unplaced file sets are assigned by the
 		// authority first, which plain forwarding cannot do.
@@ -331,10 +317,6 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 			return fail(err)
 		}
 		return resp
-	case wire.OpMount, wire.OpUnmount:
-		// Mount tables are per-daemon state: broadcast so every daemon
-		// resolves the same namespace. First error wins, all attempted.
-		return g.broadcast(req)
 	case wire.OpResolve:
 		return g.anyDaemon(req)
 	case wire.OpPCreate, wire.OpPStat, wire.OpPRemove:
@@ -408,10 +390,36 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 		}
 		return resp
 	}
-	if req.FileSet == "" {
-		return fail(errNotRoutable)
+	// Every other op is handled by its routing class alone.
+	info, _ := wire.Lookup(req.Op)
+	switch info.Class {
+	case wire.ClassAuthority:
+		// Forward verbatim, then mark the map cache stale up to the answered
+		// epoch so every later map read (ours and our peers', via peer
+		// refresh) reaches it.
+		out, err := g.authorityCall(req)
+		if err != nil && out.Err == "" {
+			return fail(err)
+		}
+		if out.Epoch > 0 {
+			g.router.Maps().Invalidate(out.Epoch)
+		}
+		return out
+	case wire.ClassBroadcast:
+		// State every daemon keeps its own copy of (the mount table): apply
+		// it everywhere so every daemon resolves the same namespace. First
+		// error wins, all attempted.
+		return g.broadcast(req)
+	case wire.ClassOwner:
+		if req.FileSet != "" {
+			return g.forward(req)
+		}
 	}
-	return g.forward(req)
+	// What is left has no route through a gateway: per-daemon data
+	// (ClassLocal ops the gateway does not answer itself), the fleet's own
+	// member-to-member and replication traffic, which is never relayed for a
+	// client whatever file set it names, and ops the table does not hold.
+	return fail(errNotRoutable)
 }
 
 // forward routes a file-set-addressed request to its owner, relaying
@@ -481,6 +489,6 @@ func (e gwError) Error() string { return string(e) }
 
 const (
 	errNoMap       = gwError("sdk: no cluster map available")
-	errNotRoutable = gwError("sdk: operation has no file set to route by (connect to a daemon directly)")
+	errNotRoutable = gwError("sdk: operation has no route through a gateway: no file set to route by, or an op only a daemon serves (connect to one directly)")
 	errNoSession   = gwError("sdk: unknown lock session (register through this gateway first)")
 )

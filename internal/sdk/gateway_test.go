@@ -176,6 +176,66 @@ func TestTypedErrorsSurviveGateway(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesFleetInternalOps: the fleet's member-to-member and
+// replication ops are never relayed for a client. The gateway used to
+// forward any op it had no arm for to the owner of Request.FileSet, so a
+// client-sent adopt or handoff naming a file set landed in a daemon.
+func TestGatewayRefusesFleetInternalOps(t *testing.T) {
+	f := startFleet(t, 2)
+	_, addr := startGateway(t, f)
+	pool := NewPool(addr, Options{PoolSize: 1, HealthInterval: -1})
+	defer pool.Close()
+	if _, err := pool.Call(wire.Request{Op: wire.OpCreateFileSet, FileSet: "vol00"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []wire.Op{wire.OpAdopt, wire.OpHandoff, wire.OpTakeover, wire.OpJoin, wire.OpLeave,
+		wire.OpHeartbeat, wire.OpShip, wire.OpShipStatus} {
+		resp, err := pool.Call(wire.Request{Op: op, FileSet: "vol00", Daemon: 1, Epoch: 99, Addr: "127.0.0.1:1"})
+		if err == nil || resp.Err != string(errNotRoutable) {
+			t.Errorf("%s through the gateway = %q (%v), want it refused as not routable", op, resp.Err, err)
+		}
+	}
+}
+
+// TestGatewayRoutesEveryOpByClass sends the gateway one request per row of
+// wire.Ops, each naming a placed file set. What the gateway does with an op
+// it has no arm of its own for follows from the op's class alone, so a new
+// row is forwarded, broadcast or refused the day it is added — and a new
+// class with no expectation below fails here.
+func TestGatewayRoutesEveryOpByClass(t *testing.T) {
+	f := startFleet(t, 2)
+	gw, _ := startGateway(t, f)
+	if resp := gw.route(wire.Request{Op: wire.OpCreateFileSet, FileSet: "vol00"}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	// The ClassLocal ops that mean something at a gateway; the rest are a
+	// daemon's own data.
+	answersItself := map[wire.Op]bool{wire.OpPing: true, wire.OpTrace: true, wire.OpTracePull: true,
+		wire.OpRegister: true, wire.OpRenew: true, wire.OpResolve: true}
+	for _, info := range wire.Ops {
+		resp := gw.route(wire.Request{Op: info.Op, FileSet: "vol00", Path: "/a", Prefix: "/mnt/x", Daemon: 99})
+		refused := resp.Err == string(errNotRoutable)
+		var want bool
+		switch info.Class {
+		case wire.ClassOwner, wire.ClassAuthority, wire.ClassBroadcast, wire.ClassMap:
+			want = false
+		case wire.ClassMember, wire.ClassStandby:
+			want = true
+		case wire.ClassLocal:
+			want = !answersItself[info.Op]
+		default:
+			t.Errorf("%s: class %d has no routing expectation", info.Op, info.Class)
+			continue
+		}
+		if refused != want {
+			t.Errorf("%s (class %d): refused as not routable = %v, want %v (%q)", info.Op, info.Class, refused, want, resp.Err)
+		}
+	}
+	if resp := gw.route(wire.Request{Op: "bogus", FileSet: "vol00"}); resp.Err != string(errNotRoutable) {
+		t.Errorf("an op outside the table answered %+v", resp)
+	}
+}
+
 // TestWrongOwnerSurvivesGateway: when the gateway's router cannot converge
 // (the owner rejects under an epoch no map source ever reaches), the
 // client behind it gets a wrong-owner error carrying that epoch.

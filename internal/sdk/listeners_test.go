@@ -1,7 +1,6 @@
 package sdk
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -57,7 +56,7 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 			return ws[wire.CtrBadFrames]
 		}},
 		{"gateway", gwAddr, wire.MaxFramePayload, func() int64 { return gw.counters.Get(CtrGwBadFrames) }},
-		{"standby", standbyAddr, 96 << 20, func() int64 { return recv.Counters().Get("replica_recv_bad_frames") }},
+		{"standby", standbyAddr, 65 << 20, func() int64 { return recv.Counters().Get("replica_recv_bad_frames") }},
 	}
 	// closedPromptly reports whether the server hung up (EOF, or a reset
 	// when it left bytes unread) rather than the read deadline passing.
@@ -111,13 +110,32 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 				t.Fatalf("an oversized length field counted %d bad frames, want 1", got)
 			}
 
+			// A version-1 header (the framing that carried JSON bodies): the
+			// peer is refused at the header — one bad frame, connection closed —
+			// not answered frame by frame.
+			before = l.badFrames()
+			conn = dial()
+			wire.PutFrameHeader(hdr[:], wire.FrameRequest, 1, 0)
+			hdr[2] = 1
+			if _, err := conn.Write(hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := closedPromptly(conn); err != nil {
+				t.Fatalf("after a version-1 header: %v", err)
+			}
+			if got := l.badFrames() - before; got != 1 {
+				t.Fatalf("a version-1 header counted %d bad frames, want 1", got)
+			}
+
 			// Garbage inside an intact frame: an error reply under the same
 			// tag, and the connection keeps serving.
 			before = l.badFrames()
 			conn = dial()
 			fw, fr := wire.NewFrameWriter(conn, l.ceiling), wire.NewFrameReader(conn, l.ceiling)
 			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := fw.WriteFrame(wire.FrameRequest, 7, []byte("{nonsense")); err != nil {
+			ping, _ := wire.AppendRequest(nil, &wire.Request{ID: 8, Op: wire.OpPing})
+			garbage := append(append([]byte(nil), ping...), 0xff, 0xff, 0xff) // a field tag no field carries
+			if err := fw.WriteFrame(wire.FrameRequest, 7, garbage); err != nil {
 				t.Fatal(err)
 			}
 			kind, tag, payload, err := fr.ReadFrame()
@@ -125,13 +143,13 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 				t.Fatalf("reply to a garbage payload = kind %d tag %d, %v", kind, tag, err)
 			}
 			var resp wire.Response
-			if err := json.Unmarshal(payload, &resp); err != nil || !strings.Contains(resp.Err, "bad frame") {
-				t.Fatalf("reply to a garbage payload = %+v, %v", resp, err)
+			if ok := new(wire.Decoder).DecodeResponse(payload, &resp); !ok || !strings.Contains(resp.Err, "bad frame") {
+				t.Fatalf("reply to a garbage payload = %+v (decoded %v)", resp, ok)
 			}
 			if got := l.badFrames() - before; got != 1 {
 				t.Fatalf("a garbage payload counted %d bad frames, want 1", got)
 			}
-			if err := fw.WriteFrame(wire.FrameRequest, 8, []byte(`{"id":8,"op":"ping"}`)); err != nil {
+			if err := fw.WriteFrame(wire.FrameRequest, 8, ping); err != nil {
 				t.Fatal(err)
 			}
 			if _, tag, _, err := fr.ReadFrame(); err != nil || tag != 8 {

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -120,32 +118,24 @@ func (c *Client) Close() error {
 func (c *Client) readLoop(fr *FrameReader) {
 	defer close(c.done)
 	var dec Decoder
-	var resp Response // reused across frames for the fast decoder's string reuse
 	for {
 		kind, tag, payload, err := fr.ReadFrame()
 		if err != nil || kind != FrameResponse {
 			break // framing is not trustworthy anymore
 		}
-		fast := dec.DecodeResponse(payload, &resp)
-		if !fast {
-			resp = Response{}
-			if err := json.Unmarshal(payload, &resp); err != nil {
-				continue // intact framing, broken payload: let the call time out
-			}
+		// A response of its own per frame: the waiter owns all of it.
+		var resp Response
+		if !dec.DecodeResponse(payload, &resp) {
+			// Intact framing, broken body: the header still names the call,
+			// so fail that call now instead of letting it wait out its deadline.
+			resp = Response{ID: tag, Err: "wire: malformed response body"}
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[tag]
 		delete(c.pending, tag)
 		c.mu.Unlock()
 		if ok {
-			delivered := resp
-			if fast && delivered.Record != nil {
-				// The fast decoder's Record points into its scratch, which
-				// the next frame overwrites; the waiter gets its own copy.
-				rec := *delivered.Record
-				delivered.Record = &rec
-			}
-			ch <- delivered
+			ch <- resp
 		}
 	}
 	c.mu.Lock()
@@ -158,11 +148,9 @@ func (c *Client) readLoop(fr *FrameReader) {
 }
 
 // sendRequest encodes and writes one request frame under the write lock,
-// reusing the connection's encode buffer; requests the fast encoder
-// cannot represent fall back to encoding/json — through an Encoder into
-// the same buffer, because json.Marshal would hand every ship and batch
-// a fresh copy of its payload. The flush per frame keeps latency flat at
-// low depth; at high depth the kernel coalesces the small writes anyway.
+// reusing the connection's encode buffer. The flush per frame keeps latency
+// flat at low depth; at high depth the kernel coalesces the small writes
+// anyway.
 //
 //anufs:hotpath
 func (c *Client) sendRequest(tag uint64, req *Request) error {
@@ -170,12 +158,7 @@ func (c *Client) sendRequest(tag uint64, req *Request) error {
 	defer c.writeMu.Unlock()
 	payload, ok := AppendRequest(c.encBuf[:0], req)
 	if !ok {
-		buf := bytes.NewBuffer(c.encBuf[:0])
-		if err := json.NewEncoder(buf).Encode(req); err != nil {
-			return err
-		}
-		payload = buf.Bytes()
-		payload = payload[:len(payload)-1] // Encode ends the document with '\n'
+		return errUnencodable
 	}
 	if cap(payload) <= maxKeptEncodeBuf {
 		c.encBuf = payload
@@ -185,6 +168,10 @@ func (c *Client) sendRequest(tag uint64, req *Request) error {
 	}
 	return c.bw.Flush()
 }
+
+// errUnencodable fails a call whose request has no wire encoding: an op the
+// Ops table does not hold.
+var errUnencodable = errors.New("wire: request has no encoding (op not in the op table)")
 
 // call sends a request and waits for its response; concurrent calls share
 // the connection and complete independently.
@@ -211,6 +198,9 @@ func (c *Client) call(req Request) (Response, error) {
 		c.mu.Lock()
 		delete(c.pending, tag)
 		c.mu.Unlock()
+		if err == errUnencodable {
+			return Response{}, err // nothing was written: the connection is fine
+		}
 		return Response{}, fmt.Errorf("%w: %w", ErrSendFailed, err)
 	}
 	d := time.Duration(c.timeout.Load())
@@ -436,6 +426,9 @@ func (c *Client) Ping() error {
 // err reports transport or whole-batch failures only (per-item errors are
 // in the results).
 func (c *Client) Batch(fileSet string, durable bool, items []BatchItem) ([]BatchResult, error) {
+	if len(items) > MaxBatchItems {
+		return nil, fmt.Errorf("wire: batch of %d items exceeds the limit of %d", len(items), MaxBatchItems)
+	}
 	resp, err := c.call(Request{Op: OpBatch, FileSet: fileSet, Durable: durable, Batch: items})
 	if err != nil {
 		return nil, err

@@ -151,20 +151,8 @@ type FleetHandler interface {
 	// flushes. Rejections are *WrongOwnerError (not ours under this map),
 	// ErrArriving (ours, adoption pending), or a plain error (unplaced).
 	Gate(op Op, fileSet string) (release func(), err error)
-	// Fleet serves the fleet ops (map, map-epoch, adopt, handoff, assign,
-	// rebalance) and the membership/failover ops (join, leave, heartbeat,
-	// takeover). The returned Response's ID is overwritten by the server.
+	// Fleet serves every op whose Class.Fleet() is true: the cluster-map
+	// reads, the member-to-member ops and the authority-only ops. The
+	// returned Response's ID is overwritten by the server.
 	Fleet(req Request) Response
-}
-
-// gatedOp reports whether an op is addressed to a single file set and must
-// pass the fleet gate. Namespace P-ops resolve through the per-daemon mount
-// table and are not fleet-routed (documented out of scope in fleet mode);
-// observability and replication ops are daemon-local by design.
-func gatedOp(op Op) bool {
-	switch op {
-	case OpCreateFileSet, OpCreate, OpStat, OpUpdate, OpRemove, OpList, OpLock, OpUnlock:
-		return true
-	}
-	return false
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -47,14 +46,11 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 		writeMu.Lock()
 		defer writeMu.Unlock()
 		payload, ok := AppendResponse(encBuf[:0], &resp)
-		if ok {
+		if !ok {
+			payload, _ = AppendResponse(encBuf[:0], &Response{ID: resp.ID, Err: "wire: unencodable response"})
+		}
+		if cap(payload) <= maxKeptEncodeBuf {
 			encBuf = payload
-		} else {
-			var err error
-			payload, err = json.Marshal(resp)
-			if err != nil {
-				payload = []byte(`{"err":"wire: unencodable response"}`)
-			}
 		}
 		// Write errors surface as the reader's EOF.
 		if fw.WriteFrame(FrameResponse, tag, payload) == nil {
@@ -63,7 +59,6 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 	}
 	fr := NewFrameReader(bufio.NewReaderSize(conn, connBufBytes), maxPayload)
 	var dec Decoder
-	var req Request // reused across frames so the fast decoder can reuse its strings
 	for {
 		kind, tag, payload, err := fr.ReadFrame()
 		if err != nil {
@@ -76,30 +71,24 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 			f.badFrame()
 			return
 		}
+		// Each request is decoded into a struct of its own: the handler
+		// goroutine owns every byte of it, and nothing aliases the frame
+		// reader's buffer or the next request.
+		var req Request
 		if !dec.DecodeRequest(payload, &req) {
-			req = Request{}
-			if err := json.Unmarshal(payload, &req); err != nil {
-				// Framing is intact (the length field delimited the payload);
-				// answer the tag and keep the connection.
-				f.badFrame()
-				send(tag, Response{Err: "bad frame: " + err.Error()})
-				continue
-			}
-		}
-		dispatched := req
-		if dispatched.Record == &dec.rec {
-			// The fast decoder's Record lives in its scratch, which the next
-			// frame overwrites; the handler goroutine gets its own copy.
-			rec := *dispatched.Record
-			dispatched.Record = &rec
+			// Framing is intact (the length field delimited the payload);
+			// answer the tag and keep the connection.
+			f.badFrame()
+			send(tag, Response{Err: "bad frame: malformed request body"})
+			continue
 		}
 		reqWG.Add(1)
 		f.inflight(1)
-		go func(tag uint64, req Request) {
+		go func() {
 			defer reqWG.Done()
 			send(tag, f.Handle(req))
 			f.inflight(-1)
-		}(tag, dispatched)
+		}()
 	}
 }
 

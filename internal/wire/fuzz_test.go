@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,6 +12,7 @@ import (
 
 	"anufs/internal/live"
 	"anufs/internal/sharedisk"
+	"anufs/internal/volume"
 )
 
 // fuzzCluster builds one small cluster per fuzz process. The retry budget
@@ -36,49 +36,120 @@ func fuzzCluster(f *testing.F) *Server {
 	return NewServer(cl)
 }
 
-// FuzzRequestDecode drives the server-side payload path — JSON decode plus
-// dispatch — with arbitrary client bytes. A malformed or malicious frame
-// must produce an error response (or be rejected), never a panic: one bad
-// client must not take the daemon down.
+// seedRequests is one plausible request per row of the op table — what a
+// client would send for the op — so both fuzzers start from every op's
+// real shape.
+func seedRequests() []Request {
+	rec := &sharedisk.Record{Size: 1, Mode: 0o644, ModTime: time.Unix(1786105845, 5).UTC(), Owner: "fuzz"}
+	reqs := make([]Request, 0, len(Ops))
+	for i, info := range Ops {
+		req := Request{ID: uint64(i + 1), Op: info.Op, Trace: 7}
+		switch info.Class {
+		case ClassOwner:
+			req.FileSet, req.Path, req.Record, req.Client = "fs00", "/a", rec, 1
+		case ClassBroadcast, ClassLocal:
+			req.Prefix, req.FileSet, req.Path, req.Count = "/mnt", "fs00", "/mnt/x", 4
+		case ClassAuthority:
+			req.FileSet, req.Daemon, req.Volume, req.Policy, req.OpRate, req.Weight, req.MaxFileSets = "fs00", -1, "acme", "pack", 2.5, 3, 2
+		case ClassMember:
+			req.Epoch, req.Addr, req.Daemon, req.Speed, req.JournalDir = 3, "127.0.0.1:1", 2, 1.5, "/wal"
+			req.FileSets, req.Map, req.Snap = []string{"fs00", "fs01"}, []byte("map"), []byte("snap")
+			req.Volumes, req.VolumesVersion = []volume.Info{{Name: "acme", Policy: "pack", Weight: 1}}, 4
+		case ClassStandby:
+			req.Daemon, req.SnapSeq = 1, 9
+			req.Entries = []ShipEntry{{Seq: 8, Trace: 7, Payload: []byte{1, 2, 'f', 's'}}, {Seq: 9}}
+		}
+		if info.Op == OpBatch {
+			req.Durable = true
+			req.Batch = []BatchItem{{Op: OpCreate, Path: "/a", Record: rec, Trace: 9}, {Op: OpStat, FileSet: "fs00", Path: "/a"}}
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs
+}
+
+// FuzzRequestDecode drives the server-side payload path — the one body
+// decoder, dispatch, and the response encoder — with arbitrary client bytes.
+// A malformed or malicious body must be refused or answered with an error,
+// never panic: one bad client must not take the daemon down. What the
+// decoder accepts must survive its own encoder.
 func FuzzRequestDecode(f *testing.F) {
-	seeds := []string{
-		`{"id":1,"op":"stat","fileset":"fs00","path":"/a"}`,
-		`{"id":2,"op":"create","fileset":"fs00","path":"/a","record":{"size":1}}`,
-		`{"id":3,"op":"create-fileset","fileset":"other"}`,
-		`{"id":4,"op":"list","fileset":"fs00","path":"/"}`,
-		`{"id":5,"op":"lock","fileset":"fs00","path":"/a","client":1,"exclusive":true}`,
-		`{"id":6,"op":"stats"}`,
-		`{"id":7,"op":"sync"}`,
-		`{"id":8,"op":"mount","prefix":"/mnt","fileset":"fs00"}`,
-		`{"id":9,"op":"resolve","path":"/mnt/x"}`,
-		`{"id":10,"op":"mapping"}`,
-		`{"id":11,"op":"update","fileset":"fs00","path":"/a","record":null}`,
-		`{"id":12,"op":"nope"}`,
-		`{"id":13`,
-		`not json at all`,
-		`{"op":""}`,
-		`{"id":18446744073709551615,"op":"stat","fileset":"` + strings.Repeat("x", 300) + `"}`,
-		`[1,2,3]`,
-		`{"id":1,"op":"pcreate","path":"` + strings.Repeat("/", 64) + `"}`,
-		"\x00\x01\x02",
-		`{"id":1,"op":"lock","client":-1}`,
+	for _, req := range seedRequests() {
+		body, ok := AppendRequest(nil, &req)
+		if !ok {
+			f.Fatalf("%s has no encoding", req.Op)
+		}
+		f.Add(body)
 	}
+	stat := opsByName[OpStat].Code
+	f.Add([]byte(nil))
+	f.Add([]byte{0})
+	f.Add([]byte("\x00\x01\x02"))
+	f.Add([]byte{stat, reqFileSet, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}) // a length past the end
+	f.Add([]byte{stat, reqBatch, 0xff, 0x7f})                          // a count past the end
+	f.Add([]byte{stat, reqID, 1, reqID, 2})                            // a repeated tag
+	f.Add([]byte(`{"id":1,"op":"stat","fileset":"fs00","path":"/a"}`)) // what version 1 carried
 	srv := fuzzCluster(f)
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var dec Decoder
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			return // bad payload: the frame loop answers with an error response
+		if !dec.DecodeRequest(body, &req) {
+			return // bad body: the frame loop answers with an error response
+		}
+		// Compared as bytes, so a NaN float (which never equals itself) is no
+		// false alarm.
+		again, ok := AppendRequest(nil, &req)
+		var back Request
+		if !ok || !dec.DecodeRequest(again, &back) {
+			t.Fatalf("decoded request does not survive the encoder: %+v (encoded %v)", req, ok)
+		}
+		if twice, _ := AppendRequest(nil, &back); !bytes.Equal(twice, again) {
+			t.Fatalf("request changes on its second trip:\n %x\n %x", again, twice)
 		}
 		resp := srv.serve(&connState{remote: "fuzz"}, req)
 		if resp.ID != req.ID {
 			t.Fatalf("response ID %d for request ID %d", resp.ID, req.ID)
 		}
 		// Whatever came back must be encodable, or the write path would die.
-		if _, err := json.Marshal(resp); err != nil {
-			t.Fatalf("unencodable response %+v: %v", resp, err)
+		out, ok := AppendResponse(nil, &resp)
+		var got Response
+		if !ok || !dec.DecodeResponse(out, &got) {
+			t.Fatalf("response %+v: encoded %v, and the decoder then refused it", resp, ok)
+		}
+	})
+}
+
+// FuzzResponseDecode drives the client-side payload path with arbitrary
+// server bytes: refused, or decoded to something the encoder reproduces.
+func FuzzResponseDecode(f *testing.F) {
+	srv := fuzzCluster(f)
+	for _, req := range seedRequests() {
+		resp := srv.serve(&connState{remote: "fuzz"}, req)
+		body, ok := AppendResponse(nil, &resp)
+		if !ok {
+			f.Fatalf("the reply to %s has no encoding: %+v", req.Op, resp)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte{0})
+	f.Add([]byte{respErr, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'})
+	f.Add([]byte{respResults, 0xff, 0x7f})
+	f.Add([]byte{respStats, 1, '{'})
+	f.Add([]byte(`{"id":42}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var dec Decoder
+		var resp Response
+		if !dec.DecodeResponse(body, &resp) {
+			return // bad body: readLoop fails the call the frame's tag names
+		}
+		_ = ResponseError(resp)
+		again, ok := AppendResponse(nil, &resp)
+		var back Response
+		if !ok || !dec.DecodeResponse(again, &back) {
+			t.Fatalf("decoded response does not survive the encoder: %+v (encoded %v)", resp, ok)
+		}
+		if twice, _ := AppendResponse(nil, &back); !bytes.Equal(twice, again) {
+			t.Fatalf("response changes on its second trip:\n %x\n %x", again, twice)
 		}
 	})
 }
@@ -89,22 +160,24 @@ func FuzzRequestDecode(f *testing.F) {
 // does parse must survive a re-encode/re-parse round trip, so the reader
 // and writer can never drift apart.
 func FuzzTaggedFrame(f *testing.F) {
-	frame := func(kind byte, tag uint64, payload string) []byte {
+	frame := func(kind byte, tag uint64, payload []byte) []byte {
 		buf := make([]byte, FrameHeaderSize+len(payload))
 		PutFrameHeader(buf, kind, tag, len(payload))
 		copy(buf[FrameHeaderSize:], payload)
 		return buf
 	}
+	ping, _ := AppendRequest(nil, &Request{ID: 1, Op: OpPing})
+	reply, _ := AppendResponse(nil, &Response{ID: 42})
 	seeds := [][]byte{
-		frame(FrameRequest, 1, `{"id":1,"op":"ping"}`),
-		frame(FrameResponse, 42, `{"id":42}`),
-		frame(FrameRequest, 7, ""),
-		append(frame(FrameRequest, 1, `{"id":1}`), frame(FrameResponse, 2, `{"id":2}`)...),
-		frame(FrameRequest, 1, `{"id":1}`)[:10],                          // truncated header
-		{'x', 'F', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad magic
-		{'a', 'F', 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad version
-		{'a', 'F', 1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad kind
-		{'a', 'F', 1, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, // oversized
+		frame(FrameRequest, 1, ping),
+		frame(FrameResponse, 42, reply),
+		frame(FrameRequest, 7, nil),
+		append(frame(FrameRequest, 1, ping), frame(FrameResponse, 2, reply)...),
+		frame(FrameRequest, 1, ping)[:10],                                           // truncated header
+		{'x', 'F', frameVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad magic
+		{'a', 'F', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},                        // the JSON-body version
+		{'a', 'F', frameVersion, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad kind
+		{'a', 'F', frameVersion, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, // oversized
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -58,28 +57,25 @@ func TestConnCounters(t *testing.T) {
 	c, _ := startServer(t, 1)
 	addr := c.conn.RemoteAddr().String()
 	raw, fw, fr := frameConn(t, addr)
-	send := func(tag uint64, payload string) Response {
-		if err := fw.WriteFrame(FrameRequest, tag, []byte(payload)); err != nil {
+	send := func(tag uint64, payload []byte) Response {
+		if err := fw.WriteFrame(FrameRequest, tag, payload); err != nil {
 			t.Fatal(err)
 		}
 		_, got, body, err := fr.ReadFrame()
 		if err != nil || got != tag {
-			t.Fatalf("no response to %q: tag %d, %v", payload, got, err)
+			t.Fatalf("no response to %x: tag %d, %v", payload, got, err)
 		}
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatalf("bad response to %q: %v", payload, err)
-		}
-		return resp
+		return respOf(t, body)
 	}
 
-	if resp := send(1, `{"id":1,`); !strings.HasPrefix(resp.Err, "bad frame") {
-		t.Fatalf("malformed payload answered %+v", resp)
+	stat := reqBody(t, Request{ID: 2, Op: OpStat, FileSet: "fs00", Path: "/missing"})
+	if resp := send(1, stat[:len(stat)-3]); !strings.HasPrefix(resp.Err, "bad frame") {
+		t.Fatalf("truncated body answered %+v", resp)
 	}
-	if resp := send(2, `{"id":2,"op":"stat","fileset":"fs00","path":"/missing"}`); resp.Err == "" {
+	if resp := send(2, stat); resp.Err == "" {
 		t.Fatal("stat of missing path succeeded")
 	}
-	if resp := send(3, `{"id":3,"op":"owner","fileset":"fs00"}`); resp.Err != "" {
+	if resp := send(3, reqBody(t, Request{ID: 3, Op: OpOwner, FileSet: "fs00"})); resp.Err != "" {
 		t.Fatalf("owner failed: %s", resp.Err)
 	}
 

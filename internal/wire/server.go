@@ -168,10 +168,9 @@ func (s *Server) SetJournalStats(fn func() map[string]int64) {
 	s.mu.Unlock()
 }
 
-// SetFleet puts the server in fleet mode: every file-set-addressed
-// operation passes h.Gate before dispatch (wrong-owner fencing), and the
-// fleet ops (map/map-epoch/adopt/handoff/assign/rebalance) dispatch to
-// h.Fleet. Call before Listen.
+// SetFleet puts the server in fleet mode: every gated op (Ops) passes
+// h.Gate before dispatch (wrong-owner fencing), and every op of a fleet
+// class (Class.Fleet) dispatches to h.Fleet. Call before Listen.
 func (s *Server) SetFleet(h FleetHandler) {
 	s.mu.Lock()
 	s.fleet = h
@@ -364,10 +363,11 @@ func (s *Server) handle(trace uint64, req Request) Response {
 	s.mu.Lock()
 	fleet := s.fleet
 	s.mu.Unlock()
-	switch req.Op {
-	case OpMap, OpMapEpoch, OpAdopt, OpHandoff, OpAssign, OpRebalance,
-		OpJoin, OpLeave, OpHeartbeat, OpTakeover,
-		OpVolumeCreate, OpVolumeDelete, OpVolumeList, OpVolumeSetQuota, OpVolumeSetPolicy:
+	info, ok := Lookup(req.Op)
+	if !ok {
+		return fail(fmt.Errorf("wire: unknown op %q", req.Op))
+	}
+	if info.Class.Fleet() {
 		if fleet == nil {
 			return fail(errors.New("wire: not in fleet mode (start anufsd with -fleet)"))
 		}
@@ -375,7 +375,7 @@ func (s *Server) handle(trace uint64, req Request) Response {
 		r.ID = req.ID
 		return r
 	}
-	if fleet != nil && gatedOp(req.Op) {
+	if fleet != nil && info.Gated {
 		release, err := fleet.Gate(req.Op, req.FileSet)
 		if err != nil {
 			return fail(err)
@@ -544,7 +544,8 @@ func (s *Server) handle(trace uint64, req Request) Response {
 		// pointing at a live primary fails loudly instead of wedging.
 		return fail(errors.New("wire: not a standby (replication ops need a -standby daemon)"))
 	default:
-		return fail(fmt.Errorf("wire: unknown op %q", req.Op))
+		// A row in Ops with no handler here: TestServerHandlesEveryOp fails.
+		return fail(fmt.Errorf("wire: op %q has no handler", req.Op))
 	}
 	return resp
 }
@@ -561,9 +562,6 @@ func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Resp
 	n := len(req.Batch)
 	if n == 0 {
 		return fail(errors.New("wire: empty batch"))
-	}
-	if n > MaxBatchItems {
-		return fail(fmt.Errorf("wire: batch of %d items exceeds the limit of %d", n, MaxBatchItems))
 	}
 	// Group items by file set, preserving first-appearance order so
 	// gating is deterministic.

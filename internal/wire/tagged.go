@@ -19,15 +19,17 @@ import (
 //	3       1     kind (FrameRequest | FrameResponse)
 //	4       4     payload length (bytes; at most the connection's ceiling)
 //	8       8     tag (correlates a response to its request)
-//	16      n     payload (JSON-encoded Request or Response)
+//	16      n     payload (a Request or Response body, see codec.go)
 //
-// The payload is JSON: the framing buys correlation-by-tag and
-// length-delimited reads. Tags are chosen by the sender of a request and
-// echoed verbatim by the responder — they are per-connection, not global.
+// The framing buys correlation-by-tag and length-delimited reads; the
+// payload is the binary body codec.go defines. Tags are chosen by the
+// sender of a request and echoed verbatim by the responder — they are
+// per-connection, not global.
 
 // frameVersion is the header's version byte; a frame carrying any other
-// value is refused.
-const frameVersion = 1
+// value is refused. Version 1 framed JSON bodies: a peer still speaking it
+// is turned away at its first header, not answered frame by frame.
+const frameVersion = 2
 
 // Frame kinds.
 const (

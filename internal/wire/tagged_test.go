@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -97,6 +96,26 @@ func frameConn(t *testing.T, addr string) (net.Conn, *FrameWriter, *FrameReader)
 	return conn, NewFrameWriter(conn, MaxFramePayload), NewFrameReader(conn, MaxFramePayload)
 }
 
+// reqBody encodes a request body the way Client does.
+func reqBody(t *testing.T, req Request) []byte {
+	t.Helper()
+	payload, ok := AppendRequest(nil, &req)
+	if !ok {
+		t.Fatalf("request %+v has no encoding", req)
+	}
+	return payload
+}
+
+// respOf decodes a response body the way Client does.
+func respOf(t *testing.T, payload []byte) Response {
+	t.Helper()
+	var resp Response
+	if !new(Decoder).DecodeResponse(payload, &resp) {
+		t.Fatalf("malformed response body %x", payload)
+	}
+	return resp
+}
+
 func TestPipelining(t *testing.T) {
 	c, _ := startServer(t, 1)
 	_, fw, fr := frameConn(t, c.conn.RemoteAddr().String())
@@ -105,11 +124,7 @@ func TestPipelining(t *testing.T) {
 	const n = 32
 	for i := 1; i <= n; i++ {
 		req := Request{ID: uint64(i), Op: OpStat, FileSet: "fs00", Path: "/missing"}
-		payload, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.WriteFrame(FrameRequest, uint64(i), payload); err != nil {
+		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, req)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,10 +137,7 @@ func TestPipelining(t *testing.T) {
 		if kind != FrameResponse {
 			t.Fatalf("frame kind = %d", kind)
 		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := respOf(t, payload)
 		if !strings.Contains(resp.Err, "no such path") {
 			t.Fatalf("tag %d: err = %q", tag, resp.Err)
 		}

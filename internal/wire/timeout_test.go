@@ -132,3 +132,52 @@ func TestBackoffGrowsJittersAndResets(t *testing.T) {
 		t.Fatalf("zero-value backoff returned %v", d)
 	}
 }
+
+// TestMalformedResponseFailsItsCallAtOnce: a response frame whose header is
+// intact names the call it answers even when its body does not decode, so
+// that call fails then and there — it used to be dropped, leaving the
+// caller to wait out its whole deadline — and the connection, whose framing
+// was never in doubt, keeps serving.
+func TestMalformedResponseFailsItsCallAtOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fr, fw := NewFrameReader(conn, MaxFramePayload), NewFrameWriter(conn, MaxFramePayload)
+		// First request: garbage under the right tag. Second: a real reply.
+		_, tag, _, err := fr.ReadFrame()
+		if err != nil || fw.WriteFrame(FrameResponse, tag, []byte{0xff, 0xff, 0xff}) != nil {
+			return
+		}
+		if _, tag, _, err = fr.ReadFrame(); err != nil {
+			return
+		}
+		ok, _ := AppendResponse(nil, &Response{ID: tag})
+		_ = fw.WriteFrame(FrameResponse, tag, ok)
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTimeout(30 * time.Second) // far longer than the test may take
+	start := time.Now()
+	err = c.Ping()
+	if err == nil || errors.Is(err, ErrTimedOut) || !strings.Contains(err.Error(), "malformed response") {
+		t.Fatalf("ping answered with garbage = %v, want a malformed-response error", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the call failed after %v: it waited on its deadline, not on the reply", d)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after a malformed response: %v", err)
+	}
+}

@@ -1,9 +1,10 @@
 // Package wire puts the live ANU cluster on the network: one framing
-// (tagged binary frames from a connection's first byte, see tagged.go)
-// carrying JSON requests and responses over TCP, one pipelined client
-// (Client) with typed methods for every metadata and lock operation, one
-// server loop (FrameServer), and the server that fronts a live.Cluster
-// with it.
+// (tagged binary frames from a connection's first byte, see tagged.go),
+// one body codec (length-prefixed binary fields, see codec.go) and one op
+// table (Ops: every op's wire code and routing class, see ops.go), carrying
+// requests and responses over TCP; one pipelined client (Client) with typed
+// methods for every metadata and lock operation, one server loop
+// (FrameServer), and the server that fronts a live.Cluster with it.
 //
 // In the paper's architecture (§2) clients obtain metadata and locks from
 // the file servers over the LAN and then go straight to shared disks for
@@ -126,17 +127,6 @@ const (
 // monopolize a server's queue.
 const MaxBatchItems = 1024
 
-// BatchableOp reports whether an op may appear as an OpBatch item. Only
-// the single-record metadata ops qualify: everything else has semantics
-// (locks, namespace, fleet) that do not fold into a batch.
-func BatchableOp(op Op) bool {
-	switch op {
-	case OpCreate, OpStat, OpUpdate, OpRemove:
-		return true
-	}
-	return false
-}
-
 // BatchItem is one operation inside an OpBatch request. FileSet may be
 // empty when the enclosing Request.FileSet names it (the common case: a
 // client-side batcher coalesces per file set).
@@ -159,7 +149,7 @@ type BatchResult struct {
 }
 
 // ShipEntry is one replicated journal entry: the primary's sequence and the
-// raw entry payload (Payload is base64 in JSON). Trace, when non-zero, is
+// raw entry payload. Trace, when non-zero, is
 // the trace ID of the request that appended the entry, so the standby's
 // apply/ack spans join the originating request's fleet timeline.
 type ShipEntry struct {
@@ -168,7 +158,8 @@ type ShipEntry struct {
 	Trace   uint64 `json:"trace,omitempty"`
 }
 
-// Request is one client frame.
+// Request is one client frame. The JSON tags are for rendering a decoded
+// frame (anufsctl -json); the wire encoding is codec.go's.
 type Request struct {
 	ID      uint64            `json:"id"`
 	Op      Op                `json:"op"`
@@ -273,7 +264,7 @@ type Response struct {
 	// FileSet and Rel answer OpResolve.
 	FileSet string `json:"fileset,omitempty"`
 	Rel     string `json:"rel,omitempty"`
-	// Mapping answers OpMapping (JSON is base64-encoded for []byte).
+	// Mapping answers OpMapping.
 	Mapping []byte `json:"mapping,omitempty"`
 	// Journal carries the journal counters (records appended, bytes,
 	// fsyncs, batch sizes, recovery time, ...) in OpStats replies when the

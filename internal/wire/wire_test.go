@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -255,9 +254,13 @@ func TestBadFrameGetsErrorResponse(t *testing.T) {
 	// Drive the raw protocol without the typed client.
 	c, _ := startServer(t, 1)
 	_ = c // keep the standard fixture for the cluster lifecycle
-	// The typed client validates unknown ops end-to-end instead:
-	if _, err := c.call(Request{Op: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+	// An op outside the op table has no wire code: the typed client refuses
+	// it before a byte is written, and the connection stays usable.
+	if _, err := c.call(Request{Op: "bogus"}); err == nil || !strings.Contains(err.Error(), "not in the op table") {
 		t.Fatalf("unknown op: %v", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after a refused op: %v", err)
 	}
 }
 
@@ -266,27 +269,34 @@ func TestRawProtocolGarbage(t *testing.T) {
 	// frames: the server must answer each under its tag and survive.
 	c, _ := startServer(t, 1)
 	_, fw, fr := frameConn(t, c.conn.RemoteAddr().String())
-	for tag, payload := range map[uint64]string{5: "this is not json", 7: `{"op":"bogus","id":7}`} {
-		if err := fw.WriteFrame(FrameRequest, tag, []byte(payload)); err != nil {
+	// An op code no row of the table carries, a field tag no field carries,
+	// and a well-formed request whose handler fails.
+	unknownTag := append(reqBody(t, Request{ID: 6, Op: OpPing}), 0xff)
+	payloads := map[uint64][]byte{
+		5: []byte("this is not a body"),
+		6: unknownTag,
+		7: {0xff, reqID, 7},
+		8: reqBody(t, Request{ID: 8, Op: OpStat, FileSet: "fs00", Path: "/missing"}),
+	}
+	for tag, payload := range payloads {
+		if err := fw.WriteFrame(FrameRequest, tag, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := map[uint64]Response{}
-	for len(got) < 2 {
+	for len(got) < len(payloads) {
 		kind, tag, payload, err := fr.ReadFrame()
 		if err != nil || kind != FrameResponse {
 			t.Fatalf("ReadFrame = kind %d, %v", kind, err)
 		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			t.Fatal(err)
+		got[tag] = respOf(t, payload)
+	}
+	for _, tag := range []uint64{5, 6, 7} {
+		if !strings.Contains(got[tag].Err, "bad frame") {
+			t.Fatalf("tag %d response %+v, want bad-frame error", tag, got[tag])
 		}
-		got[tag] = resp
 	}
-	if !strings.Contains(got[5].Err, "bad frame") {
-		t.Fatalf("tag 5 response %+v, want bad-frame error", got[5])
-	}
-	if !strings.Contains(got[7].Err, "unknown op") || got[7].ID != 7 {
-		t.Fatalf("tag 7 response %+v, want id-correlated unknown-op error", got[7])
+	if !strings.Contains(got[8].Err, "no such path") || got[8].ID != 8 {
+		t.Fatalf("tag 8 response %+v, want the id-correlated handler error", got[8])
 	}
 }
