@@ -56,13 +56,6 @@ func TestFleetDaemonDeathJournalFailover(t *testing.T) {
 	cmds[2] = startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -fleet 2 -fleet-join %s -fleet-speed 4 -fleet-lease %s -journal-dir %s %s",
 		addrs[2], addrs[0], lease, dirs[2], common))
-	for i := range cmds {
-		cmd := cmds[i]
-		t.Cleanup(func() {
-			_ = cmd.Process.Kill()
-			_, _ = cmd.Process.Wait()
-		})
-	}
 	for _, a := range addrs {
 		waitListening(t, a)
 	}
@@ -192,13 +185,9 @@ func TestFleetDaemonDeathJournalFailover(t *testing.T) {
 	// Elasticity both ways: a fourth daemon joins the shrunken fleet live
 	// and the next rebalance moves load onto it.
 	addr3, dir3 := freeAddr(t), t.TempDir()
-	cmd3 := startDaemonArgs(t, fmt.Sprintf(
+	startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -fleet 3 -fleet-join %s -fleet-speed 8 -fleet-lease %s -journal-dir %s %s",
 		addr3, addrs[0], lease, dir3, common))
-	t.Cleanup(func() {
-		_ = cmd3.Process.Kill()
-		_, _ = cmd3.Process.Wait()
-	})
 	waitListening(t, addr3)
 	deadline = time.Now().Add(10 * time.Second)
 	for {
@@ -242,36 +231,21 @@ func TestFleetAuthorityFailoverPromotesStandby(t *testing.T) {
 	common := "-filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0"
 
 	// Standby first so the authority's first semi-sync append can ack.
-	standby := startDaemonArgs(t, fmt.Sprintf(
+	startDaemonArgs(t, fmt.Sprintf(
 		"-standby -listen %s -journal-dir %s -peer-lease 1s %s",
 		sAddr, sDir, common))
-	t.Cleanup(func() {
-		_ = standby.Process.Kill()
-		_, _ = standby.Process.Wait()
-	})
 	waitListening(t, sAddr)
 
 	authority := startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -fleet 0 -fleet-authority 0=%s@1 -journal-dir %s -replicate-to %s -replicate-sync -sync-timeout 10s %s",
 		aAddr, aAddr, aDir, sAddr, common))
-	killed := false
-	t.Cleanup(func() {
-		if !killed {
-			_ = authority.Process.Kill()
-			_, _ = authority.Process.Wait()
-		}
-	})
 	waitListening(t, aAddr)
 
 	// A second daemon joins, configured with the standby's address so its
 	// heartbeat loop finds the promoted authority later.
-	member := startDaemonArgs(t, fmt.Sprintf(
+	startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -fleet 1 -fleet-join %s -fleet-standby %s -fleet-speed 2 -journal-dir %s %s",
 		bAddr, aAddr, sAddr, bDir, common))
-	t.Cleanup(func() {
-		_ = member.Process.Kill()
-		_, _ = member.Process.Wait()
-	})
 	waitListening(t, bAddr)
 
 	ac := dialRetry(t, aAddr)
@@ -320,7 +294,6 @@ func TestFleetAuthorityFailoverPromotesStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = authority.Process.Wait()
-	killed = true
 	killedAt := time.Now()
 
 	// The standby promotes (peer-lease 1s), finds the persisted cluster map

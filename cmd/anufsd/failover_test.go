@@ -5,8 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -14,20 +12,6 @@ import (
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
-
-// startDaemonArgs launches this test binary as anufsd with explicit flags
-// (see TestMain / ANUFSD_ARGS in journal_restart_test.go).
-func startDaemonArgs(t *testing.T, args string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "ANUFSD_ARGS="+args)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
-}
 
 // waitListening waits for something to accept TCP on addr (a standby
 // refuses wire ops before promotion, so dialRetry's handshake is no probe).
@@ -61,25 +45,14 @@ func TestFailoverPromotesStandbyWithoutAckedWriteLoss(t *testing.T) {
 	pAddr, sAddr, httpAddr := freeAddr(t), freeAddr(t), freeAddr(t)
 
 	// Standby first, so the primary's very first gated append can ack.
-	standby := startDaemonArgs(t, fmt.Sprintf(
+	startDaemonArgs(t, fmt.Sprintf(
 		"-standby -listen %s -journal-dir %s -peer-lease 1s -filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0",
 		sAddr, sDir))
-	defer func() {
-		standby.Process.Kill()
-		standby.Wait()
-	}()
 	waitListening(t, sAddr)
 
 	primary := startDaemonArgs(t, fmt.Sprintf(
 		"-listen %s -journal-dir %s -replicate-to %s -replicate-sync -sync-timeout 10s -http %s -filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0",
 		pAddr, pDir, sAddr, httpAddr))
-	killed := false
-	defer func() {
-		if !killed {
-			primary.Process.Kill()
-			primary.Wait()
-		}
-	}()
 	c := dialRetry(t, pAddr)
 
 	// Workload with periodic durability barriers: everything recorded in
@@ -131,7 +104,6 @@ func TestFailoverPromotesStandbyWithoutAckedWriteLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary.Wait()
-	killed = true
 	killedAt := time.Now()
 
 	// The standby must promote and start serving the wire protocol on its

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -39,11 +38,7 @@ func TestFleetRebalanceUnderLoad(t *testing.T) {
 		{fmt.Sprintf("-listen %s -fleet 2 -fleet-join %s %s", addrs[2], addrs[0], common)},
 	}
 	for _, d := range daemons {
-		cmd := startDaemonArgs(t, d.args)
-		t.Cleanup(func() {
-			_ = cmd.Process.Kill()
-			_, _ = cmd.Process.Wait()
-		})
+		startDaemonArgs(t, d.args)
 	}
 	for _, a := range addrs {
 		waitListening(t, a)
@@ -227,14 +222,8 @@ func TestFleetAuthorityRestartResumesJournaledMap(t *testing.T) {
 	roster := fmt.Sprintf("0=%s@1,1=%s@1", addrs[0], addrs[1])
 	common := "-filesets 4 -speeds 1 -window 1h -opcost 0 -checkpoint-interval 0"
 	authArgs := fmt.Sprintf("-listen %s -fleet 0 -fleet-authority %s -journal-dir %s %s", addrs[0], roster, t.TempDir(), common)
-	kill := func(cmd *exec.Cmd) {
-		_ = cmd.Process.Kill() // SIGKILL; a no-op error when already dead
-		_ = cmd.Wait()
-	}
 	auth := startDaemonArgs(t, authArgs)
-	t.Cleanup(func() { kill(auth) })
-	member := startDaemonArgs(t, fmt.Sprintf("-listen %s -fleet 1 -fleet-join %s %s", addrs[1], addrs[0], common))
-	t.Cleanup(func() { kill(member) })
+	startDaemonArgs(t, fmt.Sprintf("-listen %s -fleet 1 -fleet-join %s %s", addrs[1], addrs[0], common))
 	for _, a := range addrs {
 		waitListening(t, a)
 	}
@@ -267,9 +256,9 @@ func TestFleetAuthorityRestartResumesJournaledMap(t *testing.T) {
 	waitEpoch(mc, "member", last)
 	ac.Close()
 
-	kill(auth) // the journal is all that is left of the map
-	auth2 := startDaemonArgs(t, authArgs)
-	t.Cleanup(func() { kill(auth2) })
+	_ = auth.Process.Kill() // SIGKILL: the journal is all that is left of the map
+	_ = auth.Wait()
+	startDaemonArgs(t, authArgs)
 	ac2 := dialRetry(t, addrs[0])
 	defer ac2.Close()
 	cm := fetchClusterMap(t, ac2)

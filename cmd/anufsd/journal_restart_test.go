@@ -3,28 +3,12 @@ package main
 import (
 	"fmt"
 	"net"
-	"os"
-	"os/exec"
-	"strings"
 	"testing"
 	"time"
 
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
-
-// TestMain lets this test binary double as the daemon: when ANUFSD_ARGS is
-// set, it runs main() with those arguments instead of the tests. The
-// restart test uses that to SIGKILL a real anufsd process — a crash no
-// in-process test can simulate faithfully.
-func TestMain(m *testing.M) {
-	if args := os.Getenv("ANUFSD_ARGS"); args != "" {
-		os.Args = append([]string{"anufsd"}, strings.Fields(args)...)
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
 
 // freeAddr grabs a free localhost port (small race with the daemon binding
 // it, acceptable in tests).
@@ -37,21 +21,6 @@ func freeAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
-}
-
-// startDaemon launches this test binary as anufsd and returns the process.
-func startDaemon(t *testing.T, addr, journalDir string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), fmt.Sprintf(
-		"ANUFSD_ARGS=-listen %s -journal-dir %s -filesets 4 -speeds 1,2 -window 1h -opcost 0 -checkpoint-interval 0",
-		addr, journalDir))
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
 }
 
 // dialRetry waits for the daemon to come up.
@@ -82,13 +51,6 @@ func TestSIGKILLRestartRecovers(t *testing.T) {
 	addr := freeAddr(t)
 
 	daemon := startDaemon(t, addr, journalDir)
-	killed := false
-	defer func() {
-		if !killed {
-			daemon.Process.Kill()
-			daemon.Wait()
-		}
-	}()
 	c := dialRetry(t, addr)
 
 	type entry struct {
@@ -126,14 +88,9 @@ func TestSIGKILLRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	daemon.Wait()
-	killed = true
 
 	addr2 := freeAddr(t)
-	daemon2 := startDaemon(t, addr2, journalDir)
-	defer func() {
-		daemon2.Process.Kill()
-		daemon2.Wait()
-	}()
+	startDaemon(t, addr2, journalDir)
 	c2 := dialRetry(t, addr2)
 	defer c2.Close()
 

@@ -8,8 +8,8 @@
 //
 // With -journal-dir the shared disk becomes durable: every file-set
 // creation and flush is write-ahead-logged as the records it changed
-// (group commit: an append waits gatherWindow for company, and appends that
-// arrive during an fsync share the next one),
+// (group commit: an append waits gatherWindow — an exact 500 µs — for
+// company, and appends that arrive during an fsync share the next one),
 // state is snapshotted and the log compacted every -snapshot-every entries,
 // and on startup the journal is replayed so the daemon resumes from the
 // last durable cut — a SIGKILL loses only unflushed (un-synced) cache
@@ -24,9 +24,13 @@
 // daemon (started with -standby on the same flags), which applies it to a
 // warm in-memory store and promotes itself — serving the ordinary wire
 // protocol on its own -listen address — when the primary goes silent for
-// -peer-lease. -replicate-sync makes writes semi-synchronous: an append is
-// acknowledged only once the standby has it durably (degrading to async
-// after -sync-timeout rather than blocking writes on a dead standby).
+// -peer-lease. Entries are shipped as the gather window opens, so the
+// standby's fsync runs beside the primary's. -replicate-sync makes writes
+// semi-synchronous: an append is acknowledged only once it is durable here
+// and on the standby — the later of the two, not their sum — degrading to
+// async after -sync-timeout rather than blocking writes on a dead standby.
+// A restarted primary's first session replaces the standby's state with a
+// full cut (DESIGN.md §11).
 //
 // Usage:
 //
@@ -64,16 +68,18 @@ import (
 )
 
 // gatherWindow is the journal's group-commit window: how long the first
-// queued append waits for company before its fsync. One millisecond is the
-// shortest sleep the runtime gives an otherwise idle daemon (epoll_wait
-// counts milliseconds), so a shorter window would last 1 ms on a quiet
-// daemon and its nominal length on a busy one. A constant, not a flag:
-// nothing sets another value. With no window (journal.Options' zero value,
-// what the journal's own tests run) a durable write is bounded by CPU
-// alone, and cmd/bench's durable workloads then vary with the host from
-// run to run by more than BENCHMARK.json's bounds allow; see CHANGES.md,
-// PR 16, before removing it.
-const gatherWindow = time.Millisecond
+// queued append waits for company before its fsync. The journal sleeps it
+// in nanosleep, so it lasts what it says whatever else wakes the daemon
+// (internal/journal/batch.go), and a replicating daemon ships each entry as
+// the window opens, so the standby's write and fsync run inside it. 500 µs
+// is the smallest round value above that ship round trip (0.40–0.48 ms p50,
+// the standby's fsync included): the standby is done before the primary's
+// own fsync starts, and the two do not collide on a disk they share. A
+// constant, not a flag: nothing sets another value. With no window
+// (journal.Options' zero value, what the journal's own tests run) the two
+// fsyncs do collide on a one-disk host and cmd/bench's balance_spread leaves
+// its bound; see DESIGN.md §9 before shortening or removing it.
+const gatherWindow = 500 * time.Microsecond
 
 func main() {
 	var (
@@ -408,15 +414,20 @@ func main() {
 		member.Stop()
 	}
 	srv.Close()
-	if shipper != nil {
-		shipper.Stop()
-	}
 	if jnl != nil {
 		// Flush everything dirty so a clean shutdown loses nothing, then
 		// stop the cluster and seal the journal.
 		if err := cluster.CheckpointAll(); err != nil {
 			log.Printf("anufsd: final checkpoint: %v", err)
 		}
+	}
+	if shipper != nil {
+		// Only now: stopping the shipper releases the ack gate, and the final
+		// checkpoint's entries must reach the standby like any others. An
+		// asynchronous primary has no gate; it waits here, as long as a
+		// semi-synchronous write would, for the standby to have everything.
+		_ = shipper.WaitAcked(jnl.DurableSeq())
+		shipper.Stop()
 	}
 	cluster.Stop()
 	if jnl != nil {

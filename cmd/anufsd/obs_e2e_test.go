@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -14,22 +12,6 @@ import (
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
-
-// startDaemonObs launches the daemon with the observability HTTP endpoint
-// enabled and a fast tuning window, so the test sees tuner decisions.
-func startDaemonObs(t *testing.T, addr, httpAddr, journalDir string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), fmt.Sprintf(
-		"ANUFSD_ARGS=-listen %s -http %s -journal-dir %s -filesets 4 -speeds 1,4 -window 100ms -opcost 200us -checkpoint-interval 0",
-		addr, httpAddr, journalDir))
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
-}
 
 // httpGet fetches a URL once the endpoint is up, returning the body.
 func httpGet(t *testing.T, url string) (int, string) {
@@ -67,10 +49,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	httpAddr := freeAddr(t)
 
 	daemon := startDaemonObs(t, addr, httpAddr, journalDir)
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
 	c := dialRetry(t, addr)
 	defer c.Close()
 

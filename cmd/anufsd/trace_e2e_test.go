@@ -35,12 +35,8 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 	common := "-filesets 4 -speeds 1 -window 1h -opcost 0 -checkpoint-interval 0"
 
 	// Standby first so the primary's sync-gated appends can ack at once.
-	standby := startDaemonArgs(t, fmt.Sprintf(
+	startDaemonArgs(t, fmt.Sprintf(
 		"-standby -listen %s -journal-dir %s -node standby %s", sAddr, sDir, common))
-	t.Cleanup(func() {
-		standby.Process.Kill()
-		standby.Wait()
-	})
 	waitListening(t, sAddr)
 
 	// Daemon 0: fleet authority, journaling, sync-replicating to the
@@ -50,11 +46,7 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 			d0Addr, roster, d0Dir, sAddr, common),
 		fmt.Sprintf("-listen %s -fleet 1 -fleet-join %s %s", d1Addr, d0Addr, common),
 	} {
-		cmd := startDaemonArgs(t, args)
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
+		startDaemonArgs(t, args)
 	}
 	waitListening(t, d0Addr)
 	waitListening(t, d1Addr)

@@ -8,7 +8,8 @@ import (
 )
 
 // GoroutineLife requires every goroutine launched in the long-running
-// subsystems (fleet, live, replica, sdk, wire) to be tied to a shutdown path.
+// subsystems (fleet, journal, live, replica, sdk, wire) to be tied to a
+// shutdown path.
 // PRs 7–9 grew these packages goroutine-heavy — failover pollers, WFQ
 // owner queues, trace fan-out, connection health checks — and a loop
 // with no stop signal outlives Close, keeps its daemon reachable from
@@ -28,7 +29,7 @@ import (
 //     exempt by construction: only `for { ... }` loops are suspect.
 var GoroutineLife = &Analyzer{
 	Name: "goroutinelife",
-	Doc: "goroutines in fleet/live/replica/sdk/wire must tie unbounded loops to a " +
+	Doc: "goroutines in fleet/journal/live/replica/sdk/wire must tie unbounded loops to a " +
 		"shutdown path (stop channel, ctx.Done, or error/ok-guarded exit)",
 	Run: runGoroutineLife,
 }
@@ -39,7 +40,7 @@ var stopNameRE = regexp.MustCompile(`(?i)done|stop|quit|clos|shut|ctx|cancel|exi
 
 func runGoroutineLife(pass *Pass) error {
 	if !pathHasSuffix(pass.Pkg.Path(),
-		"internal/fleet", "internal/live", "internal/replica", "internal/sdk", "internal/wire") {
+		"internal/fleet", "internal/journal", "internal/live", "internal/replica", "internal/sdk", "internal/wire") {
 		return nil
 	}
 	// Map same-package functions to their declarations so `go m.run()`

@@ -31,7 +31,8 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // SimDeterminism forbids nondeterminism sources inside the
 // determinism-critical packages: wall-clock reads (time.Now and
-// friends), the process-global math/rand stream (explicitly seeded
+// friends, and the sleep that goes round the runtime's timers,
+// syscall.Nanosleep), the process-global math/rand stream (explicitly seeded
 // *rand.Rand values via rand.New are fine), and iteration over maps,
 // whose order varies run to run. Order-insensitive map loops carry a
 // justified //anufs:allow.
@@ -86,6 +87,11 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 		if forbiddenTimeFuncs[obj.Name()] {
 			pass.Reportf(call.Pos(),
 				"time.%s reads the wall clock; deterministic code must take time from the simulation clock", obj.Name())
+		}
+	case "syscall":
+		if obj.Name() == "Nanosleep" {
+			pass.Reportf(call.Pos(),
+				"syscall.Nanosleep waits on the wall clock; deterministic code must take time from the simulation clock")
 		}
 	case "math/rand", "math/rand/v2":
 		if !strings.HasPrefix(obj.Name(), "New") {

@@ -5,6 +5,7 @@ package desim
 
 import (
 	"math/rand"
+	"syscall"
 	"time"
 )
 
@@ -14,6 +15,12 @@ func wallClock() time.Time {
 
 func napTime() {
 	time.Sleep(time.Millisecond) // want `time\.Sleep reads the wall clock`
+}
+
+// kernelNap goes round the runtime's timers, not round the rule.
+func kernelNap() {
+	ts := syscall.NsecToTimespec(1000)
+	_ = syscall.Nanosleep(&ts, nil) // want `syscall\.Nanosleep waits on the wall clock`
 }
 
 func globalRand() int {

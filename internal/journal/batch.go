@@ -1,8 +1,8 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"anufs/internal/obs"
 )
@@ -17,6 +17,23 @@ import (
 // exactly when the disk is what they would have waited for anyway (cf.
 // IOPathTune: a stage's batching is set by that stage's own signal, not by
 // a constant).
+//
+// An entry gets its sequence when the committer takes it off the queue, and
+// is offered to the shipper (SetOffer) in the same step: before the window,
+// before the write. The standby's write and fsync then run beside the
+// primary's window and fsync, and a semi-synchronous append is acknowledged
+// at the later of the two, not at their sum. The price is that a standby may
+// hold entries its primary never made durable; see DESIGN.md §11 for what
+// promotion keeps and how a restarted primary realigns.
+//
+// The window is slept, not timed. A Go timer in an otherwise idle process is
+// waited out in epoll_wait, which counts whole milliseconds and rounds a
+// remainder up: a 1 ms timer lasts ≈ 1.1 ms alone but ≈ 1.6 ms when any
+// socket wakes the process part-way (a standby's ack does exactly that), so
+// the window's length would be set by unrelated network traffic. One
+// long-lived helper goroutine (sleeper) blocks in nanosleep instead, which
+// ends within ≈ 100 µs of nominal whatever else wakes the process, while the
+// committer keeps taking and offering arrivals.
 //
 // An append is two calls: enqueue puts the frame in the committer's queue,
 // where its position is its position in the log, and Wait blocks until the
@@ -36,42 +53,69 @@ func (j *Journal) run() {
 		case first = <-j.appendCh:
 		case <-j.quit:
 			j.finalDrain()
+			if j.sleepReq != nil {
+				close(j.sleepReq)
+				<-j.woke // closed by the sleeper as it returns
+			}
 			return
 		}
-		j.commit(j.gather(first))
+		j.commit(j.gather(first, true))
 	}
 }
 
-// gather collects the batch that will share first's fsync: what is queued
-// now and, with a gather window, what arrives before it closes. The slice
-// is the committer's own, reused batch after batch.
-func (j *Journal) gather(first *appendReq) []*appendReq {
-	j.batch = append(j.batch[:0], first)
+// sleeper is the gather window's clock: one blocking sleep per request, in
+// a goroutine of its own so that only this one waits in the kernel. It
+// returns when the committer closes sleepReq on its way out.
+func (j *Journal) sleeper() {
+	defer close(j.woke)
+	for range j.sleepReq {
+		sleepFor(j.opts.FsyncInterval)
+		j.woke <- struct{}{}
+	}
+}
+
+// gather collects the batch that will share first's fsync: with a gather
+// window (and window true), what arrives before it closes, and in every
+// case what is queued at that moment. The slice is the committer's own,
+// reused batch after batch.
+func (j *Journal) gather(first *appendReq, window bool) []*appendReq {
+	j.batch = j.batch[:0]
+	j.take(first)
 	if j.opts.NoGroupCommit {
 		return j.batch
 	}
-	if j.opts.FsyncInterval > 0 {
-		//anufs:allow simdeterminism the window decides which frames share an fsync, never a frame's bytes or their order
-		t := time.NewTimer(j.opts.FsyncInterval)
-		defer t.Stop()
-		for {
+	if window && j.sleepReq != nil {
+		j.sleepReq <- struct{}{}
+		for waiting := true; waiting; {
 			select {
 			case r := <-j.appendCh:
-				j.batch = append(j.batch, r)
-			case <-t.C:
-				return j.batch
-			case <-j.quit:
-				return j.batch
+				j.take(r)
+			case <-j.woke:
+				waiting = false
 			}
 		}
 	}
 	for {
 		select {
 		case r := <-j.appendCh:
-			j.batch = append(j.batch, r)
+			j.take(r)
 		default:
 			return j.batch
 		}
+	}
+}
+
+// take adds r to the batch under the next sequence and offers it to the
+// shipper. Sequences follow the durable boundary: one batch is in the
+// making at a time, and the boundary moves only when it commits.
+func (j *Journal) take(r *appendReq) {
+	r.seq = j.durable.Load() + 1 + uint64(len(j.batch))
+	j.batch = append(j.batch, r)
+	if j.stopped {
+		return // the journal failed: this sequence will never name an entry
+	}
+	if offer := j.offer.Load(); offer != nil {
+		(*offer)(r.seq, r.trace, r.frame[frameHeaderLen:])
 	}
 }
 
@@ -81,6 +125,7 @@ func (j *Journal) gather(first *appendReq) []*appendReq {
 // per-request view of the amortization trade-off.
 func (j *Journal) commit(batch []*appendReq) {
 	err := j.writeBatch(batch)
+	j.stopped = j.stopped || errors.Is(err, ErrFailed)
 	done := now()
 	if j.obs != nil {
 		errStr := ""
@@ -104,12 +149,13 @@ func (j *Journal) commit(batch []*appendReq) {
 }
 
 // finalDrain commits everything still queued at Close time, so a caller
-// blocked in append gets a durable ack rather than ErrClosed.
+// blocked in append gets a durable ack rather than ErrClosed. Nothing more
+// can arrive, so it waits out no window.
 func (j *Journal) finalDrain() {
 	for {
 		select {
 		case r := <-j.appendCh:
-			j.commit(j.gather(r))
+			j.commit(j.gather(r, false))
 		default:
 			return
 		}
@@ -128,6 +174,13 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	}
 	if j.f == nil {
 		return ErrClosed
+	}
+	first := j.durable.Load() + 1
+	if batch[0].seq != first {
+		// The boundary moved while the batch was gathered: this journal is
+		// also being fed shipped entries. What was offered under these
+		// sequences names other entries now.
+		return j.failLocked(fmt.Errorf("batch gathered at sequence %d, log is at %d", batch[0].seq, first))
 	}
 	// Rotate only a segment that holds entries — an empty active segment is
 	// already the freshest possible (and re-creating it would collide on
@@ -165,17 +218,7 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 		}
 	}
 	j.segSize += int64(len(buf))
-	for i, r := range batch {
-		r.seq = j.nextSeq + uint64(i)
-		if r.trace != 0 {
-			// Remember which trace appended this sequence so replication can
-			// stamp the shipped entry (TraceOf).
-			j.traceSeq[r.seq%traceRingLen] = r.seq
-			j.traceID[r.seq%traceRingLen] = r.trace
-		}
-	}
-	j.nextSeq += uint64(len(batch))
-	j.signalCommitLocked()
+	j.advanceLocked(batch[len(batch)-1].seq)
 	j.counters.Add(CtrRecords, int64(len(batch)))
 	j.counters.Add(CtrBytes, int64(len(buf)))
 	j.counters.Add(CtrFsyncs, 1)

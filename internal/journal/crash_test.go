@@ -94,11 +94,32 @@ func fold(base map[string]sharedisk.Image, entries []Entry) (map[string]sharedis
 // expectedPrefix folds the first k entries into the image map recovery
 // should produce.
 func expectedPrefix(entries []Entry, k int) map[string]sharedisk.Image {
-	images, err := fold(nil, entries[:k])
+	return expectedOver(nil, entries, k)
+}
+
+// expectedOver is expectedPrefix for a log that continues from a snapshot.
+func expectedOver(base map[string]sharedisk.Image, entries []Entry, k int) map[string]sharedisk.Image {
+	images, err := fold(base, entries[:k])
 	if err != nil {
 		panic(err)
 	}
 	return images
+}
+
+// withoutSegment clones a built log's directory minus its segment — empty,
+// or the snapshot the segment continues from — and recovers what that holds.
+// The every-byte suites damage the segment over a fresh copy of it.
+func withoutSegment(t *testing.T, seg string) (baseDir string, base map[string]sharedisk.Image) {
+	t.Helper()
+	baseDir = copyDir(t, filepath.Dir(seg))
+	if err := os.Remove(filepath.Join(baseDir, filepath.Base(seg))); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := Recover(baseDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return baseDir, st.Images()
 }
 
 // TestRecoverTruncatedAtEveryByte is the crash-injection suite the issue
@@ -122,6 +143,7 @@ func recoverTruncatedAtEveryByte(t *testing.T, build func(*testing.T) (string, s
 	if len(ends) != len(entries) {
 		t.Fatalf("segment has %d frames, want %d", len(ends), len(entries))
 	}
+	baseDir, base := withoutSegment(t, seg)
 
 	// prefixFor(L) = number of whole entries within the first L bytes.
 	prefixFor := func(L int) int {
@@ -133,7 +155,7 @@ func recoverTruncatedAtEveryByte(t *testing.T, build func(*testing.T) (string, s
 	}
 
 	for L := 0; L <= len(data); L++ {
-		dir := t.TempDir()
+		dir := copyDir(t, baseDir)
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data[:L], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +164,7 @@ func recoverTruncatedAtEveryByte(t *testing.T, build func(*testing.T) (string, s
 			t.Fatalf("truncate@%d: Recover: %v", L, err)
 		}
 		k := prefixFor(L)
-		want := expectedPrefix(entries, k)
+		want := expectedOver(base, entries, k)
 		got := st.Images()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("truncate@%d: recovered %d entries' worth, want prefix of %d:\n got %+v\nwant %+v",
@@ -186,8 +208,9 @@ func recoverBitflipAtEveryByte(t *testing.T, build func(*testing.T) (string, str
 		t.Fatal(err)
 	}
 	ends := frameEnds(t, seg)
+	baseDir, base := withoutSegment(t, seg)
 	for pos := 0; pos < len(data); pos++ {
-		dir := t.TempDir()
+		dir := copyDir(t, baseDir)
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x5a
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), mut, 0o644); err != nil {
@@ -213,7 +236,7 @@ func recoverBitflipAtEveryByte(t *testing.T, build func(*testing.T) (string, str
 		// A flip confined to frame `damaged` leaves prefix `damaged`
 		// intact. (A CRC collision could in principle accept the mutated
 		// frame; CRC32 makes single-byte flips always detectable.)
-		want := expectedPrefix(entries, damaged)
+		want := expectedOver(base, entries, damaged)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("flip@%d: got %d entries (info %+v), want prefix %d", pos, info.Entries, info, damaged)
 		}

@@ -302,7 +302,7 @@ func TestRecoverMixedLogFromSnapshotAtEverySeq(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := writeSnapshot(dir, uint64(k), expectedPrefix(entries, k+ahead)); err != nil {
+			if _, err := writeSnapshot(dir, "snap-", uint64(k), expectedPrefix(entries, k+ahead)); err != nil {
 				t.Fatal(err)
 			}
 			st, info, err := Recover(dir)

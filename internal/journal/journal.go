@@ -17,6 +17,8 @@
 //
 //	wal-<firstseq:016x>.log   log segments; header then framed entries
 //	snap-<seq:016x>.snap      full-store snapshots; at most one survives
+//	reset-<seq:016x>.snap     a standby reset in progress (ResetTo): the cut
+//	                          that replaces everything else in the directory
 //
 // Entries are numbered by a monotonically increasing sequence; a segment's
 // file name records the sequence of its first entry. A snapshot at sequence
@@ -32,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anufs/internal/metrics"
@@ -149,54 +152,52 @@ type Journal struct {
 	// write + compaction).
 	snapMu sync.Mutex
 
-	// mu guards the active segment; the committer holds it per batch and
-	// Snapshot holds it while capturing a cut + rotating.
+	// mu guards the active segment; the committer holds it per batch — its
+	// fsync included — and Snapshot holds it while capturing a cut +
+	// rotating. Nothing a shipper racing that fsync needs is behind it: the
+	// durable boundary is an atomic, the commit signal has sigMu, the ack
+	// gate and the offer hook are atomic pointers.
 	mu       sync.Mutex
 	f        *os.File
 	segFirst uint64 // sequence of the active segment's first entry
 	segSize  int64
 	writeBuf []byte       // reused batch write buffer (committer-only, under mu)
 	batch    []*appendReq // reused batch slice (committer-only, see gather)
-	// syncFile is the fsync a commit waits on; tests replace it (under mu)
-	// to hold a commit in flight.
+	// stopped is the committer's own note that a batch failed: what it takes
+	// off the queue from then on is not offered to the shipper.
+	stopped bool
+	// syncFile is the fsync a commit — or, on a standby, AppendShipped —
+	// waits on; tests replace it (under mu) to hold or fail it.
 	syncFile func(*os.File) error
-	nextSeq  uint64 // sequence the next appended entry will get
+	// durable is the sequence of the last fsynced entry; the next one
+	// appended gets durable+1. Written under mu, read from anywhere.
+	durable atomic.Uint64
 	// failed is the first write or fsync failure, wrapped in ErrFailed. It is
 	// sticky: every batch after it gets it instead of being written, so the
 	// log never holds an entry above a hole.
 	failed   error
 	closeErr error
 	closed   bool
+
 	// commitSig, made when CommitSignal is asked for it, is closed (and
 	// dropped) when the durable boundary next advances: tailers wait on it
 	// for new entries without polling, and a commit nobody waits for
 	// allocates no channel.
+	sigMu     sync.Mutex
 	commitSig chan struct{}
 	// ackGate, when set, is called after an append is locally durable and
 	// must not return until the entry is replicated (or the replication
 	// policy gives up) — the semi-synchronous shipping hook (SetAckGate).
-	ackGate func(seq uint64) error
-	// traceRing remembers which request trace appended recent sequences
-	// (guarded by mu; see TraceOf). The shipper reads it to stamp shipped
-	// entries with their originating trace.
-	traceSeq [traceRingLen]uint64
-	traceID  [traceRingLen]uint64
-}
-
-// traceRingLen bounds the seq→trace memory: large enough to cover any
-// realistic ship lag (the shipper batches at most 512 entries and resumes
-// from the standby's ack), tiny enough to be free.
-const traceRingLen = 4096
-
-// TraceOf returns the request trace ID that appended sequence seq, or 0
-// if the append was untraced or the ring has since wrapped past it.
-func (j *Journal) TraceOf(seq uint64) uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if i := seq % traceRingLen; j.traceSeq[i] == seq {
-		return j.traceID[i]
-	}
-	return 0
+	ackGate atomic.Pointer[func(seq uint64) error]
+	// offer, when set, is handed every entry the moment the committer takes
+	// it off the queue — sequence assigned, nothing written yet — so a
+	// shipper can send it while the gather window and the local fsync run
+	// (SetOffer).
+	offer atomic.Pointer[func(seq, trace uint64, payload []byte)]
+	// sleepReq asks the sleep helper for one gather window and woke is its
+	// answer; both exist only with a window (see gather).
+	sleepReq chan struct{}
+	woke     chan struct{}
 }
 
 type appendReq struct {
@@ -209,9 +210,10 @@ type appendReq struct {
 	// group-commit wait is measurable.
 	trace uint64
 	enq   time.Time
-	// seq is the sequence the committer assigned this record, valid once
-	// done has been signalled without error; append passes it to the ack
-	// gate so semi-sync replication waits for exactly this entry.
+	// seq is the sequence the committer gave this record when it took it off
+	// the queue; it names the entry once done has been signalled without
+	// error, and Wait passes it to the ack gate so semi-sync replication
+	// waits for exactly this entry.
 	seq uint64
 }
 
@@ -237,6 +239,11 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 			return nil, nil, info, err
 		}
 	}
+	if info.pendingReset != "" {
+		if err := finishReset(dir, info.pendingReset, info.SnapshotSeq); err != nil {
+			return nil, nil, info, err
+		}
+	}
 	j := &Journal{
 		dir:      dir,
 		opts:     opts,
@@ -244,9 +251,9 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		appendCh: make(chan *appendReq, 256),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-		nextSeq:  info.LastSeq + 1,
 		syncFile: (*os.File).Sync,
 	}
+	j.durable.Store(info.LastSeq)
 	j.counters.Set(CtrRecoveryNanos, info.Duration.Nanoseconds())
 	j.counters.Set(CtrRecoveredEntries, int64(info.Entries))
 	j.counters.Set(CtrWriteFailed, 0)
@@ -257,12 +264,18 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		opts.Obs.AddCounters(j.counters.Snapshot)
 	}
 	// A restart after an idle run (or a fully-torn tail) leaves a segment
-	// already named for nextSeq; it holds no durable entries, so replace it.
-	if err := os.Remove(j.segmentName(j.nextSeq)); err != nil && !os.IsNotExist(err) {
+	// already named for the next sequence; it holds no durable entries, so
+	// replace it.
+	if err := os.Remove(j.segmentName(info.LastSeq + 1)); err != nil && !os.IsNotExist(err) {
 		return nil, nil, info, err
 	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, info, err
+	}
+	if opts.FsyncInterval > 0 && !opts.NoGroupCommit {
+		j.sleepReq = make(chan struct{})
+		j.woke = make(chan struct{})
+		go j.sleeper()
 	}
 	go j.run()
 	return j, sharedisk.NewStoreFromImages(images, 0), info, nil
@@ -371,8 +384,8 @@ func (r *appendReq) Wait() error {
 	seq := r.seq
 	appendReqPool.Put(r)
 	if err == nil {
-		if gate := j.gate(); gate != nil {
-			err = gate(seq)
+		if gate := j.ackGate.Load(); gate != nil {
+			err = (*gate)(seq)
 		}
 	}
 	return err
@@ -384,45 +397,56 @@ func (r *appendReq) Wait() error {
 // anufsd arms this with the shipper's WaitAcked when -replicate-sync is on,
 // making "Flush returned nil" mean "fsynced here AND acked by the standby".
 func (j *Journal) SetAckGate(gate func(seq uint64) error) {
-	j.mu.Lock()
-	j.ackGate = gate
-	j.mu.Unlock()
+	if gate == nil {
+		j.ackGate.Store(nil)
+		return
+	}
+	j.ackGate.Store(&gate)
 }
 
-func (j *Journal) gate() func(uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ackGate
+// SetOffer installs the ship-ahead hook: the committer calls fn with every
+// entry's sequence, request trace and payload as it takes the entry off the
+// queue, before the gather window and the fsync. fn runs on the committer's
+// goroutine: it must copy the payload (the buffer is reused), must not block,
+// and may drop the entry — a Tailer still delivers it once durable. Nothing
+// offered is durable yet, and if the journal then fails it never will be;
+// a failed journal offers nothing more. A nil fn (the default) removes the
+// hook.
+func (j *Journal) SetOffer(fn func(seq, trace uint64, payload []byte)) {
+	if fn == nil {
+		j.offer.Store(nil)
+		return
+	}
+	j.offer.Store(&fn)
 }
 
 // DurableSeq returns the sequence of the last fsynced entry (0 before the
 // first). Everything at or below it is readable via a Tailer.
-func (j *Journal) DurableSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq - 1
-}
+func (j *Journal) DurableSeq() uint64 { return j.durable.Load() }
 
 // CommitSignal returns a channel that is closed the next time the durable
 // boundary advances. Callers re-fetch it after each wakeup; the canonical
 // wait loop captures the channel BEFORE reading DurableSeq so an advance
 // between the two cannot be missed.
 func (j *Journal) CommitSignal() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.sigMu.Lock()
+	defer j.sigMu.Unlock()
 	if j.commitSig == nil {
 		j.commitSig = make(chan struct{})
 	}
 	return j.commitSig
 }
 
-// signalCommitLocked wakes every CommitSignal waiter. Callers hold mu and
-// have just advanced nextSeq.
-func (j *Journal) signalCommitLocked() {
+// advanceLocked moves the durable boundary to seq and wakes every
+// CommitSignal waiter. Callers hold mu.
+func (j *Journal) advanceLocked(seq uint64) {
+	j.durable.Store(seq)
+	j.sigMu.Lock()
 	if j.commitSig != nil {
 		close(j.commitSig)
 		j.commitSig = nil
 	}
+	j.sigMu.Unlock()
 }
 
 // Close commits everything queued, fsyncs, and closes the active segment.
@@ -454,21 +478,22 @@ func (j *Journal) segmentName(seq uint64) string {
 	return filepath.Join(j.dir, fmt.Sprintf("wal-%016x.log", seq))
 }
 
-// openSegmentLocked starts a fresh active segment at nextSeq. Callers hold
-// mu (or have exclusive access during Open).
+// openSegmentLocked starts a fresh active segment for the entry after the
+// durable boundary. Callers hold mu (or have exclusive access during Open).
 func (j *Journal) openSegmentLocked() error {
+	next := j.durable.Load() + 1
 	if j.f != nil {
 		if err := j.f.Close(); err != nil {
 			return err
 		}
 		j.f = nil
 	}
-	f, err := os.OpenFile(j.segmentName(j.nextSeq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(j.segmentName(next), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
 	var hdr [headerLen]byte
-	putHeader(&hdr, segMagic, j.nextSeq)
+	putHeader(&hdr, segMagic, next)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
@@ -482,7 +507,7 @@ func (j *Journal) openSegmentLocked() error {
 		return err
 	}
 	j.f = f
-	j.segFirst = j.nextSeq
+	j.segFirst = next
 	j.segSize = headerLen
 	j.counters.Add(CtrSegments, 1)
 	return nil

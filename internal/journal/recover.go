@@ -31,19 +31,35 @@ type RecoverInfo struct {
 	// strandedSegments are segments after the truncation point; Open
 	// deletes them so future appends cannot resurrect discarded suffixes.
 	strandedSegments []string
+	// pendingReset is the reset cut recovery adopted in place of everything
+	// else in the directory (see ResetTo); Open finishes the reset.
+	pendingReset string
 }
 
-// cleanupOp is one filesystem mutation of the torn-tail cleanup. Keeping
-// the plan enumerable lets the crash-injection tests stop it after any
-// step and assert the directory still recovers to the same prefix.
+// cleanupOp is one filesystem mutation of the torn-tail cleanup or of a
+// standby reset. Keeping the plans enumerable lets the crash-injection
+// tests stop them after any step and assert what the directory then
+// recovers to.
 type cleanupOp struct {
 	path string
-	// truncate cuts the file to validBytes; otherwise the file is removed.
+	// truncate cuts the file to validBytes, renameTo moves it and sync
+	// fsyncs it (a directory); otherwise the file is removed.
 	truncate   bool
 	validBytes int64
+	renameTo   string
+	sync       bool
 }
 
 func (op cleanupOp) apply() error {
+	if op.sync {
+		return syncDir(op.path)
+	}
+	if op.renameTo != "" {
+		if err := os.Rename(op.path, op.renameTo); err != nil {
+			return fmt.Errorf("journal: finish reset: %w", err)
+		}
+		return nil
+	}
 	if op.truncate {
 		if err := os.Truncate(op.path, op.validBytes); err != nil {
 			return fmt.Errorf("journal: truncate torn tail: %w", err)
@@ -51,7 +67,48 @@ func (op cleanupOp) apply() error {
 		return nil
 	}
 	if err := os.Remove(op.path); err != nil {
-		return fmt.Errorf("journal: drop segment past the tear: %w", err)
+		return fmt.Errorf("journal: drop %s: %w", filepath.Base(op.path), err)
+	}
+	return nil
+}
+
+// resetFinishOps plans the second half of a standby reset (ResetTo), once
+// the cut is in the directory under its reset name at resetPath: delete
+// every segment, every snapshot and any other reset file, then give the cut
+// its ordinary snapshot name. While the reset file exists recovery reads
+// nothing else, so the deletions need no order among themselves; the rename
+// comes last, once the deletions are durable — a directory that kept the
+// rename but lost a deletion would replay an old segment over the cut — and
+// a crash after any prefix recovers to the cut.
+func resetFinishOps(dir, resetPath string, seq uint64) ([]cleanupOp, error) {
+	var ops []cleanupOp
+	for _, pattern := range []string{"wal-*.log", "snap-*.snap", "reset-*.snap"} {
+		paths, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range paths {
+			if p != resetPath {
+				ops = append(ops, cleanupOp{path: p})
+			}
+		}
+	}
+	return append(ops,
+		cleanupOp{path: dir, sync: true},
+		cleanupOp{path: resetPath, renameTo: snapshotName(dir, "snap-", seq)},
+		cleanupOp{path: dir, sync: true}), nil
+}
+
+// finishReset runs resetFinishOps.
+func finishReset(dir, resetPath string, seq uint64) error {
+	ops, err := resetFinishOps(dir, resetPath, seq)
+	if err != nil {
+		return err
+	}
+	for _, op := range ops {
+		if err := op.apply(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -100,6 +157,24 @@ func replayDir(dir string) (map[string]sharedisk.Image, RecoverInfo, error) {
 	start := now()
 	info := RecoverInfo{}
 	images := map[string]sharedisk.Image{}
+
+	// A reset cut is the whole state: whatever else is in the directory is
+	// what the reset had not got round to deleting.
+	resets, err := filepath.Glob(filepath.Join(dir, "reset-*.snap"))
+	if err != nil {
+		return nil, info, err
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(resets)))
+	for _, p := range resets {
+		ims, seq, err := loadSnapshot(p)
+		if err != nil {
+			continue
+		}
+		info.SnapshotSeq, info.LastSeq, info.pendingReset = seq, seq, p
+		info.FileSets = len(ims)
+		info.Duration = now().Sub(start)
+		return ims, info, nil
+	}
 
 	// Adopt the newest intact snapshot; a corrupt one (crash mid write
 	// would normally be caught by the atomic rename, but disks lie) falls

@@ -31,7 +31,7 @@ func (j *Journal) Snapshot(images func() map[string]sharedisk.Image) error {
 		return ErrClosed
 	}
 	cut := images()
-	seq := j.nextSeq - 1
+	seq := j.durable.Load()
 	// Rotate so every non-active segment holds only entries <= seq. An
 	// active segment with no entries yet is already in that position (and
 	// re-creating it would collide on O_EXCL).
@@ -44,7 +44,7 @@ func (j *Journal) Snapshot(images func() map[string]sharedisk.Image) error {
 	activeName := j.f.Name()
 	j.mu.Unlock()
 
-	if err := writeSnapshot(j.dir, seq, cut); err != nil {
+	if _, err := writeSnapshot(j.dir, "snap-", seq, cut); err != nil {
 		return err
 	}
 	j.counters.Add(CtrSnapshots, 1)
@@ -83,35 +83,42 @@ func (j *Journal) compact(seq uint64, activeName string) error {
 	return syncDir(j.dir)
 }
 
-// writeSnapshot writes snap-<seq>.snap atomically (temp + fsync + rename +
-// dir fsync). Body: header, then one CRC frame holding the encoded images.
-func writeSnapshot(dir string, seq uint64, images map[string]sharedisk.Image) error {
+// snapshotName is the path of the cut at seq: prefix "snap-" for a
+// snapshot, "reset-" for a standby reset that has not finished.
+func snapshotName(dir, prefix string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%016x.snap", prefix, seq))
+}
+
+// writeSnapshot writes <prefix><seq>.snap atomically (temp + fsync + rename
+// + dir fsync) and returns its path. Body: header, then one CRC frame
+// holding the encoded images.
+func writeSnapshot(dir, prefix string, seq uint64, images map[string]sharedisk.Image) (string, error) {
 	var hdr [headerLen]byte
 	putHeader(&hdr, snapMagic, seq)
 	buf := append([]byte(nil), hdr[:]...)
 	buf = appendFrame(buf, encodeImages(images))
 
-	final := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
+	final := snapshotName(dir, prefix, seq)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return "", err
 	}
 	if err := os.Rename(tmp, final); err != nil {
-		return err
+		return "", err
 	}
-	return syncDir(dir)
+	return final, syncDir(dir)
 }
 
 // encodeImages serializes a full store cut, file sets in sorted order.

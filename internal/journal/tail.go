@@ -13,13 +13,16 @@ import (
 )
 
 // Log shipping support. A primary's journal is already a self-delimiting,
-// CRC-checksummed stream of framed entries, so replication is "read the
-// frames back and send them": the Tailer walks sealed and in-progress
-// segments from any sequence, capped at the durable boundary; AppendShipped
-// and InstallSnapshot are the standby-side mirrors that persist shipped
-// entries under the primary's sequence numbering, so a standby's
-// DurableSeq IS its replication ack and survives standby restarts via the
-// ordinary recovery path.
+// CRC-checksummed stream of framed entries, so replication is "send the
+// frames": the committer offers each one as it takes it (SetOffer, batch.go)
+// and the Tailer reads back whatever the shipper did not get that way —
+// sealed and in-progress segments from any sequence, capped at the durable
+// boundary. AppendShipped, InstallSnapshot and ResetTo are the standby-side
+// mirrors that persist shipped entries under the primary's sequence
+// numbering, so a standby's DurableSeq IS its replication ack and survives
+// standby restarts via the ordinary recovery path. A standby may be ahead
+// of its primary's durable boundary; ResetTo is how a primary's next
+// incarnation takes that suffix away again.
 
 // Shipped is one journal entry in transit: the primary-assigned sequence
 // and the raw entry payload (the bytes inside the frame, CRC-verified on
@@ -59,7 +62,7 @@ func DecodeImages(payload []byte) (map[string]sharedisk.Image, error) {
 func (j *Journal) CaptureCut(images func() map[string]sharedisk.Image) (uint64, map[string]sharedisk.Image) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.nextSeq - 1, images()
+	return j.durable.Load(), images()
 }
 
 // segmentFor locates the segment whose entries include seq: the segment on
@@ -258,16 +261,16 @@ func (j *Journal) AppendShipped(ents []Shipped) error {
 		return ErrClosed
 	}
 	var buf []byte
-	count := uint64(0)
+	last, count := j.durable.Load(), 0
 	for _, e := range ents {
-		if e.Seq < j.nextSeq+count {
+		if e.Seq <= last {
 			continue // already durable here
 		}
-		if e.Seq != j.nextSeq+count {
-			return fmt.Errorf("journal: shipped sequence gap: have %d, got %d", j.nextSeq+count-1, e.Seq)
+		if e.Seq != last+1 {
+			return fmt.Errorf("journal: shipped sequence gap: have %d, got %d", last, e.Seq)
 		}
 		buf = appendFrame(buf, e.Payload)
-		count++
+		last, count = e.Seq, count+1
 	}
 	if count == 0 {
 		return nil
@@ -280,12 +283,11 @@ func (j *Journal) AppendShipped(ents []Shipped) error {
 	if _, err := j.f.Write(buf); err != nil {
 		return j.failLocked(err)
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncFile(j.f); err != nil {
 		return j.failLocked(err)
 	}
 	j.segSize += int64(len(buf))
-	j.nextSeq += count
-	j.signalCommitLocked()
+	j.advanceLocked(last)
 	j.counters.Add(CtrRecords, int64(count))
 	j.counters.Add(CtrBytes, int64(len(buf)))
 	j.counters.Add(CtrFsyncs, 1)
@@ -311,25 +313,71 @@ func (j *Journal) InstallSnapshot(seq uint64, images map[string]sharedisk.Image)
 		j.mu.Unlock()
 		return ErrClosed
 	}
-	if seq < j.nextSeq {
+	if seq <= j.durable.Load() {
 		j.mu.Unlock()
 		return nil
 	}
 	j.mu.Unlock()
 
-	if err := writeSnapshot(j.dir, seq, images); err != nil {
+	if _, err := writeSnapshot(j.dir, "snap-", seq, images); err != nil {
 		return err
 	}
 	j.counters.Add(CtrSnapshots, 1)
 
 	j.mu.Lock()
-	j.nextSeq = seq + 1
+	j.advanceLocked(seq)
 	if err := j.openSegmentLocked(); err != nil {
 		j.mu.Unlock()
 		return err
 	}
 	activeName := j.f.Name()
-	j.signalCommitLocked()
 	j.mu.Unlock()
 	return j.compact(seq, activeName)
+}
+
+// ResetTo replaces everything a standby holds with the cut at seq — unlike
+// InstallSnapshot whether or not the standby is already past seq, and its
+// log restarts at seq+1 even if that moves the durable boundary back. A
+// primary's new incarnation opens with it (DESIGN.md §11): the standby may
+// hold a suffix the last incarnation shipped but never made durable, and
+// the new one gives those sequences to other entries.
+//
+// There is one commit point. The cut is first written under a name of its
+// own, reset-<seq>.snap (temp + fsync + rename), which recovery prefers to
+// everything else in the directory; only then are the segments and
+// snapshots deleted, the cut given its ordinary name and a fresh segment
+// opened. A crash before the rename recovers the complete old state, a
+// crash after it the complete cut (Open finishes the deletions), never old
+// entries replayed over the new cut — which is what dropping the segments
+// above the cut in place could leave. An error after the commit point
+// stops the journal; a restart finishes the reset.
+func (j *Journal) ResetTo(seq uint64, images map[string]sharedisk.Image) error {
+	j.snapMu.Lock()
+	defer j.snapMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.failed != nil {
+		return j.failed
+	}
+	if j.f == nil || j.closed {
+		return ErrClosed
+	}
+	resetPath, err := writeSnapshot(j.dir, "reset-", seq, images)
+	if err != nil {
+		return err
+	}
+	err = j.f.Close()
+	j.f = nil
+	if err == nil {
+		err = finishReset(j.dir, resetPath, seq)
+	}
+	if err != nil {
+		return j.failLocked(err)
+	}
+	j.counters.Add(CtrSnapshots, 1)
+	j.advanceLocked(seq)
+	if err := j.openSegmentLocked(); err != nil {
+		return j.failLocked(err)
+	}
+	return nil
 }

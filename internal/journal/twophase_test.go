@@ -336,14 +336,17 @@ func buildConcurrentLog(t *testing.T) (dir string, seg string, entries []Entry) 
 
 // logBuilders are the histories the every-byte crash suites run over.
 var logBuilders = map[string]func(*testing.T) (string, string, []Entry){
-	"sequential":           buildLog,
-	"concurrent two-phase": buildConcurrentLog,
+	"sequential":            buildLog,
+	"concurrent two-phase":  buildConcurrentLog,
+	"standby after a reset": buildResetStandbyLog,
 }
 
 // BenchmarkLogDeltaEnqueueWait measures the two halves of a delta append
-// around a committer whose fsync costs nothing: steady state must not
-// allocate — no closure, channel or slice per append on either side — and
-// it rides the CI allocation guard beside BenchmarkEncodeDeltaFrame.
+// around a committer whose fsync costs nothing and which offers every entry
+// to a shipper-like hook (a copy into a buffer it keeps): steady state must
+// not allocate — no closure, channel or slice per append on either side, no
+// copy the committer makes for the hook — and it rides the CI allocation
+// guard beside BenchmarkEncodeDeltaFrame.
 func BenchmarkLogDeltaEnqueueWait(b *testing.B) {
 	j, _, _, err := Open(b.TempDir(), Options{SegmentBytes: 1 << 40})
 	if err != nil {
@@ -353,6 +356,8 @@ func BenchmarkLogDeltaEnqueueWait(b *testing.B) {
 	j.mu.Lock()
 	j.syncFile = func(*os.File) error { return nil }
 	j.mu.Unlock()
+	var slot []byte
+	j.SetOffer(func(_, _ uint64, payload []byte) { slot = append(slot[:0], payload...) })
 	e := benchDelta()
 	d := sharedisk.Delta{Base: e.Image.Version - 1, Puts: e.Image.Records, Removes: e.Removed}
 	if err := logDelta(j, 0, e.FileSet, d); err != nil { // warm the pooled request

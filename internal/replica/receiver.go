@@ -63,7 +63,10 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 // ship-status requests, persists shipped entries through the standby's own
 // journal (mirroring the primary's sequence numbering), applies them to a
 // warm in-memory store, and promotes itself when the primary's lease
-// lapses. Every other wire op is refused — a standby serves replication
+// lapses. What it holds may run ahead of what its primary has made durable
+// (entries are shipped at gather time); promotion keeps that suffix, and a
+// primary's next incarnation replaces it, log and warm store alike, with a
+// reset cut. Every other wire op is refused — a standby serves replication
 // only, until promotion.
 type Receiver struct {
 	opts     ReceiverOptions
@@ -338,22 +341,29 @@ func (r *Receiver) handle(req wire.Request) wire.Response {
 // apply — durability on the standby IS the ack the primary waits on.
 func (r *Receiver) absorb(req wire.Request) error {
 	start := time.Now()
-	if len(req.Snap) > 0 {
+	if req.Reset || len(req.Snap) > 0 {
 		images, err := journal.DecodeImages(req.Snap)
 		if err != nil {
 			return fmt.Errorf("replica: shipped snapshot: %w", err)
 		}
-		if err := r.opts.Journal.InstallSnapshot(req.SnapSeq, images); err != nil {
+		// A reset replaces log and warm state alike, even with a cut below
+		// what the standby holds: the suffix above it was another
+		// incarnation's. A plain snapshot only ever carries it forward.
+		install, counter := r.opts.Journal.InstallSnapshot, "replica_recv_snapshots"
+		if req.Reset {
+			install, counter = r.opts.Journal.ResetTo, "replica_recv_resets"
+		}
+		if err := install(req.SnapSeq, images); err != nil {
 			return err
 		}
 		r.mu.Lock()
-		if req.SnapSeq > r.applied {
+		if req.Reset || req.SnapSeq > r.applied {
 			r.images = images
 			r.applied = req.SnapSeq
 			r.sinceSnap = 0
 		}
 		r.mu.Unlock()
-		r.counters.Add("replica_recv_snapshots", 1)
+		r.counters.Add(counter, 1)
 		return nil
 	}
 	if len(req.Entries) == 0 {

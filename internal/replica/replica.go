@@ -86,6 +86,15 @@ const (
 	// snapshot ships can be large, so calls get a generous deadline instead
 	// of the client default.
 	shipTimeout = 30 * time.Second
+
+	// The ship-ahead hand-off holds at most offerSlots entries of at most
+	// maxOfferBytes each; an offer that fits neither is dropped and reaches
+	// the standby through the tailer once durable. The slots outlast a
+	// stalled standby by twice the committer's own queue, and a slot's
+	// buffer is reused, so the hand-off tops out at 4 MiB however long the
+	// standby stalls.
+	offerSlots    = 256
+	maxOfferBytes = 16 << 10
 )
 
 // ShipperOptions parameterizes a Shipper.
@@ -141,10 +150,33 @@ type Shipper struct {
 	acked   uint64
 	ackSig  chan struct{}
 	stopped bool
+	conn    *wire.Client // the session's connection, closed by Stop
+
+	// The ship-ahead hand-off: a ring of the entries the journal's committer
+	// offered and the shipper has not consumed, oldest at head. offMu is
+	// held only to copy into a slot or to move head; the shipper sends from
+	// the slots themselves, which offer cannot reach until consume frees
+	// them.
+	offMu  sync.Mutex
+	ring   [offerSlots]offered
+	head   int
+	queued int
+	offSig chan struct{} // 1-buffered: an offer is waiting
+
+	// aligned is the run loop's own: this shipper has had a session, so the
+	// standby holds nothing another incarnation shipped.
+	aligned bool
+	ship    []wire.ShipEntry // reused ship batch (run loop only)
 
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
+}
+
+// offered is one slot of the hand-off; payload is the slot's own buffer.
+type offered struct {
+	seq, trace uint64
+	payload    []byte
 }
 
 // NewShipper creates a shipper; Start begins streaming.
@@ -162,6 +194,7 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		opts:     opts.withDefaults(),
 		counters: metrics.NewCounterSet(),
 		ackSig:   make(chan struct{}),
+		offSig:   make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -175,26 +208,20 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		s.lag = r.Hist.Get("replica_replication_lag_seconds", peer)
 		r.AddCounters(s.counters.Snapshot)
 		r.AddGauges(func() []obs.Gauge {
-			durable := s.opts.Journal.DurableSeq()
-			acked := s.Acked()
-			lag := int64(durable) - int64(acked)
-			if lag < 0 {
-				lag = 0
-			}
+			_, acked, lag := s.progress()
 			return []obs.Gauge{
 				{Name: "replica_lag_entries", Labels: peer, Value: float64(lag)},
 				{Name: "replica_acked_seq", Labels: peer, Value: float64(acked)},
 			}
 		})
 		r.AddStatus("replication", func() any {
-			durable := s.opts.Journal.DurableSeq()
-			acked := s.Acked()
+			durable, acked, lag := s.progress()
 			return map[string]any{
 				"mode":        "shipping",
 				"standby":     s.opts.Addr,
 				"durable_seq": durable,
 				"acked_seq":   acked,
-				"lag_entries": int64(durable) - int64(acked),
+				"lag_entries": lag,
 				"degraded":    s.counters.Get("replica_sync_degraded"),
 			}
 		})
@@ -205,22 +232,94 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 	return s, nil
 }
 
-// Start launches the replication loop.
+// progress reads the primary's durable sequence, the standby's ack and the
+// entries the standby is behind by — zero when it is level or ahead, which
+// shipping at gather time lets it be.
+func (s *Shipper) progress() (durable, acked uint64, lag uint64) {
+	durable, acked = s.opts.Journal.DurableSeq(), s.Acked()
+	if durable > acked {
+		lag = durable - acked
+	}
+	return durable, acked, lag
+}
+
+// Start launches the replication loop and has the journal offer it every
+// entry at gather time.
 func (s *Shipper) Start() {
+	s.opts.Journal.SetOffer(s.offer)
 	go s.run()
 }
 
-// Stop halts replication and releases every WaitAcked waiter.
+// Stop halts replication — a ship in flight is cut off with its
+// connection — and releases every WaitAcked waiter. It returns once the
+// replication loop has.
 func (s *Shipper) Stop() {
 	s.stopOnce.Do(func() {
+		s.opts.Journal.SetOffer(nil)
 		close(s.stop)
 		s.mu.Lock()
 		s.stopped = true
 		close(s.ackSig)
 		s.ackSig = make(chan struct{})
+		conn := s.conn
 		s.mu.Unlock()
+		if conn != nil {
+			conn.Close()
+		}
 	})
 	<-s.done
+}
+
+// offer is the journal's ship-ahead hook: it runs on the committer's
+// goroutine, so it copies the entry into a free slot and returns — or drops
+// it, when the ring is full or the entry oversized; the tailer delivers a
+// dropped entry once it is durable.
+func (s *Shipper) offer(seq, trace uint64, payload []byte) {
+	s.offMu.Lock()
+	if s.queued == offerSlots || len(payload) > maxOfferBytes {
+		s.offMu.Unlock()
+		s.counters.Add("replica_offers_dropped", 1)
+		return
+	}
+	slot := &s.ring[(s.head+s.queued)%offerSlots]
+	slot.seq, slot.trace = seq, trace
+	slot.payload = append(slot.payload[:0], payload...)
+	s.queued++
+	s.offMu.Unlock()
+	select {
+	case s.offSig <- struct{}{}:
+	default:
+	}
+}
+
+// peekOffers returns the run of offered entries that continues the stream
+// at next, within one ship's bounds, after discarding offers below next (the
+// tailer got there first). The entries alias their slots: they stay valid
+// until consumeOffers releases them.
+func (s *Shipper) peekOffers(next uint64) []wire.ShipEntry {
+	s.offMu.Lock()
+	defer s.offMu.Unlock()
+	for s.queued > 0 && s.ring[s.head].seq < next {
+		s.head, s.queued = (s.head+1)%offerSlots, s.queued-1
+	}
+	s.ship = s.ship[:0]
+	bytes := 0
+	for i := 0; i < s.queued && len(s.ship) < maxShipEntries && bytes < maxShipBytes; i++ {
+		slot := &s.ring[(s.head+i)%offerSlots]
+		if slot.seq != next+uint64(i) {
+			break // an offer was dropped here; the tailer fills the gap
+		}
+		s.ship = append(s.ship, wire.ShipEntry{Seq: slot.seq, Trace: slot.trace, Payload: slot.payload})
+		bytes += len(slot.payload)
+	}
+	return s.ship
+}
+
+// consumeOffers frees the n oldest slots, once their entries have shipped.
+func (s *Shipper) consumeOffers(n int) {
+	s.offMu.Lock()
+	s.head, s.queued = (s.head+n)%offerSlots, s.queued-n
+	s.offMu.Unlock()
 }
 
 // Acked reports the highest standby-acknowledged sequence.
@@ -293,8 +392,7 @@ func (s *Shipper) run() {
 		}
 		c, err := wire.DialLimit(s.opts.Addr, shipTimeout, maxShipFrame)
 		if err == nil {
-			err = s.stream(c, backoff)
-			c.Close()
+			err = s.session(c, backoff)
 		}
 		if err != nil {
 			s.counters.Add("replica_stream_errors", 1)
@@ -308,17 +406,40 @@ func (s *Shipper) run() {
 	}
 }
 
-// stream runs one connection's replication session: resume from the
-// standby's ack, then follow the journal until an error or Stop.
+// session streams over one connection, which Stop may close under it.
+func (s *Shipper) session(c *wire.Client, backoff *wire.Backoff) error {
+	defer c.Close()
+	s.mu.Lock()
+	stopped := s.stopped
+	s.conn = c
+	s.mu.Unlock()
+	if stopped {
+		return nil
+	}
+	return s.stream(c, backoff)
+}
+
+// stream runs one connection's replication session: align or resume, then
+// follow the journal until an error or Stop.
 func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 	ack, err := c.ShipStatus()
 	if err != nil {
 		return err
 	}
 	backoff.Reset()
-	s.setAcked(ack)
-	tailer := s.opts.Journal.NewTailer(ack + 1)
-	defer tailer.Close()
+	next := ack + 1
+	if !s.aligned && ack > 0 {
+		// What the standby holds may be another incarnation's: sequences this
+		// primary will give, or has given, to other entries. Replace it.
+		if next, err = s.shipCut(c, true); err != nil {
+			return err
+		}
+	} else {
+		s.setAcked(ack)
+	}
+	s.aligned = true
+	tailer := s.opts.Journal.NewTailer(next)
+	defer func() { tailer.Close() }()
 	hb := time.NewTicker(s.opts.Heartbeat)
 	defer hb.Stop()
 	for {
@@ -327,63 +448,48 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 			return nil
 		default:
 		}
-		// Capture the commit signal BEFORE asking the tailer, so a commit
-		// that lands between "caught up" and the wait below still wakes us.
+		if ship := s.peekOffers(next); len(ship) > 0 {
+			if err := s.shipEntries(c, ship); err != nil {
+				return err
+			}
+			s.consumeOffers(len(ship))
+			next += uint64(len(ship))
+			continue
+		}
+		// Nothing offered continues the stream; whatever is durable past the
+		// cursor comes from the log. Capture the commit signal BEFORE asking
+		// the tailer, so a commit that lands between "caught up" and the wait
+		// below still wakes us.
 		sig := s.opts.Journal.CommitSignal()
+		if tailer.NextSeq() != next {
+			tailer.Close()
+			tailer = s.opts.Journal.NewTailer(next)
+		}
 		ents, snapshotNeeded, err := tailer.Next(maxShipEntries, maxShipBytes)
 		if err != nil {
 			return err
 		}
 		switch {
 		case snapshotNeeded:
-			seq, cut := s.opts.Journal.CaptureCut(s.opts.Images)
-			start := time.Now()
-			ack, err := c.ShipSnapshot(seq, journal.EncodeImages(cut))
-			if err != nil {
+			if next, err = s.shipCut(c, false); err != nil {
 				return err
 			}
-			s.rtt.Observe(time.Since(start))
-			s.counters.Add("replica_snapshots_shipped", 1)
-			s.setAcked(ack)
-			tailer.Close()
-			tailer = s.opts.Journal.NewTailer(seq + 1)
 		case len(ents) > 0:
-			ship := make([]wire.ShipEntry, len(ents))
-			var bytes int64
-			for i, e := range ents {
-				// Stamp each entry with the request trace that appended it
-				// (0 when untraced or past the journal's trace ring), so the
-				// standby's apply/ack spans join the originating timeline.
-				ship[i] = wire.ShipEntry{Seq: e.Seq, Payload: e.Payload, Trace: s.opts.Journal.TraceOf(e.Seq)}
-				bytes += int64(len(e.Payload))
+			ship := s.ship[:0]
+			for _, e := range ents {
+				ship = append(ship, wire.ShipEntry{Seq: e.Seq, Payload: e.Payload})
 			}
-			start := time.Now()
-			ack, err := c.Ship(s.opts.DaemonID, ship)
-			if err != nil {
+			s.ship = ship
+			if err := s.shipEntries(c, ship); err != nil {
 				return err
 			}
-			rtt := time.Since(start)
-			s.rtt.ObserveTrace(rtt, firstTrace(ship))
-			if s.opts.Obs != nil {
-				for i := range ship {
-					if ship[i].Trace == 0 {
-						continue
-					}
-					// Server carries the originating daemon ID on replica spans.
-					s.opts.Obs.Spans.Add(obs.Span{
-						Trace: ship[i].Trace, Name: "replica-ship",
-						Server: s.opts.DaemonID, Start: start, Dur: rtt,
-					})
-				}
-			}
-			s.counters.Add("replica_ships", 1)
-			s.counters.Add("replica_shipped_entries", int64(len(ents)))
-			s.counters.Add("replica_shipped_bytes", bytes)
-			s.setAcked(ack)
+			next = tailer.NextSeq()
 		default:
-			// Caught up: sleep until the next commit, or send an empty ship
-			// as a lease-renewing heartbeat if the journal stays idle.
+			// Caught up: sleep until the next offer or commit, or send an
+			// empty ship as a lease-renewing heartbeat if the journal stays
+			// idle.
 			select {
+			case <-s.offSig:
 			case <-sig:
 			case <-hb.C:
 				start := time.Now()
@@ -399,6 +505,57 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 			}
 		}
 	}
+}
+
+// shipEntries sends one batch and records its ack. Entries that carry the
+// trace of the request that appended them (offered ones do; the log keeps
+// none) get a "replica-ship" span, so the standby's apply/ack spans join
+// the originating timeline.
+func (s *Shipper) shipEntries(c *wire.Client, ship []wire.ShipEntry) error {
+	start := time.Now()
+	ack, err := c.Ship(s.opts.DaemonID, ship)
+	if err != nil {
+		return err
+	}
+	rtt := time.Since(start)
+	s.rtt.ObserveTrace(rtt, firstTrace(ship))
+	var bytes int64
+	for i := range ship {
+		bytes += int64(len(ship[i].Payload))
+		if ship[i].Trace != 0 && s.opts.Obs != nil {
+			// Server carries the originating daemon ID on replica spans.
+			s.opts.Obs.Spans.Add(obs.Span{
+				Trace: ship[i].Trace, Name: "replica-ship",
+				Server: s.opts.DaemonID, Start: start, Dur: rtt,
+			})
+		}
+	}
+	s.counters.Add("replica_ships", 1)
+	s.counters.Add("replica_shipped_entries", int64(len(ship)))
+	s.counters.Add("replica_shipped_bytes", bytes)
+	s.setAcked(ack)
+	return nil
+}
+
+// shipCut sends the standby a full cut of the store and returns the
+// sequence the stream continues at. With reset the cut replaces whatever
+// the standby holds; without, it carries a standby that fell behind the
+// compaction horizon past it.
+func (s *Shipper) shipCut(c *wire.Client, reset bool) (next uint64, err error) {
+	seq, cut := s.opts.Journal.CaptureCut(s.opts.Images)
+	send, counter := c.ShipSnapshot, "replica_snapshots_shipped"
+	if reset {
+		send, counter = c.ShipReset, "replica_resets_shipped"
+	}
+	start := time.Now()
+	ack, err := send(seq, journal.EncodeImages(cut))
+	if err != nil {
+		return 0, err
+	}
+	s.rtt.Observe(time.Since(start))
+	s.counters.Add(counter, 1)
+	s.setAcked(ack)
+	return seq + 1, nil
 }
 
 // firstTrace returns the first non-zero entry trace of a ship batch (the

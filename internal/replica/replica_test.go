@@ -42,6 +42,21 @@ func appendFlushes(t testing.TB, jnl *journal.Journal, fs string, from, n int) {
 	}
 }
 
+// diskImages captures a primary's cut by recovering its directory: for tests
+// that append to the journal directly, so that the store Open returned never
+// learns of the entries. CaptureCut calls it with commits paused, so what
+// recovery reads is exactly the durable prefix.
+func diskImages(t testing.TB, dir string) func() map[string]sharedisk.Image {
+	return func() map[string]sharedisk.Image {
+		st, _, err := journal.Recover(dir)
+		if err != nil {
+			t.Errorf("recover %s for a cut: %v", dir, err)
+			return nil
+		}
+		return st.Images()
+	}
+}
+
 // startStandby builds a receiver over its own journal dir and listens.
 func startStandby(t testing.TB, dir string, opts ReceiverOptions) (*Receiver, string) {
 	t.Helper()
@@ -149,7 +164,8 @@ func TestResumeAfterShipperRestartAndStandbyRestart(t *testing.T) {
 	// Primary-side stream break: stop the shipper, write more, restart.
 	ship.Stop()
 	appendFlushes(t, jnl, "fs00", 11, 10)
-	ship2, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images})
+	// A new shipper opens with a reset, as a new incarnation would.
+	ship2, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: diskImages(t, pDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +181,7 @@ func TestResumeAfterShipperRestartAndStandbyRestart(t *testing.T) {
 	}
 	appendFlushes(t, jnl, "fs00", 21, 10)
 	recv2, addr2 := startStandby(t, sDir, ReceiverOptions{})
-	ship3, err := NewShipper(ShipperOptions{Addr: addr2, Journal: jnl, Images: store.Images})
+	ship3, err := NewShipper(ShipperOptions{Addr: addr2, Journal: jnl, Images: diskImages(t, pDir)})
 	if err != nil {
 		t.Fatal(err)
 	}

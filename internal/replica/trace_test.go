@@ -30,16 +30,6 @@ func TestShipCarriesTraceToStandbyAck(t *testing.T) {
 	if err := jnl.LogCreateFileSet("fs00"); err != nil {
 		t.Fatal(err)
 	}
-	d := sharedisk.Delta{Base: 1, Puts: map[string]sharedisk.Record{"/t": {Size: 1, Owner: "w"}}}
-	w, err := jnl.LogDelta(trace, "fs00", d)
-	if err == nil {
-		err = w.Wait()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendFlushes(t, jnl, "fs00", 3, 3) // untraced neighbours ship too
-
 	ship, err := NewShipper(ShipperOptions{
 		Addr: addr, Journal: jnl, Images: store.Images,
 		Obs: pObs, DaemonID: 2,
@@ -49,6 +39,18 @@ func TestShipCarriesTraceToStandbyAck(t *testing.T) {
 	}
 	ship.Start()
 	defer ship.Stop()
+	// The trace rides the offer the committer makes at gather time (the log
+	// keeps none), so the traced append comes with the stream up.
+	waitAcked(t, ship, jnl.DurableSeq())
+	d := sharedisk.Delta{Base: 1, Puts: map[string]sharedisk.Record{"/t": {Size: 1, Owner: "w"}}}
+	w, err := jnl.LogDelta(trace, "fs00", d)
+	if err == nil {
+		err = w.Wait()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFlushes(t, jnl, "fs00", 3, 3) // untraced neighbours ship too
 	waitAcked(t, ship, jnl.DurableSeq())
 
 	var shipSpan obs.Span

@@ -316,6 +316,13 @@ func (c *Client) ShipSnapshot(seq uint64, snap []byte) (uint64, error) {
 	return resp.AckSeq, err
 }
 
+// ShipReset delivers a full encoded store cut that replaces everything the
+// standby holds: its log restarts at seq+1 whatever it held before.
+func (c *Client) ShipReset(seq uint64, snap []byte) (uint64, error) {
+	resp, err := c.call(Request{Op: OpShip, SnapSeq: seq, Snap: snap, Reset: true})
+	return resp.AckSeq, err
+}
+
 // ShipStatus asks a standby how far it has durably applied — the
 // sequence-based resume point for log shipping.
 func (c *Client) ShipStatus() (uint64, error) {

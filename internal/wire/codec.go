@@ -75,6 +75,7 @@ const (
 	reqVolumesVersion = 27 // uint
 	reqBatch          = 28 // items
 	reqDurable        = 29 // flag
+	reqReset          = 30 // flag
 )
 
 // Response field tags, likewise.
@@ -172,6 +173,7 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 		}
 	}
 	dst = putFlag(dst, reqDurable, r.Durable)
+	dst = putFlag(dst, reqReset, r.Reset)
 	return dst, ok
 }
 
@@ -419,6 +421,8 @@ func (*Decoder) DecodeRequest(data []byte, r *Request) bool {
 			}
 		case reqDurable:
 			r.Durable = true
+		case reqReset:
+			r.Reset = true
 		default:
 			return false
 		}

@@ -254,7 +254,7 @@ func TestDecodeZeroesReusedStruct(t *testing.T) {
 	r := Request{
 		Op: OpShip, Entries: []ShipEntry{{Seq: 9, Payload: []byte("p")}}, Snap: []byte("s"),
 		Volume: "t", Batch: []BatchItem{{Op: OpCreate, Record: &sharedisk.Record{Size: 1}}}, Speed: 2,
-		FileSet: "old", Record: &sharedisk.Record{Size: 3}, FileSets: []string{"a"}, Durable: true,
+		FileSet: "old", Record: &sharedisk.Record{Size: 3}, FileSets: []string{"a"}, Durable: true, Reset: true,
 	}
 	ping, _ := AppendRequest(nil, &Request{ID: 42, Op: OpPing})
 	if !dec.DecodeRequest(ping, &r) {
@@ -299,7 +299,7 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"op code 0":                        {0},
 		"op code past the table":           {byte(len(Ops) + 1)},
 		"field tag 0":                      cat(ping, []byte{0}),
-		"field tag past the last":          cat(ping, []byte{reqDurable + 1}),
+		"field tag past the last":          cat(ping, []byte{reqReset + 1}),
 		"repeated tag":                     cat(ping, []byte{reqID, 1, reqID, 1}),
 		"descending tags":                  cat(ping, []byte{reqTrace, 1, reqID, 1}),
 		"truncated uvarint":                cat(ping, []byte{reqID, 0x80}),
@@ -389,11 +389,21 @@ func TestGoldenVectors(t *testing.T) {
 		{"one-entry ship", Request{ID: 9, Op: OpShip, Daemon: 1,
 			Entries: []ShipEntry{{Seq: 41, Trace: 5, Payload: []byte{4, 2, 'f', 's', 0xff}}}},
 			"180109" + "0b01" + "2905" + "05040266 73ff" + "1002"},
+		{"snapshot ship", Request{ID: 3, Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}},
+			"180103" + "0c020102" + "0d09"},
+		// The reset flag is one appended byte: the frame before it is the
+		// plain snapshot ship, which decodes as it always did.
+		{"reset ship", Request{ID: 3, Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}, Reset: true},
+			"180103" + "0c020102" + "0d09" + "1e"},
 	}
 	for _, g := range reqs {
 		got, ok := AppendRequest(nil, &g.req)
 		if want := unhex(t, g.hex); !ok || string(got) != string(want) {
 			t.Errorf("%s request:\n got  %x\n want %x", g.name, got, want)
+		}
+		var back Request
+		if !new(Decoder).DecodeRequest(unhex(t, g.hex), &back) || !reflect.DeepEqual(back, g.req) {
+			t.Errorf("%s request decodes to %+v", g.name, back)
 		}
 	}
 	reply := Response{ID: 7, Trace: 9, Results: []BatchResult{{}}}

@@ -56,7 +56,7 @@ func seedRequests() []Request {
 			req.FileSets, req.Map, req.Snap = []string{"fs00", "fs01"}, []byte("map"), []byte("snap")
 			req.Volumes, req.VolumesVersion = []volume.Info{{Name: "acme", Policy: "pack", Weight: 1}}, 4
 		case ClassStandby:
-			req.Daemon, req.SnapSeq = 1, 9
+			req.Daemon, req.SnapSeq, req.Reset = 1, 9, true
 			req.Entries = []ShipEntry{{Seq: 8, Trace: 7, Payload: []byte{1, 2, 'f', 's'}}, {Seq: 9}}
 		}
 		if info.Op == OpBatch {

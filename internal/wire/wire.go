@@ -185,10 +185,13 @@ type Request struct {
 	Count int `json:"count,omitempty"`
 	// Entries carries replicated journal entries for OpShip (empty = pure
 	// heartbeat). Snap/SnapSeq instead carry a full encoded store cut when
-	// the standby has fallen behind the primary's compaction horizon.
+	// the standby has fallen behind the primary's compaction horizon — or,
+	// with Reset, when a new primary incarnation replaces whatever the
+	// standby holds, a suffix past SnapSeq included.
 	Entries []ShipEntry `json:"entries,omitempty"`
 	Snap    []byte      `json:"snap,omitempty"`
 	SnapSeq uint64      `json:"snap_seq,omitempty"`
+	Reset   bool        `json:"reset,omitempty"`
 	// Fleet fields. Epoch is the cluster-map epoch the sender acted under
 	// (OpAdopt/OpHandoff). Addr is the recipient daemon's address for
 	// OpHandoff. Daemon is the target daemon ID for OpAssign. Map carries an
