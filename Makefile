@@ -1,7 +1,7 @@
 GO ?= go
 ANUFSVET := $(CURDIR)/bin/anufsvet
 
-.PHONY: all build test vet fuzz-smoke bench-alloc clean
+.PHONY: all build test vet fuzz-smoke clean
 
 all: build test vet
 
@@ -29,15 +29,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
 
-# bench-alloc measures the marked hot paths (the wire body codec, journal
-# image and delta frame encoding, the journal's enqueue + wait) and enforces
-# the 0 allocs/op budget via cmd/allocguard, as CI does.
-bench-alloc:
-	$(GO) test -run=NONE -bench='BenchmarkEncode|BenchmarkLogDeltaEnqueueWait' -benchmem ./internal/wire/ ./internal/journal/ \
-		| tee bench_alloc.txt
-	$(GO) run ./cmd/allocguard -match '^Benchmark(Encode|LogDeltaEnqueueWait)' bench_alloc.txt
-
 clean:
-	rm -rf bin bench_alloc.txt
+	rm -rf bin
 
 FORCE:

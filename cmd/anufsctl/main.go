@@ -21,12 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"text/tabwriter"
 	"time"
 
 	"anufs/internal/fleet"
-	"anufs/internal/metrics"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/volume"
@@ -287,21 +287,22 @@ func main() {
 				st.ID, st.Speed, st.ShareFrac*100, st.Owned, st.Served)
 		}
 		check(tw.Flush())
-		// Merge the journal and wire counters into one CounterSet so the
-		// listing is stable-sorted regardless of which side reported them.
-		cs := metrics.NewCounterSet()
-		for name, v := range js {
-			cs.Set(name, v)
+		// One listing, sorted by name whichever side reported the counter.
+		ctrs := map[string]int64{}
+		names := make([]string, 0, len(js)+len(ws))
+		for _, m := range []map[string]int64{js, ws} {
+			for name, v := range m {
+				ctrs[name] = v
+				names = append(names, name)
+			}
 		}
-		for name, v := range ws {
-			cs.Set(name, v)
-		}
-		if names := cs.Names(); len(names) > 0 {
+		if len(names) > 0 {
+			sort.Strings(names)
 			fmt.Println()
 			tw = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "COUNTER\tVALUE")
 			for _, name := range names {
-				fmt.Fprintf(tw, "%s\t%d\n", name, cs.Get(name))
+				fmt.Fprintf(tw, "%s\t%d\n", name, ctrs[name])
 			}
 			check(tw.Flush())
 		}

@@ -336,9 +336,6 @@ func main() {
 	}
 
 	srv := wire.NewServer(cluster)
-	if jnl != nil {
-		srv.SetJournalStats(jnl.Counters().Snapshot)
-	}
 	var member *fleet.Member
 	if fl != nil {
 		member, err = fleet.NewMember(fleet.MemberConfig{

@@ -11,10 +11,14 @@ import (
 
 // lockPkgs are the packages where a mutex held across a blocking
 // operation deadlocks real traffic: the fleet router/authority, the
-// live cluster's owner queues, and the shared-disk store.
+// live cluster's owner queues, the shared-disk store, and the journal
+// and its shipper, whose locks a ship racing a commit must never wait
+// behind.
 var lockPkgs = []string{
 	"internal/fleet",
+	"internal/journal",
 	"internal/live",
+	"internal/replica",
 	"internal/sharedisk",
 }
 
@@ -32,7 +36,7 @@ var lockPkgs = []string{
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc: "no channel sends, wire.Client calls, or journal commits while " +
-		"holding a mutex in fleet/live/sharedisk",
+		"holding a mutex in fleet/journal/live/replica/sharedisk",
 	Run: runLockDiscipline,
 }
 

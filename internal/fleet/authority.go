@@ -30,7 +30,7 @@ import (
 	"anufs/internal/core"
 	"anufs/internal/election"
 	"anufs/internal/interval"
-	"anufs/internal/metrics"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/volume"
 	"anufs/internal/wire"
@@ -147,7 +147,9 @@ type Authority struct {
 	// map from inside the RPC the authority is waiting on.
 	cur atomic.Value
 
-	counters *metrics.CounterSet
+	// obs is the hosting daemon's registry: NewMember sets it when handed
+	// this authority, before either is started. Nil counts nowhere.
+	obs *obs.Registry
 	// elector tracks member liveness leases (nil when Lease == 0).
 	elector *election.Elector
 	// vols is the authoritative volume registry (its own lock; mutations
@@ -232,7 +234,6 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	a := &Authority{
 		dial:     cfg.Dial,
 		dialFast: cfg.DialFast,
-		counters: metrics.NewCounterSet(),
 		vols:     volume.NewRegistry(),
 		cfg:      cfg,
 		mapper:   mapper,
@@ -444,7 +445,7 @@ func (a *Authority) composeLocked(epoch uint64, assign map[string]int) *placemen
 func (a *Authority) commitLocked(cm *placement.ClusterMap) {
 	if a.cfg.Persist != nil {
 		if err := a.cfg.Persist(cm); err != nil {
-			a.counters.Add(CtrPersistFailures, 1)
+			a.obs.Counter(CtrPersistFailures).Add(1)
 		}
 	}
 	a.cur.Store(cm)
@@ -468,10 +469,6 @@ func (a *Authority) Map() *placement.ClusterMap {
 
 // Epoch returns the current map epoch.
 func (a *Authority) Epoch() uint64 { return a.Map().Epoch }
-
-// Counters exposes the authority's counters (joins, leaves, failovers,
-// publish stragglers) for tests and the obs registry.
-func (a *Authority) Counters() *metrics.CounterSet { return a.counters }
 
 // Join registers daemon id at addr with the given relative speed and
 // journal directory, live — no fleet restart. A new daemon starts with no
@@ -524,7 +521,7 @@ func (a *Authority) Join(id int, addr string, speed float64, journalDir string) 
 	cur := a.Map()
 	cm := a.composeLocked(a.nextEpochLocked(), cur.Assign)
 	a.commitLocked(cm)
-	a.counters.Add(CtrJoins, 1)
+	a.obs.Counter(CtrJoins).Add(1)
 	a.mu.Unlock()
 	a.publish(cm)
 	return cm, nil
@@ -580,7 +577,7 @@ func (a *Authority) Leave(id int) (uint64, error) {
 	}
 	cm := a.composeLocked(a.nextEpochLocked(), cur.Assign)
 	a.commitLocked(cm)
-	a.counters.Add(CtrLeaves, 1)
+	a.obs.Counter(CtrLeaves).Add(1)
 	a.mu.Unlock()
 	a.publish(cm)
 	return cm.Epoch, nil
@@ -791,7 +788,7 @@ func (a *Authority) failoverLocked(victim int) {
 		return
 	}
 	fileSets := a.Map().FileSetsOf(victim)
-	a.counters.Add(CtrFailovers, 1)
+	a.obs.Counter(CtrFailovers).Add(1)
 	if err := a.mapper.RemoveServer(victim); err == nil {
 		_ = a.rescaleBySpeed()
 	}
@@ -848,8 +845,8 @@ func (a *Authority) failoverLocked(victim int) {
 	}
 	cm := a.composeLocked(a.nextEpochLocked(), assign)
 	a.commitLocked(cm)
-	a.counters.Add(CtrFailoverFileSets, int64(adopted))
-	a.counters.Add(CtrFailoverUnplaced, int64(unplaced))
+	a.obs.Counter(CtrFailoverFileSets).Add(int64(adopted))
+	a.obs.Counter(CtrFailoverUnplaced).Add(int64(unplaced))
 }
 
 // takeoverLocked asks one daemon to adopt fileSets from a dead daemon,
@@ -938,7 +935,7 @@ func (a *Authority) publish(cm *placement.ClusterMap) {
 			defer wg.Done()
 			c, err := a.dialFast(addr)
 			if err != nil {
-				a.counters.Add(CtrPublishStragglers, 1)
+				a.obs.Counter(CtrPublishStragglers).Add(1)
 				return
 			}
 			defer c.Close()
@@ -946,7 +943,7 @@ func (a *Authority) publish(cm *placement.ClusterMap) {
 			_, err = c.Call(wire.Request{Op: wire.OpAdopt, Epoch: cm.Epoch, Map: encoded,
 				Volumes: vols, VolumesVersion: vversion})
 			if err != nil {
-				a.counters.Add(CtrPublishStragglers, 1)
+				a.obs.Counter(CtrPublishStragglers).Add(1)
 			}
 		}(d.Addr)
 	}

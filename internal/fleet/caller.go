@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"anufs/internal/metrics"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/wire"
 )
@@ -32,9 +32,9 @@ const (
 // whose map satisfies the floor, which is what lets a tier of gateways
 // absorb map churn without stampeding the authority.
 type MapCache struct {
-	sources  []string
-	dial     func(addr string) (Caller, error)
-	counters *metrics.CounterSet
+	sources []string
+	dial    func(addr string) (Caller, error)
+	obs     *obs.Registry
 
 	mu     sync.Mutex
 	conns  map[string]Caller
@@ -43,17 +43,14 @@ type MapCache struct {
 	closed bool
 }
 
-// NewMapCache builds a cache over the ordered map sources. counters may
-// be nil (private accounting).
-func NewMapCache(sources []string, dial func(addr string) (Caller, error), counters *metrics.CounterSet) *MapCache {
-	if counters == nil {
-		counters = metrics.NewCounterSet()
-	}
+// NewMapCache builds a cache over the ordered map sources, counting its
+// fetches in reg (nil: uncounted).
+func NewMapCache(sources []string, dial func(addr string) (Caller, error), reg *obs.Registry) *MapCache {
 	return &MapCache{
-		sources:  sources,
-		dial:     dial,
-		counters: counters,
-		conns:    map[string]Caller{},
+		sources: sources,
+		dial:    dial,
+		obs:     reg,
+		conns:   map[string]Caller{},
 	}
 }
 
@@ -112,11 +109,11 @@ func (m *MapCache) Refresh() (*placement.ClusterMap, error) {
 				cm, err = placement.DecodeClusterMap(resp.Map)
 				if err == nil {
 					answered = true
-					m.counters.Add(CtrMapFetches, 1)
+					m.obs.Counter(CtrMapFetches).Add(1)
 					m.install(cm)
 					if cm.Epoch >= floor {
 						if i < len(m.sources)-1 {
-							m.counters.Add(CtrMapPeerHits, 1)
+							m.obs.Counter(CtrMapPeerHits).Add(1)
 						}
 						break
 					}

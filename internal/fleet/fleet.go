@@ -8,7 +8,6 @@ import (
 
 	"anufs/internal/journal"
 	"anufs/internal/live"
-	"anufs/internal/metrics"
 	"anufs/internal/namespace"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
@@ -122,7 +121,6 @@ const DefaultProbeTimeout = 2 * time.Second
 // adopt/handoff endpoints. It implements wire.FleetHandler.
 type Member struct {
 	cfg      MemberConfig
-	counters *metrics.CounterSet
 	handoffH *obs.Histogram
 
 	mu sync.Mutex
@@ -202,7 +200,6 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	}
 	m := &Member{
 		cfg:         cfg,
-		counters:    metrics.NewCounterSet(),
 		cur:         initial,
 		lastContact: time.Now(),
 		ready:       map[string]bool{},
@@ -214,6 +211,7 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	}
 	if cfg.Authority != nil {
 		m.vols = cfg.Authority.vols
+		cfg.Authority.obs = cfg.Obs
 	}
 	m.applyVolumes()
 	onDisk := map[string]bool{}
@@ -227,10 +225,6 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	}
 	if cfg.Obs != nil {
 		m.handoffH = cfg.Obs.Hist.Get("fleet_handoff_seconds", "")
-		cfg.Obs.AddCounters(m.counters.Snapshot)
-		if cfg.Authority != nil {
-			cfg.Obs.AddCounters(cfg.Authority.counters.Snapshot)
-		}
 		cfg.Obs.AddGauges(func() []obs.Gauge {
 			cm := m.CurrentMap()
 			m.mu.Lock()
@@ -371,7 +365,7 @@ func (m *Member) probe(addr string) bool {
 			if derr != nil {
 				return false
 			}
-			m.counters.Add(CtrRejoins, 1)
+			m.cfg.Obs.Counter(CtrRejoins).Add(1)
 			m.installVolumes(jresp.Volumes, jresp.VolumesVersion)
 			m.adoptMap(cm)
 			return true
@@ -412,7 +406,7 @@ func (m *Member) adoptMapLocked(cm *placement.ClusterMap) {
 		return
 	}
 	m.cur = cm
-	m.counters.Add(CtrMapRefreshes, 1)
+	m.cfg.Obs.Counter(CtrMapRefreshes).Add(1)
 }
 
 // Gate implements wire.FleetHandler: it admits or rejects one
@@ -442,12 +436,12 @@ func (m *Member) Gate(op wire.Op, fileSet string) (func(), error) {
 			unplacedMsg, fileSet, cm.Epoch))
 	}
 	if owner != m.cfg.ID {
-		m.counters.Add(CtrWrongOwner, 1)
+		m.cfg.Obs.Counter(CtrWrongOwner).Add(1)
 		m.mu.Unlock()
 		return nil, &wire.WrongOwnerError{Epoch: cm.Epoch}
 	}
 	if !m.ready[fileSet] && op != wire.OpCreateFileSet {
-		m.counters.Add(CtrArrivingRejects, 1)
+		m.cfg.Obs.Counter(CtrArrivingRejects).Add(1)
 		m.mu.Unlock()
 		return nil, wire.ErrArriving
 	}
@@ -457,7 +451,7 @@ func (m *Member) Gate(op wire.Op, fileSet string) (func(), error) {
 	// quota-exceeded for an op.
 	vol := namespace.VolumeOf(fileSet)
 	if b := m.buckets[vol]; b != nil && !b.Allow() {
-		m.counters.Add(CtrQuotaDenials, 1)
+		m.cfg.Obs.Counter(CtrQuotaDenials).Add(1)
 		m.mu.Unlock()
 		return nil, wire.QuotaExceeded(fmt.Errorf(
 			"fleet: volume %q over its op-rate quota (%g ops/s per daemon)", vol, b.Rate()))
@@ -689,7 +683,7 @@ func (m *Member) handleAdopt(req wire.Request) error {
 	m.ready[req.FileSet] = true
 	m.adoptMapLocked(cm)
 	m.mu.Unlock()
-	m.counters.Add(CtrAdopts, 1)
+	m.cfg.Obs.Counter(CtrAdopts).Add(1)
 	return nil
 }
 
@@ -745,7 +739,7 @@ func (m *Member) handleTakeover(req wire.Request) error {
 	for _, fs := range req.FileSets {
 		im, found := images[fs]
 		if !found {
-			m.counters.Add(CtrTakeoverEmpty, 1)
+			m.cfg.Obs.Counter(CtrTakeoverEmpty).Add(1)
 		}
 		if err := installer.Install(fs, im); err != nil {
 			return fmt.Errorf("fleet: takeover install of %q: %w", fs, err)
@@ -760,7 +754,7 @@ func (m *Member) handleTakeover(req wire.Request) error {
 	}
 	m.adoptMapLocked(cm)
 	m.mu.Unlock()
-	m.counters.Add(CtrTakeovers, int64(len(req.FileSets)))
+	m.cfg.Obs.Counter(CtrTakeovers).Add(int64(len(req.FileSets)))
 	return nil
 }
 
@@ -772,10 +766,10 @@ func (m *Member) handleHandoff(req wire.Request) error {
 	start := time.Now()
 	err := m.donate(req)
 	if err != nil {
-		m.counters.Add(CtrHandoffFailures, 1)
+		m.cfg.Obs.Counter(CtrHandoffFailures).Add(1)
 		return err
 	}
-	m.counters.Add(CtrHandoffs, 1)
+	m.cfg.Obs.Counter(CtrHandoffs).Add(1)
 	if m.handoffH != nil {
 		m.handoffH.Observe(time.Since(start))
 	}
@@ -870,10 +864,10 @@ func (m *Member) donate(req wire.Request) error {
 	// already keeps this daemon from ever serving fs again.
 	if dropper, ok := m.cfg.Disk.(sharedisk.Dropper); ok {
 		if err := dropper.DropFileSet(fs); err != nil {
-			m.counters.Add(CtrDropFailures, 1)
+			m.cfg.Obs.Counter(CtrDropFailures).Add(1)
 		}
 	} else {
-		m.counters.Add(CtrDropFailures, 1)
+		m.cfg.Obs.Counter(CtrDropFailures).Add(1)
 	}
 	return nil
 }
@@ -895,9 +889,6 @@ func (m *Member) drain(fs string) error {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
-
-// Counters exposes the member's counters (tests and stats).
-func (m *Member) Counters() *metrics.CounterSet { return m.counters }
 
 // String identifies the member in logs.
 func (m *Member) String() string { return "fleet-member-" + strconv.Itoa(m.cfg.ID) }

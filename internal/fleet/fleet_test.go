@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"anufs/internal/live"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -77,6 +79,7 @@ func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberCon
 			DrainTimeout: 2 * time.Second,
 			PollInterval: 20 * time.Millisecond,
 			Dial:         testDial,
+			Obs:          d.clus.Obs(),
 		}
 		if d.id == 0 {
 			mc.Authority = auth
@@ -106,9 +109,16 @@ func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberCon
 
 func (f *testFleet) router(t testing.TB) *Router {
 	t.Helper()
+	return f.routerOn(t, nil)
+}
+
+// routerOn is router, counting in reg.
+func (f *testFleet) routerOn(t testing.TB, reg *obs.Registry) *Router {
+	t.Helper()
 	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        5 * time.Second,
+		Obs:           reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +226,10 @@ func TestHandoffMovesFileSetLive(t *testing.T) {
 	if _, err := f.daemons[to].disk.Load("vol00"); err != nil {
 		t.Fatalf("recipient disk missing vol00: %v", err)
 	}
-	if n := f.daemons[from].member.Counters().Snapshot()[CtrHandoffs]; n != 1 {
+	if n := f.daemons[from].clus.Obs().Counter(CtrHandoffs).Load(); n != 1 {
 		t.Fatalf("donor handoff counter = %d, want 1", n)
 	}
-	if n := f.daemons[to].member.Counters().Snapshot()[CtrAdopts]; n != 1 {
+	if n := f.daemons[to].clus.Obs().Counter(CtrAdopts).Load(); n != 1 {
 		t.Fatalf("recipient adopt counter = %d, want 1", n)
 	}
 }
@@ -255,7 +265,7 @@ func TestHandoffFailureRollsBack(t *testing.T) {
 	if rec, err := r.Stat("vol00", "/a"); err != nil || rec.Size != 9 {
 		t.Fatalf("Stat after failed handoff = %+v, %v", rec, err)
 	}
-	if n := f.daemons[from].member.Counters().Snapshot()[CtrHandoffFailures]; n != 1 {
+	if n := f.daemons[from].clus.Obs().Counter(CtrHandoffFailures).Load(); n != 1 {
 		t.Fatalf("donor handoff-failure counter = %d, want 1", n)
 	}
 }
@@ -330,7 +340,8 @@ func TestStaleRouterRetriesOncePerRefetch(t *testing.T) {
 	// Phase 2: the epoch does advance (a real handoff) — one refetch, one
 	// retry, success.
 	from := f.auth.Map().Assign["vol00"]
-	stale := f.router(t) // caches the pre-handoff map
+	reg := obs.New()
+	stale := f.routerOn(t, reg) // caches the pre-handoff map
 	if _, err := f.auth.Assign("vol00", 1-from); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +360,7 @@ func TestStaleRouterRetriesOncePerRefetch(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("op attempted %d times across one refetch, want exactly 2 (reject + retry)", calls)
 	}
-	if n := stale.Counters().Snapshot()["fleet_router_wrong_owner"]; n != 1 {
+	if n := reg.Counter("fleet_router_wrong_owner").Load(); n != 1 {
 		t.Fatalf("wrong-owner counter = %d, want 1", n)
 	}
 }
@@ -460,7 +471,7 @@ func TestAdoptIdempotentRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopts := f.daemons[to].member.Counters().Snapshot()[CtrAdopts]
+	adopts := f.daemons[to].clus.Obs().Counter(CtrAdopts).Load()
 	c, err := testDial(f.daemons[to].addr)
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +480,7 @@ func TestAdoptIdempotentRetry(t *testing.T) {
 	if err := c.Adopt(cm.Epoch, "vol00", nil, encoded); err != nil {
 		t.Fatalf("idempotent adopt retry = %v", err)
 	}
-	if n := f.daemons[to].member.Counters().Snapshot()[CtrAdopts]; n != adopts {
+	if n := f.daemons[to].clus.Obs().Counter(CtrAdopts).Load(); n != adopts {
 		t.Fatalf("retry re-ran the adopt: counter %d -> %d", adopts, n)
 	}
 }
@@ -493,5 +504,37 @@ func TestMemberServesEveryFleetClassOp(t *testing.T) {
 	}
 	if resp := m.Fleet(wire.Request{Op: wire.OpStat}); !strings.Contains(resp.Err, "unknown fleet op") {
 		t.Errorf("an op of no fleet class answered %+v", resp)
+	}
+}
+
+// Two routers on one registry sum into the same fleet_* series, building one
+// leaves nothing behind in the counter table, and the per-daemon count of a
+// routed op — its handle resolved once — formats no name and allocates
+// nothing.
+func TestRoutersOnOneRegistrySum(t *testing.T) {
+	f := startFleet(t, []float64{1}, nil)
+	reg := obs.New()
+	a, b := f.routerOn(t, reg), f.routerOn(t, reg)
+	if err := a.CreateFileSet("vol00"); err != nil {
+		t.Fatal(err)
+	}
+	base := reg.Counter("fleet_routed_daemon_0").Load()
+	for i, r := range []*Router{a, b, b} {
+		if err := r.Create("vol00", fmt.Sprintf("/f%d", i), sharedisk.Record{Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("fleet_routed_daemon_0").Load() - base; got != 3 {
+		t.Fatalf("fleet_routed_daemon_0 rose by %d over three creates through two routers, want 3", got)
+	}
+	before := len(reg.Counters())
+	for i := 0; i < 100; i++ {
+		f.routerOn(t, reg).Close()
+	}
+	if after := len(reg.Counters()); after != before {
+		t.Fatalf("100 routers built and closed grew the counter table from %d to %d names", before, after)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.countRouted(0) }); n != 0 {
+		t.Fatalf("countRouted: %v allocs/op, want 0", n)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"anufs/internal/metrics"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/wire"
 )
@@ -59,9 +59,9 @@ func (s *fakeMapSource) stats() (calls, closed int) {
 	return s.calls, s.closed
 }
 
-func fakeCache(t *testing.T, srcs map[string]*fakeMapSource, order ...string) (*MapCache, *metrics.CounterSet) {
+func fakeCache(t *testing.T, srcs map[string]*fakeMapSource, order ...string) (*MapCache, *obs.Registry) {
 	t.Helper()
-	ctrs := metrics.NewCounterSet()
+	ctrs := obs.New()
 	mc := NewMapCache(order, func(addr string) (Caller, error) {
 		s, ok := srcs[addr]
 		if !ok {
@@ -90,10 +90,10 @@ func TestMapCachePeerSparesAuthority(t *testing.T) {
 	if calls, _ := auth.stats(); calls != 0 {
 		t.Fatalf("authority was asked %d times with a satisfying peer", calls)
 	}
-	if got := ctrs.Get(CtrMapPeerHits); got != 1 {
+	if got := ctrs.Counter(CtrMapPeerHits).Load(); got != 1 {
 		t.Fatalf("peer hits = %d, want 1", got)
 	}
-	if got := ctrs.Get(CtrMapFetches); got != 1 {
+	if got := ctrs.Counter(CtrMapFetches).Load(); got != 1 {
 		t.Fatalf("fetches = %d, want 1", got)
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	"anufs/internal/journal"
 	"anufs/internal/live"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -98,7 +99,7 @@ func TestJoinAddsDaemonLive(t *testing.T) {
 	if got := len(cm.FileSetsOf(2)); got != 0 {
 		t.Fatalf("join moved %d file sets without a handoff", got)
 	}
-	if n := f.auth.Counters().Snapshot()[CtrJoins]; n != 1 {
+	if n := f.daemons[0].clus.Obs().Counter(CtrJoins).Load(); n != 1 {
 		t.Fatalf("join counter = %d, want 1", n)
 	}
 
@@ -203,7 +204,7 @@ func TestLeaveDrainsDaemon(t *testing.T) {
 			t.Fatalf("Stat %s after leave = %+v, %v", fs, rec, err)
 		}
 	}
-	if n := f.auth.Counters().Snapshot()[CtrLeaves]; n != 1 {
+	if n := f.daemons[0].clus.Obs().Counter(CtrLeaves).Load(); n != 1 {
 		t.Fatalf("leave counter = %d, want 1", n)
 	}
 }
@@ -246,6 +247,7 @@ func TestPublishBoundedWithUnreachableDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.obs = obs.New() // no member hosts this authority
 	start := time.Now()
 	if _, err := auth.Assign("vol00", 0); err != nil {
 		t.Fatal(err)
@@ -255,7 +257,7 @@ func TestPublishBoundedWithUnreachableDaemon(t *testing.T) {
 	}
 	// The abandoned publish goroutines finish on their own and are counted.
 	time.Sleep(hang + 200*time.Millisecond)
-	if n := auth.Counters().Snapshot()[CtrPublishStragglers]; n != 2 {
+	if n := auth.obs.Counter(CtrPublishStragglers).Load(); n != 2 {
 		t.Fatalf("publish straggler counter = %d, want 2", n)
 	}
 }
@@ -499,7 +501,7 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	}
 
 	m0, err := NewMember(MemberConfig{
-		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth,
+		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
 		Dial: testDial,
 	}, auth.Map())
@@ -600,14 +602,14 @@ func TestFailoverReplaysJournal(t *testing.T) {
 		requireRecords(t, r, fs, want[fs])
 		requireRecovers(t, d0.dir, fs, want[fs])
 	}
-	ac := auth.Counters().Snapshot()
+	ac := d0.clus.Obs().Counters()
 	if ac[CtrFailovers] != 1 {
 		t.Fatalf("failover counter = %d, want 1", ac[CtrFailovers])
 	}
 	if ac[CtrFailoverFileSets] != 2 {
 		t.Fatalf("failover file-set counter = %d, want 2", ac[CtrFailoverFileSets])
 	}
-	mc := m0.Counters().Snapshot()
+	mc := ac
 	if mc[CtrTakeovers] != 2 {
 		t.Fatalf("takeover counter = %d, want 2", mc[CtrTakeovers])
 	}
@@ -691,7 +693,7 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m0, err := NewMember(MemberConfig{
-		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth,
+		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
 		Dial: testDial,
 	}, auth.Map())
@@ -700,7 +702,7 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 	}
 	d0.srv.SetFleet(m0)
 	m1, err := NewMember(MemberConfig{
-		ID: 1, Cluster: d1.clus, Disk: d1.disk,
+		ID: 1, Cluster: d1.clus, Disk: d1.disk, Obs: d1.clus.Obs(),
 		AuthorityAddr: d0.addr, Addr: d1.addr,
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
 		Dial: flakyDial,
@@ -741,12 +743,12 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		_, ok := auth.Map().Daemon(1)
-		if ok && m1.Counters().Snapshot()[CtrRejoins] >= 1 {
+		if ok && d1.clus.Obs().Counter(CtrRejoins).Load() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("healed daemon never re-joined: in map=%v rejoins=%d",
-				ok, m1.Counters().Snapshot()[CtrRejoins])
+				ok, d1.clus.Obs().Counter(CtrRejoins).Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -834,7 +836,7 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	m0, err := NewMember(MemberConfig{
-		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth,
+		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
 		Dial: testDial,
 	}, auth.Map())
@@ -862,7 +864,7 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 			t.Fatalf("%s owner after slow takeover = %d, %v; want daemon 0 (takeover timed out?)", fs, got, ok)
 		}
 	}
-	ac := auth.Counters().Snapshot()
+	ac := d0.clus.Obs().Counters()
 	if ac[CtrFailoverUnplaced] != 0 {
 		t.Fatalf("slow takeover left %d file sets unplaced", ac[CtrFailoverUnplaced])
 	}

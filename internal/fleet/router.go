@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
@@ -48,12 +47,14 @@ type RouterConfig struct {
 // epoch — no retry storm against a daemon that keeps saying no.
 type Router struct {
 	cfg      RouterConfig
-	counters *metrics.CounterSet
 	maps     *MapCache
 	ownsMaps bool
 
 	mu      sync.Mutex
 	clients map[string]Caller
+	// routed holds each daemon's fleet_routed_daemon_<id> handle, so the
+	// per-op count formats no name.
+	routed map[int]*obs.Counter
 }
 
 // NewRouter fetches the initial map from the authority and returns a ready
@@ -75,18 +76,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 	}
 	r := &Router{
-		cfg:      cfg,
-		counters: metrics.NewCounterSet(),
-		maps:     cfg.Maps,
-		clients:  map[string]Caller{},
+		cfg:     cfg,
+		maps:    cfg.Maps,
+		clients: map[string]Caller{},
+		routed:  map[int]*obs.Counter{},
 	}
 	if r.maps == nil {
 		sources := append(append([]string{}, cfg.MapSources...), cfg.AuthorityAddr)
-		r.maps = NewMapCache(sources, cfg.DialCaller, r.counters)
+		r.maps = NewMapCache(sources, cfg.DialCaller, cfg.Obs)
 		r.ownsMaps = true
-	}
-	if cfg.Obs != nil {
-		cfg.Obs.AddCounters(r.counters.Snapshot)
 	}
 	if _, err := r.Refresh(); err != nil {
 		return nil, err
@@ -128,7 +126,7 @@ func (r *Router) Maps() *MapCache { return r.maps }
 func (r *Router) Refresh() (*placement.ClusterMap, error) {
 	cm, err := r.maps.Refresh()
 	if err == nil {
-		r.counters.Add("fleet_router_refreshes", 1)
+		r.cfg.Obs.Counter("fleet_router_refreshes").Add(1)
 	}
 	return cm, err
 }
@@ -223,14 +221,14 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 			err = fn(d, c)
 		}
 		if err == nil {
-			r.counters.Add("fleet_routed_daemon_"+strconv.Itoa(d.ID), 1)
+			r.countRouted(d.ID)
 			return nil
 		}
 		lastErr = err
 		switch {
 		case isWrongOwnerErr(err):
 			epoch, _ := wire.IsWrongOwner(err)
-			r.counters.Add("fleet_router_wrong_owner", 1)
+			r.cfg.Obs.Counter("fleet_router_wrong_owner").Add(1)
 			// Mark the cache stale up to the rejecting daemon's epoch, then
 			// refetch until the map reaches it; only then is a retry allowed
 			// — exactly one per refetch that advances far enough.
@@ -241,14 +239,14 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 			}
 			retrySpan("wrong-owner", d.ID, attempt, err)
 		case wire.IsArriving(err):
-			r.counters.Add("fleet_router_arriving_waits", 1)
+			r.cfg.Obs.Counter("fleet_router_arriving_waits").Add(1)
 			ok := sleepUntil(backoff.Next(), deadline)
 			retrySpan("arriving", d.ID, attempt, err)
 			if !ok {
 				return lastErr
 			}
 		case wire.TransientError(err):
-			r.counters.Add("fleet_router_reconnects", 1)
+			r.cfg.Obs.Counter("fleet_router_reconnects").Add(1)
 			r.invalidate(d.Addr)
 			ok := sleepUntil(backoff.Next(), deadline)
 			retrySpan("reconnect", d.ID, attempt, err)
@@ -270,6 +268,18 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 			return err // application error: the caller's problem
 		}
 	}
+}
+
+// countRouted counts one operation served by daemon id.
+func (r *Router) countRouted(id int) {
+	r.mu.Lock()
+	c := r.routed[id]
+	if c == nil {
+		c = r.cfg.Obs.Counter("fleet_routed_daemon_" + strconv.Itoa(id))
+		r.routed[id] = c
+	}
+	r.mu.Unlock()
+	c.Add(1)
 }
 
 func isWrongOwnerErr(err error) bool {
@@ -477,6 +487,3 @@ func (r *Router) Forward(req wire.Request) (wire.Response, error) {
 	resp.ID = req.ID
 	return resp, err
 }
-
-// Counters exposes the router's counters (tests and the gateway's stats).
-func (r *Router) Counters() *metrics.CounterSet { return r.counters }

@@ -77,7 +77,7 @@ func (a *Authority) volumesChanged() uint64 {
 	vols, version := a.vols.List()
 	if a.cfg.PersistVolumes != nil {
 		if err := a.cfg.PersistVolumes(vols, version); err != nil {
-			a.counters.Add(CtrVolumePersistFailures, 1)
+			a.obs.Counter(CtrVolumePersistFailures).Add(1)
 		}
 	}
 	a.mu.Lock()
@@ -108,7 +108,7 @@ func (a *Authority) admitFileSetLocked(cur *placement.ClusterMap, fileSet string
 			}
 		}
 		if n >= max {
-			a.counters.Add(CtrQuotaDenials, 1)
+			a.obs.Counter(CtrQuotaDenials).Add(1)
 			return wire.QuotaExceeded(fmt.Errorf(
 				"fleet: volume %q at its file-set quota (%d of %d)", vol, n, max))
 		}
@@ -166,7 +166,7 @@ func (m *Member) installVolumes(vols []volume.Info, version uint64) {
 		return
 	}
 	if m.vols.Install(vols, version) {
-		m.counters.Add(CtrVolumeRefreshes, 1)
+		m.cfg.Obs.Counter(CtrVolumeRefreshes).Add(1)
 		m.applyVolumes()
 	}
 }

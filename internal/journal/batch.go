@@ -219,12 +219,17 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	}
 	j.segSize += int64(len(buf))
 	j.advanceLocked(batch[len(batch)-1].seq)
-	j.counters.Add(CtrRecords, int64(len(batch)))
-	j.counters.Add(CtrBytes, int64(len(buf)))
-	j.counters.Add(CtrFsyncs, 1)
-	j.counters.Add(CtrBatches, 1)
-	j.counters.Max(CtrMaxBatch, int64(len(batch)))
+	j.countCommit(len(batch), len(buf))
 	return nil
+}
+
+// countCommit records one written-and-fsynced batch.
+func (j *Journal) countCommit(records, bytes int) {
+	j.ctrRecords.Add(int64(records))
+	j.ctrBytes.Add(int64(bytes))
+	j.ctrFsyncs.Add(1)
+	j.ctrBatches.Add(1)
+	j.ctrMaxBatch.Max(int64(records))
 }
 
 // failLocked stops the journal at its first failed write or fsync and
@@ -240,7 +245,7 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 // contract allows. Callers hold mu.
 func (j *Journal) failLocked(cause error) error {
 	j.failed = fmt.Errorf("%w: %w", ErrFailed, cause)
-	j.counters.Set(CtrWriteFailed, 1)
+	j.obs.Counter(CtrWriteFailed).Set(1)
 	if j.f != nil {
 		_ = j.f.Truncate(j.segSize) // best effort, see above
 	}

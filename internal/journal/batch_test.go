@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -36,7 +37,8 @@ func oneRecord(base uint64) sharedisk.Delta {
 func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 	const k = 32
 	dir := t.TempDir()
-	j, _, _, err := Open(dir, Options{})
+	reg := obs.New()
+	j, _, _, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +73,7 @@ func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 	release <- struct{}{}
 	wg.Wait()
 
-	c := j.Counters()
-	if recs, fsyncs, most := c.Get(CtrRecords), c.Get(CtrFsyncs), c.Get(CtrMaxBatch); recs != k+1 || fsyncs != 2 || most != k {
+	if recs, fsyncs, most := reg.Counter(CtrRecords).Load(), reg.Counter(CtrFsyncs).Load(), reg.Counter(CtrMaxBatch).Load(); recs != k+1 || fsyncs != 2 || most != k {
 		t.Fatalf("%d records in %d fsyncs, largest batch %d; want %d in 2, largest %d", recs, fsyncs, most, k+1, k)
 	}
 	slices.Sort(seqs)
@@ -97,7 +98,8 @@ func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 // one sync, no timer in between. The bound is thousands of fsyncs wide, not
 // a tuned sleep.
 func TestLoneAppendCommitsWithoutGatherWait(t *testing.T) {
-	j, _, _, err := Open(t.TempDir(), Options{})
+	reg := obs.New()
+	j, _, _, err := Open(t.TempDir(), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +113,7 @@ func TestLoneAppendCommitsWithoutGatherWait(t *testing.T) {
 			t.Fatalf("lone append %d took %v", i, took)
 		}
 	}
-	c := j.Counters()
-	if recs, fsyncs, most := c.Get(CtrRecords), c.Get(CtrFsyncs), c.Get(CtrMaxBatch); recs != 5 || fsyncs != 5 || most != 1 {
+	if recs, fsyncs, most := reg.Counter(CtrRecords).Load(), reg.Counter(CtrFsyncs).Load(), reg.Counter(CtrMaxBatch).Load(); recs != 5 || fsyncs != 5 || most != 1 {
 		t.Fatalf("%d records in %d fsyncs, largest batch %d; want 5 in 5, largest 1", recs, fsyncs, most)
 	}
 }
@@ -122,7 +123,8 @@ func TestLoneAppendCommitsWithoutGatherWait(t *testing.T) {
 // fsyncs are far fewer than records — and every one of them recovers.
 func TestGatherWindowAmortizesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := Open(dir, Options{FsyncInterval: 2 * time.Millisecond})
+	reg := obs.New()
+	j, _, _, err := Open(dir, Options{FsyncInterval: 2 * time.Millisecond, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestGatherWindowAmortizesFsyncs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	records, fsyncs := j.Counters().Get(CtrRecords), j.Counters().Get(CtrFsyncs)
+	records, fsyncs := reg.Counter(CtrRecords).Load(), reg.Counter(CtrFsyncs).Load()
 	if records != writers*each {
 		t.Fatalf("records = %d, want %d", records, writers*each)
 	}
@@ -171,6 +173,8 @@ func BenchmarkGroupCommit(b *testing.B) {
 	}{{"group", Options{}}, {"per-record-fsync", Options{NoGroupCommit: true}}} {
 		b.Run(arm.name, func(b *testing.B) {
 			const writers = 64
+			reg := obs.New()
+			arm.opts.Obs = reg
 			j, _, _, err := Open(b.TempDir(), arm.opts)
 			if err != nil {
 				b.Fatal(err)
@@ -193,8 +197,8 @@ func BenchmarkGroupCommit(b *testing.B) {
 			}
 			wg.Wait()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/sec")
-			if recs := j.Counters().Get(CtrRecords); recs > 0 {
-				b.ReportMetric(float64(j.Counters().Get(CtrFsyncs))/float64(recs), "fsyncs/op")
+			if recs := reg.Counter(CtrRecords).Load(); recs > 0 {
+				b.ReportMetric(float64(reg.Counter(CtrFsyncs).Load())/float64(recs), "fsyncs/op")
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -88,7 +89,8 @@ func flushDelta(d *sharedisk.Durable, fileSet string, dl sharedisk.Delta) (uint6
 // paper over it. A crash then recovers exactly the acknowledged prefix.
 func TestNoFlushAckedAfterFailedAppend(t *testing.T) {
 	dir := t.TempDir()
-	j, st, _, err := Open(dir, Options{})
+	reg := obs.New()
+	j, st, _, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestNoFlushAckedAfterFailedAppend(t *testing.T) {
 	if err := d.Install("adopted", img(3, "/x")); !errors.Is(err, errInjected) {
 		t.Fatalf("install after a failed append = %v", err)
 	}
-	if got := j.Counters().Get(CtrWriteFailed); got != 1 {
+	if got := reg.Counter(CtrWriteFailed).Load(); got != 1 {
 		t.Fatalf("%s = %d, want 1", CtrWriteFailed, got)
 	}
 	// Crash: no Close, no snapshot — recovery sees only what the log holds.

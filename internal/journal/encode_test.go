@@ -147,8 +147,7 @@ func benchEncode(b *testing.B, e Entry) {
 	}
 }
 
-// BenchmarkEncodeEntryFrame and BenchmarkEncodeDeltaFrame ride the same CI
-// allocation guard as the wire codec benchmarks (cmd/allocguard asserts
-// 0 allocs/op).
+// BenchmarkEncodeEntryFrame and BenchmarkEncodeDeltaFrame time what
+// TestAppendEntryFrameAllocFree holds at 0 allocs/op.
 func BenchmarkEncodeEntryFrame(b *testing.B) { benchEncode(b, benchEntry()) }
 func BenchmarkEncodeDeltaFrame(b *testing.B) { benchEncode(b, benchDelta()) }

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
@@ -83,8 +82,8 @@ var ErrClosed = errors.New("journal: closed")
 // fsync error that stopped it is wrapped beside it.
 var ErrFailed = errors.New("journal: failed, appends stopped")
 
-// Counter names exported through metrics.CounterSet (and from there the
-// wire stats RPC).
+// Counter names, recorded in Options.Obs (and exported from there by
+// /metrics and the wire stats RPC).
 const (
 	CtrRecords          = "journal_records_appended"
 	CtrBytes            = "journal_bytes_appended"
@@ -113,9 +112,6 @@ type Options struct {
 	// NoGroupCommit forces one fsync per record — the baseline the group
 	// commit benchmark compares against. Not for production use.
 	NoGroupCommit bool
-	// Counters receives journal observability counters; one is created if
-	// nil. Retrieve it with Counters().
-	Counters *metrics.CounterSet
 	// Obs, when set, receives commit-path latency histograms
 	// (journal_fsync_seconds, journal_commit_wait_seconds), request trace
 	// spans for traced appends (LogDelta), and the journal counters.
@@ -126,23 +122,25 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.Counters == nil {
-		o.Counters = metrics.NewCounterSet()
-	}
 	return o
 }
 
 // Journal is an open write-ahead log. Safe for concurrent use; it
 // implements sharedisk.WAL.
 type Journal struct {
-	dir      string
-	opts     Options
-	counters *metrics.CounterSet
+	dir  string
+	opts Options
 
-	// obs instrumentation; all nil when Options.Obs is unset.
+	// obs instrumentation; the registry and histograms are nil when
+	// Options.Obs is unset. The per-commit counters are held as handles.
 	obs            *obs.Registry
 	histFsync      *obs.Histogram
 	histCommitWait *obs.Histogram
+	ctrRecords     *obs.Counter
+	ctrBytes       *obs.Counter
+	ctrFsyncs      *obs.Counter
+	ctrBatches     *obs.Counter
+	ctrMaxBatch    *obs.Counter
 
 	appendCh chan *appendReq
 	quit     chan struct{} // closed by Close; stops accepting appends
@@ -245,23 +243,26 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		}
 	}
 	j := &Journal{
-		dir:      dir,
-		opts:     opts,
-		counters: opts.Counters,
-		appendCh: make(chan *appendReq, 256),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		syncFile: (*os.File).Sync,
+		dir:         dir,
+		opts:        opts,
+		obs:         opts.Obs,
+		ctrRecords:  opts.Obs.Counter(CtrRecords),
+		ctrBytes:    opts.Obs.Counter(CtrBytes),
+		ctrFsyncs:   opts.Obs.Counter(CtrFsyncs),
+		ctrBatches:  opts.Obs.Counter(CtrBatches),
+		ctrMaxBatch: opts.Obs.Counter(CtrMaxBatch),
+		appendCh:    make(chan *appendReq, 256),
+		quit:        make(chan struct{}),
+		done:        make(chan struct{}),
+		syncFile:    (*os.File).Sync,
 	}
 	j.durable.Store(info.LastSeq)
-	j.counters.Set(CtrRecoveryNanos, info.Duration.Nanoseconds())
-	j.counters.Set(CtrRecoveredEntries, int64(info.Entries))
-	j.counters.Set(CtrWriteFailed, 0)
-	if opts.Obs != nil {
-		j.obs = opts.Obs
-		j.histFsync = opts.Obs.Hist.Get("journal_fsync_seconds", "")
-		j.histCommitWait = opts.Obs.Hist.Get("journal_commit_wait_seconds", "")
-		opts.Obs.AddCounters(j.counters.Snapshot)
+	j.obs.Counter(CtrRecoveryNanos).Set(info.Duration.Nanoseconds())
+	j.obs.Counter(CtrRecoveredEntries).Set(int64(info.Entries))
+	j.obs.Counter(CtrWriteFailed).Set(0)
+	if j.obs != nil {
+		j.histFsync = j.obs.Hist.Get("journal_fsync_seconds", "")
+		j.histCommitWait = j.obs.Hist.Get("journal_commit_wait_seconds", "")
 	}
 	// A restart after an idle run (or a fully-torn tail) leaves a segment
 	// already named for the next sequence; it holds no durable entries, so
@@ -280,9 +281,6 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 	go j.run()
 	return j, sharedisk.NewStoreFromImages(images, 0), info, nil
 }
-
-// Counters returns the journal's counter set.
-func (j *Journal) Counters() *metrics.CounterSet { return j.counters }
 
 // LogCreateFileSet journals a file-set creation; returns once durable.
 func (j *Journal) LogCreateFileSet(fileSet string) error {
@@ -509,7 +507,7 @@ func (j *Journal) openSegmentLocked() error {
 	j.f = f
 	j.segFirst = next
 	j.segSize = headerLen
-	j.counters.Add(CtrSegments, 1)
+	j.obs.Counter(CtrSegments).Add(1)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -268,7 +269,8 @@ func TestSnapshotCompaction(t *testing.T) {
 // journaled entries without being asked.
 func TestAutomaticSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	j, st, _, err := Open(dir, Options{})
+	reg := obs.New()
+	j, st, _, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +288,7 @@ func TestAutomaticSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := j.Counters().Get(CtrSnapshots); got < 2 {
+	if got := reg.Counter(CtrSnapshots).Load(); got < 2 {
 		t.Fatalf("expected >=2 automatic snapshots after 17 entries at every=8, got %d", got)
 	}
 	if err := d.Close(); err != nil {

@@ -47,7 +47,7 @@ func (j *Journal) Snapshot(images func() map[string]sharedisk.Image) error {
 	if _, err := writeSnapshot(j.dir, "snap-", seq, cut); err != nil {
 		return err
 	}
-	j.counters.Add(CtrSnapshots, 1)
+	j.obs.Counter(CtrSnapshots).Add(1)
 	return j.compact(seq, activeName)
 }
 
@@ -68,7 +68,7 @@ func (j *Journal) compact(seq uint64, activeName string) error {
 		}
 		removed++
 	}
-	j.counters.Add(CtrCompacted, int64(removed))
+	j.obs.Counter(CtrCompacted).Add(int64(removed))
 	snaps, err := filepath.Glob(filepath.Join(j.dir, "snap-*.snap"))
 	if err != nil {
 		return err

@@ -288,11 +288,7 @@ func (j *Journal) AppendShipped(ents []Shipped) error {
 	}
 	j.segSize += int64(len(buf))
 	j.advanceLocked(last)
-	j.counters.Add(CtrRecords, int64(count))
-	j.counters.Add(CtrBytes, int64(len(buf)))
-	j.counters.Add(CtrFsyncs, 1)
-	j.counters.Add(CtrBatches, 1)
-	j.counters.Max(CtrMaxBatch, int64(count))
+	j.countCommit(count, len(buf))
 	return nil
 }
 
@@ -322,7 +318,7 @@ func (j *Journal) InstallSnapshot(seq uint64, images map[string]sharedisk.Image)
 	if _, err := writeSnapshot(j.dir, "snap-", seq, images); err != nil {
 		return err
 	}
-	j.counters.Add(CtrSnapshots, 1)
+	j.obs.Counter(CtrSnapshots).Add(1)
 
 	j.mu.Lock()
 	j.advanceLocked(seq)
@@ -374,7 +370,7 @@ func (j *Journal) ResetTo(seq uint64, images map[string]sharedisk.Image) error {
 	if err != nil {
 		return j.failLocked(err)
 	}
-	j.counters.Add(CtrSnapshots, 1)
+	j.obs.Counter(CtrSnapshots).Add(1)
 	j.advanceLocked(seq)
 	if err := j.openSegmentLocked(); err != nil {
 		return j.failLocked(err)

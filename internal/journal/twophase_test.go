@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"anufs/internal/live"
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -19,7 +20,8 @@ import (
 // the directory recovers to exactly the entries acknowledged before it.
 func TestJournalFailStop(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := Open(dir, Options{})
+	reg := obs.New()
+	j, _, _, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestJournalFailStop(t *testing.T) {
 	if err := logDelta(j, 0, "vol", oneRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Counters().Get(CtrWriteFailed); got != 0 {
+	if got := reg.Counter(CtrWriteFailed).Load(); got != 0 {
 		t.Fatalf("%s = %d before any failure", CtrWriteFailed, got)
 	}
 	// Hold the next commit in its fsync, then fail it.
@@ -72,7 +74,7 @@ func TestJournalFailStop(t *testing.T) {
 	refused("LogDrop afterwards", j.LogDrop("vol"))
 	refused("LogDelta afterwards", logDelta(j, 0, "vol", oneRecord(9)))
 	refused("AppendShipped afterwards", j.AppendShipped([]Shipped{{Seq: 3, Payload: encodeEntry(delta("vol", 3, nil, "/s"))}}))
-	if got := j.Counters().Get(CtrWriteFailed); got != 1 {
+	if got := reg.Counter(CtrWriteFailed).Load(); got != 1 {
 		t.Fatalf("%s = %d, want 1", CtrWriteFailed, got)
 	}
 	if got := j.DurableSeq(); got != 2 {
@@ -172,7 +174,8 @@ func TestSnapshotCutAheadOfQueuedAppends(t *testing.T) {
 func TestOneOwnerSharesFsyncs(t *testing.T) {
 	const writers, each, fileSets = 8, 200, 4
 	dir := t.TempDir()
-	j, st, _, err := Open(dir, Options{})
+	reg := obs.New()
+	j, st, _, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,7 @@ func TestOneOwnerSharesFsyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := j.Counters().Snapshot()
+	base := reg.Counters()
 	// The first fsync is held until three appends are in it or queued
 	// behind it — four file sets each owe one, whatever the interleaving —
 	// so some batch must carry two. Count-based, no clock; the seam runs on
@@ -235,7 +238,7 @@ func TestOneOwnerSharesFsyncs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	now := j.Counters().Snapshot()
+	now := reg.Counters()
 	batches := int64(writers * each)
 	fsyncs, records := now[CtrFsyncs]-base[CtrFsyncs], now[CtrRecords]-base[CtrRecords]
 	if fsyncs >= batches || records <= fsyncs {
@@ -341,18 +344,15 @@ var logBuilders = map[string]func(*testing.T) (string, string, []Entry){
 	"standby after a reset": buildResetStandbyLog,
 }
 
-// BenchmarkLogDeltaEnqueueWait measures the two halves of a delta append
-// around a committer whose fsync costs nothing and which offers every entry
-// to a shipper-like hook (a copy into a buffer it keeps): steady state must
-// not allocate — no closure, channel or slice per append on either side, no
-// copy the committer makes for the hook — and it rides the CI allocation
-// guard beside BenchmarkEncodeDeltaFrame.
-func BenchmarkLogDeltaEnqueueWait(b *testing.B) {
-	j, _, _, err := Open(b.TempDir(), Options{SegmentBytes: 1 << 40})
+// enqueueWaiter opens a journal whose fsync costs nothing and which offers
+// every entry to a shipper-like hook (a copy into a buffer it keeps), and
+// returns one warmed delta append: enqueue, then wait.
+func enqueueWaiter(tb testing.TB) func() error {
+	j, _, _, err := Open(tb.TempDir(), Options{SegmentBytes: 1 << 40, Obs: obs.New()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer j.Close()
+	tb.Cleanup(func() { j.Close() })
 	j.mu.Lock()
 	j.syncFile = func(*os.File) error { return nil }
 	j.mu.Unlock()
@@ -360,17 +360,45 @@ func BenchmarkLogDeltaEnqueueWait(b *testing.B) {
 	j.SetOffer(func(_, _ uint64, payload []byte) { slot = append(slot[:0], payload...) })
 	e := benchDelta()
 	d := sharedisk.Delta{Base: e.Image.Version - 1, Puts: e.Image.Records, Removes: e.Removed}
-	if err := logDelta(j, 0, e.FileSet, d); err != nil { // warm the pooled request
-		b.Fatal(err)
+	appendOne := func() error {
+		w, err := j.LogDelta(0, e.FileSet, d)
+		if err != nil {
+			return err
+		}
+		return w.Wait()
 	}
+	if err := appendOne(); err != nil { // warm the pooled request
+		tb.Fatal(err)
+	}
+	return appendOne
+}
+
+// TestLogDeltaEnqueueWaitAllocFree: the two halves of a delta append, and
+// the committer between them, allocate nothing in steady state — no closure,
+// channel or slice per append on either side, no copy the committer makes
+// for the offer hook, no name looked up to count the commit.
+func TestLogDeltaEnqueueWaitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	appendOne := enqueueWaiter(t)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := appendOne(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("LogDelta + Wait: %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkLogDeltaEnqueueWait times what TestLogDeltaEnqueueWaitAllocFree
+// holds at 0 allocs/op.
+func BenchmarkLogDeltaEnqueueWait(b *testing.B) {
+	appendOne := enqueueWaiter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := j.LogDelta(0, e.FileSet, d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Wait(); err != nil {
+		if err := appendOne(); err != nil {
 			b.Fatal(err)
 		}
 	}

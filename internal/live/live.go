@@ -34,7 +34,6 @@ import (
 	"anufs/internal/election"
 	"anufs/internal/lockmgr"
 	"anufs/internal/metaserver"
-	"anufs/internal/metrics"
 	"anufs/internal/namespace"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
@@ -121,9 +120,6 @@ type server struct {
 	locks *lockmgr.Manager
 	q     *taskQueue
 	done  chan struct{}
-	// observe, if non-nil, records each completion into the cluster's
-	// latency series.
-	observe func(id int, lat time.Duration)
 	// spans receives queue-wait/apply spans for traced tasks; histLat and
 	// histWait are this server's latency and queue-wait histograms
 	// (resolved once at construction to keep the hot path to plain atomic
@@ -157,9 +153,6 @@ func (s *server) run(opCost time.Duration) {
 		s.sumLat += lat
 		s.served++
 		s.mu.Unlock()
-		if s.observe != nil {
-			s.observe(s.id, lat)
-		}
 		s.histLat.Observe(lat)
 		s.histWait.Observe(wait)
 		if t.trace != 0 {
@@ -197,11 +190,9 @@ type Cluster struct {
 	cfg  Config
 	disk sharedisk.Disk
 
-	// obs is the observability registry (never nil after NewCluster);
-	// counters holds the cluster's own counters (moves, tune rounds),
-	// registered into obs.
-	obs      *obs.Registry
-	counters *metrics.CounterSet
+	// obs is the observability registry (never nil after NewCluster); the
+	// cluster's own counters (moves, tune rounds) live in it.
+	obs *obs.Registry
 
 	// snapshot holds an immutable *core.Mapper for lock-free routing.
 	snapshot atomic.Value
@@ -216,12 +207,6 @@ type Cluster struct {
 	elector       *election.Elector
 	delegateEpoch uint64
 	servers       map[int]*server
-	// collector accumulates the per-window latency series the paper's
-	// figures plot, for live observability (LatencySeries). Guarded by
-	// collectorMu, not mu, to keep the completion path off the big lock.
-	collectorMu sync.Mutex
-	collector   *metrics.Collector
-	startedAt   time.Time
 	// graveyard holds killed servers: their goroutines keep draining their
 	// queues (replying ErrNotOwner after the crash) until Stop closes them.
 	graveyard []*server
@@ -261,19 +246,15 @@ func NewCluster(cfg Config, disk sharedisk.Disk, speeds map[int]float64) (*Clust
 		cfg.Obs = obs.New()
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		disk:      disk,
-		obs:       cfg.Obs,
-		counters:  metrics.NewCounterSet(),
-		mapper:    m,
-		delegate:  core.NewDelegate(cfg.Core),
-		elector:   election.New(3*cfg.Window+time.Second, nil),
-		servers:   map[int]*server{},
-		collector: metrics.NewCollector(cfg.Window.Seconds()),
-		startedAt: time.Now(),
-		stopCh:    make(chan struct{}),
+		cfg:      cfg,
+		disk:     disk,
+		obs:      cfg.Obs,
+		mapper:   m,
+		delegate: core.NewDelegate(cfg.Core),
+		elector:  election.New(3*cfg.Window+time.Second, nil),
+		servers:  map[int]*server{},
+		stopCh:   make(chan struct{}),
 	}
-	c.obs.AddCounters(c.counters.Snapshot)
 	c.obs.AddGauges(c.gauges)
 	for _, id := range ids {
 		c.servers[id] = c.newServer(id, speeds[id])
@@ -304,7 +285,6 @@ func (c *Cluster) newServer(id int, speed float64) *server {
 		locks:    lockmgr.New(c.cfg.LockLease, nil),
 		q:        newTaskQueue(c.cfg.FairQueue, c.cfg.QueueDepth),
 		done:     make(chan struct{}),
-		observe:  c.observe,
 		spans:    c.obs.Spans,
 		histLat:  c.obs.Hist.Get("live_latency_seconds", label),
 		histWait: c.obs.Hist.Get("live_queue_wait_seconds", label),
@@ -695,23 +675,6 @@ func (c *Cluster) Stats() []ServerStats {
 	return out
 }
 
-// observe records one completion into the live latency series.
-func (c *Cluster) observe(id int, lat time.Duration) {
-	at := time.Since(c.startedAt).Seconds()
-	c.collectorMu.Lock()
-	c.collector.Observe(id, at, lat.Seconds())
-	c.collectorMu.Unlock()
-}
-
-// LatencySeries snapshots the per-server, per-window latency series
-// collected since the cluster started — the live analogue of the
-// simulator's figure data. Window length equals the tuning Window.
-func (c *Cluster) LatencySeries() *metrics.Series {
-	c.collectorMu.Lock()
-	defer c.collectorMu.Unlock()
-	return c.collector.Series(0)
-}
-
 // tuneLoop is the delegate: every Window it collects latency reports, runs
 // one ANU round, publishes the new mapping, and applies the moves.
 func (c *Cluster) tuneLoop() {
@@ -757,7 +720,7 @@ func (c *Cluster) TuneOnce() {
 		c.mu.Unlock()
 		return
 	}
-	c.counters.Add(CtrTuneRounds, 1)
+	c.obs.Counter(CtrTuneRounds).Add(1)
 	// Record the decision when the round saw traffic or acted; idle rounds
 	// would only flood the ring.
 	if res.Aggregate > 0 || res.Tuned {
@@ -787,7 +750,7 @@ func (c *Cluster) finishReconfigLocked(before *core.Mapper) {
 	c.snapshot.Store(after)
 	for _, mv := range moves {
 		atomic.AddInt64(&c.moves, 1)
-		c.counters.Add(CtrMoves, 1)
+		c.obs.Counter(CtrMoves).Add(1)
 		if from, ok := servers[mv.From]; ok {
 			// Serialize the release behind the old owner's queued work by
 			// routing it through the queue like any other task.

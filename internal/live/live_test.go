@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anufs/internal/core"
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -444,20 +445,14 @@ func TestLatencySeriesCollected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := c.LatencySeries()
-	if s.Windows() == 0 {
-		t.Fatal("no windows collected")
-	}
-	total := 0
-	for _, id := range s.Servers() {
-		for w := 0; w < s.Windows(); w++ {
-			total += s.Count(id, w)
+	// The per-server latency histograms are the live latency series.
+	var total int64
+	c.Obs().Hist.Each(func(name, _ string, h *obs.Histogram) {
+		if name == "live_latency_seconds" {
+			total += h.Count()
 		}
-	}
+	})
 	if total < 40 {
-		t.Fatalf("series recorded %d completions, want >= 40", total)
-	}
-	if s.Summarize().OverallMeanAll < 0 {
-		t.Fatal("negative mean latency")
+		t.Fatalf("histograms recorded %d completions, want >= 40", total)
 	}
 }

@@ -1,13 +1,13 @@
 // Package obs is the shared observability layer for the live anufs stack:
-// lock-free log-bucketed latency histograms, a bounded ring of request
-// trace spans, a structured tuner decision log, and a Prometheus-text /
-// pprof HTTP surface.
+// named atomic counters, lock-free log-bucketed latency histograms, a
+// bounded ring of request trace spans, a structured tuner decision log, and
+// a Prometheus-text / pprof HTTP surface.
 //
 // One Registry is threaded through the daemon — the wire server, the live
 // cluster's owner queues, the journal's group committer — so every layer
-// records into the same rings and histogram set and a single /metrics
-// scrape (or the wire "trace"/"tuner-log" ops) sees the whole request
-// path. The paper's feedback loop runs on one signal (per-server mean
+// records into the same counter table, rings and histogram set and a single
+// /metrics scrape (or the wire "trace"/"tuner-log" ops) sees the whole
+// request path. The paper's feedback loop runs on one signal (per-server mean
 // latency, §4); this package is how we see everything that signal hides:
 // tail latency per op, queue wait vs. apply vs. fsync, and why the tuner
 // rescaled a region.
@@ -48,10 +48,52 @@ type Registry struct {
 	seed    uint64 // random per-process offset making IDs fleet-unique
 	node    atomic.Value
 
-	mu       sync.Mutex
-	counters []func() map[string]int64
-	gauges   []func() []Gauge
-	status   map[string]func() any
+	counters sync.Map // name → *Counter
+
+	mu     sync.Mutex
+	gauges []func() []Gauge
+	status map[string]func() any
+}
+
+// Counter is one named 64-bit value in a Registry: a monotonic count (Add),
+// a last-value gauge (Set) or a high-water mark (Max). Resolve the handle
+// once, at construction, and add on the event: the hot path is then one
+// atomic add with no name lookup.
+type Counter struct{ v atomic.Int64 }
+
+// Add increments the counter by d.
+func (c *Counter) Add(d int64) { c.v.Add(d) }
+
+// Set overwrites the counter — for gauges like "last recovery time".
+func (c *Counter) Set(v int64) { c.v.Store(v) }
+
+// Max raises the counter to v if v is larger — for high-water marks like
+// "largest group-commit batch".
+func (c *Counter) Max(v int64) {
+	for cur := c.v.Load(); v > cur; cur = c.v.Load() {
+		if c.v.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Load returns the counter's current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
+
+// Counter returns the counter registered under name, creating it at zero
+// on first use; a hit takes no lock. Every holder of a name shares one
+// counter, so two instances of a component on one registry sum. A nil
+// registry hands out a detached counter nobody exports, so a component
+// built without one counts the same way at no further cost.
+func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return new(Counter)
+	}
+	if c, ok := r.counters.Load(name); ok {
+		return c.(*Counter)
+	}
+	c, _ := r.counters.LoadOrStore(name, new(Counter))
+	return c.(*Counter)
 }
 
 // Default ring capacities: enough history to inspect recent behaviour
@@ -113,15 +155,6 @@ func (r *Registry) Node() string {
 	return ""
 }
 
-// AddCounters registers a counter snapshot source (e.g. the journal's
-// CounterSet.Snapshot). Each scrape calls every source; keys are exported
-// as counters prefixed with "anufs_".
-func (r *Registry) AddCounters(fn func() map[string]int64) {
-	r.mu.Lock()
-	r.counters = append(r.counters, fn)
-	r.mu.Unlock()
-}
-
 // AddGauges registers a gauge source (e.g. the cluster's per-server share
 // and served totals).
 func (r *Registry) AddGauges(fn func() []Gauge) {
@@ -157,18 +190,14 @@ func (r *Registry) Status() map[string]any {
 	return out
 }
 
-// Counters merges every counter source into one map (later sources win on
-// key collisions; sources use distinct prefixes by convention).
+// Counters snapshots every counter into a fresh map; /metrics exports each
+// key prefixed with "anufs_".
 func (r *Registry) Counters() map[string]int64 {
-	r.mu.Lock()
-	srcs := append([]func() map[string]int64(nil), r.counters...)
-	r.mu.Unlock()
 	out := map[string]int64{}
-	for _, fn := range srcs {
-		for k, v := range fn() {
-			out[k] = v
-		}
-	}
+	r.counters.Range(func(k, c any) bool {
+		out[k.(string)] = c.(*Counter).Load()
+		return true
+	})
 	return out
 }
 

@@ -124,7 +124,7 @@ func TestRegistryMetricsAndHandler(t *testing.T) {
 	if a, b := reg.NextTraceID(), reg.NextTraceID(); a == 0 || a == b {
 		t.Fatalf("trace IDs: %d, %d", a, b)
 	}
-	reg.AddCounters(func() map[string]int64 { return map[string]int64{"journal_fsyncs": 7} })
+	reg.Counter("journal_fsyncs").Add(7)
 	reg.AddGauges(func() []Gauge {
 		return []Gauge{{Name: "server_speed", Labels: `server="0"`, Value: 3.5}}
 	})
@@ -176,17 +176,90 @@ func TestRegistryMetricsAndHandler(t *testing.T) {
 	}
 }
 
+// Counters() reports every name, and holders of one name sum instead of
+// shadowing each other.
 func TestRegistryCountersMerge(t *testing.T) {
 	reg := New()
 	for i := 0; i < 3; i++ {
-		i := i
-		reg.AddCounters(func() map[string]int64 {
-			return map[string]int64{fmt.Sprintf("src_%d", i): int64(i)}
-		})
+		reg.Counter(fmt.Sprintf("src_%d", i)).Add(int64(i))
+		reg.Counter("shared").Add(1)
 	}
 	got := reg.Counters()
-	if len(got) != 3 || got["src_2"] != 2 {
+	if len(got) != 4 || got["src_2"] != 2 || got["shared"] != 3 {
 		t.Fatalf("merged counters = %v", got)
+	}
+}
+
+// TestCounter is the table of what a Counter promises, each case driven
+// from 8 goroutines (run under -race): concurrent Adds sum exactly, Max
+// never decreases, Set then Add counts on from the set value. Every holder
+// of a name shares one counter; a nil registry hands out detached ones.
+func TestCounter(t *testing.T) {
+	const workers, each = 8, 1000
+	for _, tc := range []struct {
+		name string
+		prep func(c *Counter)
+		do   func(t *testing.T, c *Counter, worker, i int)
+		want int64
+	}{
+		{name: "Add", want: workers * each,
+			do: func(_ *testing.T, c *Counter, _, _ int) { c.Add(1) }},
+		{name: "Max", want: workers*each - 1,
+			do: func(t *testing.T, c *Counter, w, i int) {
+				v := int64(i*workers + w)
+				c.Max(v)
+				if got := c.Load(); got < v {
+					t.Errorf("Load = %d after Max(%d)", got, v)
+				}
+			}},
+		{name: "SetThenAdd", want: 5 + 2*workers*each,
+			prep: func(c *Counter) { c.Add(99); c.Set(5) },
+			do:   func(_ *testing.T, c *Counter, _, _ int) { c.Add(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := New()
+			if tc.prep != nil {
+				tc.prep(reg.Counter(tc.name))
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						tc.do(t, reg.Counter(tc.name), w, i)
+					}
+				}(w)
+			}
+			wg.Wait()
+			if got := reg.Counters(); len(got) != 1 || got[tc.name] != tc.want {
+				t.Fatalf("Counters() = %v, want {%s: %d}", got, tc.name, tc.want)
+			}
+		})
+	}
+	var none *Registry
+	c := none.Counter("x")
+	c.Max(3)
+	c.Max(2)
+	if c.Load() != 3 || none.Counter("x") == c {
+		t.Fatalf("nil registry: Load = %d, or two lookups shared a counter", c.Load())
+	}
+}
+
+// TestCounterAddAllocFree: the hot path of every counting layer is one
+// atomic add on a held handle, and a lookup by constant name allocates
+// nothing either.
+func TestCounterAddAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	reg := New()
+	c := reg.Counter("hot")
+	if n := testing.AllocsPerRun(100, func() { c.Add(1) }); n != 0 {
+		t.Fatalf("Counter.Add allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { reg.Counter("hot").Add(1) }); n != 0 {
+		t.Fatalf("Registry.Counter on a hit allocates %v times per call", n)
 	}
 }
 

@@ -40,9 +40,8 @@ func TestExemplarCapture(t *testing.T) {
 // fleet node's /metrics.
 func TestParsePromRoundTrip(t *testing.T) {
 	reg := New()
-	reg.AddCounters(func() map[string]int64 {
-		return map[string]int64{"wire_requests": 12, "sdk_pool_redials": 3}
-	})
+	reg.Counter("wire_requests").Add(12)
+	reg.Counter("sdk_pool_redials").Add(3)
 	reg.AddGauges(func() []Gauge {
 		return []Gauge{
 			{Name: "replica_lag_entries", Labels: `peer="127.0.0.1:7461"`, Value: 5},

@@ -9,7 +9,6 @@ import (
 
 	"anufs/internal/election"
 	"anufs/internal/journal"
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -69,9 +68,8 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 // reset cut. Every other wire op is refused — a standby serves replication
 // only, until promotion.
 type Receiver struct {
-	opts     ReceiverOptions
-	elector  *election.Elector
-	counters *metrics.CounterSet
+	opts    ReceiverOptions
+	elector *election.Elector
 
 	mu        sync.Mutex
 	images    map[string]sharedisk.Image
@@ -102,7 +100,6 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 	r := &Receiver{
 		opts:     opts,
 		elector:  election.New(opts.Lease, nil),
-		counters: metrics.NewCounterSet(),
 		images:   opts.Images,
 		applied:  opts.Journal.DurableSeq(),
 		conns:    map[net.Conn]struct{}{},
@@ -110,7 +107,6 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 		stop:     make(chan struct{}),
 	}
 	if reg := opts.Obs; reg != nil {
-		reg.AddCounters(r.counters.Snapshot)
 		reg.AddGauges(func() []obs.Gauge {
 			r.mu.Lock()
 			applied := r.applied
@@ -163,9 +159,6 @@ func (r *Receiver) Listen(addr string) (string, error) {
 
 // Promoted is closed when the standby has taken over as primary.
 func (r *Receiver) Promoted() <-chan struct{} { return r.promoted }
-
-// Counters exposes the receiver's counter set (also exported via Obs).
-func (r *Receiver) Counters() *metrics.CounterSet { return r.counters }
 
 // State hands back the warm image map and the sequence it reflects. Call
 // only after promotion (or Stop): the receiver no longer mutates the map,
@@ -243,7 +236,7 @@ func (r *Receiver) watchPromotion() {
 // straggler ship from the old primary is refused.
 func (r *Receiver) promote() {
 	r.promoteOnce.Do(func() {
-		r.counters.Add("replica_promotions", 1)
+		r.opts.Obs.Counter("replica_promotions").Add(1)
 		close(r.promoted)
 	})
 }
@@ -291,7 +284,7 @@ func (r *Receiver) serveConn(conn net.Conn) {
 			resp.ID = req.ID
 			return resp
 		},
-		OnBadFrame: func() { r.counters.Add("replica_recv_bad_frames", 1) },
+		OnBadFrame: func() { r.opts.Obs.Counter("replica_recv_bad_frames").Add(1) },
 	}
 	// The Shipper keeps one ship in flight per connection, so the frame
 	// loop's per-request dispatch cannot reorder entries (and absorb checks
@@ -316,7 +309,7 @@ func (r *Receiver) handle(req wire.Request) wire.Response {
 		r.sawShip = true
 		r.mu.Unlock()
 		if err := r.absorb(req); err != nil {
-			r.counters.Add("replica_recv_errors", 1)
+			r.opts.Obs.Counter("replica_recv_errors").Add(1)
 			return wire.Fail(wire.Response{}, err)
 		}
 		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
@@ -363,11 +356,11 @@ func (r *Receiver) absorb(req wire.Request) error {
 			r.sinceSnap = 0
 		}
 		r.mu.Unlock()
-		r.counters.Add(counter, 1)
+		r.opts.Obs.Counter(counter).Add(1)
 		return nil
 	}
 	if len(req.Entries) == 0 {
-		r.counters.Add("replica_recv_heartbeats", 1)
+		r.opts.Obs.Counter("replica_recv_heartbeats").Add(1)
 		return nil
 	}
 	ents := make([]journal.Shipped, len(req.Entries))
@@ -410,8 +403,8 @@ func (r *Receiver) absorb(req wire.Request) error {
 			}
 		}
 	}
-	r.counters.Add("replica_recv_ships", 1)
-	r.counters.Add("replica_recv_entries", int64(applied))
+	r.opts.Obs.Counter("replica_recv_ships").Add(1)
+	r.opts.Obs.Counter("replica_recv_entries").Add(int64(applied))
 	r.sinceSnap += applied
 	if r.opts.SnapshotEvery > 0 && r.sinceSnap >= r.opts.SnapshotEvery {
 		r.sinceSnap = 0
@@ -420,7 +413,7 @@ func (r *Receiver) absorb(req wire.Request) error {
 		if err := r.opts.Journal.Snapshot(func() map[string]sharedisk.Image { return r.images }); err != nil {
 			return err
 		}
-		r.counters.Add("replica_standby_snapshots", 1)
+		r.opts.Obs.Counter("replica_standby_snapshots").Add(1)
 	}
 	return nil
 }

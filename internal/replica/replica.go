@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"anufs/internal/journal"
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -141,10 +140,9 @@ func (o ShipperOptions) withDefaults() ShipperOptions {
 // journal is open; arm semi-synchronous replication by installing
 // WaitAcked as the journal's ack gate. Safe for concurrent use.
 type Shipper struct {
-	opts     ShipperOptions
-	counters *metrics.CounterSet
-	rtt      *obs.Histogram
-	lag      *obs.Histogram
+	opts ShipperOptions
+	rtt  *obs.Histogram
+	lag  *obs.Histogram
 
 	mu      sync.Mutex
 	acked   uint64
@@ -191,12 +189,11 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		return nil, errors.New("replica: shipper needs an image capture func")
 	}
 	s := &Shipper{
-		opts:     opts.withDefaults(),
-		counters: metrics.NewCounterSet(),
-		ackSig:   make(chan struct{}),
-		offSig:   make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		opts:   opts.withDefaults(),
+		ackSig: make(chan struct{}),
+		offSig: make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if r := s.opts.Obs; r != nil {
 		// Every series carries the peer label, so a primary shipping to
@@ -206,7 +203,6 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		peer := fmt.Sprintf("peer=%q", s.opts.Addr)
 		s.rtt = r.Hist.Get("replica_ship_rtt_seconds", peer)
 		s.lag = r.Hist.Get("replica_replication_lag_seconds", peer)
-		r.AddCounters(s.counters.Snapshot)
 		r.AddGauges(func() []obs.Gauge {
 			_, acked, lag := s.progress()
 			return []obs.Gauge{
@@ -222,7 +218,7 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 				"durable_seq": durable,
 				"acked_seq":   acked,
 				"lag_entries": lag,
-				"degraded":    s.counters.Get("replica_sync_degraded"),
+				"degraded":    r.Counter("replica_sync_degraded").Load(),
 			}
 		})
 	} else {
@@ -278,7 +274,7 @@ func (s *Shipper) offer(seq, trace uint64, payload []byte) {
 	s.offMu.Lock()
 	if s.queued == offerSlots || len(payload) > maxOfferBytes {
 		s.offMu.Unlock()
-		s.counters.Add("replica_offers_dropped", 1)
+		s.opts.Obs.Counter("replica_offers_dropped").Add(1)
 		return
 	}
 	slot := &s.ring[(s.head+s.queued)%offerSlots]
@@ -329,9 +325,6 @@ func (s *Shipper) Acked() uint64 {
 	return s.acked
 }
 
-// Counters exposes the shipper's counter set (also exported via Obs).
-func (s *Shipper) Counters() *metrics.CounterSet { return s.counters }
-
 // WaitAcked blocks until the standby has acknowledged seq, the configured
 // SyncTimeout elapses, or the shipper stops. It always returns nil: on
 // timeout the write degrades to asynchronous replication (counted in
@@ -357,7 +350,7 @@ func (s *Shipper) WaitAcked(seq uint64) error {
 		select {
 		case <-sig:
 		case <-timeout:
-			s.counters.Add("replica_sync_degraded", 1)
+			s.opts.Obs.Counter("replica_sync_degraded").Add(1)
 			s.lag.Observe(time.Since(start))
 			return nil
 		case <-s.stop:
@@ -395,13 +388,13 @@ func (s *Shipper) run() {
 			err = s.session(c, backoff)
 		}
 		if err != nil {
-			s.counters.Add("replica_stream_errors", 1)
+			s.opts.Obs.Counter("replica_stream_errors").Add(1)
 		}
 		select {
 		case <-s.stop:
 			return
 		case <-time.After(backoff.Next()):
-			s.counters.Add("replica_reconnects", 1)
+			s.opts.Obs.Counter("replica_reconnects").Add(1)
 		}
 	}
 }
@@ -449,7 +442,7 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 		default:
 		}
 		if ship := s.peekOffers(next); len(ship) > 0 {
-			if err := s.shipEntries(c, ship); err != nil {
+			if err := s.shipEntries(c, ship, false); err != nil {
 				return err
 			}
 			s.consumeOffers(len(ship))
@@ -480,7 +473,7 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 				ship = append(ship, wire.ShipEntry{Seq: e.Seq, Payload: e.Payload})
 			}
 			s.ship = ship
-			if err := s.shipEntries(c, ship); err != nil {
+			if err := s.shipEntries(c, ship, true); err != nil {
 				return err
 			}
 			next = tailer.NextSeq()
@@ -498,7 +491,7 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 					return err
 				}
 				s.rtt.Observe(time.Since(start))
-				s.counters.Add("replica_heartbeats", 1)
+				s.opts.Obs.Counter("replica_heartbeats").Add(1)
 				s.setAcked(ack)
 			case <-s.stop:
 				return nil
@@ -510,8 +503,9 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 // shipEntries sends one batch and records its ack. Entries that carry the
 // trace of the request that appended them (offered ones do; the log keeps
 // none) get a "replica-ship" span, so the standby's apply/ack spans join
-// the originating timeline.
-func (s *Shipper) shipEntries(c *wire.Client, ship []wire.ShipEntry) error {
+// the originating timeline; fromLog batches are counted in
+// replica_shipped_untraced instead.
+func (s *Shipper) shipEntries(c *wire.Client, ship []wire.ShipEntry, fromLog bool) error {
 	start := time.Now()
 	ack, err := c.Ship(s.opts.DaemonID, ship)
 	if err != nil {
@@ -530,9 +524,12 @@ func (s *Shipper) shipEntries(c *wire.Client, ship []wire.ShipEntry) error {
 			})
 		}
 	}
-	s.counters.Add("replica_ships", 1)
-	s.counters.Add("replica_shipped_entries", int64(len(ship)))
-	s.counters.Add("replica_shipped_bytes", bytes)
+	s.opts.Obs.Counter("replica_ships").Add(1)
+	s.opts.Obs.Counter("replica_shipped_entries").Add(int64(len(ship)))
+	s.opts.Obs.Counter("replica_shipped_bytes").Add(bytes)
+	if fromLog {
+		s.opts.Obs.Counter("replica_shipped_untraced").Add(int64(len(ship)))
+	}
 	s.setAcked(ack)
 	return nil
 }
@@ -553,7 +550,7 @@ func (s *Shipper) shipCut(c *wire.Client, reset bool) (next uint64, err error) {
 		return 0, err
 	}
 	s.rtt.Observe(time.Since(start))
-	s.counters.Add(counter, 1)
+	s.opts.Obs.Counter(counter).Add(1)
 	s.setAcked(ack)
 	return seq + 1, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anufs/internal/journal"
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
@@ -118,7 +119,8 @@ func TestCatchUpThenLiveStreaming(t *testing.T) {
 	appendFlushes(t, jnl, "fs00", 1, 20)
 
 	recv, addr := startStandby(t, sDir, ReceiverOptions{})
-	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images})
+	reg := obs.New()
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestCatchUpThenLiveStreaming(t *testing.T) {
 	waitAcked(t, ship, jnl.DurableSeq())
 	requireStandbyEquals(t, pDir, recv)
 
-	if got := ship.Counters().Get("replica_shipped_entries"); got < 41 {
+	if got := reg.Counter("replica_shipped_entries").Load(); got < 41 {
 		t.Fatalf("shipped %d entries, want >= 41", got)
 	}
 }
@@ -206,14 +208,15 @@ func TestSnapshotFallbackWhenStandbyBehindCompaction(t *testing.T) {
 	}
 
 	recv, addr := startStandby(t, sDir, ReceiverOptions{})
-	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images})
+	reg := obs.New()
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ship.Start()
 	defer ship.Stop()
 	waitAcked(t, ship, jnl.DurableSeq())
-	if got := ship.Counters().Get("replica_snapshots_shipped"); got == 0 {
+	if got := reg.Counter("replica_snapshots_shipped").Load(); got == 0 {
 		t.Fatal("standby caught up without a snapshot ship")
 	}
 
@@ -229,7 +232,8 @@ func TestSyncGateWaitsForStandbyAck(t *testing.T) {
 	defer jnl.Close()
 
 	_, addr := startStandby(t, sDir, ReceiverOptions{})
-	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, SyncTimeout: 10 * time.Second})
+	reg := obs.New()
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, SyncTimeout: 10 * time.Second, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +249,7 @@ func TestSyncGateWaitsForStandbyAck(t *testing.T) {
 	if got, want := ship.Acked(), jnl.DurableSeq(); got < want {
 		t.Fatalf("append acked before standby ack: acked %d, durable %d", got, want)
 	}
-	if ship.Counters().Get("replica_sync_degraded") != 0 {
+	if reg.Counter("replica_sync_degraded").Load() != 0 {
 		t.Fatal("sync write degraded with a healthy standby")
 	}
 }
@@ -256,9 +260,10 @@ func TestSyncGateDegradesWhenStandbyUnreachable(t *testing.T) {
 	defer jnl.Close()
 
 	// No listener at this address: replication can never ack.
+	reg := obs.New()
 	ship, err := NewShipper(ShipperOptions{
 		Addr: "127.0.0.1:1", Journal: jnl, Images: store.Images,
-		SyncTimeout: 20 * time.Millisecond, Backoff: 10 * time.Millisecond,
+		SyncTimeout: 20 * time.Millisecond, Backoff: 10 * time.Millisecond, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +282,7 @@ func TestSyncGateDegradesWhenStandbyUnreachable(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("append blocked forever on an unreachable standby")
 	}
-	if ship.Counters().Get("replica_sync_degraded") == 0 {
+	if reg.Counter("replica_sync_degraded").Load() == 0 {
 		t.Fatal("degrade not counted")
 	}
 }
@@ -498,14 +503,15 @@ func TestDeltaStreamKeepsStandbyWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv3, addr3 := startStandby(t, t.TempDir(), ReceiverOptions{})
-	ship3, err := NewShipper(ShipperOptions{Addr: addr3, Journal: jnl, Images: d.Store.Images})
+	reg := obs.New()
+	ship3, err := NewShipper(ShipperOptions{Addr: addr3, Journal: jnl, Images: d.Store.Images, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ship3.Start()
 	defer ship3.Stop()
 	waitAcked(t, ship3, jnl.DurableSeq())
-	if got := ship3.Counters().Get("replica_snapshots_shipped"); got == 0 {
+	if got := reg.Counter("replica_snapshots_shipped").Load(); got == 0 {
 		t.Fatal("standby caught up without a snapshot ship")
 	}
 	flushDeltas(t, d, "fs00", 21, 10)

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"anufs/internal/journal"
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
 
@@ -23,6 +25,7 @@ type primary struct {
 	jnl  *journal.Journal
 	d    *sharedisk.Durable
 	ship *Shipper
+	obs  *obs.Registry // the shipper's
 	// skipFirstSessionRule starts the shipper as if it had already had a
 	// session: the mutation TestAlignmentNeedsTheFirstSessionRule runs.
 	skipFirstSessionRule bool
@@ -37,9 +40,10 @@ func openPrimary(t testing.TB, dir string) *primary {
 // replicate starts the incarnation's shipper, semi-synchronously.
 func (p *primary) replicate(t testing.TB, addr string, syncTimeout time.Duration) {
 	t.Helper()
+	p.obs = obs.New()
 	ship, err := NewShipper(ShipperOptions{
 		Addr: addr, Journal: p.jnl, Images: p.d.Store.Images,
-		SyncTimeout: syncTimeout, Backoff: 5 * time.Millisecond,
+		SyncTimeout: syncTimeout, Backoff: 5 * time.Millisecond, Obs: p.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +163,8 @@ func TestAckIsTheLaterOfLocalAndStandby(t *testing.T) {
 		// not even started.
 		waitFor(t, "the standby to hold the entry", func() bool { return sJnl.DurableSeq() == at+1 })
 		waitFor(t, "the ack", func() bool { return p.ship.Acked() == at+1 })
-		if err := p.ship.WaitAcked(at + 1); err != nil || p.ship.Counters().Get("replica_sync_degraded") != 0 {
-			t.Fatalf("WaitAcked on an acked entry: %v, degraded %d", err, p.ship.Counters().Get("replica_sync_degraded"))
+		if err := p.ship.WaitAcked(at + 1); err != nil || p.obs.Counter("replica_sync_degraded").Load() != 0 {
+			t.Fatalf("WaitAcked on an acked entry: %v, degraded %d", err, p.obs.Counter("replica_sync_degraded").Load())
 		}
 		if got := p.jnl.DurableSeq(); got != at {
 			t.Fatalf("primary DurableSeq = %d with its commit held, want %d", got, at)
@@ -190,8 +194,8 @@ func TestAckIsTheLaterOfLocalAndStandby(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		if got := sJnl.DurableSeq(); got != at+1 || p.ship.Counters().Get("replica_sync_degraded") != 0 {
-			t.Fatalf("standby DurableSeq = %d after the ack, degraded %d", got, p.ship.Counters().Get("replica_sync_degraded"))
+		if got := sJnl.DurableSeq(); got != at+1 || p.obs.Counter("replica_sync_degraded").Load() != 0 {
+			t.Fatalf("standby DurableSeq = %d after the ack, degraded %d", got, p.obs.Counter("replica_sync_degraded").Load())
 		}
 	})
 }
@@ -218,7 +222,8 @@ func TestStalledStandbyOverflowsOffersThenCatchesUp(t *testing.T) {
 	pDir := t.TempDir()
 	jnl, _ := openJournal(t, pDir, journal.Options{})
 	defer jnl.Close()
-	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: diskImages(t, pDir)})
+	reg := obs.New()
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: diskImages(t, pDir), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +240,7 @@ func TestStalledStandbyOverflowsOffersThenCatchesUp(t *testing.T) {
 	ship.offMu.Lock()
 	queued := ship.queued
 	ship.offMu.Unlock()
-	if dropped := ship.Counters().Get("replica_offers_dropped"); dropped == 0 || queued > offerSlots {
+	if dropped := reg.Counter("replica_offers_dropped").Load(); dropped == 0 || queued > offerSlots {
 		t.Fatalf("%d offers queued of %d slots, %d dropped: the hand-off did not overflow", queued, offerSlots, dropped)
 	}
 	if got := ship.Acked(); got > 1+maxShipEntries {
@@ -244,13 +249,62 @@ func TestStalledStandbyOverflowsOffersThenCatchesUp(t *testing.T) {
 	release()
 	waitAcked(t, ship, jnl.DurableSeq())
 	requireStandbyEquals(t, pDir, recv)
-	c := ship.Counters()
-	if got := c.Get("replica_shipped_entries"); got != n+1 {
+	c := reg.Counters()
+	if got := c["replica_shipped_entries"]; got != n+1 {
 		t.Fatalf("shipped %d entries for %d appended: skipped or doubled", got, n+1)
 	}
-	if errs, snaps := c.Get("replica_stream_errors"), c.Get("replica_snapshots_shipped")+c.Get("replica_resets_shipped"); errs != 0 || snaps != 0 {
+	if errs, snaps := c["replica_stream_errors"], c["replica_snapshots_shipped"]+c["replica_resets_shipped"]; errs != 0 || snaps != 0 {
 		t.Fatalf("catch-up took %d stream errors and %d cuts; want the tailer alone", errs, snaps)
 	}
+}
+
+// TestShippedUntracedCountsTheTailerOnly: an entry the shipper takes from
+// the offer ring carries its request's trace and is not counted. One whose
+// offer was dropped (here: too large for a slot) reaches the standby through
+// the tailer, which has no trace to give it, and replica_shipped_untraced
+// rises by exactly the entries re-read. Semi-sync, so every count is settled
+// when the put returns.
+func TestShippedUntracedCountsTheTailerOnly(t *testing.T) {
+	recv, addr := startStandby(t, t.TempDir(), ReceiverOptions{})
+	p := openPrimary(t, t.TempDir())
+	defer p.stop()
+	p.replicate(t, addr, 10*time.Second)
+	if err := p.d.CreateFileSet("vol"); err != nil {
+		t.Fatal(err)
+	}
+	put := func(path, owner string) {
+		t.Helper()
+		v, err := p.d.Version("vol")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, c, err := p.d.FlushDelta(7, "vol", sharedisk.Delta{Base: v, Puts: map[string]sharedisk.Record{path: {Owner: owner}}})
+		if err == nil {
+			err = c.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(when string, shipped, dropped, untraced int64) {
+		t.Helper()
+		c := p.obs.Counters()
+		if c["replica_shipped_entries"] != shipped || c["replica_offers_dropped"] != dropped || c["replica_shipped_untraced"] != untraced {
+			t.Fatalf("%s: shipped %d, offers dropped %d, untraced %d; want %d, %d, %d", when,
+				c["replica_shipped_entries"], c["replica_offers_dropped"], c["replica_shipped_untraced"], shipped, dropped, untraced)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		put(fmt.Sprintf("/small%d", i), "w")
+	}
+	expect("offered entries", 4, 0, 0)
+	big := strings.Repeat("x", maxOfferBytes+1)
+	put("/big0", big)
+	put("/big1", big)
+	expect("two entries too large to offer", 6, 2, 2)
+	put("/small3", "w")
+	expect("an offered entry after the catch-ups", 7, 2, 2)
+	requireStandbyEquals(t, p.dir, recv)
 }
 
 // TestStopCutsOffAShipInFlight: Stop does not wait for a standby that has
@@ -346,7 +400,8 @@ func TestSecondSessionResumesBySequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sJnl2, sStore2 := openJournal(t, sDir, journal.Options{})
-	recv2, err := NewReceiver(ReceiverOptions{Journal: sJnl2, Images: sStore2.Images()})
+	rObs := obs.New()
+	recv2, err := NewReceiver(ReceiverOptions{Journal: sJnl2, Images: sStore2.Images(), Obs: rObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +419,14 @@ func TestSecondSessionResumesBySequence(t *testing.T) {
 	}
 	waitAcked(t, p.ship, p.jnl.DurableSeq())
 	requireStandbyEquals(t, p.dir, recv2)
-	c := p.ship.Counters()
-	if c.Get("replica_reconnects") == 0 {
+	c := p.obs.Counters()
+	if c["replica_reconnects"] == 0 {
 		t.Fatal("the standby restarted and the shipper never reconnected")
 	}
-	if snaps, resets := c.Get("replica_snapshots_shipped"), c.Get("replica_resets_shipped"); snaps != 0 || resets != 0 {
+	if snaps, resets := c["replica_snapshots_shipped"], c["replica_resets_shipped"]; snaps != 0 || resets != 0 {
 		t.Fatalf("a later session of one incarnation shipped %d snapshots and %d resets, want entries only", snaps, resets)
 	}
-	if got := recv2.Counters().Get("replica_recv_resets") + recv2.Counters().Get("replica_recv_snapshots"); got != 0 {
+	if got := rObs.Counter("replica_recv_resets").Load() + rObs.Counter("replica_recv_snapshots").Load(); got != 0 {
 		t.Fatalf("the restarted standby took %d cuts", got)
 	}
 }
@@ -544,12 +599,12 @@ func alignment(t *testing.T, seed int64, promote, skipFirstSessionRule bool) (ah
 	deadline := time.Now().Add(wait)
 	for p2.ship.Acked() < wantSeq {
 		if time.Now().After(deadline) {
-			return ahead, diverged, fmt.Errorf("standby stuck at %d of %d (%d stream errors)", p2.ship.Acked(), wantSeq, p2.ship.Counters().Get("replica_stream_errors"))
+			return ahead, diverged, fmt.Errorf("standby stuck at %d of %d (%d stream errors)", p2.ship.Acked(), wantSeq, p2.obs.Counter("replica_stream_errors").Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	p2.ship.Stop()
-	if p2.ship.Counters().Get("replica_sync_degraded") != 0 {
+	if p2.obs.Counter("replica_sync_degraded").Load() != 0 {
 		return ahead, diverged, errors.New("a write was acknowledged without the standby")
 	}
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/wire"
 )
@@ -30,11 +29,12 @@ var errBatcherClosed = errors.New("sdk: client closed")
 // item's outcome arrives, so the API stays synchronous per op. The batcher
 // starts no goroutine and arms no timer.
 type batcher struct {
-	send     func(fileSet string, durable bool, items []wire.BatchItem) ([]wire.BatchResult, error)
-	hist     *obs.Histogram // batch sizes; buckets read as counts
-	counters *metrics.CounterSet
-	max      int
-	durable  bool
+	send    func(fileSet string, durable bool, items []wire.BatchItem) ([]wire.BatchResult, error)
+	hist    *obs.Histogram // batch sizes; buckets read as counts
+	sent    *obs.Counter   // CtrBatchesSent
+	ops     *obs.Counter   // CtrBatchedOps
+	max     int
+	durable bool
 
 	mu     sync.Mutex
 	sets   map[string]*setState // file sets with a batch outstanding
@@ -56,14 +56,14 @@ type pendingBatch struct {
 	lead chan struct{}
 }
 
-func newBatcher(send func(string, bool, []wire.BatchItem) ([]wire.BatchResult, error),
-	opts Options, counters *metrics.CounterSet) *batcher {
+func newBatcher(send func(string, bool, []wire.BatchItem) ([]wire.BatchResult, error), opts Options) *batcher {
 	b := &batcher{
-		send:     send,
-		counters: counters,
-		max:      opts.MaxBatch,
-		durable:  opts.Durable,
-		sets:     map[string]*setState{},
+		send:    send,
+		sent:    opts.Obs.Counter(CtrBatchesSent),
+		ops:     opts.Obs.Counter(CtrBatchedOps),
+		max:     opts.MaxBatch,
+		durable: opts.Durable,
+		sets:    map[string]*setState{},
 	}
 	if opts.Obs != nil {
 		b.hist = opts.Obs.Hist.Get("sdk_batch_items", "")
@@ -172,8 +172,8 @@ func (b *batcher) ship(fileSet string, pb *pendingBatch) {
 		// Size histogram buckets read as item counts, not seconds.
 		b.hist.Observe(time.Duration(len(pb.items)))
 	}
-	b.counters.Add(CtrBatchesSent, 1)
-	b.counters.Add(CtrBatchedOps, int64(len(pb.items)))
+	b.sent.Add(1)
+	b.ops.Add(int64(len(pb.items)))
 	results, err := b.send(fileSet, b.durable, pb.items)
 	for i, ch := range pb.done {
 		switch {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"anufs/internal/metrics"
 	"anufs/internal/wire"
 )
 
@@ -64,7 +63,7 @@ func (f *fakeSend) sent(fileSet string) []sentBatch {
 }
 
 func newTestBatcher(f *fakeSend, max int) *batcher {
-	return newBatcher(f.send, Options{MaxBatch: max}, metrics.NewCounterSet())
+	return newBatcher(f.send, Options{MaxBatch: max})
 }
 
 // folded blocks until n items are folded behind fileSet's outstanding batch.
@@ -114,7 +113,7 @@ func TestBatcherLoneAddSendsAtOnce(t *testing.T) {
 		t.Fatalf("lone adds left %d goroutines behind", after-before)
 	}
 	requireIdle(t, b)
-	if ops, sent := b.counters.Get(CtrBatchedOps), b.counters.Get(CtrBatchesSent); ops != 3 || sent != 3 {
+	if ops, sent := b.ops.Load(), b.sent.Load(); ops != 3 || sent != 3 {
 		t.Fatalf("%d ops in %d batches, want 3 in 3", ops, sent)
 	}
 }
@@ -167,7 +166,7 @@ func TestBatcherFoldsBehindOutstandingBatch(t *testing.T) {
 	}
 	requireIdle(t, b)
 	// n+1 ops to vol in 2 batches, 1 to other in 1.
-	if ops, sent := b.counters.Get(CtrBatchedOps), b.counters.Get(CtrBatchesSent); ops != n+2 || sent != 3 {
+	if ops, sent := b.ops.Load(), b.sent.Load(); ops != n+2 || sent != 3 {
 		t.Fatalf("%d ops in %d batches, want %d in 3 (fold > 1)", ops, sent, n+2)
 	}
 }

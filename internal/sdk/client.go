@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"anufs/internal/fleet"
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/volume"
@@ -25,7 +24,6 @@ type Client struct {
 	opts      Options
 	router    *fleet.Router
 	batch     *batcher // nil when batching is disabled
-	counters  *metrics.CounterSet
 	inflight  atomic.Int64
 	lastTrace atomic.Uint64
 }
@@ -38,8 +36,7 @@ func NewClient(opts Options) (*Client, error) {
 		return nil, fmt.Errorf("sdk: client needs an authority address")
 	}
 	opts = opts.withDefaults()
-	c := &Client{opts: opts, counters: metrics.NewCounterSet()}
-	opts.counters = c.counters // pools sum their redial/health counters here
+	c := &Client{opts: opts}
 	dial := func(addr string) (fleet.Caller, error) { return NewPool(addr, opts), nil }
 	router, err := fleet.NewRouter(fleet.RouterConfig{
 		AuthorityAddr: opts.Authority,
@@ -53,10 +50,9 @@ func NewClient(opts Options) (*Client, error) {
 	}
 	c.router = router
 	if opts.BatchDelay > 0 {
-		c.batch = newBatcher(c.sendBatch, opts, c.counters)
+		c.batch = newBatcher(c.sendBatch, opts)
 	}
 	if opts.Obs != nil {
-		opts.Obs.AddCounters(c.counters.Snapshot)
 		opts.Obs.AddGauges(func() []obs.Gauge {
 			return []obs.Gauge{{Name: "sdk_inflight_requests", Value: float64(c.inflight.Load())}}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
@@ -54,12 +55,14 @@ func TestClientUnbatched(t *testing.T) {
 // file set first so a client reads its own writes.
 func TestClientBatchingCoalesces(t *testing.T) {
 	f := startFleet(t, 2)
+	reg := obs.New()
 	c, err := NewClient(Options{
 		Authority:  f.authority(),
 		Timeout:    5 * time.Second,
 		Budget:     5 * time.Second,
 		BatchDelay: 20 * time.Millisecond,
 		MaxBatch:   32,
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +99,8 @@ func TestClientBatchingCoalesces(t *testing.T) {
 		}
 	}
 
-	ops := c.counters.Get(CtrBatchedOps)
-	batches := c.counters.Get(CtrBatchesSent)
+	ops := reg.Counter(CtrBatchedOps).Load()
+	batches := reg.Counter(CtrBatchesSent).Load()
 	if ops != writers {
 		t.Fatalf("batched ops = %d, want %d", ops, writers)
 	}
@@ -169,5 +172,49 @@ func TestClientExplicitBatch(t *testing.T) {
 	}
 	if results[2].Err == "" {
 		t.Fatal("stat of missing path succeeded in batch")
+	}
+}
+
+// Two clients on one registry count into the same sdk_* series — the sum of
+// both, not whichever registered last — and building a client leaves
+// nothing behind in the registry's counter table.
+func TestClientsOnOneRegistrySum(t *testing.T) {
+	f := startFleet(t, 1)
+	reg := obs.New()
+	opts := Options{
+		Authority: f.authority(), Timeout: 5 * time.Second, Budget: 5 * time.Second,
+		BatchDelay: time.Millisecond, HealthInterval: -1, Obs: reg,
+	}
+	var clients [2]*Client
+	for i := range clients {
+		c, err := NewClient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	if err := clients[0].CreateFileSet("vol00"); err != nil {
+		t.Fatal(err)
+	}
+	// Sequential writes: each is sent at once, as a batch of one.
+	for i, c := range []*Client{clients[0], clients[1], clients[1]} {
+		if err := c.Create("vol00", fmt.Sprintf("/f%d", i), sharedisk.Record{Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := reg.Counters()
+	if sent, ops := before[CtrBatchesSent], before[CtrBatchedOps]; sent != 3 || ops != 3 {
+		t.Fatalf("%s = %d, %s = %d; want 3 and 3, the sum over both clients", CtrBatchesSent, sent, CtrBatchedOps, ops)
+	}
+	for i := 0; i < 100; i++ {
+		c, err := NewClient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	if after := reg.Counters(); len(after) != len(before) {
+		t.Fatalf("100 clients built and closed grew the counter table from %d to %d names", len(before), len(after))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"anufs/internal/fleet"
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/wire"
@@ -63,8 +62,8 @@ type GatewayConfig struct {
 type Gateway struct {
 	cfg      GatewayConfig
 	router   *fleet.Router
-	auth     *Pool // authority-only forwards, long deadline
-	counters *metrics.CounterSet
+	auth     *Pool        // authority-only forwards, long deadline
+	requests *obs.Counter // CtrGwRequests, bumped per request
 	inflight atomic.Int64
 	nextSess atomic.Uint64
 
@@ -119,7 +118,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	opts := Options{PoolSize: cfg.PoolSize, Timeout: cfg.Timeout}.withDefaults()
 	g := &Gateway{
 		cfg:      cfg,
-		counters: metrics.NewCounterSet(),
+		requests: cfg.Obs.Counter(CtrGwRequests),
 		sessions: map[uint64]*gwSession{},
 		conns:    map[net.Conn]struct{}{},
 	}
@@ -137,7 +136,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g.router = router
 	g.auth = NewPool(cfg.Authority, Options{PoolSize: 1, Timeout: authorityTimeout})
 	if cfg.Obs != nil {
-		cfg.Obs.AddCounters(g.counters.Snapshot)
 		cfg.Obs.AddGauges(func() []obs.Gauge {
 			return []obs.Gauge{{Name: "gw_inflight_requests", Value: float64(g.inflight.Load())}}
 		})
@@ -177,7 +175,7 @@ func (g *Gateway) ServeConn(conn net.Conn) {
 	}()
 	fs := &wire.FrameServer{
 		Handle:     g.serve,
-		OnBadFrame: func() { g.counters.Add(CtrGwBadFrames, 1) },
+		OnBadFrame: func() { g.cfg.Obs.Counter(CtrGwBadFrames).Add(1) },
 		OnInflight: func(d int64) { g.inflight.Add(d) },
 	}
 	fs.Serve(conn, wire.MaxFramePayload)
@@ -220,7 +218,7 @@ func (g *Gateway) session(id uint64) *gwSession {
 // tier the client actually talked to. The trace ID is echoed in the
 // response for clients that want to pull the timeline afterwards.
 func (g *Gateway) serve(req wire.Request) wire.Response {
-	g.counters.Add(CtrGwRequests, 1)
+	g.requests.Add(1)
 	reg := g.cfg.Obs
 	// Observer ops reuse the Trace field to address a target trace; Ping is
 	// the health no-op. Neither should mint or join traces.
@@ -242,7 +240,7 @@ func (g *Gateway) serve(req wire.Request) wire.Response {
 	resp := g.route(req)
 	resp.ID = req.ID
 	if resp.Err != "" {
-		g.counters.Add(CtrGwErrors, 1)
+		g.cfg.Obs.Counter(CtrGwErrors).Add(1)
 	}
 	if traced {
 		dur := time.Since(start)

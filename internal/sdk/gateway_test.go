@@ -129,7 +129,7 @@ func TestGatewayRoutesToFileSetCreatedAfterStart(t *testing.T) {
 	if _, placed := gw.Router().Map().Owner("late"); placed {
 		t.Fatal("gateway's cached map already has the file set; the test proves nothing")
 	}
-	before := gw.Router().Counters().Get("fleet_router_refreshes")
+	before := gw.cfg.Obs.Counter("fleet_router_refreshes").Load()
 	c, err := testWireDial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestGatewayRoutesToFileSetCreatedAfterStart(t *testing.T) {
 	if err := c.Create("late", "/a", sharedisk.Record{Size: 7}); err != nil {
 		t.Fatalf("create through a gateway started before the file set existed: %v", err)
 	}
-	if got := gw.Router().Counters().Get("fleet_router_refreshes") - before; got != 1 {
+	if got := gw.cfg.Obs.Counter("fleet_router_refreshes").Load() - before; got != 1 {
 		t.Fatalf("%d map refreshes for one stale-map miss, want 1", got)
 	}
 	// A file set that really does not exist still fails — after one refetch.
@@ -444,7 +444,7 @@ func TestGatewayPeersShareMaps(t *testing.T) {
 	if err != nil || cm.Epoch != want {
 		t.Fatalf("gw2 epoch = %v, %v; want %d", cm, err, want)
 	}
-	if hits := gw2.Router().Counters().Get(fleet.CtrMapPeerHits); hits == 0 {
+	if hits := gw2.cfg.Obs.Counter(fleet.CtrMapPeerHits).Load(); hits == 0 {
 		t.Fatal("gw2 refreshed without ever hitting its peer's cache")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"anufs/internal/fleet"
 	"anufs/internal/live"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -113,6 +114,7 @@ func startGateway(t testing.TB, f *testFleet, peers ...string) (*Gateway, string
 		Authority: f.authority(),
 		Peers:     peers,
 		Budget:    5 * time.Second,
+		Obs:       obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anufs/internal/journal"
+	"anufs/internal/obs"
 	"anufs/internal/replica"
 	"anufs/internal/wire"
 )
@@ -32,7 +33,8 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	recv, err := replica.NewReceiver(replica.ReceiverOptions{Journal: jnl, Images: store.Images()})
+	standbyObs := obs.New()
+	recv, err := replica.NewReceiver(replica.ReceiverOptions{Journal: jnl, Images: store.Images(), Obs: standbyObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +57,8 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 			}
 			return ws[wire.CtrBadFrames]
 		}},
-		{"gateway", gwAddr, wire.MaxFramePayload, func() int64 { return gw.counters.Get(CtrGwBadFrames) }},
-		{"standby", standbyAddr, 65 << 20, func() int64 { return recv.Counters().Get("replica_recv_bad_frames") }},
+		{"gateway", gwAddr, wire.MaxFramePayload, func() int64 { return gw.cfg.Obs.Counter(CtrGwBadFrames).Load() }},
+		{"standby", standbyAddr, 65 << 20, func() int64 { return standbyObs.Counter("replica_recv_bad_frames").Load() }},
 	}
 	// closedPromptly reports whether the server hung up (EOF, or a reset
 	// when it left bytes unread) rather than the read deadline passing.

@@ -86,13 +86,6 @@ func NewPool(addr string, opts Options) *Pool {
 	return p
 }
 
-// count bumps a pool counter when the pool shares a client counter set.
-func (p *Pool) count(name string) {
-	if p.opts.counters != nil {
-		p.opts.counters.Add(name, 1)
-	}
-}
-
 // nth returns the k-th live connection (caller holds p.mu).
 //
 //anufs:hotpath
@@ -186,7 +179,7 @@ func (p *Pool) dialSlot(slot int) *Conn {
 	p.mu.Lock()
 	if p.filled[slot] {
 		p.mu.Unlock()
-		p.count(CtrPoolRedials)
+		p.opts.Obs.Counter(CtrPoolRedials).Add(1)
 	} else {
 		p.mu.Unlock()
 	}
@@ -302,7 +295,7 @@ func (p *Pool) healthLoop() {
 			p.mu.Unlock()
 			for _, c := range conns {
 				if c.Ping() != nil {
-					p.count(CtrPoolHealthFailures)
+					p.opts.Obs.Counter(CtrPoolHealthFailures).Add(1)
 					p.discard(c)
 				}
 			}

@@ -18,7 +18,6 @@ package sdk
 import (
 	"time"
 
-	"anufs/internal/metrics"
 	"anufs/internal/obs"
 )
 
@@ -67,11 +66,6 @@ type Options struct {
 	Budget time.Duration
 	// Obs receives sdk counters, gauges, and histograms; nil disables.
 	Obs *obs.Registry
-
-	// counters is the shared counter set pools report redials and health
-	// failures into — set by NewClient so every pool of one client sums
-	// into the same series instead of colliding per-pool snapshots.
-	counters *metrics.CounterSet
 }
 
 // withDefaults fills the zero values.

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"anufs/internal/live"
 	"anufs/internal/lockmgr"
-	"anufs/internal/metrics"
 	"anufs/internal/namespace"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
@@ -58,8 +58,11 @@ type Server struct {
 	ns      *namespace.Table
 	obs     *obs.Registry
 
-	counters *metrics.CounterSet
-	slow     time.Duration
+	// ctrRequests and ctrErrors are bumped per request, so the handles are
+	// held; the rarer wire_* counters are looked up where they count.
+	ctrRequests *obs.Counter
+	ctrErrors   *obs.Counter
+	slow        time.Duration
 	// histDepth observes the connection's pipeline depth at each
 	// admission and histBatch the item count of each OpBatch. Both encode
 	// a unitless count as nanoseconds (obs histograms observe durations):
@@ -77,8 +80,6 @@ type Server struct {
 	// per-connection totals survive connection churn with O(1) state.
 	closedAgg   ConnStat
 	closedConns int64
-	// journalStats, when set, supplies journal counters for OpStats.
-	journalStats func() map[string]int64
 	// fleet, when set, fences file-set ops against the cluster map and
 	// serves the fleet ops (SetFleet).
 	fleet FleetHandler
@@ -103,17 +104,17 @@ type volStat struct {
 // queues, and (when the daemon shares the registry) the journal.
 func NewServer(c *live.Cluster) *Server {
 	s := &Server{
-		cluster:  c,
-		ns:       namespace.New(),
-		obs:      c.Obs(),
-		counters: metrics.NewCounterSet(),
-		slow:     DefaultSlowThreshold,
-		conns:    map[net.Conn]*connState{},
-		volStats: map[string]*volStat{},
+		cluster:     c,
+		ns:          namespace.New(),
+		obs:         c.Obs(),
+		ctrRequests: c.Obs().Counter(CtrRequests),
+		ctrErrors:   c.Obs().Counter(CtrErrors),
+		slow:        DefaultSlowThreshold,
+		conns:       map[net.Conn]*connState{},
+		volStats:    map[string]*volStat{},
 	}
 	s.histDepth = s.obs.Hist.Get("wire_pipeline_depth", "")
 	s.histBatch = s.obs.Hist.Get("wire_batch_items", "")
-	s.obs.AddCounters(s.counters.Snapshot)
 	s.obs.AddGauges(func() []obs.Gauge {
 		s.mu.Lock()
 		n, nc := len(s.conns), s.closedConns
@@ -156,15 +157,6 @@ func NewServer(c *live.Cluster) *Server {
 func (s *Server) SetSlowThreshold(d time.Duration) {
 	s.mu.Lock()
 	s.slow = d
-	s.mu.Unlock()
-}
-
-// SetJournalStats registers a source of journal counters to include in
-// stats replies (anufsd passes the journal's CounterSet snapshot). Call
-// before Listen.
-func (s *Server) SetJournalStats(fn func() map[string]int64) {
-	s.mu.Lock()
-	s.journalStats = fn
 	s.mu.Unlock()
 }
 
@@ -256,7 +248,7 @@ func (s *Server) serveConn(conn net.Conn, cs *connState) {
 	fs := &FrameServer{
 		Handle: func(req Request) Response { return s.serve(cs, req) },
 		OnBadFrame: func() {
-			s.counters.Add(CtrBadFrames, 1)
+			s.obs.Counter(CtrBadFrames).Add(1)
 			cs.badFrames.Add(1)
 		},
 		OnInflight: func(d int64) {
@@ -288,10 +280,10 @@ func (s *Server) serve(cs *connState, req Request) Response {
 	dur := time.Since(start)
 	op := string(req.Op)
 	s.obs.Hist.Get("wire_request_seconds", fmt.Sprintf("op=%q", op)).ObserveTrace(dur, trace)
-	s.counters.Add(CtrRequests, 1)
+	s.ctrRequests.Add(1)
 	cs.requests.Add(1)
 	if resp.Err != "" {
-		s.counters.Add(CtrErrors, 1)
+		s.ctrErrors.Add(1)
 		cs.errors.Add(1)
 	}
 	if req.FileSet != "" {
@@ -319,7 +311,7 @@ func (s *Server) serve(cs *connState, req Request) Response {
 	slow := s.slow
 	s.mu.Unlock()
 	if dur >= slow {
-		s.counters.Add(CtrSlow, 1)
+		s.obs.Counter(CtrSlow).Add(1)
 		cs.slow.Add(1)
 	}
 	if !observer {
@@ -455,13 +447,20 @@ func (s *Server) handle(trace uint64, req Request) Response {
 				Owned:     len(st.Owned),
 			})
 		}
-		s.mu.Lock()
-		js := s.journalStats
-		s.mu.Unlock()
-		if js != nil {
-			resp.Journal = js()
+		// The journal shares the daemon's registry; without one there is
+		// no journal_* counter and Journal stays nil.
+		resp.Wire = map[string]int64{}
+		for name, v := range s.obs.Counters() {
+			switch {
+			case strings.HasPrefix(name, "wire_"):
+				resp.Wire[name] = v
+			case strings.HasPrefix(name, "journal_"):
+				if resp.Journal == nil {
+					resp.Journal = map[string]int64{}
+				}
+				resp.Journal[name] = v
+			}
 		}
-		resp.Wire = s.counters.Snapshot()
 		resp.Conns = s.connStats()
 		s.mu.Lock()
 		if s.closedConns > 0 {
@@ -635,8 +634,8 @@ func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Resp
 			return fail(fmt.Errorf("wire: batch %w", err))
 		}
 	}
-	s.counters.Add(CtrBatches, 1)
-	s.counters.Add(CtrBatchItems, int64(n))
+	s.obs.Counter(CtrBatches).Add(1)
+	s.obs.Counter(CtrBatchItems).Add(int64(n))
 	s.histBatch.Observe(time.Duration(n))
 	s.linkFoldedItems(trace, req, results)
 	resp.Results = results
