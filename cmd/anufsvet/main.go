@@ -1,8 +1,7 @@
 // Command anufsvet is the repository's invariant checker: a
 // multichecker over the custom analyzers in internal/analysis
-// (simdeterminism, journalkinds, lockdiscipline,
-// hotpathalloc, goroutinelife, errcode — plus the implicit
-// allowhygiene checks on //anufs:allow annotations).
+// (simdeterminism, lockdiscipline, goroutinelife, errcode — plus the
+// implicit allowhygiene checks on //anufs:allow annotations).
 //
 // It runs two ways:
 //
@@ -12,8 +11,7 @@
 // Standalone mode loads packages (tests included) via `go list -export`
 // — once per run, shared across all analyzers — and prints every
 // diagnostic; vettool mode speaks the `go vet` unit protocol and shares
-// its build cache, including .vetx fact files for the interprocedural
-// hot-path analysis. Suppress a diagnostic at the site with a justified
+// its build cache. Suppress a diagnostic at the site with a justified
 // annotation:
 //
 //	//anufs:allow <analyzer> <reason...>
@@ -69,18 +67,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "anufsvet: %v\n", err)
 		os.Exit(2)
 	}
-	// Packages arrive in dependency order, facts-only dependencies
-	// included, so each unit's interprocedural lookups are already
-	// populated when the analyzers reach it.
-	store := analysis.NewFactStore()
 	stats := &analysis.RunStats{}
 	bad := 0
 	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			analysis.ComputeFacts(pkg, analyzers, store, stats)
-			continue
-		}
-		diags, err := analysis.Run(pkg, analyzers, store, stats)
+		diags, err := analysis.Run(pkg, analyzers, stats)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "anufsvet: %v\n", err)
 			os.Exit(2)

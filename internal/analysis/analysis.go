@@ -1,9 +1,13 @@
 // Package analysis is a small, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis vocabulary, built so the repository can
-// enforce its own invariants (determinism of the simulation kernel,
-// journal-recovery exhaustiveness, wire-protocol symmetry, lock
-// discipline, hot-path allocation hygiene) with machine-checked analyzers
-// even in environments without network access to x/tools.
+// enforce its own invariants (determinism of the simulation kernel, lock
+// discipline, goroutine shutdown paths, typed error codes) with
+// machine-checked analyzers even in environments without network access
+// to x/tools. Every analyzer is intraprocedural: it reads one package's
+// syntax and types, nothing about its dependencies but their export data.
+// Contracts a test can measure are tests instead — allocation-free hot
+// paths are testing.AllocsPerRun rows beside the code, and every journal
+// entry kind replaying is journal.TestEveryKindReplays.
 //
 // The shape mirrors x/tools on purpose — an Analyzer has a Name, a Doc
 // string and a Run function over a Pass — so the analyzers would port to
@@ -44,19 +48,10 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
-	// ExportFacts, when set, summarizes the package for dependents: it
-	// returns an opaque blob (conventionally JSON) that a later pass
-	// over an importing package reads back through Pass.ImportFact.
-	// Export data carries no function bodies, so this is the only
-	// channel an interprocedural analyzer has across package
-	// boundaries. ExportFacts must not report diagnostics; the driver
-	// may call it on dependency-only units where Run never executes.
-	ExportFacts func(*Pass) []byte
 }
 
-// A Pass provides one analyzer with one typechecked package, a sink for
-// diagnostics, and read access to the facts this analyzer exported for
-// the package's dependencies.
+// A Pass provides one analyzer with one typechecked package and a sink
+// for diagnostics.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -67,11 +62,6 @@ type Pass struct {
 	// suppression after the analyzer runs, so Run should report every
 	// violation unconditionally.
 	Report func(Diagnostic)
-	// ImportFact returns the blob this analyzer exported for an
-	// imported package (by its base import path), or nil when the
-	// driver has none — analyzers must degrade soundly (assume nothing)
-	// on a nil fact.
-	ImportFact func(pkgPath string) []byte
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -46,14 +46,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s matched no packages", dir)
 	}
-	store := analysis.NewFactStore()
 	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			analysis.ComputeFacts(pkg, []*analysis.Analyzer{a}, store, nil)
-			continue
-		}
 		wants := collectWants(t, pkg)
-		diags, err := analysis.Run(pkg, []*analysis.Analyzer{a}, store, nil)
+		diags, err := analysis.Run(pkg, []*analysis.Analyzer{a}, nil)
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkg.Path, err)
 		}

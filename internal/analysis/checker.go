@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// RunStats accumulates per-analyzer wall time across Run and
-// ComputeFacts calls (anufsvet -debug=t reports it). May be nil.
+// RunStats accumulates per-analyzer wall time across Run calls
+// (anufsvet -debug=t reports it). May be nil.
 type RunStats struct {
 	Elapsed map[string]time.Duration
 }
@@ -27,27 +27,28 @@ func (s *RunStats) add(name string, d time.Duration) {
 // surviving diagnostics: every violation the analyzers reported, minus
 // those suppressed by a justified //anufs:allow, plus hygiene
 // diagnostics for annotations that are malformed or suppress nothing.
-// Diagnostics come back sorted by position.
-//
-// store, when non-nil, supplies the facts previously exported for the
-// package's dependencies and receives the facts the analyzers export
-// for this package. stats, when non-nil, accumulates per-analyzer wall
-// time. Both may be nil.
-func Run(pkg *Package, analyzers []*Analyzer, store *FactStore, stats *RunStats) ([]Diagnostic, error) {
+// Diagnostics come back sorted by position. stats, when non-nil,
+// accumulates per-analyzer wall time.
+func Run(pkg *Package, analyzers []*Analyzer, stats *RunStats) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
 		start := time.Now()
-		pass := newPass(a, pkg, store)
-		pass.Report = func(d Diagnostic) {
-			d.Analyzer = a.Name
-			diags = append(diags, d)
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.TypesInfo,
+			Report: func(d Diagnostic) {
+				d.Analyzer = a.Name
+				diags = append(diags, d)
+			},
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
-		exportFacts(a, pass, pkg, store)
 		stats.add(a.Name, time.Since(start))
 	}
 	registered := map[string]bool{}
@@ -58,44 +59,6 @@ func Run(pkg *Package, analyzers []*Analyzer, store *FactStore, stats *RunStats)
 	diags = applyAllows(pkg.Fset, allows, ran, registered, diags)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
-}
-
-// ComputeFacts runs only the fact-exporting half of the analyzers over a
-// dependency package: no diagnostics, no allow processing. The Load
-// driver uses it for packages that are in the dependency graph but not
-// themselves analysis units (narrow patterns, or the plain variant of a
-// package whose merged test variant is the unit).
-func ComputeFacts(pkg *Package, analyzers []*Analyzer, store *FactStore, stats *RunStats) {
-	for _, a := range analyzers {
-		if a.ExportFacts == nil {
-			continue
-		}
-		start := time.Now()
-		pass := newPass(a, pkg, store)
-		pass.Report = func(Diagnostic) {}
-		exportFacts(a, pass, pkg, store)
-		stats.add(a.Name, time.Since(start))
-	}
-}
-
-func newPass(a *Analyzer, pkg *Package, store *FactStore) *Pass {
-	return &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		ImportFact: func(path string) []byte {
-			return store.Get(path, a.Name)
-		},
-	}
-}
-
-func exportFacts(a *Analyzer, pass *Pass, pkg *Package, store *FactStore) {
-	if a.ExportFacts == nil || store == nil {
-		return
-	}
-	store.Set(pkg.Path, a.Name, a.ExportFacts(pass))
 }
 
 // Format renders one diagnostic the way vet does: file:line:col: message.

@@ -150,3 +150,8 @@ func isErrorTextCall(pass *Pass, e ast.Expr) bool {
 	// receiver's static type implements the interface.
 	return true
 }
+
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}

@@ -28,12 +28,6 @@ type Package struct {
 	// checks that require test coverage only fire on such units, which
 	// matches how `go vet` builds its units.
 	HasTestFiles bool
-	// FactsOnly marks a package that is in the load only so analyzers
-	// can export facts about it for its dependents: a module-internal
-	// dependency outside the requested patterns, or the plain variant
-	// of a package whose merged test variant is the analysis unit.
-	// Drivers must not report diagnostics for FactsOnly packages.
-	FactsOnly bool
 }
 
 // listEntry is the subset of `go list -json` output the loader needs.
@@ -48,7 +42,6 @@ type listEntry struct {
 	DepOnly    bool
 	ForTest    string
 	ImportMap  map[string]string
-	Module     *struct{ Path string }
 }
 
 // loadCache memoizes Load results for the lifetime of the process,
@@ -75,12 +68,6 @@ type loadResult struct {
 // tests). Dependencies are imported from compiler export data produced
 // by `go list -export`, so loading needs no network and shares the
 // build cache.
-//
-// Module-internal dependencies that are not themselves analysis units
-// come back marked FactsOnly, in dependency order before their
-// dependents (`go list -deps` guarantees the order), so a driver that
-// walks the slice front to back always has dependency facts in hand
-// before it analyzes an importer.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	key := loadKey(dir, patterns)
 	loadCache.Lock()
@@ -133,10 +120,8 @@ func load(dir string, patterns []string) ([]*Package, error) {
 	// Pick the analysis units: prefer the merged "pkg [pkg.test]"
 	// variant; fall back to the plain package when it has no in-package
 	// tests. Skip external test packages and the synthesized ".test"
-	// mains. Standard-library entries are never typechecked from
-	// source; module-internal entries that are not units (dep-only, or
-	// superseded by a merged variant) are loaded FactsOnly so the
-	// interprocedural analyzers can summarize them for dependents.
+	// mains. Dependencies outside the patterns (the standard library
+	// included) are not units: their export data is all a unit needs.
 	merged := map[string]bool{} // base paths that have a merged variant
 	for _, e := range entries {
 		if e.ForTest != "" && e.ImportPath == e.ForTest+" ["+e.ForTest+".test]" {
@@ -147,25 +132,23 @@ func load(dir string, patterns []string) ([]*Package, error) {
 	imp := newCachedImporter(fset, exports)
 	var pkgs []*Package
 	for _, e := range entries {
-		if e.Standard || strings.HasSuffix(e.ImportPath, ".test") ||
+		if e.Standard || e.DepOnly || strings.HasSuffix(e.ImportPath, ".test") ||
 			strings.HasSuffix(e.Name, "_test") {
 			continue
 		}
 		if e.ForTest != "" && e.ImportPath != e.ForTest+" ["+e.ForTest+".test]" {
 			continue
 		}
-		factsOnly := e.DepOnly || e.ForTest == "" && merged[e.ImportPath]
+		if e.ForTest == "" && merged[e.ImportPath] {
+			continue // superseded by its merged test variant
+		}
 		if len(e.CgoFiles) > 0 {
-			if factsOnly {
-				continue // degrade: no facts rather than a load failure
-			}
 			return nil, fmt.Errorf("%s: cgo packages are not supported", e.ImportPath)
 		}
 		pkg, err := typecheck(fset, e, imp)
 		if err != nil {
 			return nil, err
 		}
-		pkg.FactsOnly = factsOnly
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

@@ -5,9 +5,7 @@ package analysis
 func Registry() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
-		JournalKinds,
 		LockDiscipline,
-		HotPathAlloc,
 		GoroutineLife,
 		ErrCode,
 	}

@@ -25,8 +25,6 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	Standard                  map[string]bool
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -86,12 +84,9 @@ func selfHash() string {
 // Diagnostics go to stderr in vet's file:line:col format and flip the
 // exit code via the returned error.
 //
-// `go vet` runs the tool over a unit's dependencies first (VetxOnly)
-// and hands each later unit its dependencies' fact files in
-// PackageVetx. Module-internal VetxOnly units are typechecked so the
-// interprocedural analyzers can export facts; everything else gets an
-// empty facts file — stdlib bodies are not summarized (the analyzers
-// hard-code the little stdlib policy they need, e.g. "fmt allocates").
+// `go vet` also runs the tool over a unit's dependencies (VetxOnly) to
+// collect facts for later units. The analyzers export none, so such a
+// unit only leaves the empty facts file the go command caches against.
 func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
@@ -101,20 +96,8 @@ func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 	if err := json.Unmarshal(data, cfg); err != nil {
 		return fmt.Errorf("decoding %s: %v", cfgFile, err)
 	}
-
-	store := NewFactStore()
-	for path, file := range cfg.PackageVetx {
-		blob, err := os.ReadFile(file)
-		if err != nil {
-			continue // a missing fact is not an error, just less precision
-		}
-		store.DecodePackage(path, blob)
-	}
-
-	if cfg.VetxOnly && !moduleInternal(cfg.ImportPath, cfg.Standard) {
-		// Dependency-only run over a package we do not summarize:
-		// leave an empty facts file so the go command can cache the unit.
-		return writeVetx(cfg, nil)
+	if err := writeVetx(cfg); err != nil || cfg.VetxOnly {
+		return err
 	}
 
 	fset := token.NewFileSet()
@@ -124,7 +107,7 @@ func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx(cfg, nil)
+				return nil
 			}
 			return err
 		}
@@ -168,7 +151,7 @@ func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 	tpkg, err := conf.Check(basePath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg, nil)
+			return nil
 		}
 		return fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
 	}
@@ -181,15 +164,8 @@ func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 		TypesInfo:    info,
 		HasTestFiles: hasTests,
 	}
-	if cfg.VetxOnly {
-		ComputeFacts(pkg, analyzers, store, nil)
-		return writeVetx(cfg, store.EncodePackage(cfg.ImportPath))
-	}
-	diags, err := Run(pkg, analyzers, store, nil)
+	diags, err := Run(pkg, analyzers, nil)
 	if err != nil {
-		return err
-	}
-	if err := writeVetx(cfg, store.EncodePackage(cfg.ImportPath)); err != nil {
 		return err
 	}
 	if len(diags) == 0 {
@@ -201,27 +177,11 @@ func vetUnit(cfgFile string, analyzers []*Analyzer) error {
 	return fmt.Errorf("%d invariant violation(s) in %s", len(diags), cfg.ImportPath)
 }
 
-// moduleInternal reports whether the unit's import path belongs to the
-// module under analysis rather than the standard library. The module is
-// `anufs` in both the real tree and the fixture modules, so a prefix
-// check suffices and keeps VetxOnly runs over stdlib dependencies down
-// to a config read and an empty write.
-func moduleInternal(importPath string, standard map[string]bool) bool {
-	base := basePath(importPath)
-	if standard[base] {
-		return false
-	}
-	return base == "anufs" || strings.HasPrefix(base, "anufs/")
-}
-
-// writeVetx leaves the unit's facts file (possibly empty) so the go
-// command can cache the unit.
-func writeVetx(cfg *vetConfig, data []byte) error {
+// writeVetx leaves the unit's (empty) facts file so the go command can
+// cache the unit.
+func writeVetx(cfg *vetConfig) error {
 	if cfg.VetxOutput == "" {
 		return nil
 	}
-	if data == nil {
-		data = []byte{}
-	}
-	return os.WriteFile(cfg.VetxOutput, data, 0o666)
+	return os.WriteFile(cfg.VetxOutput, nil, 0o666)
 }

@@ -82,16 +82,13 @@ type AuthorityConfig struct {
 	// authority after a standby promotion. Defaults to 0, the historical
 	// convention.
 	SelfID int
-	// Dial overrides how the authority reaches handoff donors (tests inject
-	// failures); nil uses wire.DialTimeout(addr, DefaultDialTimeout) with
-	// DefaultHandoffTimeout per call.
+	// Dial overrides how the authority reaches other daemons (tests inject
+	// failures and see every outbound connection); nil uses
+	// wire.DialTimeout(addr, DefaultDialTimeout) with DefaultHandoffTimeout
+	// per call for handoffs, and wire.DialTimeout(addr, PublishTimeout) for
+	// map publishes and failover takeovers (takeovers widen the per-call
+	// deadline after the dial — only the connect stays fast).
 	Dial func(addr string) (*wire.Client, error)
-	// DialFast overrides the short-deadline dialer used for map publishes
-	// and failover takeovers (takeovers widen the per-call deadline after
-	// the dial — only the connect stays fast); nil falls back to Dial when
-	// that is injected (tests see every outbound connection), else to
-	// wire.DialTimeout(addr, PublishTimeout).
-	DialFast func(addr string) (*wire.Client, error)
 	// PublishTimeout and PublishWait default to the package constants.
 	PublishTimeout time.Duration
 	PublishWait    time.Duration
@@ -233,7 +230,7 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	}
 	a := &Authority{
 		dial:     cfg.Dial,
-		dialFast: cfg.DialFast,
+		dialFast: cfg.Dial,
 		vols:     volume.NewRegistry(),
 		cfg:      cfg,
 		mapper:   mapper,
@@ -257,14 +254,8 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 			c.SetTimeout(DefaultHandoffTimeout)
 			return c, nil
 		}
-	}
-	if a.dialFast == nil {
-		if cfg.Dial != nil {
-			a.dialFast = cfg.Dial
-		} else {
-			a.dialFast = func(addr string) (*wire.Client, error) {
-				return wire.DialTimeout(addr, a.cfg.PublishTimeout)
-			}
+		a.dialFast = func(addr string) (*wire.Client, error) {
+			return wire.DialTimeout(addr, a.cfg.PublishTimeout)
 		}
 	}
 	if err := a.rescaleBySpeed(); err != nil {

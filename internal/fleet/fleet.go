@@ -103,13 +103,11 @@ type MemberConfig struct {
 	// DrainTimeout and PollInterval default to the package constants.
 	DrainTimeout time.Duration
 	PollInterval time.Duration
-	// Dial overrides outbound connections (tests); nil uses a
-	// bounded-connect dial with a handoff-sized per-call timeout.
+	// Dial overrides outbound connections (tests), the poll/heartbeat
+	// loop's included; nil uses a bounded-connect dial with a handoff-sized
+	// per-call timeout, and wire.DialTimeout with a probe-sized deadline
+	// for the poll loop.
 	Dial func(addr string) (*wire.Client, error)
-	// DialFast overrides the short-deadline dialer the poll/heartbeat loop
-	// uses; nil falls back to Dial when that is injected, else to
-	// wire.DialTimeout with a probe-sized deadline.
-	DialFast func(addr string) (*wire.Client, error)
 }
 
 // DefaultProbeTimeout bounds one poll-loop dial + call against an
@@ -121,6 +119,7 @@ const DefaultProbeTimeout = 2 * time.Second
 // adopt/handoff endpoints. It implements wire.FleetHandler.
 type Member struct {
 	cfg      MemberConfig
+	dialFast func(addr string) (*wire.Client, error) // the poll loop's dialer
 	handoffH *obs.Histogram
 
 	mu sync.Mutex
@@ -180,6 +179,7 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	if !(cfg.Speed > 0) {
 		return nil, fmt.Errorf("fleet: daemon %d speed %v must be > 0", cfg.ID, cfg.Speed)
 	}
+	dialFast := cfg.Dial
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (*wire.Client, error) {
 			c, err := wire.DialTimeout(addr, DefaultDialTimeout)
@@ -189,17 +189,13 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 			c.SetTimeout(DefaultHandoffTimeout)
 			return c, nil
 		}
-		if cfg.DialFast == nil {
-			cfg.DialFast = func(addr string) (*wire.Client, error) {
-				return wire.DialTimeout(addr, DefaultProbeTimeout)
-			}
+		dialFast = func(addr string) (*wire.Client, error) {
+			return wire.DialTimeout(addr, DefaultProbeTimeout)
 		}
-	}
-	if cfg.DialFast == nil {
-		cfg.DialFast = cfg.Dial
 	}
 	m := &Member{
 		cfg:         cfg,
+		dialFast:    dialFast,
 		cur:         initial,
 		lastContact: time.Now(),
 		ready:       map[string]bool{},
@@ -342,7 +338,7 @@ func (m *Member) pollOnce() bool {
 
 // probe runs one dial + heartbeat/epoch exchange against addr.
 func (m *Member) probe(addr string) bool {
-	c, err := m.cfg.DialFast(addr)
+	c, err := m.dialFast(addr)
 	if err != nil {
 		return false
 	}

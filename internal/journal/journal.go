@@ -342,7 +342,7 @@ func (j *Journal) append(e Entry) error {
 // position. The pooled request it returns is the second half; its Wait must
 // be called exactly once.
 //
-//anufs:hotpath
+// TestLogDeltaEnqueueWaitAllocFree holds it to zero allocations.
 func (j *Journal) enqueue(trace uint64, e Entry) (*appendReq, error) {
 	r := appendReqPool.Get().(*appendReq)
 	r.j = j
@@ -363,7 +363,7 @@ func (j *Journal) enqueue(trace uint64, e Entry) (*appendReq, error) {
 // fails/closes). With an ack gate armed (SetAckGate), a locally durable
 // entry additionally waits for the gate — semi-synchronous replication.
 //
-//anufs:hotpath
+// TestLogDeltaEnqueueWaitAllocFree holds it to zero allocations.
 func (r *appendReq) Wait() error {
 	j := r.j
 	var err error

@@ -126,7 +126,7 @@ func encodeEntry(e Entry) []byte { return appendEntry(nil, e, new([]string)) }
 // payload buffer, so a pooled dst and pooled sort scratch make the append
 // path allocation-free.
 //
-//anufs:hotpath
+// TestAppendEntryFrameAllocFree holds it to zero allocations.
 func appendEntryFrame(dst []byte, e Entry, keys *[]string) []byte {
 	hdrOff := len(dst)
 	var hdr [frameHeaderLen]byte

@@ -266,7 +266,9 @@ func replaySegment(path string, images map[string]sharedisk.Image, info *Recover
 // version it is already covered by a snapshot or a later image and is
 // skipped. So replay is idempotent and tolerant of entries a snapshot
 // already covers. A delta that would leave a version gap (or has no file
-// set to land on) is never applied: the log is corrupt at that entry.
+// set to land on) is never applied: the log is corrupt at that entry. So
+// is a kind with no replay arm — it is refused, never skipped
+// (TestEveryKindReplays holds every EntryKind constant to an arm here).
 func applyEntry(images map[string]sharedisk.Image, e Entry) error {
 	switch e.Kind {
 	case KindCreateFileSet:
@@ -297,6 +299,8 @@ func applyEntry(images map[string]sharedisk.Image, e Entry) error {
 		images[e.FileSet] = cur
 	case KindDrop:
 		delete(images, e.FileSet)
+	default:
+		return fmt.Errorf("%w: no replay for kind %d", ErrCorrupt, e.Kind)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -452,17 +453,17 @@ func buildResetStandbyLog(t *testing.T) (dir string, seg string, entries []Entry
 // length the numbers recorded for the timer it replaced were taken at.
 const windowNominal = time.Millisecond
 
-// observeWindow measures how long a lone append waits in a journal whose
-// fsync costs nothing — the gather window as a client sees it — over n
-// appends. With wake set, a loopback peer answers a byte 0.4 ms into each
-// window, which is when a standby's ack arrives and what stretched the
-// timer this sleep replaced: the process is woken in epoll_wait, part-way.
-func observeWindow(tb testing.TB, n int, wake bool) time.Duration {
+// windowProbe returns a function timing one lone append in a journal whose
+// fsync costs nothing — the gather window as a client sees it. With wake
+// set, a loopback peer answers a byte 0.4 ms into the window, which is when
+// a standby's ack arrives and what stretched the timer this sleep replaced:
+// the process is woken in epoll_wait, part-way.
+func windowProbe(tb testing.TB) func(wake bool) time.Duration {
 	j, _, _, err := Open(tb.TempDir(), Options{FsyncInterval: windowNominal, SegmentBytes: 1 << 40})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer j.Close()
+	tb.Cleanup(func() { j.Close() })
 	j.mu.Lock()
 	j.syncFile = func(*os.File) error { return nil }
 	j.mu.Unlock()
@@ -471,7 +472,7 @@ func observeWindow(tb testing.TB, n int, wake bool) time.Duration {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer ln.Close()
+	tb.Cleanup(func() { ln.Close() })
 	go func() { // the peer: answers each byte 0.4 ms later, timed in the kernel
 		c, err := ln.Accept()
 		if err != nil {
@@ -493,7 +494,7 @@ func observeWindow(tb testing.TB, n int, wake bool) time.Duration {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(func() { c.Close() })
 	echoed := make(chan struct{})
 	go func() { // parked in the netpoller, as a shipper waiting for its ack is
 		b := make([]byte, 1)
@@ -509,8 +510,7 @@ func observeWindow(tb testing.TB, n int, wake bool) time.Duration {
 	if err := j.LogCreateFileSet("vol"); err != nil {
 		tb.Fatal(err)
 	}
-	var total time.Duration
-	for i := 0; i < n; i++ {
+	return func(wake bool) time.Duration {
 		if wake {
 			if _, err := c.Write([]byte{1}); err != nil {
 				tb.Fatal(err)
@@ -520,13 +520,13 @@ func observeWindow(tb testing.TB, n int, wake bool) time.Duration {
 		if err := logDelta(j, 0, "vol", d); err != nil {
 			tb.Fatal(err)
 		}
-		total += time.Since(start)
+		took := time.Since(start)
 		d.Base++
 		if wake {
 			<-echoed
 		}
+		return took
 	}
-	return total / time.Duration(n)
 }
 
 // BenchmarkGatherWindow reports the observed length of a 1 ms gather window
@@ -538,19 +538,38 @@ func BenchmarkGatherWindow(b *testing.B) {
 			name = "woken"
 		}
 		b.Run(name, func(b *testing.B) {
-			b.ReportMetric(float64(observeWindow(b, b.N, wake).Microseconds()), "window-µs")
+			probe := windowProbe(b)
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				total += probe(wake)
+			}
+			b.ReportMetric(float64((total / time.Duration(b.N)).Microseconds()), "window-µs")
 		})
 	}
 }
 
-// TestGatherWindowHoldsWhenWoken is the loose guard on the above: a window
-// must not stretch by half because something else woke the process. (The
-// timer it replaced read ≈ 1.57 ms here.)
+// TestGatherWindowHoldsWhenWoken is the guard on the above: a window must
+// not stretch because something else woke the process part-way. Idle and
+// woken windows alternate on one journal, and the guard compares their
+// medians, so a loaded machine slows both alike instead of failing a
+// fixed limit. The timer the nanosleep replaced read woken/idle ≈ 1.44;
+// the nanosleep reads ≈ 1.00.
 func TestGatherWindowHoldsWhenWoken(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("wall-clock guard: not under -short or -race")
 	}
-	if got := observeWindow(t, 200, true); got >= windowNominal*3/2 {
-		t.Fatalf("a %s window lasts %s when the process is woken part-way", windowNominal, got)
+	probe := windowProbe(t)
+	const n = 200
+	idle, woken := make([]time.Duration, n), make([]time.Duration, n)
+	for i := range n {
+		idle[i] = probe(false)
+		woken[i] = probe(true)
+	}
+	slices.Sort(idle)
+	slices.Sort(woken)
+	ratio := float64(woken[n/2]) / float64(idle[n/2])
+	t.Logf("median window: %s idle, %s woken (ratio %.2f)", idle[n/2], woken[n/2], ratio)
+	if ratio >= 1.2 {
+		t.Fatalf("a %s window stretches to %.2f× its idle length when the process is woken part-way", windowNominal, ratio)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // BenchmarkHistogramObserve is the hot-path budget benchmark: Observe sits
 // on every request in the wire server, every completion in the live owner
 // queues, and every journal batch, so it must stay well under 100ns/op
-// (CI gates on this via TestObserveOverheadBudget).
+// (TestObserveOverheadBudget holds it there).
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram()
 	d := 2 * time.Millisecond
@@ -56,7 +56,8 @@ func BenchmarkSpanRingAdd(b *testing.B) {
 
 // TestObserveOverheadBudget enforces the <100ns/op acceptance bound on the
 // histogram hot path. Skipped under the race detector (atomics cost ~10x
-// there) and -short; CI runs it in the dedicated bench job.
+// there) and -short, so it runs in a plain `go test ./...`, not in CI's
+// race run.
 func TestObserveOverheadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates atomic ops")

@@ -26,7 +26,7 @@ const (
 
 // bucketOf maps a nanosecond value to its bucket index.
 //
-//anufs:hotpath
+// TestObserveAndSpanAllocFree holds it to zero allocations.
 func bucketOf(ns int64) int {
 	if ns < 0 {
 		ns = 0
@@ -79,10 +79,10 @@ type Histogram struct {
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one latency sample. It sits on every request and has a
-// <100ns budget (see the histogram benchmarks), so hotpathalloc keeps
-// formatting and allocation out of it.
+// <100ns budget (TestObserveOverheadBudget), so formatting and allocation
+// stay out of it.
 //
-//anufs:hotpath
+// TestObserveAndSpanAllocFree holds it to zero allocations.
 func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketOf(int64(d))].Add(1)
 	h.count.Add(1)
@@ -95,7 +95,7 @@ func (h *Histogram) Observe(d time.Duration) {
 // hot-path budget as Observe (one extra compare loop over a 24-entry
 // array and two atomic stores, no allocation).
 //
-//anufs:hotpath
+// TestObserveAndSpanAllocFree holds it to zero allocations.
 func (h *Histogram) ObserveTrace(d time.Duration, trace uint64) {
 	h.Observe(d)
 	if trace == 0 {
@@ -109,7 +109,7 @@ func (h *Histogram) ObserveTrace(d time.Duration, trace uint64) {
 // exportBucketOf returns the index of the coarse export bucket for a
 // value in seconds (len(exportBounds) = the +Inf bucket).
 //
-//anufs:hotpath
+// TestObserveAndSpanAllocFree holds it to zero allocations.
 func exportBucketOf(sec float64) int {
 	for bi := range exportBounds {
 		if sec <= exportBounds[bi] {

@@ -263,6 +263,31 @@ func TestCounterAddAllocFree(t *testing.T) {
 	}
 }
 
+// TestObserveAndSpanAllocFree: what every request records — a histogram
+// sample (traced or not, through bucketOf and exportBucketOf) and a span
+// into a full ring — allocates nothing.
+func TestObserveAndSpanAllocFree(t *testing.T) {
+	h := NewHistogram()
+	r := NewSpanRing(4)
+	r.SetNode("d0")
+	s := Span{Trace: 1, Name: "queue-wait", Op: "stat", FileSet: "vol00", Server: 2}
+	d := 3 * time.Millisecond
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"bucketOf", func() { _ = bucketOf(int64(d)) }},
+		{"exportBucketOf", func() { _ = exportBucketOf(d.Seconds()) }},
+		{"Histogram.Observe", func() { h.Observe(d) }},
+		{"Histogram.ObserveTrace", func() { h.ObserveTrace(d, 77) }},
+		{"SpanRing.Add", func() { r.Add(s) }},
+	} {
+		if n := testing.AllocsPerRun(100, row.op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", row.name, n)
+		}
+	}
+}
+
 func TestStatusSourcesAndEndpoint(t *testing.T) {
 	reg := New()
 	reg.AddStatus("daemon", func() any { return map[string]string{"role": "primary"} })

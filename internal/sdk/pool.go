@@ -88,7 +88,7 @@ func NewPool(addr string, opts Options) *Pool {
 
 // nth returns the k-th live connection (caller holds p.mu).
 //
-//anufs:hotpath
+// TestPoolPickAllocFree holds it to zero allocations.
 func (p *Pool) nth(k int) *Conn {
 	for _, c := range p.conns {
 		if c == nil {
@@ -110,7 +110,7 @@ func (p *Pool) nth(k int) *Conn {
 // one connection's daemon stalls. Returns (nil, slot) when the caller
 // should dial slot, (nil, -1) when nothing is usable yet.
 //
-//anufs:hotpath
+// TestPoolPickAllocFree holds it to zero allocations.
 func (p *Pool) pick(now time.Time) (*Conn, int) {
 	live := 0
 	for _, c := range p.conns {

@@ -108,3 +108,31 @@ func TestPoolClosedErrors(t *testing.T) {
 		t.Fatal("call on a closed pool succeeded")
 	}
 }
+
+// TestPoolPickAllocFree: choosing a connection for a call on a full pool —
+// Pool.pick's power-of-two-choices draw and the Pool.nth walks it makes —
+// allocates nothing.
+func TestPoolPickAllocFree(t *testing.T) {
+	const size = 4
+	p := &Pool{
+		conns:   []*Conn{new(Conn), new(Conn), new(Conn), new(Conn)},
+		dialing: make([]bool, size),
+		next:    make([]time.Time, size),
+	}
+	now := time.Now()
+	for _, row := range []struct {
+		name string
+		op   func() *Conn
+	}{
+		{"Pool.nth", func() *Conn { return p.nth(size - 1) }},
+		{"Pool.pick", func() *Conn { c, _ := p.pick(now); return c }},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if row.op() == nil {
+				t.Fatal("no connection picked from a full pool")
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", row.name, n)
+		}
+	}
+}

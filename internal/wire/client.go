@@ -152,7 +152,7 @@ func (c *Client) readLoop(fr *FrameReader) {
 // flat at low depth; at high depth the kernel coalesces the small writes
 // anyway.
 //
-//anufs:hotpath
+// TestFramingAllocFree holds it to zero allocations.
 func (c *Client) sendRequest(tag uint64, req *Request) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

@@ -119,7 +119,7 @@ const MaxShipEntries = 512
 // op (the request's or a batch item's) the Ops table does not hold, or a
 // Volumes list encoding/json refuses.
 //
-//anufs:hotpath
+// TestEncodeDecodeAllocFree holds it to zero allocations.
 func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 	code := opsByName[r.Op].Code
 	ok := code != 0
@@ -181,7 +181,7 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 // encoding/json refuses one of the operator collections (a NaN in a stats
 // float); every response a data-path op produces encodes.
 //
-//anufs:hotpath
+// TestEncodeDecodeAllocFree holds it to zero allocations.
 func AppendResponse(dst []byte, r *Response) ([]byte, bool) {
 	ok := true
 	dst = putUint(dst, respID, r.ID)
@@ -321,7 +321,7 @@ type Decoder struct{}
 // must not share a Record or a slice with a value still in use: they are
 // overwritten in place.
 //
-//anufs:hotpath
+// TestEncodeDecodeAllocFree holds it to zero allocations.
 func (*Decoder) DecodeRequest(data []byte, r *Request) bool {
 	old := *r
 	*r = Request{}
@@ -432,7 +432,7 @@ func (*Decoder) DecodeRequest(data []byte, r *Request) bool {
 
 // DecodeResponse is DecodeRequest for a response body.
 //
-//anufs:hotpath
+// TestEncodeDecodeAllocFree holds it to zero allocations.
 func (*Decoder) DecodeResponse(data []byte, r *Response) bool {
 	old := *r
 	*r = Response{}

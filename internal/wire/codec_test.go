@@ -447,10 +447,10 @@ func hotShapes() (s struct {
 	return s
 }
 
-// TestEncodeDecodeAllocFree is the allocation contract behind the
-// //anufs:hotpath markers: steady-state encode and decode of warmed
-// buffers and structs perform zero heap allocations — for the batch and
-// ship shapes as much as for a bare record.
+// TestEncodeDecodeAllocFree holds the four codec entry points —
+// AppendRequest, AppendResponse, DecodeRequest, DecodeResponse — to zero
+// heap allocations on warmed buffers and structs, for the batch and ship
+// shapes as much as for a bare record.
 func TestEncodeDecodeAllocFree(t *testing.T) {
 	s := hotShapes()
 	var dec Decoder

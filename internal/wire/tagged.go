@@ -63,7 +63,7 @@ var (
 // PutFrameHeader writes a frame header into dst, which must be at least
 // FrameHeaderSize bytes. n is the payload length that follows.
 //
-//anufs:hotpath
+// TestFramingAllocFree holds it to zero allocations.
 func PutFrameHeader(dst []byte, kind byte, tag uint64, n int) {
 	_ = dst[FrameHeaderSize-1]
 	dst[0] = frameMagic0
@@ -89,7 +89,7 @@ func PutFrameHeader(dst []byte, kind byte, tag uint64, n int) {
 // maxPayload —
 // the caller must drop the connection on error, since framing is lost.
 //
-//anufs:hotpath
+// TestFramingAllocFree holds it to zero allocations.
 func ParseFrameHeader(hdr []byte, maxPayload int) (kind byte, tag uint64, n int, err error) {
 	if len(hdr) < FrameHeaderSize {
 		return 0, 0, 0, ErrBadFrameHeader
@@ -127,7 +127,7 @@ func NewFrameWriter(w io.Writer, maxPayload int) *FrameWriter {
 // WriteFrame writes one frame. The header buffer is reused across calls,
 // so a frame write allocates nothing beyond what w does.
 //
-//anufs:hotpath
+// TestFramingAllocFree holds it to zero allocations.
 func (fw *FrameWriter) WriteFrame(kind byte, tag uint64, payload []byte) error {
 	if len(payload) > fw.max {
 		return ErrFrameTooLarge
@@ -160,7 +160,7 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 // considered lost and the connection dropped. The payload slice aliases
 // the reader's internal buffer — decode it before the next call.
 //
-//anufs:hotpath
+// TestFramingAllocFree holds it to zero allocations.
 func (fr *FrameReader) ReadFrame() (kind byte, tag uint64, payload []byte, err error) {
 	// The magic is checked as soon as it arrives: a peer speaking anything
 	// else (a short text line, say) is refused at once instead of being

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -80,6 +82,51 @@ func TestFrameWriterReaderRoundTrip(t *testing.T) {
 	}
 	if err := fw.WriteFrame(FrameRequest, 1, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize write err = %v", err)
+	}
+}
+
+// TestFramingAllocFree holds the framing primitives and the client's send
+// path to zero allocations per frame once their buffers are warm: header
+// packing, a frame written through a FrameWriter, a frame read into a
+// FrameReader's reused payload buffer, and Client.sendRequest encoding and
+// flushing a durable batch.
+func TestFramingAllocFree(t *testing.T) {
+	var hdr [FrameHeaderSize]byte
+	payload := make([]byte, 64)
+	fw := NewFrameWriter(io.Discard, MaxFramePayload)
+	var frame bytes.Buffer
+	if err := NewFrameWriter(&frame, MaxFramePayload).WriteFrame(FrameResponse, 9, payload); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(frame.Bytes())
+	fr := NewFrameReader(src, MaxFramePayload)
+	c := &Client{bw: bufio.NewWriter(io.Discard)}
+	c.fw = NewFrameWriter(c.bw, MaxFramePayload)
+	req := hotShapes().batch
+	for _, row := range []struct {
+		name string
+		op   func() error
+	}{
+		{"PutFrameHeader", func() error { PutFrameHeader(hdr[:], FrameRequest, 7, len(payload)); return nil }},
+		{"ParseFrameHeader", func() error { _, _, _, err := ParseFrameHeader(hdr[:], MaxFramePayload); return err }},
+		{"FrameWriter.WriteFrame", func() error { return fw.WriteFrame(FrameRequest, 7, payload) }},
+		{"FrameReader.ReadFrame", func() error {
+			src.Reset(frame.Bytes())
+			_, _, _, err := fr.ReadFrame()
+			return err
+		}},
+		{"Client.sendRequest", func() error { return c.sendRequest(7, &req) }},
+	} {
+		if err := row.op(); err != nil { // warms the reused buffers
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := row.op(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", row.name, n)
+		}
 	}
 }
 
