@@ -8,8 +8,9 @@
 //
 // With -journal-dir the shared disk becomes durable: every file-set
 // creation and flush is write-ahead-logged as the records it changed
-// (group commit: an append waits gatherWindow — an exact 500 µs — for
-// company, and appends that arrive during an fsync share the next one),
+// (group commit: an append waits one fsync — the median of the journal's
+// recent ones, measured on this disk — for company, and appends that
+// arrive during an fsync share the next one),
 // state is snapshotted and the log compacted every -snapshot-every entries,
 // and on startup the journal is replayed so the daemon resumes from the
 // last durable cut — a SIGKILL loses only unflushed (un-synced) cache
@@ -66,20 +67,6 @@ import (
 	"anufs/internal/volume"
 	"anufs/internal/wire"
 )
-
-// gatherWindow is the journal's group-commit window: how long the first
-// queued append waits for company before its fsync. The journal sleeps it
-// in nanosleep, so it lasts what it says whatever else wakes the daemon
-// (internal/journal/batch.go), and a replicating daemon ships each entry as
-// the window opens, so the standby's write and fsync run inside it. 500 µs
-// is the smallest round value above that ship round trip (0.40–0.48 ms p50,
-// the standby's fsync included): the standby is done before the primary's
-// own fsync starts, and the two do not collide on a disk they share. A
-// constant, not a flag: nothing sets another value. With no window
-// (journal.Options' zero value, what the journal's own tests run) the two
-// fsyncs do collide on a one-disk host and cmd/bench's balance_spread leaves
-// its bound; see DESIGN.md §9 before shortening or removing it.
-const gatherWindow = 500 * time.Microsecond
 
 func main() {
 	var (
@@ -171,7 +158,7 @@ func main() {
 	)
 	role := "primary"
 	if *journalDir != "" {
-		j, st, info, err := journal.Open(*journalDir, journal.Options{FsyncInterval: gatherWindow, Obs: reg})
+		j, st, info, err := journal.Open(*journalDir, journal.Options{Obs: reg})
 		if err != nil {
 			log.Fatalf("anufsd: journal: %v", err)
 		}

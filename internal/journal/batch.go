@@ -3,20 +3,25 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"anufs/internal/obs"
 )
 
 // Group commit. One committer goroutine owns the write path: it pulls the
-// first queued append, takes whatever else is queued at that moment (plus,
-// with FsyncInterval > 0, whatever arrives within that gather window),
-// writes the whole batch with one write syscall and one fsync, and then
-// releases every waiter. Appends that arrive while that fsync is in flight
-// form the next batch. With no window the fsync is the only gather window:
-// a lone append never waits for company and concurrent ones share a sync
-// exactly when the disk is what they would have waited for anyway (cf.
-// IOPathTune: a stage's batching is set by that stage's own signal, not by
-// a constant).
+// first queued append, takes whatever else is queued at that moment plus
+// whatever arrives within the gather window, writes the whole batch with one
+// write syscall and one fsync, and then releases every waiter. Appends that
+// arrive while that fsync is in flight form the next batch.
+//
+// The window is one fsync: the median of the committer's last fsyncRingLen
+// fsyncs, measured here, on this disk (cf. IOPathTune: a stage's batching
+// is set by that stage's own signal, not by a constant). A fresh journal has
+// measured nothing and waits for nothing. On a replicating daemon the
+// standby writes and fsyncs what was offered while the window runs, so the
+// two fsyncs do not collide on a disk they share; a lone writer pays at most
+// one extra fsync for that. DESIGN.md §9 has the measurements.
+// Options.FsyncInterval > 0 fixes the window instead.
 //
 // An entry gets its sequence when the committer takes it off the queue, and
 // is offered to the shipper (SetOffer) in the same step: before the window,
@@ -63,30 +68,38 @@ func (j *Journal) run() {
 	}
 }
 
-// sleeper is the gather window's clock: one blocking sleep per request, in
-// a goroutine of its own so that only this one waits in the kernel. It
-// returns when the committer closes sleepReq on its way out.
+// sleeper is the gather window's clock: one blocking sleep per request, of
+// the length the request carries, in a goroutine of its own so that only
+// this one waits in the kernel. It returns when the committer closes
+// sleepReq on its way out.
 func (j *Journal) sleeper() {
 	defer close(j.woke)
-	for range j.sleepReq {
-		sleepFor(j.opts.FsyncInterval)
+	for d := range j.sleepReq {
+		sleepFor(d)
 		j.woke <- struct{}{}
 	}
 }
 
-// gather collects the batch that will share first's fsync: with a gather
-// window (and window true), what arrives before it closes, and in every
-// case what is queued at that moment. The slice is the committer's own,
-// reused batch after batch.
+// gather collects the batch that will share first's fsync: with window
+// true, what arrives before the gather window closes, and in every case
+// what is queued at that moment. The slice is the committer's own, reused
+// batch after batch.
 func (j *Journal) gather(first *appendReq, window bool) []*appendReq {
 	j.batch = j.batch[:0]
 	j.take(first)
 	if j.opts.NoGroupCommit {
 		return j.batch
 	}
-	if window && j.sleepReq != nil {
-		j.sleepReq <- struct{}{}
-		for waiting := true; waiting; {
+	if window {
+		d := j.opts.FsyncInterval
+		if d <= 0 {
+			d = j.fsyncs.median() // 0 before the first fsync
+		}
+		j.ctrWindow.Set(d.Microseconds())
+		if d > 0 {
+			j.sleepReq <- d
+		}
+		for waiting := d > 0; waiting; {
 			select {
 			case r := <-j.appendCh:
 				j.take(r)
@@ -202,8 +215,9 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	if err := j.syncFile(j.f); err != nil {
 		return j.failLocked(err)
 	}
+	syncDur := now().Sub(syncStart)
+	j.fsyncs.add(syncDur)
 	if j.obs != nil {
-		syncDur := now().Sub(syncStart)
 		j.histFsync.Observe(syncDur)
 		// Attribute the fsync to the first traced record in the batch, so a
 		// traced request's timeline includes the sync it rode.
@@ -221,6 +235,43 @@ func (j *Journal) writeBatch(batch []*appendReq) error {
 	j.advanceLocked(batch[len(batch)-1].seq)
 	j.countCommit(len(batch), len(buf))
 	return nil
+}
+
+// fsyncRingLen is how many recent fsyncs the gather window is the median of.
+const fsyncRingLen = 32
+
+// fsyncRing holds the last fsyncRingLen fsync durations, oldest overwritten
+// first. The journal's is the committer's own: writeBatch adds under mu,
+// gather reads.
+type fsyncRing struct {
+	d    [fsyncRingLen]time.Duration
+	n    int // slots filled; the first n hold durations until the ring wraps
+	next int // slot the next duration goes in
+}
+
+func (r *fsyncRing) add(d time.Duration) {
+	r.d[r.next] = d
+	r.next = (r.next + 1) % fsyncRingLen
+	r.n = min(r.n+1, fsyncRingLen)
+}
+
+// median returns the held durations' median (the upper one of an even
+// count), or 0 when the ring is empty. A stall moves it only once half the
+// ring is stalls. It sorts a copy on the stack by insertion, so it allocates
+// nothing (TestLogDeltaEnqueueWaitAllocFree runs it every append).
+func (r *fsyncRing) median() time.Duration {
+	if r.n == 0 {
+		return 0
+	}
+	var s [fsyncRingLen]time.Duration
+	for i, v := range r.d[:r.n] {
+		k := i
+		for ; k > 0 && s[k-1] > v; k-- {
+			s[k] = s[k-1]
+		}
+		s[k] = v
+	}
+	return s[r.n/2]
 }
 
 // countCommit records one written-and-fsynced batch.

@@ -30,10 +30,10 @@ func oneRecord(base uint64) sharedisk.Delta {
 	return sharedisk.Delta{Base: base, Puts: map[string]sharedisk.Record{"/a": {Size: int64(base)}}}
 }
 
-// TestGroupCommitGathersBehindFsyncInFlight: the only gather window is an
-// fsync in flight. K appends that arrive while one commit is syncing form
-// the next batch — one more fsync for all of them — and every waiter is
-// released with its own sequence.
+// TestGroupCommitGathersBehindFsyncInFlight: an fsync in flight gathers
+// too. K appends that arrive while one commit is syncing form the next
+// batch — one more fsync for all of them — and every waiter is released
+// with its own sequence.
 func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 	const k = 32
 	dir := t.TempDir()
@@ -93,10 +93,11 @@ func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 	}
 }
 
-// TestLoneAppendCommitsWithoutGatherWait: with no gather window and nothing
-// else queued, an append goes straight to its own write+fsync — one record,
-// one sync, no timer in between. The bound is thousands of fsyncs wide, not
-// a tuned sleep.
+// TestLoneAppendCommitsWithoutGatherWait: with nothing else queued, an
+// append goes to its own write+fsync — one record, one sync. The first waits
+// for no company at all (TestFreshJournalMeasuresItsWindow); later ones wait
+// one measured fsync and still commit alone. The bound is thousands of
+// fsyncs wide, not a tuned sleep.
 func TestLoneAppendCommitsWithoutGatherWait(t *testing.T) {
 	reg := obs.New()
 	j, _, _, err := Open(t.TempDir(), Options{Obs: reg})
@@ -161,6 +162,85 @@ func TestGatherWindowAmortizesFsyncs(t *testing.T) {
 	st, info, err := Recover(dir)
 	if err != nil || info.LastSeq != uint64(records) || len(st.FileSets()) != writers {
 		t.Fatalf("Recover = %d file sets, %+v, %v; want %d file sets, %d entries", len(st.FileSets()), info, err, writers, records)
+	}
+}
+
+// TestFreshJournalMeasuresItsWindow: a journal with the default options has
+// measured no fsync when its first append arrives, so that append asks for no
+// gather window; every later batch waits the median of the fsyncs so far.
+// The fsyncs are injected through the seam at 2 ms or more each, so the
+// window the journal reports is at least that — order, not a clock bound.
+func TestFreshJournalMeasuresItsWindow(t *testing.T) {
+	const injected = 2 * time.Millisecond
+	reg := obs.New()
+	j, _, _, err := Open(t.TempDir(), Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.mu.Lock()
+	j.syncFile = func(*os.File) error {
+		sleepFor(injected)
+		return nil
+	}
+	j.mu.Unlock()
+	window := reg.Counter(CtrGatherWindow)
+	if err := j.LogCreateFileSet("vol"); err != nil {
+		t.Fatal(err)
+	}
+	if got := window.Load(); got != 0 {
+		t.Fatalf("a fresh journal's first append asked for a %d µs window, want none", got)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if err := logDelta(j, 0, "vol", oneRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := window.Load(); got < injected.Microseconds() {
+			t.Fatalf("append %d waited a %d µs window behind fsyncs of %v or more", i+1, got, injected)
+		}
+	}
+}
+
+// TestFsyncMedian drives the window's median with fed durations: nothing
+// before the first fsync, a step followed once it fills half the ring in
+// either direction, and a single stall ignored.
+func TestFsyncMedian(t *testing.T) {
+	var r fsyncRing
+	if got := r.median(); got != 0 {
+		t.Fatalf("empty ring: median %v, want 0", got)
+	}
+	r.add(80 * time.Microsecond)
+	if got := r.median(); got != 80*time.Microsecond {
+		t.Fatalf("one fsync: median %v, want it", got)
+	}
+	step := func(from, to time.Duration) {
+		t.Helper()
+		for range fsyncRingLen {
+			r.add(from)
+		}
+		for k := 1; k <= fsyncRingLen; k++ {
+			r.add(to)
+			got := r.median()
+			switch {
+			case k < fsyncRingLen/2 && got != from:
+				t.Fatalf("%d of %d fsyncs at %v after %v: median %v moved early", k, fsyncRingLen, to, from, got)
+			case k > fsyncRingLen/2 && got != to:
+				t.Fatalf("%d of %d fsyncs at %v after %v: median %v did not follow", k, fsyncRingLen, to, from, got)
+			}
+		}
+	}
+	step(80*time.Microsecond, 300*time.Microsecond)
+	step(300*time.Microsecond, 80*time.Microsecond)
+
+	for range fsyncRingLen {
+		r.add(80 * time.Microsecond)
+	}
+	r.add(50 * time.Millisecond)
+	if got := r.median(); got != 80*time.Microsecond {
+		t.Fatalf("one 50 ms stall moved the median to %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.median() }); n != 0 {
+		t.Fatalf("median: %v allocs/op, want 0", n)
 	}
 }
 

@@ -98,16 +98,20 @@ const (
 	// CtrWriteFailed is 1 once a write or fsync has failed and the journal
 	// has stopped taking appends (see failLocked), else 0.
 	CtrWriteFailed = "journal_write_failed"
+	// CtrGatherWindow is the gather window the last batch waited, in µs.
+	CtrGatherWindow = "journal_gather_window_us"
 )
 
 // Options parameterizes a journal.
 type Options struct {
 	// SegmentBytes is the rotation threshold; default 4 MiB.
 	SegmentBytes int64
-	// FsyncInterval is the group-commit gather window: after the first
+	// FsyncInterval fixes the group-commit gather window: after the first
 	// queued append the committer waits this long for company before the
-	// fsync. Zero (the default) means none: take what is queued now, and
-	// let the fsync in flight be the only window.
+	// fsync. Zero (the default) means measured: the window is the median of
+	// the journal's recent fsyncs (see batch.go). Only cmd/bench's ladder and
+	// the window's own tests set it; it goes when the benchmark stops
+	// naming it.
 	FsyncInterval time.Duration
 	// NoGroupCommit forces one fsync per record — the baseline the group
 	// commit benchmark compares against. Not for production use.
@@ -141,6 +145,7 @@ type Journal struct {
 	ctrFsyncs      *obs.Counter
 	ctrBatches     *obs.Counter
 	ctrMaxBatch    *obs.Counter
+	ctrWindow      *obs.Counter
 
 	appendCh chan *appendReq
 	quit     chan struct{} // closed by Close; stops accepting appends
@@ -161,6 +166,7 @@ type Journal struct {
 	segSize  int64
 	writeBuf []byte       // reused batch write buffer (committer-only, under mu)
 	batch    []*appendReq // reused batch slice (committer-only, see gather)
+	fsyncs   fsyncRing    // the committer's recent fsyncs, which size its window
 	// stopped is the committer's own note that a batch failed: what it takes
 	// off the queue from then on is not offered to the shipper.
 	stopped bool
@@ -192,9 +198,9 @@ type Journal struct {
 	// shipper can send it while the gather window and the local fsync run
 	// (SetOffer).
 	offer atomic.Pointer[func(seq, trace uint64, payload []byte)]
-	// sleepReq asks the sleep helper for one gather window and woke is its
-	// answer; both exist only with a window (see gather).
-	sleepReq chan struct{}
+	// sleepReq asks the sleep helper for one gather window of the length it
+	// carries and woke is its answer; neither exists under NoGroupCommit.
+	sleepReq chan time.Duration
 	woke     chan struct{}
 }
 
@@ -251,6 +257,7 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		ctrFsyncs:   opts.Obs.Counter(CtrFsyncs),
 		ctrBatches:  opts.Obs.Counter(CtrBatches),
 		ctrMaxBatch: opts.Obs.Counter(CtrMaxBatch),
+		ctrWindow:   opts.Obs.Counter(CtrGatherWindow),
 		appendCh:    make(chan *appendReq, 256),
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -273,8 +280,8 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, info, err
 	}
-	if opts.FsyncInterval > 0 && !opts.NoGroupCommit {
-		j.sleepReq = make(chan struct{})
+	if !opts.NoGroupCommit {
+		j.sleepReq = make(chan time.Duration)
 		j.woke = make(chan struct{})
 		go j.sleeper()
 	}

@@ -197,6 +197,13 @@ type Cluster struct {
 	// snapshot holds an immutable *core.Mapper for lock-free routing.
 	snapshot atomic.Value
 
+	// reconfigMu runs one reconfiguration (a tuning round, AddServer, Kill)
+	// at a time, from the mapping change through its last move. Interleaved,
+	// a second one can hand a file set back to a server that still has the
+	// first one's release of it queued; the release then drops it, and the
+	// mapping names an owner that refuses every request for it.
+	reconfigMu sync.Mutex
+
 	mu       sync.Mutex
 	mapper   *core.Mapper // authoritative; mutated under mu
 	delegate *core.Delegate
@@ -694,6 +701,8 @@ func (c *Cluster) tuneLoop() {
 // TuneOnce runs a single delegate round immediately (also used by tests to
 // make tuning deterministic).
 func (c *Cluster) TuneOnce() {
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -733,7 +742,7 @@ func (c *Cluster) TuneOnce() {
 }
 
 // finishReconfigLocked publishes the new mapping and applies the move
-// protocol. Called with mu held; releases it.
+// protocol. Called with mu and reconfigMu held; releases mu.
 func (c *Cluster) finishReconfigLocked(before *core.Mapper) {
 	after := c.mapper.Clone()
 	moves := core.Moves(before, after, c.disk.FileSets())
@@ -785,6 +794,8 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 	if speed <= 0 {
 		return fmt.Errorf("live: non-positive speed")
 	}
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -811,6 +822,8 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 // delegate starts without divergent-tuning history, exactly the stateless
 // failover of §4.
 func (c *Cluster) Kill(id int) error {
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anufs/internal/core"
+	"anufs/internal/namespace"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
 )
@@ -301,6 +302,66 @@ func TestConcurrentOpsDuringTuningAndMembership(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if _, err := c.List(fmt.Sprintf("fs%02d", i), "/"); err != nil {
 			t.Fatalf("fs%02d unreachable: %v", i, err)
+		}
+	}
+}
+
+// TestOverlappingReconfigurationsKeepOwnership: a Kill issued while an
+// AddServer is still moving file sets runs after it, not beside it. Every
+// original server's queue is held, so AddServer(9)'s first release waits
+// there with the rest of its moves behind it. Run beside it, Kill(9) handed
+// the file sets 9 had just been given straight back to their old owners,
+// which still held them; AddServer's releases then dropped them, and each
+// was mapped to a server that refused every request for it until it moved
+// again — wire.TestSystemEndToEnd's "call timed out after 5s". Afterwards
+// every file set is owned by the server the mapping names.
+func TestOverlappingReconfigurationsKeepOwnership(t *testing.T) {
+	c, disk := newTestCluster(t, 48)
+	hold := make(chan struct{})
+	c.mu.Lock()
+	var orig []*server
+	for _, s := range c.servers {
+		orig = append(orig, s)
+	}
+	c.mu.Unlock()
+	held := make(chan struct{})
+	for _, s := range orig {
+		if err := s.q.push(task{fn: func(*server) error { held <- struct{}{}; <-hold; return nil }, enq: time.Now(), reply: make(chan taskResult, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range orig {
+		<-held
+	}
+	added, killed := make(chan error, 1), make(chan error, 1)
+	go func() { added <- c.AddServer(9, 1) }()
+	queued := func() (n int) {
+		for _, s := range orig {
+			n += s.q.depthOf(namespace.VolumeOf("fs00"))
+		}
+		return n
+	}
+	for queued() == 0 { // AddServer's first release is behind a held task
+		time.Sleep(time.Millisecond)
+	}
+	go func() { killed <- c.Kill(9) }()
+	select { // unserialized, Kill would be done by now
+	case err := <-killed:
+		killed <- err
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hold)
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, fs := range disk.FileSets() {
+		if owner := c.Owner(fs); !c.servers[owner].ms.Owns(fs) {
+			t.Errorf("%s is mapped to server %d, which does not own it", fs, owner)
 		}
 	}
 }

@@ -66,6 +66,10 @@ type Gateway struct {
 	requests *obs.Counter // CtrGwRequests, bumped per request
 	inflight atomic.Int64
 	nextSess atomic.Uint64
+	// opHists holds each op's gw_request_seconds histogram at the op's Code
+	// in wire.Ops, made on the op's first request, so the label is
+	// formatted and looked up once per op rather than once per request.
+	opHists [256]atomic.Pointer[obs.Histogram]
 
 	mu       sync.Mutex
 	sessions map[uint64]*gwSession
@@ -245,7 +249,9 @@ func (g *Gateway) serve(req wire.Request) wire.Response {
 	if traced {
 		dur := time.Since(start)
 		op := string(req.Op)
-		reg.Hist.Get("gw_request_seconds", fmt.Sprintf("op=%q", op)).ObserveTrace(dur, trace)
+		if info, ok := wire.Lookup(req.Op); ok {
+			g.opHist(info).ObserveTrace(dur, trace)
+		}
 		reg.Spans.Add(obs.Span{
 			Trace: trace, ID: span, Parent: inParent, Name: "gateway", Op: op,
 			FileSet: req.FileSet, Server: -1, Start: start, Dur: dur, Err: resp.Err,
@@ -254,6 +260,17 @@ func (g *Gateway) serve(req wire.Request) wire.Response {
 		resp.Trace = trace
 	}
 	return resp
+}
+
+// opHist returns the op's gw_request_seconds histogram.
+func (g *Gateway) opHist(info wire.OpInfo) *obs.Histogram {
+	p := &g.opHists[info.Code]
+	h := p.Load()
+	if h == nil {
+		h = g.cfg.Obs.Hist.Get("gw_request_seconds", fmt.Sprintf("op=%q", info.Op))
+		p.Store(h)
+	}
+	return h
 }
 
 func (g *Gateway) route(req wire.Request) wire.Response {

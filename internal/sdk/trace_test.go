@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -270,6 +271,12 @@ func TestGatewayTraceEdge(t *testing.T) {
 	}
 	if wireSpan.Parent != edge.ID {
 		t.Fatalf("daemon wire span parent = %d, want gateway span ID %d", wireSpan.Parent, edge.ID)
+	}
+	// Each op's latency lands in the histogram labelled with that op.
+	for op, want := range map[string]int64{"create-fileset": 1, "create": 1, "stat": 0} {
+		if got := reg.Hist.Get("gw_request_seconds", fmt.Sprintf("op=%q", op)).Summarize().Count; got != want {
+			t.Errorf("gw_request_seconds{op=%q} counted %d requests, want %d", op, got, want)
+		}
 	}
 
 	// OpTrace against the gateway dumps its own edge spans, like a daemon

@@ -44,10 +44,10 @@ type connState struct {
 }
 
 // Server exposes a live.Cluster over TCP. One goroutine per connection
-// reads frames (FrameServer); each request is served on its own goroutine
-// so a slow metadata operation does not head-of-line-block the
-// connection's other requests (responses are correlated by tag, not
-// order).
+// reads frames (FrameServer) and hands each request to a handler goroutine
+// of that connection's, so a slow metadata operation does not
+// head-of-line-block the connection's other requests (responses are
+// correlated by tag, not order).
 //
 // Every request is traced: the server mints a trace ID (unless the client
 // supplied one), times the handler into a per-op latency histogram, emits a
@@ -69,6 +69,10 @@ type Server struct {
 	// bucket boundaries read directly as counts.
 	histDepth *obs.Histogram
 	histBatch *obs.Histogram
+	// opHists holds each op's wire_request_seconds histogram at the op's
+	// Code in Ops, made on the op's first request: a label is formatted and
+	// looked up once per op, not once per request.
+	opHists [256]atomic.Pointer[obs.Histogram]
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -91,11 +95,13 @@ type Server struct {
 	volStats map[string]*volStat
 }
 
-// volStat is one volume's request accounting.
+// volStat is one volume's request accounting; hist is its
+// volume_request_seconds histogram, found with the entry.
 type volStat struct {
 	requests     int64
 	errors       int64
 	quotaDenials int64
+	hist         *obs.Histogram
 }
 
 // NewServer wraps a cluster. The caller retains ownership of the cluster
@@ -279,7 +285,9 @@ func (s *Server) serve(cs *connState, req Request) Response {
 	resp := s.handle(trace, req)
 	dur := time.Since(start)
 	op := string(req.Op)
-	s.obs.Hist.Get("wire_request_seconds", fmt.Sprintf("op=%q", op)).ObserveTrace(dur, trace)
+	if info, ok := Lookup(req.Op); ok {
+		s.opHist(info).ObserveTrace(dur, trace)
+	}
 	s.ctrRequests.Add(1)
 	cs.requests.Add(1)
 	if resp.Err != "" {
@@ -291,13 +299,13 @@ func (s *Server) serve(cs *connState, req Request) Response {
 		// histogram below). Quota denials are broken out — they are the
 		// throttle working, not the tenant failing.
 		vol := namespace.VolumeOf(req.FileSet)
-		s.obs.Hist.Get("volume_request_seconds", fmt.Sprintf("volume=%q", vol)).Observe(dur)
 		s.mu.Lock()
 		vs := s.volStats[vol]
 		if vs == nil {
-			vs = &volStat{}
+			vs = &volStat{hist: s.obs.Hist.Get("volume_request_seconds", fmt.Sprintf("volume=%q", vol))}
 			s.volStats[vol] = vs
 		}
+		vs.hist.Observe(dur)
 		vs.requests++
 		if resp.Err != "" {
 			vs.errors++
@@ -329,6 +337,17 @@ func (s *Server) serve(cs *connState, req Request) Response {
 		s.obs.Slow.MaybePromote(s.obs.Spans, trace, op, dur)
 	}
 	return resp
+}
+
+// opHist returns the op's wire_request_seconds histogram.
+func (s *Server) opHist(info OpInfo) *obs.Histogram {
+	p := &s.opHists[info.Code]
+	h := p.Load()
+	if h == nil {
+		h = s.obs.Hist.Get("wire_request_seconds", fmt.Sprintf("op=%q", info.Op))
+		p.Store(h)
+	}
+	return h
 }
 
 // connStats snapshots per-connection accounting, sorted by remote address.
