@@ -1,5 +1,4 @@
 GO ?= go
-ANUFSVET := $(CURDIR)/bin/anufsvet
 
 .PHONY: all build test vet fuzz-smoke clean
 
@@ -11,14 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# vet runs go vet plus the repository's own invariant suite
-# (internal/analysis via cmd/anufsvet; see DESIGN.md §13).
-vet: $(ANUFSVET)
+# The repository's invariants are tests (DESIGN.md §13), so vet is go vet.
+vet:
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(ANUFSVET) ./...
-
-$(ANUFSVET): FORCE
-	$(GO) build -o $(ANUFSVET) ./cmd/anufsvet
 
 # fuzz-smoke replays the committed corpora and fuzzes briefly, as CI does.
 fuzz-smoke:
@@ -31,5 +25,3 @@ fuzz-smoke:
 
 clean:
 	rm -rf bin
-
-FORCE:

@@ -153,7 +153,7 @@ func (d *Delegate) Update(m *Mapper, reports []LatencyReport) (UpdateResult, err
 	d.prev = lat
 
 	tuned := false
-	for _, f := range factors { //anufs:allow simdeterminism any-order scan for a factor != 1; result is order-free
+	for _, f := range factors {
 		if f != 1 {
 			tuned = true
 			break

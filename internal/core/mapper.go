@@ -180,7 +180,7 @@ func ShedSets(before, after *Mapper, names []string) map[int][]string {
 	for _, mv := range Moves(before, after, names) {
 		shed[mv.From] = append(shed[mv.From], mv.Name)
 	}
-	for id := range shed { //anufs:allow simdeterminism per-key sort; visiting order cannot matter
+	for id := range shed {
 		sort.Strings(shed[id])
 	}
 	return shed

@@ -197,6 +197,53 @@ func TestMapCacheNoSources(t *testing.T) {
 	}
 }
 
+// silentPeer is a daemon connection whose calls get no answer until the
+// test releases them; closing it does not interrupt them.
+type silentPeer struct {
+	entered, release chan struct{}
+}
+
+func (p *silentPeer) Call(req wire.Request) (wire.Response, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return wire.Response{ID: req.ID}, nil
+}
+
+func (p *silentPeer) Close() error { return nil }
+
+// TestRouterCloseNotBlockedByForwardInFlight: Router.Close returns while a
+// Forward waits on a peer that never answers — no router lock is held
+// across a daemon round trip, and Close waits for no call in flight. The
+// peer is released only after Close has returned: a regression deadlocks
+// here, and go test -timeout prints the stacks.
+func TestRouterCloseNotBlockedByForwardInFlight(t *testing.T) {
+	auth := &fakeMapSource{epoch: 1}
+	peer := &silentPeer{entered: make(chan struct{}), release: make(chan struct{})}
+	r, err := NewRouter(RouterConfig{
+		AuthorityAddr: "auth",
+		DialCaller: func(addr string) (Caller, error) {
+			if addr == "auth" {
+				return auth, nil
+			}
+			return peer, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded := make(chan error, 1)
+	go func() {
+		_, err := r.Forward(wire.Request{Op: wire.OpStat, FileSet: "fs00", Path: "/a"})
+		forwarded <- err
+	}()
+	<-peer.entered
+	r.Close()
+	close(peer.release)
+	if err := <-forwarded; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMapCacheClose(t *testing.T) {
 	peer := &fakeMapSource{epoch: 1}
 	mc, _ := fakeCache(t, map[string]*fakeMapSource{"peer": peer}, "peer")

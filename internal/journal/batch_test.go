@@ -93,6 +93,30 @@ func TestGroupCommitGathersBehindFsyncInFlight(t *testing.T) {
 	}
 }
 
+// TestCommitSignalNotBlockedByFsyncInFlight: CommitSignal returns while the
+// committer holds mu through an fsync, so a tailer arming its wait never
+// queues behind the commit it waits for — the signal has its own lock,
+// sigMu, and nothing holds that across a write or an fsync. The fsync is
+// released only after CommitSignal has returned: a regression deadlocks
+// here, and go test -timeout prints the stacks.
+func TestCommitSignalNotBlockedByFsyncInFlight(t *testing.T) {
+	j, _, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	entered, release := heldSync(j)
+	committed := make(chan error, 1)
+	go func() { committed <- j.LogCreateFileSet("vol") }()
+	<-entered
+	sig := j.CommitSignal()
+	release <- struct{}{}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	<-sig // the commit that was in flight closes it
+}
+
 // TestLoneAppendCommitsWithoutGatherWait: with nothing else queued, an
 // append goes to its own write+fsync — one record, one sync. The first waits
 // for no company at all (TestFreshJournalMeasuresItsWindow); later ones wait

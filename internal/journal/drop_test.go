@@ -30,10 +30,11 @@ func TestDropSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st, _, err := Open(dir, Options{})
+	j, st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
 	requireImagesEqual(t, st, map[string]sharedisk.Image{
 		"vol01": img(1),
 	})
@@ -66,10 +67,11 @@ func TestDropThenRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st, _, err := Open(dir, Options{})
+	j, st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
 	requireImagesEqual(t, st, map[string]sharedisk.Image{
 		"vol00": img(3, "/new"),
 	})

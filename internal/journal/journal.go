@@ -72,7 +72,7 @@ func parseHeader(data []byte, magic uint32) (seq uint64, ok bool) {
 // commit waits, fsyncs, recovery — for histograms, spans and RecoverInfo;
 // no value it returns reaches a journal byte.
 func now() time.Time {
-	return time.Now() //anufs:allow simdeterminism latency instrumentation only, never encoded
+	return time.Now()
 }
 
 // ErrClosed is returned for appends to a closed journal.

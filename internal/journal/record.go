@@ -179,7 +179,6 @@ func appendImage(dst []byte, im sharedisk.Image, keys *[]string) []byte {
 	dst = binary.AppendUvarint(dst, im.Version)
 	dst = binary.AppendUvarint(dst, uint64(len(im.Records)))
 	paths := (*keys)[:0]
-	//anufs:allow simdeterminism the paths are sorted before any byte is written
 	for path := range im.Records {
 		paths = append(paths, path)
 	}

@@ -288,7 +288,6 @@ func applyEntry(images map[string]sharedisk.Image, e Entry) error {
 			return fmt.Errorf("%w: delta of %q to version %d does not follow version %d",
 				ErrCorrupt, e.FileSet, e.Image.Version, cur.Version)
 		}
-		//anufs:allow simdeterminism puts land in a map; their order cannot show
 		for path, rec := range e.Image.Records {
 			cur.Records[path] = rec
 		}

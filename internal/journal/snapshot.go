@@ -125,7 +125,6 @@ func writeSnapshot(dir, prefix string, seq uint64, images map[string]sharedisk.I
 func encodeImages(images map[string]sharedisk.Image) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(images)))
 	fileSets := make([]string, 0, len(images))
-	//anufs:allow simdeterminism the names are sorted before any byte is written
 	for fs := range images {
 		fileSets = append(fileSets, fs)
 	}

@@ -179,6 +179,7 @@ func TestOneOwnerSharesFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close() // after c.Stop: the cluster does not own the journal
 	cfg := live.DefaultConfig()
 	cfg.OpCost = 0
 	cfg.Window = 1 << 40 // no tuning round: one owner throughout

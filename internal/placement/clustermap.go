@@ -84,7 +84,9 @@ func (m *ClusterMap) Validate() error {
 			return fmt.Errorf("placement: daemon %d speed %v must be > 0", d.ID, d.Speed)
 		}
 	}
-	for fs, id := range m.Assign { //anufs:allow simdeterminism validation verdict is order-free; order only picks which of several errors reports first
+	// The verdict does not depend on map order; the order only picks which of
+	// several errors is reported.
+	for fs, id := range m.Assign {
 		if !seen[id] {
 			return fmt.Errorf("placement: file set %q assigned to unknown daemon %d", fs, id)
 		}
@@ -122,7 +124,7 @@ func (m *ClusterMap) Owner(fileSet string) (DaemonInfo, bool) {
 // FileSetsOf lists the file sets assigned to a daemon, sorted.
 func (m *ClusterMap) FileSetsOf(id int) []string {
 	var out []string
-	for fs, d := range m.Assign { //anufs:allow simdeterminism result is sorted before return
+	for fs, d := range m.Assign {
 		if d == id {
 			out = append(out, fs)
 		}

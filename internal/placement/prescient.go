@@ -143,7 +143,7 @@ func (p *Prescient) cloneForTrial() *Prescient {
 		all:    p.all,
 		owner:  make(map[string]int, len(p.owner)),
 	}
-	for fs, id := range p.owner { //anufs:allow simdeterminism map copy; insertion order cannot matter
+	for fs, id := range p.owner {
 		cp.owner[fs] = id
 	}
 	return cp
@@ -241,7 +241,7 @@ func MaxCompletion(assign map[string]int, weights map[string]float64, speeds map
 	// Sum in sorted key order: float accumulation in map order is not
 	// reproducible across runs.
 	sets := make([]string, 0, len(assign))
-	for fs := range assign { //anufs:allow simdeterminism collecting keys to sort; order cannot matter
+	for fs := range assign {
 		sets = append(sets, fs)
 	}
 	sort.Strings(sets)
@@ -250,8 +250,7 @@ func MaxCompletion(assign map[string]int, weights map[string]float64, speeds map
 		load[assign[fs]] += weights[fs]
 	}
 	var worst float64
-	for id, l := range load { //anufs:allow simdeterminism max over servers is order-free
-
+	for id, l := range load {
 		if c := l / speeds[id]; c > worst {
 			worst = c
 		}
