@@ -2,7 +2,10 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,10 +13,29 @@ import (
 	"anufs/internal/wire"
 )
 
-// freeAddr grabs a free localhost port (small race with the daemon binding
-// it, acceptable in tests).
+// freeAddr picks a localhost port for a daemon the test is about to start.
+// The port is free when picked, but the daemon binds it later, so it is
+// drawn from below the kernel's ephemeral range: a ":0" listener elsewhere
+// (another package's tests run alongside) cannot take it in between. Ports
+// are handed out in sequence from a random start, so this process never
+// picks one twice. Where the ephemeral range cannot be read, freeAddr falls
+// back to a ":0" port.
 func freeAddr(t *testing.T) string {
 	t.Helper()
+	lo, hi := testPortRange()
+	portMu.Lock()
+	defer portMu.Unlock()
+	for tries := 0; tries < hi-lo; tries++ {
+		if nextPort < lo || nextPort >= hi {
+			nextPort = lo + rand.Intn(hi-lo)
+		}
+		addr := fmt.Sprintf("127.0.0.1:%d", nextPort)
+		nextPort++
+		if ln, err := net.Listen("tcp", addr); err == nil {
+			ln.Close()
+			return addr
+		}
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -21,6 +43,26 @@ func freeAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+var (
+	portMu   sync.Mutex
+	nextPort int
+)
+
+// testPortRange returns the ports freeAddr draws from: the upper half of
+// those below the kernel's ephemeral range, or an empty range when that
+// range is unknown.
+func testPortRange() (lo, hi int) {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err != nil {
+		return 0, 0
+	}
+	var ephemeralLo, ephemeralHi int
+	if _, err := fmt.Sscan(string(b), &ephemeralLo, &ephemeralHi); err != nil || ephemeralLo <= 2048 {
+		return 0, 0
+	}
+	return ephemeralLo / 2, ephemeralLo
 }
 
 // dialRetry waits for the daemon to come up.

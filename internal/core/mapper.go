@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"anufs/internal/hashfam"
 	"anufs/internal/interval"
@@ -171,17 +170,4 @@ func Moves(before, after *Mapper, names []string) []Move {
 		}
 	}
 	return moves
-}
-
-// ShedSets returns, per shedding server, the file sets it loses between the
-// two configurations. Servers that lose nothing do not appear.
-func ShedSets(before, after *Mapper, names []string) map[int][]string {
-	shed := make(map[int][]string)
-	for _, mv := range Moves(before, after, names) {
-		shed[mv.From] = append(shed[mv.From], mv.Name)
-	}
-	for id := range shed {
-		sort.Strings(shed[id])
-	}
-	return shed
 }

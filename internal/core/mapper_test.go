@@ -224,26 +224,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestShedSets(t *testing.T) {
-	m := newMapper(t, 2)
-	before := m.Clone()
-	if err := m.Rescale(map[int]uint64{0: interval.Half, 1: 0}); err != nil {
-		t.Fatal(err)
-	}
-	shed := ShedSets(before, m, names(200))
-	if len(shed[0]) != 0 {
-		t.Fatalf("server 0 shed %d sets; it only gained", len(shed[0]))
-	}
-	if len(shed[1]) == 0 {
-		t.Fatal("server 1 shed nothing despite losing its whole region")
-	}
-	for i := 1; i < len(shed[1]); i++ {
-		if shed[1][i-1] >= shed[1][i] {
-			t.Fatal("shed list not sorted")
-		}
-	}
-}
-
 // Property: membership churn never leaves the mapper unable to locate a
 // file set, and the fallback path stays rare.
 func TestChurnLocateTotal(t *testing.T) {

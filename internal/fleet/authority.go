@@ -29,7 +29,6 @@ import (
 
 	"anufs/internal/core"
 	"anufs/internal/election"
-	"anufs/internal/interval"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/volume"
@@ -215,8 +214,7 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 		if _, dup := daemons[d.ID]; dup {
 			return nil, fmt.Errorf("fleet: duplicate daemon id %d", d.ID)
 		}
-		// !(x > 0) rather than x <= 0: NaN speeds must be rejected too, or
-		// rescaleBySpeed feeds uint64(NaN) shares to the mapper.
+		// !(x > 0) rather than x <= 0: NaN speeds must be rejected too.
 		if !(d.Speed > 0) {
 			return nil, fmt.Errorf("fleet: daemon %d speed %v must be > 0", d.ID, d.Speed)
 		}
@@ -375,35 +373,7 @@ func (a *Authority) detectLoop() {
 // mapper's current membership, which during a leave/failover excludes a
 // daemon still present in the map.
 func (a *Authority) rescaleBySpeed() error {
-	ids := a.mapper.Servers()
-	sort.Ints(ids)
-	if len(ids) == 0 {
-		return fmt.Errorf("fleet: no daemons to rescale")
-	}
-	var total float64
-	for _, id := range ids {
-		total += a.daemons[id].Speed
-	}
-	if !(total > 0) {
-		// NaN or zero total would turn every share into uint64(NaN) garbage.
-		return fmt.Errorf("fleet: total daemon speed %v must be > 0", total)
-	}
-	target := make(map[int]uint64, len(ids))
-	var sum uint64
-	fastest, fastestSpeed := ids[0], 0.0
-	for _, id := range ids {
-		sp := a.daemons[id].Speed
-		share := uint64(float64(interval.Half) * (sp / total))
-		target[id] = share
-		sum += share
-		if sp > fastestSpeed {
-			fastest, fastestSpeed = id, sp
-		}
-	}
-	// Integer truncation leaves a remainder; the fastest daemon absorbs it
-	// so the shares sum exactly to Half (Rescale's invariant).
-	target[fastest] += interval.Half - sum
-	return a.mapper.Rescale(target)
+	return placement.RescaleBySpeed(a.mapper, func(id int) float64 { return a.daemons[id].Speed })
 }
 
 // composeLocked builds a map at the given epoch carrying an explicit

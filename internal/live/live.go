@@ -1,10 +1,12 @@
 // Package live runs a real, concurrent ANU-managed metadata cluster inside
-// one process: goroutine servers with FIFO queues serve metadata operations
-// against the shared disk, a router hashes file sets to servers through a
-// published core.Mapper snapshot, and a tuner goroutine plays the elected
-// delegate — collecting per-window latencies, rescaling mapped regions, and
-// driving the file-set move protocol (release on the shedding server, then
-// acquire on the gaining one).
+// one process: goroutine servers with weighted-fair queues serve metadata
+// operations against the shared disk, a router hashes file sets to servers
+// through a published core.Mapper snapshot, and a tuner goroutine drives the
+// simulator's own placement.ANU every window — collecting per-window
+// latencies, letting the delegate rescale mapped regions, and driving the
+// file-set move protocol (release on the shedding server, then acquire on the
+// gaining one). Membership changes go through the same policy, which also
+// holds the delegate-failover rule.
 //
 // A server's goroutine is the paper's FIFO server and never sleeps on the
 // disk: the task a checkpoint queues is only the start of the flush (records
@@ -31,11 +33,11 @@ import (
 	"time"
 
 	"anufs/internal/core"
-	"anufs/internal/election"
 	"anufs/internal/lockmgr"
 	"anufs/internal/metaserver"
 	"anufs/internal/namespace"
 	"anufs/internal/obs"
+	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 )
 
@@ -48,16 +50,11 @@ type Config struct {
 	// OpCost is the service time of one metadata operation on a speed-1
 	// server; a server with speed s serves in OpCost/s.
 	OpCost time.Duration
-	// QueueDepth bounds each server's request queue; Submit blocks when the
-	// queue is full (clients experience backpressure, not drops). With
-	// FairQueue on, the bound applies per tenant volume, so one tenant's
-	// backlog cannot exert backpressure on another tenant's submitters.
+	// QueueDepth bounds each tenant volume's share of a server's request
+	// queue (see taskQueue); Submit blocks when it is full (clients
+	// experience backpressure, not drops), and one tenant's backlog cannot
+	// exert backpressure on another tenant's submitters.
 	QueueDepth int
-	// FairQueue turns each server queue into a weighted-fair scheduler
-	// over tenant volumes (see taskQueue): a hot volume saturating its own
-	// queue no longer starves a cold one. Off = the pre-volume global
-	// FIFO. DefaultConfig enables it.
-	FairQueue bool
 	// RetryBudget bounds how long a request keeps retrying while the file
 	// set it targets is mid-move.
 	RetryBudget time.Duration
@@ -80,7 +77,6 @@ func DefaultConfig() Config {
 		Window:      250 * time.Millisecond,
 		OpCost:      2 * time.Millisecond,
 		QueueDepth:  1024,
-		FairQueue:   true,
 		RetryBudget: 5 * time.Second,
 		LockLease:   30 * time.Second,
 	}
@@ -204,16 +200,16 @@ type Cluster struct {
 	// mapping names an owner that refuses every request for it.
 	reconfigMu sync.Mutex
 
-	mu       sync.Mutex
-	mapper   *core.Mapper // authoritative; mutated under mu
-	delegate *core.Delegate
-	// elector picks which server is the delegate (paper §4). In this
-	// in-process cluster every live server heartbeats implicitly at each
-	// tuning round; the epoch detects failovers so divergent-tuning state
-	// is reset exactly when the paper says the policy must be skipped.
-	elector       *election.Elector
-	delegateEpoch uint64
-	servers       map[int]*server
+	// started is when the cluster came up; tuning rounds are stamped with
+	// the seconds since.
+	started time.Time
+
+	mu sync.Mutex
+	// anu is the authoritative placement (mapper and delegate), mutated
+	// under mu. It is the concrete policy rather than placement.Policy
+	// because routing publishes clones of its mapper.
+	anu     *placement.ANU
+	servers map[int]*server
 	// graveyard holds killed servers: their goroutines keep draining their
 	// queues (replying ErrNotOwner after the crash) until Stop closes them.
 	graveyard []*server
@@ -245,35 +241,30 @@ func NewCluster(cfg Config, disk sharedisk.Disk, speeds map[int]float64) (*Clust
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	m, err := core.NewMapper(cfg.Core, ids)
-	if err != nil {
+	anu := placement.NewANU(cfg.Core)
+	if err := anu.Init(ids, nil); err != nil {
 		return nil, err
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		disk:     disk,
-		obs:      cfg.Obs,
-		mapper:   m,
-		delegate: core.NewDelegate(cfg.Core),
-		elector:  election.New(3*cfg.Window+time.Second, nil),
-		servers:  map[int]*server{},
-		stopCh:   make(chan struct{}),
+		cfg:     cfg,
+		disk:    disk,
+		obs:     cfg.Obs,
+		started: time.Now(),
+		anu:     anu,
+		servers: map[int]*server{},
+		stopCh:  make(chan struct{}),
 	}
 	c.obs.AddGauges(c.gauges)
 	for _, id := range ids {
 		c.servers[id] = c.newServer(id, speeds[id])
-		c.elector.Heartbeat(id)
 	}
-	if _, epoch, ok := c.elector.Delegate(); ok {
-		c.delegateEpoch = epoch
-	}
-	c.snapshot.Store(m.Clone())
+	c.snapshot.Store(anu.Mapper().Clone())
 	// Initial ownership: each file set is acquired by its mapped owner.
 	for _, fs := range disk.FileSets() {
-		owner := m.Owner(fs)
+		owner := anu.Owner(fs)
 		if err := c.servers[owner].ms.Acquire(fs); err != nil {
 			return nil, err
 		}
@@ -290,7 +281,7 @@ func (c *Cluster) newServer(id int, speed float64) *server {
 		speed:    speed,
 		ms:       metaserver.New(id, c.disk),
 		locks:    lockmgr.New(c.cfg.LockLease, nil),
-		q:        newTaskQueue(c.cfg.FairQueue, c.cfg.QueueDepth),
+		q:        newTaskQueue(c.cfg.QueueDepth),
 		done:     make(chan struct{}),
 		spans:    c.obs.Spans,
 		histLat:  c.obs.Hist.Get("live_latency_seconds", label),
@@ -359,7 +350,7 @@ func (c *Cluster) CreateFileSet(fileSet string) error {
 	if c.stopped {
 		return ErrStopped
 	}
-	owner := c.mapper.Owner(fileSet)
+	owner := c.anu.Owner(fileSet)
 	return c.servers[owner].ms.Acquire(fileSet)
 }
 
@@ -386,7 +377,7 @@ func (c *Cluster) AdoptFileSet(fileSet string) error {
 	if c.stopped {
 		return ErrStopped
 	}
-	owner := c.mapper.Owner(fileSet)
+	owner := c.anu.Owner(fileSet)
 	return c.servers[owner].ms.Acquire(fileSet)
 }
 
@@ -669,7 +660,7 @@ func (c *Cluster) Stats() []ServerStats {
 		s.mu.Lock()
 		served := s.served
 		s.mu.Unlock()
-		frac, _ := c.mapper.ShareFrac(id)
+		frac, _ := c.anu.Mapper().ShareFrac(id)
 		out = append(out, ServerStats{
 			ID:        id,
 			Speed:     s.speed,
@@ -712,18 +703,10 @@ func (c *Cluster) TuneOnce() {
 	for id, s := range c.servers {
 		n, mean := s.takeWindow()
 		reports = append(reports, core.LatencyReport{ServerID: id, MeanLatency: mean, Requests: n})
-		c.elector.Heartbeat(id)
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ServerID < reports[j].ServerID })
-	// Run the election: a new delegate has no memory of the previous
-	// interval, so divergent tuning is skipped for one round (paper §6).
-	if _, epoch, ok := c.elector.Delegate(); ok && epoch != c.delegateEpoch {
-		c.delegateEpoch = epoch
-		c.delegate.ResetState()
-	}
-	before := c.mapper.Clone()
-	res, err := c.delegate.Update(c.mapper, reports)
-	if err != nil {
+	before := c.anu.Mapper().Clone()
+	if err := c.anu.Reconfigure(time.Since(c.started).Seconds(), reports); err != nil {
 		// A failed round leaves the previous configuration in place; the
 		// next window retries with fresh reports.
 		c.mu.Unlock()
@@ -732,10 +715,10 @@ func (c *Cluster) TuneOnce() {
 	c.obs.Counter(CtrTuneRounds).Add(1)
 	// Record the decision when the round saw traffic or acted; idle rounds
 	// would only flood the ring.
-	if res.Aggregate > 0 || res.Tuned {
+	if res := c.anu.LastUpdate; res.Aggregate > 0 || res.Tuned {
 		ev := obs.EventFromUpdate(res)
 		ev.At = time.Now()
-		ev.Policy = "anu"
+		ev.Policy = c.anu.Name()
 		c.obs.Tuner.Add(ev)
 	}
 	c.finishReconfigLocked(before)
@@ -744,7 +727,7 @@ func (c *Cluster) TuneOnce() {
 // finishReconfigLocked publishes the new mapping and applies the move
 // protocol. Called with mu and reconfigMu held; releases mu.
 func (c *Cluster) finishReconfigLocked(before *core.Mapper) {
-	after := c.mapper.Clone()
+	after := c.anu.Mapper().Clone()
 	moves := core.Moves(before, after, c.disk.FileSets())
 	servers := make(map[int]*server, len(c.servers))
 	for id, s := range c.servers {
@@ -805,13 +788,12 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 		c.mu.Unlock()
 		return fmt.Errorf("live: server %d already present", id)
 	}
-	before := c.mapper.Clone()
-	if err := c.mapper.AddServer(id, 0); err != nil {
+	before := c.anu.Mapper().Clone()
+	if err := c.anu.ServerUp(id); err != nil {
 		c.mu.Unlock()
 		return err
 	}
 	c.servers[id] = c.newServer(id, speed)
-	c.elector.Heartbeat(id)
 	c.finishReconfigLocked(before)
 	return nil
 }
@@ -820,7 +802,7 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 // the last flushed images, and — per the paper — only the victim's file
 // sets move. If the killed server was the delegate (lowest ID), the next
 // delegate starts without divergent-tuning history, exactly the stateless
-// failover of §4.
+// failover of §4 (placement.ANU.ServerDown applies the rule).
 func (c *Cluster) Kill(id int) error {
 	c.reconfigMu.Lock()
 	defer c.reconfigMu.Unlock()
@@ -838,8 +820,8 @@ func (c *Cluster) Kill(id int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("live: cannot kill the last server")
 	}
-	before := c.mapper.Clone()
-	if err := c.mapper.RemoveServer(id); err != nil {
+	before := c.anu.Mapper().Clone()
+	if err := c.anu.ServerDown(id); err != nil {
 		c.mu.Unlock()
 		return err
 	}
@@ -848,13 +830,6 @@ func (c *Cluster) Kill(id int) error {
 	// Crash drops ownership without flushing; anything still queued on the
 	// victim replies ErrNotOwner and clients retry against the survivors.
 	victim.ms.Crash()
-	c.elector.Leave(id)
-	// If the victim was the delegate, the next elected delegate starts
-	// without divergent-tuning history (stateless failover, §4).
-	if _, epoch, ok := c.elector.Delegate(); ok && epoch != c.delegateEpoch {
-		c.delegateEpoch = epoch
-		c.delegate.ResetState()
-	}
 	c.finishReconfigLocked(before)
 	return nil
 }

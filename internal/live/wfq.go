@@ -6,27 +6,22 @@ import (
 	"anufs/internal/namespace"
 )
 
-// taskQueue is a server's request queue. In fair mode it is a
-// weighted-fair scheduler over per-volume FIFO queues (stride
-// scheduling): each tenant volume gets its own bounded queue and a pass
-// value that advances by 1/weight per served task, and the dispatcher
-// always serves the non-empty volume with the smallest pass. A hot tenant
-// that saturates its own queue therefore only delays itself — a cold
-// tenant's next request waits behind at most a weighted handful of the
-// hot tenant's tasks, never behind its whole backlog. With fair mode off
-// the queue degrades to the pre-volume single FIFO, where one tenant's
-// backlog head-of-line-blocks everyone (kept for comparison benchmarks
-// and strict arrival-order use).
+// taskQueue is a server's request queue: a weighted-fair scheduler over
+// per-volume FIFO queues (stride scheduling). Each tenant volume gets its
+// own bounded queue and a pass value that advances by 1/weight per served
+// task, and the dispatcher always serves the non-empty volume with the
+// smallest pass. A hot tenant that saturates its own queue therefore only
+// delays itself — a cold tenant's next request waits behind at most a
+// weighted handful of the hot tenant's tasks, never behind its whole
+// backlog.
 //
-// Backpressure is per volume in fair mode: push blocks only when the
-// TARGET tenant's queue is full, so a saturated tenant cannot block other
-// tenants' submitters either.
+// Backpressure is per volume: push blocks only when the TARGET tenant's
+// queue is full, so a saturated tenant cannot block other tenants'
+// submitters either.
 type taskQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// fair selects weighted-fair scheduling; false = one global FIFO.
-	fair bool
-	// depth bounds each per-volume queue (the whole queue when not fair).
+	// depth bounds each per-volume queue.
 	depth   int
 	vols    map[string]*volQueue
 	weights map[string]float64
@@ -46,8 +41,8 @@ type volQueue struct {
 	weight float64
 }
 
-func newTaskQueue(fair bool, depth int) *taskQueue {
-	q := &taskQueue{fair: fair, depth: depth, vols: map[string]*volQueue{}}
+func newTaskQueue(depth int) *taskQueue {
+	q := &taskQueue{depth: depth, vols: map[string]*volQueue{}}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -71,18 +66,10 @@ func (q *taskQueue) weightOfLocked(vol string) float64 {
 	return 1
 }
 
-// volKey maps a task to its scheduling bucket.
-func (q *taskQueue) volKey(t task) string {
-	if !q.fair {
-		return ""
-	}
-	return namespace.VolumeOf(t.fileSet)
-}
-
 // push enqueues one task, blocking while the target volume's queue is
 // full. Returns ErrStopped once the queue is closed.
 func (q *taskQueue) push(t task) error {
-	vol := q.volKey(t)
+	vol := namespace.VolumeOf(t.fileSet)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -145,14 +132,10 @@ func (q *taskQueue) pop() (task, bool) {
 	return t, true
 }
 
-// depthOf reports a volume's current backlog (the global backlog when not
-// fair), for gauges and tests.
+// depthOf reports a volume's current backlog, for gauges and tests.
 func (q *taskQueue) depthOf(vol string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.fair {
-		vol = ""
-	}
 	if vq, ok := q.vols[vol]; ok {
 		return len(vq.tasks) - vq.head
 	}

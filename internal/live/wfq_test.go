@@ -13,7 +13,7 @@ func mkTask(fileSet string) task {
 // TestTaskQueueWeightedShare: with backlogs on two volumes, pops divide
 // by weight — volume A at weight 3 gets ~3x volume B's service.
 func TestTaskQueueWeightedShare(t *testing.T) {
-	q := newTaskQueue(true, 64)
+	q := newTaskQueue(64)
 	q.setWeights(map[string]float64{"a": 3, "b": 1})
 	for i := 0; i < 60; i++ {
 		if err := q.push(mkTask("a/fs")); err != nil {
@@ -42,7 +42,7 @@ func TestTaskQueueWeightedShare(t *testing.T) {
 // TestTaskQueueFIFOWithinVolume: a volume's own tasks are served in
 // arrival order regardless of interleaved tenants.
 func TestTaskQueueFIFOWithinVolume(t *testing.T) {
-	q := newTaskQueue(true, 64)
+	q := newTaskQueue(64)
 	for i := 0; i < 10; i++ {
 		tk := mkTask("a/fs")
 		tk.op = fmt.Sprintf("%d", i)
@@ -76,7 +76,7 @@ func TestTaskQueueFIFOWithinVolume(t *testing.T) {
 // that tenant's pushers; other tenants submit unimpeded, and close wakes
 // the blocked pusher with ErrStopped.
 func TestTaskQueuePerVolumeBackpressure(t *testing.T) {
-	q := newTaskQueue(true, 4)
+	q := newTaskQueue(4)
 	for i := 0; i < 4; i++ {
 		if err := q.push(mkTask("hot/fs")); err != nil {
 			t.Fatal(err)
@@ -105,35 +105,10 @@ func TestTaskQueuePerVolumeBackpressure(t *testing.T) {
 	}
 }
 
-// TestTaskQueueGlobalFIFOMode: fair off = the legacy single queue — one
-// tenant's backlog blocks everyone's pushers once the global bound fills.
-func TestTaskQueueGlobalFIFOMode(t *testing.T) {
-	q := newTaskQueue(false, 4)
-	for i := 0; i < 4; i++ {
-		if err := q.push(mkTask("hot/fs")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coldBlocked := make(chan error, 1)
-	go func() { coldBlocked <- q.push(mkTask("cold/fs")) }()
-	select {
-	case err := <-coldBlocked:
-		t.Fatalf("FIFO-mode push did not share the global bound: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if tk, ok := q.pop(); !ok || tk.fileSet != "hot/fs" {
-		t.Fatalf("pop = (%q, %v)", tk.fileSet, ok)
-	}
-	if err := <-coldBlocked; err != nil {
-		t.Fatal(err)
-	}
-	q.close()
-}
-
 // TestTaskQueueDrainOnClose: close rejects new pushes but already-queued
 // tasks still pop.
 func TestTaskQueueDrainOnClose(t *testing.T) {
-	q := newTaskQueue(true, 8)
+	q := newTaskQueue(8)
 	for i := 0; i < 3; i++ {
 		if err := q.push(mkTask("a/fs")); err != nil {
 			t.Fatal(err)
@@ -189,24 +164,15 @@ func slotsUntilCold(t *testing.T, q *taskQueue, hotBacklog, n int) []int {
 // than timed: tenant A saturates its owner queue while tenant B runs a
 // light sequential load. Under the stride scheduler every B task is served
 // within 3 slots of its submission — 3x its solo figure of 1 — however
-// deep A's backlog; under the legacy FIFO it waits out A's whole backlog.
-// Both halves are asserted, so the test fails if WFQ stops isolating OR if
-// the FIFO baseline quietly stops starving (which would make the
-// comparison vacuous). The latency form of the claim is the benchmark's
-// mixed-tenants workload.
+// deep A's backlog; one shared FIFO would make it wait out A's whole
+// backlog. The latency form of the claim is the benchmark's mixed-tenants
+// workload.
 func TestTwoTenantIsolationWFQ(t *testing.T) {
 	const depth, rounds = 8, 60
-	fair := slotsUntilCold(t, newTaskQueue(true, depth), depth, rounds)
+	fair := slotsUntilCold(t, newTaskQueue(depth), depth, rounds)
 	for i, n := range fair {
 		if n > 3 {
 			t.Fatalf("WFQ failed to isolate: cold task %d waited %d slots behind a saturating tenant (all: %v)", i, n, fair)
-		}
-	}
-	// One shared queue: the cold task takes the last free place.
-	fifo := slotsUntilCold(t, newTaskQueue(false, depth), depth-1, rounds)
-	for i, n := range fifo {
-		if n != depth {
-			t.Fatalf("FIFO baseline: cold task %d waited %d slots, want the whole backlog + itself = %d (all: %v)", i, n, depth, fifo)
 		}
 	}
 }

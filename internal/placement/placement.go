@@ -179,11 +179,36 @@ func (p *ANU) Reconfigure(now float64, reports []Report) error {
 	return nil
 }
 
-// ServerDown implements MembershipHandler.
-func (p *ANU) ServerDown(id int) error { return p.mapper.RemoveServer(id) }
+// ServerDown implements MembershipHandler. Losing the delegate resets the
+// divergent-tuning history (see delegateID).
+func (p *ANU) ServerDown(id int) error {
+	wasDelegate := id == p.delegateID()
+	if err := p.mapper.RemoveServer(id); err != nil {
+		return err
+	}
+	if wasDelegate {
+		p.delegate.ResetState()
+	}
+	return nil
+}
 
-// ServerUp implements MembershipHandler.
-func (p *ANU) ServerUp(id int) error { return p.mapper.AddServer(id, 0) }
+// ServerUp implements MembershipHandler. A server that joins below every
+// live one becomes the delegate and starts without history.
+func (p *ANU) ServerUp(id int) error {
+	if err := p.mapper.AddServer(id, 0); err != nil {
+		return err
+	}
+	if id == p.delegateID() {
+		p.delegate.ResetState()
+	}
+	return nil
+}
+
+// delegateID returns the server that runs the delegate round: the lowest
+// live one, as internal/election elects it (§4). A server that takes over
+// as delegate has no memory of the previous interval, so its first round
+// skips divergent tuning (§6).
+func (p *ANU) delegateID() int { return p.mapper.Servers()[0] }
 
 // Mapper exposes the underlying mapper for inspection.
 func (p *ANU) Mapper() *core.Mapper { return p.mapper }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"anufs/internal/core"
+	"anufs/internal/interval"
 	"anufs/internal/trace"
 )
 
@@ -341,6 +342,66 @@ func TestANUPolicyAdapters(t *testing.T) {
 	}
 }
 
+// TestANUDelegateFailoverSkipsDivergentRound holds the failover rule of
+// §4/§6: the delegate is the lowest live server, and when it changes the
+// next round has no history, so divergent tuning is skipped and the other
+// rules act. Every case runs the same two rounds — a hot and a cold server,
+// then both converging toward the average — around one membership change.
+// With history, the second round is "convergent" and tunes nothing.
+func TestANUDelegateFailoverSkipsDivergentRound(t *testing.T) {
+	cases := []struct {
+		name      string
+		servers   []int
+		hot, cold int
+		change    func(*ANU) error
+		wantTuned bool
+	}{
+		{"delegate down", []int{0, 1, 2}, 1, 2, func(p *ANU) error { return p.ServerDown(0) }, true},
+		{"other server down", []int{0, 1, 2}, 0, 1, func(p *ANU) error { return p.ServerDown(2) }, false},
+		{"new lowest up", []int{1, 2, 3}, 1, 2, func(p *ANU) error { return p.ServerUp(0) }, true},
+		{"higher id up", []int{0, 1, 2}, 0, 1, func(p *ANU) error { return p.ServerUp(5) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Defaults()
+			cfg.Tuning = core.Tuning{Divergent: true}
+			p := NewANU(cfg)
+			if err := p.Init(tc.servers, nil); err != nil {
+				t.Fatal(err)
+			}
+			// round reports hot and cold at the given latencies and every
+			// other live server at the average, (hot+cold)/2, so only the
+			// hot and cold servers are candidates for tuning.
+			round := func(hot, cold float64) {
+				t.Helper()
+				var reports []Report
+				for _, id := range p.Mapper().Servers() {
+					lat := (hot + cold) / 2
+					switch id {
+					case tc.hot:
+						lat = hot
+					case tc.cold:
+						lat = cold
+					}
+					reports = append(reports, Report{ServerID: id, MeanLatency: lat, Requests: 50})
+				}
+				if err := p.Reconfigure(0, reports); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round(200, 50)
+			if err := tc.change(p); err != nil {
+				t.Fatal(err)
+			}
+			round(150, 80)
+			if p.LastUpdate.Tuned != tc.wantTuned {
+				t.Fatalf("round after the change tuned = %v, want %v (decisions %+v)",
+					p.LastUpdate.Tuned, tc.wantTuned, p.LastUpdate.Decisions)
+			}
+		})
+	}
+}
+
 func TestPairwiseANUPolicy(t *testing.T) {
 	p := NewPairwiseANU(core.Defaults(), 3)
 	if err := p.Init(testServers, nil); err != nil {
@@ -421,3 +482,34 @@ func TestStaticNonUniformMissingSpeed(t *testing.T) {
 }
 
 var _ Policy = (*StaticNonUniform)(nil)
+
+func TestRescaleBySpeed(t *testing.T) {
+	m, err := core.NewMapper(core.Defaults(), []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	speeds := map[int]float64{0: 1, 1: 1, 2: 3}
+	if err := RescaleBySpeed(m, func(id int) float64 { return speeds[id] }); err != nil {
+		t.Fatal(err)
+	}
+	shares := m.Shares()
+	var sum uint64
+	for _, s := range shares {
+		sum += s
+	}
+	if sum != interval.Half {
+		t.Fatalf("shares sum to %d, want Half = %d", sum, uint64(interval.Half))
+	}
+	if shares[0] != shares[1] || math.Abs(float64(shares[2])/float64(shares[0])-3) > 1e-9 {
+		t.Fatalf("shares %v not proportional to speeds %v", shares, speeds)
+	}
+	for _, bad := range []float64{0, -1, math.NaN()} {
+		speeds[1] = bad
+		if err := RescaleBySpeed(m, func(id int) float64 { return speeds[id] }); err == nil {
+			t.Fatalf("speed %v accepted", bad)
+		}
+		if got := m.Shares(); got[1] != shares[1] {
+			t.Fatalf("refused rescale changed shares: %v, was %v", got, shares)
+		}
+	}
+}

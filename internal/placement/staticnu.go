@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"anufs/internal/core"
 	"anufs/internal/interval"
@@ -34,27 +33,11 @@ func (p *StaticNonUniform) Name() string { return "static-nonuniform" }
 
 // Init implements Policy: one capacity-proportional rescale, then frozen.
 func (p *StaticNonUniform) Init(servers []int, _ []string) error {
-	for _, id := range servers {
-		if p.speeds[id] <= 0 {
-			return fmt.Errorf("placement: static-nonuniform missing speed for server %d", id)
-		}
-	}
 	m, err := core.NewMapper(p.cfg, servers)
 	if err != nil {
 		return err
 	}
-	sorted := append([]int(nil), servers...)
-	sort.Ints(sorted)
-	weights := make([]float64, len(sorted))
-	for i, id := range sorted {
-		weights[i] = p.speeds[id]
-	}
-	q := interval.QuantizeShares(weights, interval.Half)
-	target := make(map[int]uint64, len(sorted))
-	for i, id := range sorted {
-		target[id] = q[i]
-	}
-	if err := m.Rescale(target); err != nil {
+	if err := RescaleBySpeed(m, func(id int) float64 { return p.speeds[id] }); err != nil {
 		return err
 	}
 	p.mapper = m
@@ -66,3 +49,25 @@ func (p *StaticNonUniform) Owner(fileSet string) int { return p.mapper.Owner(fil
 
 // Reconfigure implements Policy; the policy never adapts.
 func (p *StaticNonUniform) Reconfigure(float64, []Report) error { return nil }
+
+// RescaleBySpeed sets the mapper's shares proportional to each live
+// server's speed — the capacity-proportional mapping SIEVE holds fixed and
+// a fleet starts from. Every speed must be > 0 (NaN is refused, not turned
+// into garbage shares); the shares sum exactly to interval.Half
+// (largest-remainder rounding).
+func RescaleBySpeed(m *core.Mapper, speed func(id int) float64) error {
+	ids := m.Servers()
+	weights := make([]float64, len(ids))
+	for i, id := range ids {
+		weights[i] = speed(id)
+		if !(weights[i] > 0) {
+			return fmt.Errorf("placement: server %d speed %v must be > 0", id, weights[i])
+		}
+	}
+	q := interval.QuantizeShares(weights, interval.Half)
+	target := make(map[int]uint64, len(ids))
+	for i, id := range ids {
+		target[id] = q[i]
+	}
+	return m.Rescale(target)
+}
