@@ -179,13 +179,11 @@ func resumeFleet(im sharedisk.Image, advertise string, opts fleetOptions) (*flee
 	auth, err := fleet.NewAuthority(fleet.AuthorityConfig{
 		Resume:               &patched,
 		SelfID:               self,
-		EpochFloor:           cm.Epoch + fleet.PromotionEpochJump,
 		Lease:                opts.lease,
 		Persist:              opts.persist,
 		PersistVolumes:       opts.persistVolumes,
 		ResumeVolumes:        opts.resumeVols,
 		ResumeVolumesVersion: opts.resumeVolsVer,
-		AnnounceOnStart:      true,
 	})
 	if err != nil {
 		return nil, err

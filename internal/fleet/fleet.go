@@ -118,9 +118,9 @@ const DefaultProbeTimeout = 2 * time.Second
 // ready/in-flight bookkeeping the wrong-owner fence needs, and the
 // adopt/handoff endpoints. It implements wire.FleetHandler.
 type Member struct {
-	cfg      MemberConfig
-	dialFast func(addr string) (*wire.Client, error) // the poll loop's dialer
-	handoffH *obs.Histogram
+	cfg       MemberConfig
+	probeDial func(addr string) (*wire.Client, error) // the poll loop's dialer
+	handoffH  *obs.Histogram
 
 	mu sync.Mutex
 	// cur is the newest validated cluster map this daemon has seen.
@@ -179,7 +179,7 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	if !(cfg.Speed > 0) {
 		return nil, fmt.Errorf("fleet: daemon %d speed %v must be > 0", cfg.ID, cfg.Speed)
 	}
-	dialFast := cfg.Dial
+	probeDial := cfg.Dial
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (*wire.Client, error) {
 			c, err := wire.DialTimeout(addr, DefaultDialTimeout)
@@ -189,13 +189,13 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 			c.SetTimeout(DefaultHandoffTimeout)
 			return c, nil
 		}
-		dialFast = func(addr string) (*wire.Client, error) {
+		probeDial = func(addr string) (*wire.Client, error) {
 			return wire.DialTimeout(addr, DefaultProbeTimeout)
 		}
 	}
 	m := &Member{
 		cfg:         cfg,
-		dialFast:    dialFast,
+		probeDial:   probeDial,
 		cur:         initial,
 		lastContact: time.Now(),
 		ready:       map[string]bool{},
@@ -338,7 +338,7 @@ func (m *Member) pollOnce() bool {
 
 // probe runs one dial + heartbeat/epoch exchange against addr.
 func (m *Member) probe(addr string) bool {
-	c, err := m.dialFast(addr)
+	c, err := m.probeDial(addr)
 	if err != nil {
 		return false
 	}
@@ -347,9 +347,10 @@ func (m *Member) probe(addr string) bool {
 	if m.cfg.Addr != "" {
 		epoch, err = c.Heartbeat(m.cfg.ID, m.cfg.Addr, m.cfg.Speed, m.cfg.JournalDir)
 		if err != nil && wire.ErrorCode(err) == wire.CodeJoinFirst {
-			// The authority does not know us: we were declared dead (and
-			// restarted), or a promoted standby resumed a map from before we
-			// joined. Re-register; the join reply carries the new map (and
+			// The authority's map does not list us with our journal dir: we
+			// were declared dead (and restarted), a promoted standby resumed a
+			// map from before we joined, or we were roster-seeded without the
+			// dir. Re-register; the join reply carries the new map (and
 			// the volume registry — a promoted standby's quotas must bind
 			// here, before this daemon serves another op).
 			jresp, jerr := c.Call(wire.Request{Op: wire.OpJoin, Daemon: m.cfg.ID,
@@ -547,7 +548,7 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		if m.cfg.Authority == nil {
 			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
 		}
-		epoch, err := m.cfg.Authority.Heartbeat(req.Daemon, req.Addr, req.Speed, req.JournalDir)
+		epoch, err := m.cfg.Authority.Heartbeat(req.Daemon, req.JournalDir)
 		if err != nil {
 			return fail(err)
 		}

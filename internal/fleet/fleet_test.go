@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,6 +40,20 @@ func testDial(addr string) (*wire.Client, error) {
 	return c, nil
 }
 
+// testPeer is testDial behind the authority's peer seam.
+func testPeer(addr string, _, _ time.Duration) (peer, error) {
+	c, err := testDial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// noNetwork is a peer seam under which no daemon can be reached.
+func noNetwork(string, time.Duration, time.Duration) (peer, error) {
+	return nil, errors.New("no network")
+}
+
 // startFleet launches n single-server daemons over loopback with the given
 // per-daemon speeds (len == n). Background tuning is disabled so file sets
 // only move when the fleet moves them.
@@ -66,10 +81,11 @@ func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberCon
 		infos[i] = placement.DaemonInfo{ID: i, Addr: addr, Speed: sp}
 		f.daemons = append(f.daemons, d)
 	}
-	auth, err := NewAuthority(AuthorityConfig{Daemons: infos, Dial: testDial})
+	auth, err := NewAuthority(AuthorityConfig{Daemons: infos})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = testPeer
 	f.auth = auth
 	for _, d := range f.daemons {
 		mc := MemberConfig{

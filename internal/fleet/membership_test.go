@@ -140,11 +140,11 @@ func TestJoinRejectsBadSpeed(t *testing.T) {
 	}
 	auth, err := NewAuthority(AuthorityConfig{
 		Daemons: []placement.DaemonInfo{{ID: 0, Addr: "a:1", Speed: 1}},
-		Dial:    func(string) (*wire.Client, error) { return nil, errors.New("no network") },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = noNetwork
 	before := auth.Epoch()
 	for _, bad := range []float64{0, -1, math.NaN()} {
 		if _, err := auth.Join(7, "b:1", bad, ""); err == nil {
@@ -210,20 +210,31 @@ func TestLeaveDrainsDaemon(t *testing.T) {
 }
 
 // TestHeartbeatUnknownDaemonTellsJoin: the authority answers heartbeats
-// from daemons it does not know with the re-join signal — carried as a
-// machine-readable code, not message text the member would have to parse.
+// from daemons it does not know — or knows under another journal dir — with
+// the re-join signal, carried as a machine-readable code, not message text
+// the member would have to parse. The join records the dir in the map.
 func TestHeartbeatUnknownDaemonTellsJoin(t *testing.T) {
 	f := startFleet(t, []float64{1, 1}, nil)
-	if _, err := f.auth.Heartbeat(9, "x:1", 1, ""); err == nil ||
+	if _, err := f.auth.Heartbeat(9, ""); err == nil ||
 		wire.ErrorCode(err) != wire.CodeJoinFirst {
 		t.Fatalf("heartbeat from unknown daemon = %v (code %q), want code %q",
 			err, wire.ErrorCode(err), wire.CodeJoinFirst)
 	}
-	if _, err := f.auth.Heartbeat(1, f.daemons[1].addr, 1, "/tmp/j1"); err != nil {
+	if _, err := f.auth.Heartbeat(1, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.auth.JournalDir(1); got != "/tmp/j1" {
-		t.Fatalf("heartbeat did not record the journal dir: %q", got)
+	if _, err := f.auth.Heartbeat(1, "/tmp/j1"); wire.ErrorCode(err) != wire.CodeJoinFirst {
+		t.Fatalf("heartbeat with an unrecorded journal dir = %v (code %q), want code %q",
+			err, wire.ErrorCode(err), wire.CodeJoinFirst)
+	}
+	if _, err := f.auth.Join(1, f.daemons[1].addr, 1, "/tmp/j1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.auth.Heartbeat(1, "/tmp/j1"); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := f.auth.Map().Daemon(1); d.JournalDir != "/tmp/j1" {
+		t.Fatalf("join did not record the journal dir in the map: %q", d.JournalDir)
 	}
 }
 
@@ -232,21 +243,20 @@ func TestHeartbeatUnknownDaemonTellsJoin(t *testing.T) {
 // failing fast) must not stall map commits beyond the publish wait cap.
 func TestPublishBoundedWithUnreachableDaemon(t *testing.T) {
 	hang := 400 * time.Millisecond
-	dial := func(string) (*wire.Client, error) {
-		time.Sleep(hang)
-		return nil, errors.New("unreachable")
-	}
 	auth, err := NewAuthority(AuthorityConfig{
 		Daemons: []placement.DaemonInfo{
 			{ID: 0, Addr: "dead-a:1", Speed: 1},
 			{ID: 1, Addr: "dead-b:1", Speed: 1},
 		},
-		Dial:        dial,
-		PublishWait: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = func(string, time.Duration, time.Duration) (peer, error) {
+		time.Sleep(hang)
+		return nil, errors.New("unreachable")
+	}
+	auth.publishWait = 50 * time.Millisecond
 	auth.obs = obs.New() // no member hosts this authority
 	start := time.Now()
 	if _, err := auth.Assign("vol00", 0); err != nil {
@@ -268,10 +278,6 @@ func TestPublishBoundedWithUnreachableDaemon(t *testing.T) {
 // and the skipped file sets are named in the error.
 func TestRebalanceCircuitBreaker(t *testing.T) {
 	var dials atomic.Int64
-	dial := func(string) (*wire.Client, error) {
-		dials.Add(1)
-		return nil, errors.New("connection refused")
-	}
 	// Resume a map with every file set on the slow daemon 0; the mapper
 	// wants nearly all of them on the 100x faster daemon 1, so a working
 	// rebalance would run many moves — all with daemon 0 as donor.
@@ -285,9 +291,13 @@ func TestRebalanceCircuitBreaker(t *testing.T) {
 			"vol00": 0, "vol01": 0, "vol02": 0, "vol03": 0, "vol04": 0, "vol05": 0,
 		},
 	}
-	auth, err := NewAuthority(AuthorityConfig{Resume: resume, Dial: dial})
+	auth, err := NewAuthority(AuthorityConfig{Resume: resume})
 	if err != nil {
 		t.Fatal(err)
+	}
+	auth.dial = func(string, time.Duration, time.Duration) (peer, error) {
+		dials.Add(1)
+		return nil, errors.New("connection refused")
 	}
 	before := auth.Epoch()
 	dials.Store(0)
@@ -490,15 +500,15 @@ func TestFailoverReplaysJournal(t *testing.T) {
 			{ID: 0, Addr: d0.addr, Speed: 1},
 			{ID: 1, Addr: d1.addr, Speed: 1},
 		},
-		FileSets:     []string{"vol00", "vol01"},
-		SelfID:       0,
-		Dial:         testDial,
-		Lease:        lease,
-		StartupGrace: 2 * lease,
+		FileSets: []string{"vol00", "vol01"},
+		SelfID:   0,
+		Lease:    lease,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = testPeer
+	auth.startupGrace = 2 * lease
 
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
@@ -564,11 +574,11 @@ func TestFailoverReplaysJournal(t *testing.T) {
 		want[fs] = deltaRounds(t, r, fs, "before", 12, nil, d1.clus.CheckpointAll)
 	}
 
-	// The victim was roster-seeded, so the authority learns its journal
-	// directory from the heartbeat loop; wait for the first one (a joining
-	// daemon would have registered it in the join request).
+	// The victim was roster-seeded, so the map learns its journal directory
+	// from the join its first heartbeat is answered with; wait for it (a
+	// joining daemon would have registered it in the join request).
 	hbDeadline := time.Now().Add(3 * time.Second)
-	for auth.JournalDir(1) == "" {
+	for d, _ := auth.Map().Daemon(1); d.JournalDir == ""; d, _ = auth.Map().Daemon(1) {
 		if time.Now().After(hbDeadline) {
 			t.Fatal("heartbeat never registered the victim's journal dir")
 		}
@@ -683,15 +693,15 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 			{ID: 0, Addr: d0.addr, Speed: 1},
 			{ID: 1, Addr: d1.addr, Speed: 1},
 		},
-		FileSets:     []string{"vol00"},
-		SelfID:       0,
-		Dial:         testDial,
-		Lease:        lease,
-		StartupGrace: 2 * lease,
+		FileSets: []string{"vol00"},
+		SelfID:   0,
+		Lease:    lease,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = testPeer
+	auth.startupGrace = 2 * lease
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
@@ -829,12 +839,12 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 			},
 			Assign: map[string]int{"vol00": 1, "vol01": 1},
 		},
-		SelfID:         0,
-		PublishTimeout: pubTimeout, // real dialers: dialFast connects with this
+		SelfID: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.publishTimeout = pubTimeout // the real dialer connects takeovers with this
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
 		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
@@ -874,11 +884,13 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 }
 
 // refusingRecorder is a fleet handler that refuses every takeover after
-// recording its epoch — the shape of a recipient that adopted the
-// candidate map server-side while the authority saw only a failure.
+// recording its epoch and journal dir — the shape of a recipient that
+// adopted the candidate map server-side while the authority saw only a
+// failure.
 type refusingRecorder struct {
 	mu     sync.Mutex
 	epochs []uint64
+	dirs   []string
 }
 
 func (r *refusingRecorder) Gate(op wire.Op, fileSet string) (func(), error) {
@@ -889,6 +901,7 @@ func (r *refusingRecorder) Fleet(req wire.Request) wire.Response {
 	if req.Op == wire.OpTakeover {
 		r.mu.Lock()
 		r.epochs = append(r.epochs, req.Epoch)
+		r.dirs = append(r.dirs, req.JournalDir)
 		r.mu.Unlock()
 	}
 	return wire.Response{Err: "refused"}
@@ -949,47 +962,125 @@ func TestFailoverNeverReusesEpochs(t *testing.T) {
 	}
 }
 
-// TestHeartbeatNotBlockedByReconfiguration: heartbeats must stay
-// responsive while the authority holds its reconfiguration lock across
-// network RPCs (failover, leave, rebalance) — otherwise leases lapse
-// because the authority is busy and the detector cascades failovers onto
-// healthy members.
-func TestHeartbeatNotBlockedByReconfiguration(t *testing.T) {
-	auth, err := NewAuthority(AuthorityConfig{
-		Daemons: []placement.DaemonInfo{
-			{ID: 0, Addr: "a:1", Speed: 1},
-			{ID: 1, Addr: "b:1", Speed: 1},
+// TestPromotedAuthorityReplaysJournalDir: a daemon's journal dir reaches a
+// promoted standby through the persisted map, so a failover the promoted
+// authority runs replays the dead daemon's journal — even though that
+// daemon never heartbeat to it. A replay of "" would adopt its file sets
+// empty and lose every write it acknowledged.
+func TestPromotedAuthorityReplaysJournalDir(t *testing.T) {
+	d0 := startElasticDaemon(t, 0, false)
+	rec := &refusingRecorder{}
+	d0.srv.SetFleet(rec)
+	t.Cleanup(func() {
+		d0.srv.Close()
+		d0.clus.Stop()
+	})
+	var persisted sharedisk.Image
+	primary, err := NewAuthority(AuthorityConfig{
+		Daemons: []placement.DaemonInfo{{ID: 0, Addr: d0.addr, Speed: 1}},
+		Persist: func(cm *placement.ClusterMap) error {
+			im, err := EncodeMapImage(cm)
+			persisted = im
+			return err
 		},
-		Dial: func(string) (*wire.Client, error) { return nil, errors.New("no network") },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a long failover: the reconfiguration lock is held while the
-	// heartbeat arrives.
-	auth.mu.Lock()
-	defer auth.mu.Unlock()
+	if _, err := primary.Join(1, "127.0.0.1:1", 1, "/shared/d1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Assign("vol00", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The standby replays the shipped map image and takes over as authority.
+	cm, err := DecodeMapImage(persisted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := NewAuthority(AuthorityConfig{Resume: cm, SelfID: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted.mu.Lock()
+	promoted.failoverLocked(1)
+	promoted.mu.Unlock()
+
+	rec.mu.Lock()
+	dirs := append([]string(nil), rec.dirs...)
+	rec.mu.Unlock()
+	if len(dirs) == 0 {
+		t.Fatal("no takeover was attempted")
+	}
+	for _, dir := range dirs {
+		if dir != "/shared/d1" {
+			t.Fatalf("takeover replays journal %q, want %q", dir, "/shared/d1")
+		}
+	}
+}
+
+// TestHeartbeatNotBlockedByReconfiguration: heartbeats must stay
+// responsive while a reconfiguration waits on a network RPC (failover,
+// leave, rebalance) — otherwise leases lapse because the authority is busy
+// and the detector cascades failovers onto healthy members. A rebalance is
+// parked inside its first handoff; Heartbeat, Map and Volumes must still
+// return. A regression deadlocks, and go test -timeout prints the stacks.
+func TestHeartbeatNotBlockedByReconfiguration(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	net := &fakeNet{answer: func(fakeCall) error {
+		once.Do(func() { close(parked) })
+		<-release
+		return nil
+	}}
+	fileSets := map[string]int{}
+	for i := 0; i < 8; i++ {
+		fileSets[fmt.Sprintf("vol%02d", i)] = 0
+	}
+	auth := fakeAuthority(t, net, &placement.ClusterMap{
+		Epoch: 3,
+		Daemons: []placement.DaemonInfo{
+			{ID: 0, Addr: "d0:1", Speed: 1},
+			{ID: 1, Addr: "d1:1", Speed: 100, JournalDir: "/j1"},
+		},
+		Assign: fileSets,
+	})
+	before := auth.Epoch()
 	done := make(chan error, 1)
 	go func() {
-		_, err := auth.Heartbeat(1, "b:1", 1, "/j1")
+		_, err := auth.Rebalance()
 		done <- err
 	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("heartbeat during reconfiguration = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("heartbeat blocked behind the reconfiguration lock")
+	<-parked
+
+	if _, err := auth.Heartbeat(1, "/j1"); err != nil {
+		t.Fatalf("heartbeat during reconfiguration = %v", err)
 	}
-	if got := auth.JournalDir(1); got != "/j1" {
-		t.Fatalf("journal dir not recorded lock-free: %q", got)
+	if _, err := auth.Heartbeat(1, "/elsewhere"); wire.ErrorCode(err) != wire.CodeJoinFirst {
+		t.Fatalf("heartbeat with another journal dir during reconfiguration = %v, want code %q",
+			err, wire.CodeJoinFirst)
+	}
+	if got := auth.Map().Epoch; got != before {
+		t.Fatalf("map at epoch %d while the first handoff is parked, want %d", got, before)
+	}
+	if vols, _ := auth.Volumes(); len(vols) == 0 {
+		t.Fatal("no volumes during reconfiguration")
+	}
+
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := len(auth.Map().FileSetsOf(1)); got == 0 {
+		t.Fatal("the released rebalance moved nothing")
 	}
 }
 
 // TestResumeFromPersistedMap: the promoted-standby constructor path — a
-// Resume map with an EpochFloor yields an authority whose first epoch is
-// strictly above the floor and whose map advertises the new SelfID.
+// Resume map yields an authority whose first epoch is strictly above the
+// resumed one plus PromotionEpochJump and whose map advertises the new
+// SelfID.
 func TestResumeFromPersistedMap(t *testing.T) {
 	persisted := &placement.ClusterMap{
 		Epoch: 37,
@@ -1001,14 +1092,13 @@ func TestResumeFromPersistedMap(t *testing.T) {
 		Authority: 0,
 	}
 	auth, err := NewAuthority(AuthorityConfig{
-		Resume:     persisted,
-		SelfID:     0,
-		EpochFloor: persisted.Epoch + PromotionEpochJump,
-		Dial:       func(string) (*wire.Client, error) { return nil, errors.New("no network") },
+		Resume: persisted,
+		SelfID: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = noNetwork
 	cm := auth.Map()
 	if cm.Epoch <= persisted.Epoch+PromotionEpochJump {
 		t.Fatalf("resumed epoch %d not above the floor %d", cm.Epoch, persisted.Epoch+PromotionEpochJump)
@@ -1038,5 +1128,30 @@ func TestResumeFromPersistedMap(t *testing.T) {
 	}
 	if back.Epoch != cm.Epoch || back.Authority != cm.Authority {
 		t.Fatalf("map image round trip drifted: %+v", back)
+	}
+}
+
+// TestMapImageCarriesJournalDir: the persisted map image is how a standby
+// learns each daemon's journal dir, so the dir must survive
+// EncodeMapImage/DecodeMapImage.
+func TestMapImageCarriesJournalDir(t *testing.T) {
+	cm := &placement.ClusterMap{
+		Epoch: 9,
+		Daemons: []placement.DaemonInfo{
+			{ID: 0, Addr: "a:1", Speed: 1},
+			{ID: 1, Addr: "b:1", Speed: 1, JournalDir: "/shared/d1"},
+		},
+		Assign: map[string]int{"vol00": 1},
+	}
+	im, err := EncodeMapImage(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeMapImage(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Daemons, cm.Daemons) {
+		t.Fatalf("daemons after the map image round trip = %+v, want %+v", back.Daemons, cm.Daemons)
 	}
 }

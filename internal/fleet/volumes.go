@@ -81,7 +81,8 @@ func (a *Authority) volumesChanged() uint64 {
 		}
 	}
 	a.mu.Lock()
-	cm := a.composeLocked(a.nextEpochLocked(), a.Map().Assign)
+	cur := a.Map()
+	cm := a.nextLocked(cur.Daemons, cur.Assign)
 	a.commitLocked(cm)
 	a.mu.Unlock()
 	a.publish(cm)
@@ -120,7 +121,7 @@ func (a *Authority) admitFileSetLocked(cur *placement.ClusterMap, fileSet string
 // new file set in a pack-policy volume co-locates with the bulk of that
 // volume's existing file sets; everything else (spread policy, moves of
 // already-owned file sets, volumes with nothing placed yet) follows the
-// speed-weighted ANU mapper. Caller holds mu.
+// speed-weighted ANU placement. Caller holds mu.
 func (a *Authority) placeLocked(cur *placement.ClusterMap, fileSet string, owned bool) int {
 	if !owned {
 		vol := namespace.VolumeOf(fileSet)
@@ -130,19 +131,16 @@ func (a *Authority) placeLocked(cur *placement.ClusterMap, fileSet string, owned
 			}
 		}
 	}
-	return a.mapper.Owner(fileSet)
+	return a.anu.Owner(fileSet)
 }
 
-// packOwnerLocked finds the live daemon owning the most of vol's file
-// sets (lowest ID on ties); ok=false when the volume owns none yet — the
-// first file set seeds wherever the mapper puts it.
+// packOwnerLocked finds the daemon owning the most of vol's file sets
+// (lowest ID on ties); ok=false when the volume owns none yet — the first
+// file set seeds wherever ANU puts it.
 func (a *Authority) packOwnerLocked(cur *placement.ClusterMap, vol string) (int, bool) {
 	counts := map[int]int{}
 	for fs, id := range cur.Assign {
-		if namespace.VolumeOf(fs) != vol {
-			continue
-		}
-		if _, live := a.daemons[id]; live {
+		if namespace.VolumeOf(fs) == vol {
 			counts[id]++
 		}
 	}

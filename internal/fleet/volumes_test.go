@@ -255,7 +255,6 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	}
 	auth, err := NewAuthority(AuthorityConfig{
 		Daemons: infos,
-		Dial:    testDial,
 		Persist: func(cm *placement.ClusterMap) error {
 			im, err := EncodeMapImage(cm)
 			if err != nil {
@@ -274,6 +273,7 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auth.dial = testPeer
 	for _, d := range daemons {
 		mc := MemberConfig{ID: d.id, Cluster: d.clus, Disk: d.disk,
 			DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond, Dial: testDial}
@@ -339,14 +339,13 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	promoted, err := NewAuthority(AuthorityConfig{
 		Resume:               cm,
 		SelfID:               1,
-		EpochFloor:           cm.Epoch + PromotionEpochJump,
 		ResumeVolumes:        vols,
 		ResumeVolumesVersion: vver,
-		Dial:                 testDial,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	promoted.dial = testPeer
 	daemons[1].member.Stop()
 	pm, err := NewMember(MemberConfig{ID: 1, Cluster: daemons[1].clus, Disk: daemons[1].disk,
 		Authority: promoted, DrainTimeout: 2 * time.Second, Dial: testDial}, promoted.Map())

@@ -8,12 +8,14 @@ import (
 
 // DaemonInfo describes one anufsd process in a fleet: its numeric ID (the
 // same ID space the ANU mapper hashes over), the TCP address clients dial,
-// and its relative speed (the heterogeneity knob the paper's ANU shares are
-// proportional to).
+// its relative speed (the heterogeneity knob the paper's ANU shares are
+// proportional to), and its journal directory on the shared disk — what a
+// failover replays when the daemon dies (empty: the daemon runs volatile).
 type DaemonInfo struct {
-	ID    int     `json:"id"`
-	Addr  string  `json:"addr"`
-	Speed float64 `json:"speed"`
+	ID         int     `json:"id"`
+	Addr       string  `json:"addr"`
+	Speed      float64 `json:"speed"`
+	JournalDir string  `json:"journal_dir,omitempty"`
 }
 
 // ClusterMap is the fleet's routing plane: an epoch-numbered assignment of

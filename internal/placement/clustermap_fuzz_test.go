@@ -11,6 +11,7 @@ func FuzzDecodeClusterMap(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{"v":0}}`))
+	f.Add([]byte(`{"epoch":2,"daemons":[{"id":0,"addr":"a","speed":1,"journal_dir":"/shared/d0"},{"id":1,"addr":"b","speed":2,"journal_dir":""}],"assign":{"v":1}}`))
 	f.Add([]byte(`{"epoch":0,"daemons":[],"assign":null}`))
 	f.Add([]byte(`{"epoch":18446744073709551615,"daemons":[{"id":-1,"addr":"x","speed":1e308}]}`))
 	f.Add([]byte(`{"daemons":[{"id":0,"addr":"a","speed":1},{"id":0,"addr":"b","speed":2}]}`))

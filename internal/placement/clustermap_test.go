@@ -42,6 +42,45 @@ func TestClusterMapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClusterMapJournalDirCompat: a daemon's journal dir is an optional
+// key. A map encoded before daemons carried one decodes with empty dirs, a
+// volatile daemon's record re-encodes byte-identically (omitempty drops the
+// key), and a dir survives the round trip.
+func TestClusterMapJournalDirCompat(t *testing.T) {
+	old := `{"epoch":3,"daemons":[{"id":0,"addr":"127.0.0.1:7000","speed":1},` +
+		`{"id":1,"addr":"127.0.0.1:7001","speed":2}],"assign":{"vol00":0,"vol01":1}}`
+	m, err := DecodeClusterMap([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range m.Daemons {
+		if d.JournalDir != "" {
+			t.Fatalf("daemon %d decoded journal dir %q from a map without one", d.ID, d.JournalDir)
+		}
+	}
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != old {
+		t.Fatalf("volatile map re-encodes differently:\n%s\n%s", b, old)
+	}
+	m.Daemons[1].JournalDir = "/shared/d1"
+	if b, err = m.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeClusterMap(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := back.Daemon(1); d.JournalDir != "/shared/d1" {
+		t.Fatalf("journal dir after round trip = %q, want /shared/d1", d.JournalDir)
+	}
+	if d, _ := back.Daemon(0); d.JournalDir != "" {
+		t.Fatalf("volatile daemon gained journal dir %q", d.JournalDir)
+	}
+}
+
 func TestClusterMapOwnerLookups(t *testing.T) {
 	m := sampleMap()
 	d, ok := m.Owner("vol01")

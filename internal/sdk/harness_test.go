@@ -66,7 +66,7 @@ func startFleet(t testing.TB, n int) *testFleet {
 		infos[i] = placement.DaemonInfo{ID: i, Addr: addr, Speed: 1}
 		f.daemons = append(f.daemons, d)
 	}
-	auth, err := fleet.NewAuthority(fleet.AuthorityConfig{Daemons: infos, Dial: testWireDial})
+	auth, err := fleet.NewAuthority(fleet.AuthorityConfig{Daemons: infos})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -563,9 +563,12 @@ func (c *Client) Leave(id int) (uint64, error) {
 
 // Heartbeat renews a member's liveness lease at the authority and doubles
 // as the member's epoch probe (the reply carries the authority's current
-// epoch). addr/speed/journalDir keep the authority's membership record
-// fresh — a roster-started daemon's journal dir reaches the authority this
-// way, which is what makes its journal replayable on failover.
+// epoch). It changes no membership record: when the authority's map does
+// not list daemon id with this journalDir, the reply is a join-first error
+// (CodeJoinFirst), and the member's join — carrying addr, speed and
+// journalDir — is what records them. That is how a roster-started daemon's
+// journal dir reaches the map, which makes its journal replayable on
+// failover.
 func (c *Client) Heartbeat(id int, addr string, speed float64, journalDir string) (uint64, error) {
 	resp, err := c.call(Request{Op: OpHeartbeat, Daemon: id, Addr: addr, Speed: speed, JournalDir: journalDir})
 	return resp.Epoch, err
