@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fuzz-smoke clean
+.PHONY: all build test vet fuzz-smoke loc clean
 
 all: build test vet
 
@@ -22,6 +22,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterMap -fuzztime 10s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
+
+# loc prints each directory's non-blank, non-test Go lines (testdata
+# excluded): the per-package figures CHANGES.md and ROADMAP.md report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec \
+		awk 'NF { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++ } \
+			END { for (d in n) printf "%6d %s\n", n[d], d }' {} + | sort -k2
 
 clean:
 	rm -rf bin

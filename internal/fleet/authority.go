@@ -121,14 +121,23 @@ type peer interface {
 	Close() error
 }
 
-// dialWire connects to addr within connect and bounds every call on the
+// dialClient connects to addr within connect and bounds every call on the
 // connection by call.
-func dialWire(addr string, connect, call time.Duration) (peer, error) {
+func dialClient(addr string, connect, call time.Duration) (*wire.Client, error) {
 	c, err := wire.DialTimeout(addr, connect)
 	if err != nil {
 		return nil, err
 	}
 	c.SetTimeout(call)
+	return c, nil
+}
+
+// dialWire is dialClient behind the peer seam.
+func dialWire(addr string, connect, call time.Duration) (peer, error) {
+	c, err := dialClient(addr, connect, call)
+	if err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 

@@ -100,14 +100,9 @@ type MemberConfig struct {
 	FenceAfter time.Duration
 	// Obs receives the fleet gauges/histograms/counters; nil disables.
 	Obs *obs.Registry
-	// DrainTimeout and PollInterval default to the package constants.
-	DrainTimeout time.Duration
+	// PollInterval is the join-mode poll cadence (default
+	// DefaultPollInterval).
 	PollInterval time.Duration
-	// Dial overrides outbound connections (tests), the poll/heartbeat
-	// loop's included; nil uses a bounded-connect dial with a handoff-sized
-	// per-call timeout, and wire.DialTimeout with a probe-sized deadline
-	// for the poll loop.
-	Dial func(addr string) (*wire.Client, error)
 }
 
 // DefaultProbeTimeout bounds one poll-loop dial + call against an
@@ -118,9 +113,13 @@ const DefaultProbeTimeout = 2 * time.Second
 // ready/in-flight bookkeeping the wrong-owner fence needs, and the
 // adopt/handoff endpoints. It implements wire.FleetHandler.
 type Member struct {
-	cfg       MemberConfig
-	probeDial func(addr string) (*wire.Client, error) // the poll loop's dialer
-	handoffH  *obs.Histogram
+	cfg      MemberConfig
+	handoffH *obs.Histogram
+	// dial connects handoff recipients and poll-loop probes alike
+	// (dialClient; tests swap it before Start). drainTimeout bounds a
+	// donor's wait for in-flight operations (DefaultDrainTimeout).
+	dial         func(addr string, connect, call time.Duration) (*wire.Client, error)
+	drainTimeout time.Duration
 
 	mu sync.Mutex
 	// cur is the newest validated cluster map this daemon has seen.
@@ -167,9 +166,6 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	if _, ok := initial.Daemon(cfg.ID); !ok {
 		return nil, fmt.Errorf("fleet: daemon %d is not in the cluster map", cfg.ID)
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = DefaultPollInterval
 	}
@@ -179,31 +175,18 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 	if !(cfg.Speed > 0) {
 		return nil, fmt.Errorf("fleet: daemon %d speed %v must be > 0", cfg.ID, cfg.Speed)
 	}
-	probeDial := cfg.Dial
-	if cfg.Dial == nil {
-		cfg.Dial = func(addr string) (*wire.Client, error) {
-			c, err := wire.DialTimeout(addr, DefaultDialTimeout)
-			if err != nil {
-				return nil, err
-			}
-			c.SetTimeout(DefaultHandoffTimeout)
-			return c, nil
-		}
-		probeDial = func(addr string) (*wire.Client, error) {
-			return wire.DialTimeout(addr, DefaultProbeTimeout)
-		}
-	}
 	m := &Member{
-		cfg:         cfg,
-		probeDial:   probeDial,
-		cur:         initial,
-		lastContact: time.Now(),
-		ready:       map[string]bool{},
-		inflight:    map[string]int{},
-		buckets:     map[string]*volume.Bucket{},
-		vols:        volume.NewRegistry(),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		cfg:          cfg,
+		dial:         dialClient,
+		drainTimeout: DefaultDrainTimeout,
+		cur:          initial,
+		lastContact:  time.Now(),
+		ready:        map[string]bool{},
+		inflight:     map[string]int{},
+		buckets:      map[string]*volume.Bucket{},
+		vols:         volume.NewRegistry(),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	if cfg.Authority != nil {
 		m.vols = cfg.Authority.vols
@@ -338,14 +321,14 @@ func (m *Member) pollOnce() bool {
 
 // probe runs one dial + heartbeat/epoch exchange against addr.
 func (m *Member) probe(addr string) bool {
-	c, err := m.probeDial(addr)
+	c, err := m.dial(addr, DefaultProbeTimeout, DefaultProbeTimeout)
 	if err != nil {
 		return false
 	}
 	defer c.Close()
 	var epoch uint64
 	if m.cfg.Addr != "" {
-		epoch, err = c.Heartbeat(m.cfg.ID, m.cfg.Addr, m.cfg.Speed, m.cfg.JournalDir)
+		epoch, err = c.Heartbeat(m.cfg.ID, m.cfg.JournalDir)
 		if err != nil && wire.ErrorCode(err) == wire.CodeJoinFirst {
 			// The authority's map does not list us with our journal dir: we
 			// were declared dead (and restarted), a promoted standby resumed a
@@ -837,7 +820,7 @@ func (m *Member) donate(req wire.Request) error {
 	}
 	snap := journal.EncodeImages(map[string]sharedisk.Image{fs: im})
 
-	c, err := m.cfg.Dial(req.Addr)
+	c, err := m.dial(req.Addr, DefaultDialTimeout, DefaultHandoffTimeout)
 	if err != nil {
 		rollback(true)
 		// Coded so the authority's rebalance circuit breaker can attribute
@@ -872,7 +855,7 @@ func (m *Member) donate(req wire.Request) error {
 // drain waits for gate-admitted operations on fs to finish. Admissions
 // stopped when the fence flipped the map, so the count only decreases.
 func (m *Member) drain(fs string) error {
-	deadline := time.Now().Add(m.cfg.DrainTimeout)
+	deadline := time.Now().Add(m.drainTimeout)
 	for {
 		m.mu.Lock()
 		n := m.inflight[fs]

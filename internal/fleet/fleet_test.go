@@ -40,6 +40,13 @@ func testDial(addr string) (*wire.Client, error) {
 	return c, nil
 }
 
+// testSeams points a member's dial seam at testDial and shortens its drain
+// timeout; tests call it after NewMember, before Start.
+func testSeams(m *Member) {
+	m.dial = func(addr string, _, _ time.Duration) (*wire.Client, error) { return testDial(addr) }
+	m.drainTimeout = 2 * time.Second
+}
+
 // testPeer is testDial behind the authority's peer seam.
 func testPeer(addr string, _, _ time.Duration) (peer, error) {
 	c, err := testDial(addr)
@@ -57,7 +64,7 @@ func noNetwork(string, time.Duration, time.Duration) (peer, error) {
 // startFleet launches n single-server daemons over loopback with the given
 // per-daemon speeds (len == n). Background tuning is disabled so file sets
 // only move when the fleet moves them.
-func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberConfig)) *testFleet {
+func startFleet(t testing.TB, speeds []float64, tweak func(m *Member)) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	infos := make([]placement.DaemonInfo, len(speeds))
@@ -92,9 +99,7 @@ func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberCon
 			ID:           d.id,
 			Cluster:      d.clus,
 			Disk:         d.disk,
-			DrainTimeout: 2 * time.Second,
 			PollInterval: 20 * time.Millisecond,
-			Dial:         testDial,
 			Obs:          d.clus.Obs(),
 		}
 		if d.id == 0 {
@@ -102,12 +107,13 @@ func startFleet(t testing.TB, speeds []float64, tweak func(i int, cfg *MemberCon
 		} else {
 			mc.AuthorityAddr = f.daemons[0].addr
 		}
-		if tweak != nil {
-			tweak(d.id, &mc)
-		}
 		m, err := NewMember(mc, auth.Map())
 		if err != nil {
 			t.Fatal(err)
+		}
+		testSeams(m)
+		if tweak != nil {
+			tweak(m)
 		}
 		d.member = m
 		d.srv.SetFleet(m)
@@ -289,8 +295,8 @@ func TestHandoffFailureRollsBack(t *testing.T) {
 // TestDrainTimeoutAbortsHandoff: a stuck in-flight operation makes the
 // drain time out; the handoff fails and the donor keeps serving.
 func TestDrainTimeoutAbortsHandoff(t *testing.T) {
-	f := startFleet(t, []float64{1, 1}, func(i int, cfg *MemberConfig) {
-		cfg.DrainTimeout = 100 * time.Millisecond
+	f := startFleet(t, []float64{1, 1}, func(m *Member) {
+		m.drainTimeout = 100 * time.Millisecond
 	})
 	r := f.router(t)
 	if err := r.CreateFileSet("vol00"); err != nil {

@@ -50,13 +50,12 @@ func addDaemon(t *testing.T, f *testFleet, id int, speed float64) *testDaemon {
 		AuthorityAddr: f.daemons[0].addr,
 		Addr:          addr,
 		Speed:         speed,
-		DrainTimeout:  2 * time.Second,
 		PollInterval:  20 * time.Millisecond,
-		Dial:          testDial,
 	}, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m)
 	d.member = m
 	d.srv.SetFleet(m)
 	m.Start()
@@ -512,24 +511,24 @@ func TestFailoverReplaysJournal(t *testing.T) {
 
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: testDial,
+		PollInterval: 20 * time.Millisecond,
 	}, auth.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m0)
 	d0.member = m0
 	d0.srv.SetFleet(m0)
 
 	m1, err := NewMember(MemberConfig{
 		ID: 1, Cluster: d1.clus, Disk: d1.disk,
 		AuthorityAddr: d0.addr, Addr: d1.addr, JournalDir: d1.dir,
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: testDial,
+		PollInterval: 20 * time.Millisecond,
 	}, auth.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m1)
 	d1.member = m1
 	d1.srv.SetFleet(m1)
 
@@ -638,12 +637,12 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	m1b, err := NewMember(MemberConfig{
 		ID: 1, Cluster: d1b.clus, Disk: d1b.disk,
 		AuthorityAddr: d0.addr, Addr: d1b.addr,
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: testDial,
+		PollInterval: 20 * time.Millisecond,
 	}, cmJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m1b)
 	d1b.member = m1b
 	d1b.srv.SetFleet(m1b)
 	m1b.Start()
@@ -679,7 +678,7 @@ func TestFailoverReplaysJournal(t *testing.T) {
 func TestRejoinAfterFalseDeath(t *testing.T) {
 	lease := 150 * time.Millisecond
 	var partitioned atomic.Bool
-	flakyDial := func(addr string) (*wire.Client, error) {
+	flakyDial := func(addr string, _, _ time.Duration) (*wire.Client, error) {
 		if partitioned.Load() {
 			return nil, errors.New("partitioned")
 		}
@@ -704,22 +703,23 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 	auth.startupGrace = 2 * lease
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: testDial,
+		PollInterval: 20 * time.Millisecond,
 	}, auth.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m0)
 	d0.srv.SetFleet(m0)
 	m1, err := NewMember(MemberConfig{
 		ID: 1, Cluster: d1.clus, Disk: d1.disk, Obs: d1.clus.Obs(),
 		AuthorityAddr: d0.addr, Addr: d1.addr,
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: flakyDial,
+		PollInterval: 20 * time.Millisecond,
 	}, auth.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m1)
+	m1.dial = flakyDial
 	d1.srv.SetFleet(m1)
 	m0.Start()
 	m1.Start()
@@ -768,11 +768,11 @@ func TestRejoinAfterFalseDeath(t *testing.T) {
 // reach any authority for FenceAfter stops admitting operations — it must
 // not keep acknowledging writes the fleet will reassign elsewhere.
 func TestFenceAfterCutsOffPartitionedDaemon(t *testing.T) {
-	f := startFleet(t, []float64{1, 1}, func(i int, cfg *MemberConfig) {
-		if i == 1 {
-			cfg.Addr = "self:1" // heartbeat mode
-			cfg.FenceAfter = 80 * time.Millisecond
-			cfg.PollInterval = 10 * time.Millisecond
+	f := startFleet(t, []float64{1, 1}, func(m *Member) {
+		if m.cfg.ID == 1 {
+			m.cfg.Addr = "self:1" // heartbeat mode
+			m.cfg.FenceAfter = 80 * time.Millisecond
+			m.cfg.PollInterval = 10 * time.Millisecond
 		}
 	})
 	r := f.router(t)
@@ -847,12 +847,12 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 	auth.publishTimeout = pubTimeout // the real dialer connects takeovers with this
 	m0, err := NewMember(MemberConfig{
 		ID: 0, Cluster: d0.clus, Disk: d0.disk, Authority: auth, Obs: d0.clus.Obs(),
-		DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond,
-		Dial: testDial,
+		PollInterval: 20 * time.Millisecond,
 	}, auth.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(m0)
 	d0.member = m0
 	// The survivor answers takeovers 3x slower than the publish deadline.
 	d0.srv.SetFleet(&slowTakeoverFleet{Member: m0, delay: 3 * pubTimeout})

@@ -26,9 +26,6 @@ type RouterConfig struct {
 	// peer gateways sharing their cached maps, so N gateways converge on a
 	// new epoch without all of them hitting the authority.
 	MapSources []string
-	// Maps shares a cluster-map cache across routers; nil builds a private
-	// one from MapSources+AuthorityAddr.
-	Maps *MapCache
 	// Budget bounds one routed operation end to end (default
 	// DefaultRouteBudget).
 	Budget time.Duration
@@ -45,20 +42,35 @@ type RouterConfig struct {
 // wrong-owner error names the epoch the daemon rejected under, and the
 // router retries the operation at most once per refetch that reaches that
 // epoch — no retry storm against a daemon that keeps saying no.
+//
+// The router is its client's only connection cache: map fetches,
+// authority calls and routed operations to one address share one Caller.
+// The map cache is epoch-floored: a wrong-owner rejection or an authority
+// answer raises the floor, and the next read refetches until the map
+// reaches it. Sources are tried in order — MapSources first, the
+// authority last — and a refresh stops at the first source whose map
+// satisfies the floor, which is what lets a tier of gateways absorb map
+// churn without stampeding the authority.
 type Router struct {
-	cfg      RouterConfig
-	maps     *MapCache
-	ownsMaps bool
+	cfg     RouterConfig
+	sources []string // MapSources, then AuthorityAddr
 
 	mu      sync.Mutex
 	clients map[string]Caller
+	cur     *placement.ClusterMap
+	floor   uint64
+	closed  bool
 	// routed holds each daemon's fleet_routed_daemon_<id> handle, so the
 	// per-op count formats no name.
 	routed map[int]*obs.Counter
 }
 
-// NewRouter fetches the initial map from the authority and returns a ready
-// router.
+// errRouterClosed fails every connection request after Close. It is not
+// transient: a closed router has nothing to retry on.
+var errRouterClosed = errors.New("fleet: router closed")
+
+// NewRouter fetches the initial map from the map sources and returns a
+// ready router.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.AuthorityAddr == "" {
 		return nil, fmt.Errorf("fleet: router needs an authority address")
@@ -77,82 +89,157 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		maps:    cfg.Maps,
+		sources: append(append([]string{}, cfg.MapSources...), cfg.AuthorityAddr),
 		clients: map[string]Caller{},
 		routed:  map[int]*obs.Counter{},
 	}
-	if r.maps == nil {
-		sources := append(append([]string{}, cfg.MapSources...), cfg.AuthorityAddr)
-		r.maps = NewMapCache(sources, cfg.DialCaller, cfg.Obs)
-		r.ownsMaps = true
-	}
 	if _, err := r.Refresh(); err != nil {
+		r.Close()
 		return nil, err
-	}
-	if r.maps.Cached() == nil {
-		return nil, fmt.Errorf("fleet: no map source answered")
 	}
 	return r, nil
 }
 
-// Close tears down the cached daemon connections (and the map cache, when
-// the router owns it). The client map is swapped out under the lock and
+// Close tears down the cached connections; afterwards Caller dials
+// nothing and errors. The client map is swapped out under the lock and
 // the connections closed outside it, so a slow teardown cannot stall
 // routers mid-refresh.
 func (r *Router) Close() {
 	r.mu.Lock()
+	r.closed = true
 	clients := r.clients
 	r.clients = map[string]Caller{}
 	r.mu.Unlock()
 	for _, c := range clients {
 		c.Close()
 	}
-	if r.ownsMaps {
-		r.maps.Close()
-	}
 }
 
 // Map returns the router's cached cluster map.
 func (r *Router) Map() *placement.ClusterMap {
-	return r.maps.Cached()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cur
 }
 
-// Maps exposes the router's cluster-map cache — gateways share it across
-// routers and invalidate it on epoch announcements.
-func (r *Router) Maps() *MapCache { return r.maps }
+// current returns the cached map when it satisfies the floor, refreshing
+// otherwise (the stale map comes back with the error when no source
+// answers — routing uses its best knowledge).
+func (r *Router) current() (*placement.ClusterMap, error) {
+	r.mu.Lock()
+	cur, floor := r.cur, r.floor
+	r.mu.Unlock()
+	if cur != nil && cur.Epoch >= floor {
+		return cur, nil
+	}
+	return r.refresh()
+}
 
-// Refresh refetches the map through the cache's sources, keeping the
-// cached one if every fetch is older (maps only move forward).
+// raiseFloor marks the cached map stale until a refresh reaches epoch.
+func (r *Router) raiseFloor(epoch uint64) {
+	r.mu.Lock()
+	r.floor = max(r.floor, epoch)
+	r.mu.Unlock()
+}
+
+// Refresh refetches the map from the sources, keeping the cached one if
+// every fetch is older (maps only move forward). The error is non-nil only
+// when no source answered; the cached (possibly stale) map is returned
+// with it.
 func (r *Router) Refresh() (*placement.ClusterMap, error) {
-	cm, err := r.maps.Refresh()
+	cm, err := r.refresh()
 	if err == nil {
 		r.cfg.Obs.Counter("fleet_router_refreshes").Add(1)
 	}
 	return cm, err
 }
 
-// Caller returns the cached connection to addr, dialing on first use —
-// exported so gateways can reach the authority through the router's
+// refresh is Refresh uncounted: it asks the sources in order and stops at
+// the first map that satisfies the floor.
+func (r *Router) refresh() (*placement.ClusterMap, error) {
+	r.mu.Lock()
+	floor := r.floor
+	r.mu.Unlock()
+	var firstErr error
+	answered := false
+	for i, addr := range r.sources {
+		cm, err := r.fetchMap(addr)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("fleet: map source %s: %w", addr, err)
+			}
+			continue
+		}
+		answered = true
+		r.cfg.Obs.Counter(CtrMapFetches).Add(1)
+		r.mu.Lock()
+		if r.cur == nil || cm.Epoch > r.cur.Epoch {
+			r.cur = cm
+		}
+		r.mu.Unlock()
+		if cm.Epoch >= floor {
+			if i < len(r.sources)-1 {
+				r.cfg.Obs.Counter(CtrMapPeerHits).Add(1)
+			}
+			break
+		}
+	}
+	if answered {
+		return r.Map(), nil
+	}
+	return r.Map(), firstErr
+}
+
+// fetchMap asks one source for its map over the shared connection; a
+// failed call drops the connection, as a failed routed call does.
+func (r *Router) fetchMap(addr string) (*placement.ClusterMap, error) {
+	c, err := r.Caller(addr)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.Call(wire.Request{Op: wire.OpMap})
+	if err != nil {
+		r.invalidate(addr)
+		return nil, err
+	}
+	return placement.DecodeClusterMap(resp.Map)
+}
+
+// Caller returns the cached connection to addr, dialing on first use (the
+// dial runs outside the lock; a lost race closes the extra connection) —
+// exported so gateways can reach any daemon through the router's
 // connection cache.
 func (r *Router) Caller(addr string) (Caller, error) {
 	r.mu.Lock()
-	if c, ok := r.clients[addr]; ok {
-		r.mu.Unlock()
+	c, ok := r.clients[addr]
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		return nil, errRouterClosed
+	}
+	if ok {
 		return c, nil
 	}
-	r.mu.Unlock()
 	c, err := r.cfg.DialCaller(addr)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.clients[addr]; ok {
+	prev, ok := r.clients[addr]
+	closed = r.closed
+	if !ok && !closed {
+		r.clients[addr] = c
+	}
+	r.mu.Unlock()
+	switch {
+	case closed:
+		go c.Close()
+		return nil, errRouterClosed
+	case ok:
 		// Lost the dial race; keep the first connection.
 		go c.Close()
 		return prev, nil
 	}
-	r.clients[addr] = c
 	return c, nil
 }
 
@@ -200,7 +287,7 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 	var lastErr error
 	refetched := false
 	for {
-		cm, _ := r.maps.Get()
+		cm, _ := r.current()
 		if cm == nil {
 			return fmt.Errorf("fleet: no cluster map")
 		}
@@ -232,7 +319,7 @@ func (r *Router) do(trace uint64, fileSet string, fn func(d placement.DaemonInfo
 			// Mark the cache stale up to the rejecting daemon's epoch, then
 			// refetch until the map reaches it; only then is a retry allowed
 			// — exactly one per refetch that advances far enough.
-			r.maps.Invalidate(epoch)
+			r.raiseFloor(epoch)
 			if !r.awaitEpoch(epoch, deadline, backoff) {
 				retrySpan("wrong-owner", d.ID, attempt, err)
 				return fmt.Errorf("fleet: map never reached epoch %d within the route budget: %w", epoch, lastErr)
@@ -323,13 +410,15 @@ func sleepUntil(d time.Duration, deadline time.Time) bool {
 // CallAuthority sends one request to the fleet authority, preferring the
 // daemon the current map advertises (which survives a standby promotion —
 // the promoted authority publishes itself in the map) and falling back to
-// the configured address when the advertised one fails or is absent.
+// the configured address when the advertised one fails or is absent. The
+// answer raises the map floor to the epoch it carries, so routing never
+// again uses a map older than the change the authority just made.
 func (r *Router) CallAuthority(req wire.Request) (wire.Response, error) {
 	var addrs []string
 	if d, ok := r.Map().AuthorityDaemon(); ok {
 		addrs = append(addrs, d.Addr)
 	}
-	if r.cfg.AuthorityAddr != "" && (len(addrs) == 0 || addrs[0] != r.cfg.AuthorityAddr) {
+	if len(addrs) == 0 || addrs[0] != r.cfg.AuthorityAddr {
 		addrs = append(addrs, r.cfg.AuthorityAddr)
 	}
 	var lastErr error
@@ -340,18 +429,13 @@ func (r *Router) CallAuthority(req wire.Request) (wire.Response, error) {
 			continue
 		}
 		resp, err := c.Call(req)
-		if err != nil {
+		if wire.TransientError(err) {
 			lastErr = err
-			if wire.TransientError(err) {
-				r.invalidate(addr)
-				continue
-			}
-			return resp, err
+			r.invalidate(addr)
+			continue
 		}
-		return resp, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("fleet: no authority address")
+		r.raiseFloor(resp.Epoch)
+		return resp, err
 	}
 	return wire.Response{}, lastErr
 }
@@ -360,13 +444,11 @@ func (r *Router) CallAuthority(req wire.Request) (wire.Response, error) {
 // assigned by the authority (ANU placement), then created on their owner.
 func (r *Router) CreateFileSet(fileSet string) error {
 	if _, placed := r.Map().Owner(fileSet); !placed {
-		resp, err := r.CallAuthority(wire.Request{Op: wire.OpAssign, FileSet: fileSet, Daemon: -1})
-		if err != nil {
+		if _, err := r.CallAuthority(wire.Request{Op: wire.OpAssign, FileSet: fileSet, Daemon: -1}); err != nil {
 			return fmt.Errorf("fleet: place %q: %w", fileSet, err)
 		}
-		// The cache must reach the assigning epoch before routing can see
-		// the new owner.
-		r.maps.Invalidate(resp.Epoch)
+		// The answer raised the floor to the assigning epoch: fetch the map
+		// that shows the new owner before routing.
 		if _, err := r.Refresh(); err != nil {
 			return err
 		}

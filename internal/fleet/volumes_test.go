@@ -276,7 +276,7 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	auth.dial = testPeer
 	for _, d := range daemons {
 		mc := MemberConfig{ID: d.id, Cluster: d.clus, Disk: d.disk,
-			DrainTimeout: 2 * time.Second, PollInterval: 20 * time.Millisecond, Dial: testDial}
+			PollInterval: 20 * time.Millisecond}
 		if d.id == 0 {
 			mc.Authority = auth
 		} else {
@@ -286,6 +286,7 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		testSeams(m)
 		d.member = m
 		d.srv.SetFleet(m)
 		m.Start()
@@ -348,10 +349,11 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	promoted.dial = testPeer
 	daemons[1].member.Stop()
 	pm, err := NewMember(MemberConfig{ID: 1, Cluster: daemons[1].clus, Disk: daemons[1].disk,
-		Authority: promoted, DrainTimeout: 2 * time.Second, Dial: testDial}, promoted.Map())
+		Authority: promoted}, promoted.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
+	testSeams(pm)
 	daemons[1].srv.SetFleet(pm)
 	pm.Start()
 	defer pm.Stop()

@@ -20,10 +20,6 @@ const (
 	CtrGwBadFrames = "gw_bad_frames"
 )
 
-// authorityTimeout bounds authority-only forwards (rebalances run many
-// handoffs).
-const authorityTimeout = 2 * time.Minute
-
 // GatewayConfig parameterizes a gateway.
 type GatewayConfig struct {
 	// Authority is the fleet authority daemon's wire address.
@@ -62,7 +58,6 @@ type GatewayConfig struct {
 type Gateway struct {
 	cfg      GatewayConfig
 	router   *fleet.Router
-	auth     *Pool        // authority-only forwards, long deadline
 	requests *obs.Counter // CtrGwRequests, bumped per request
 	inflight atomic.Int64
 	nextSess atomic.Uint64
@@ -138,7 +133,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, err
 	}
 	g.router = router
-	g.auth = NewPool(cfg.Authority, Options{PoolSize: 1, Timeout: authorityTimeout})
 	if cfg.Obs != nil {
 		cfg.Obs.AddGauges(func() []obs.Gauge {
 			return []obs.Gauge{{Name: "gw_inflight_requests", Value: float64(g.inflight.Load())}}
@@ -199,7 +193,6 @@ func (g *Gateway) Close() {
 	for conn := range conns {
 		conn.Close()
 	}
-	g.auth.Close()
 	g.router.Close()
 }
 
@@ -409,15 +402,12 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 	info, _ := wire.Lookup(req.Op)
 	switch info.Class {
 	case wire.ClassAuthority:
-		// Forward verbatim, then mark the map cache stale up to the answered
-		// epoch so every later map read (ours and our peers', via peer
-		// refresh) reaches it.
-		out, err := g.authorityCall(req)
+		// Forward verbatim to the map-advertised authority; the router
+		// raises its map floor to the answered epoch, so every later map
+		// read (ours and our peers', via peer refresh) reaches it.
+		out, err := g.router.CallAuthority(req)
 		if err != nil && out.Err == "" {
 			return fail(err)
-		}
-		if out.Epoch > 0 {
-			g.router.Maps().Invalidate(out.Epoch)
 		}
 		return out
 	case wire.ClassBroadcast:
@@ -486,16 +476,6 @@ func (g *Gateway) anyDaemon(req wire.Request) wire.Response {
 		lastErr = errNoMap
 	}
 	return wire.Fail(wire.Response{}, lastErr)
-}
-
-// authorityCall forwards one raw request to the authority over the
-// dedicated long-deadline pool, retrying once on a transport failure.
-func (g *Gateway) authorityCall(req wire.Request) (wire.Response, error) {
-	out, err := g.auth.Call(req)
-	if err != nil && out.Err == "" {
-		out, err = g.auth.Call(req)
-	}
-	return out, err
 }
 
 type gwError string

@@ -420,7 +420,7 @@ func TestTwoGatewaysRebalanceUnderLoad(t *testing.T) {
 func TestGatewayPeersShareMaps(t *testing.T) {
 	f := startFleet(t, 2)
 	gw1, addr1 := startGateway(t, f)
-	gw2, _ := startGateway(t, f, addr1)
+	gw2, addr2 := startGateway(t, f, addr1)
 
 	c, err := testWireDial(addr1)
 	if err != nil {
@@ -439,12 +439,121 @@ func TestGatewayPeersShareMaps(t *testing.T) {
 	if cm, err := gw1.Router().Refresh(); err != nil || cm.Epoch != want {
 		t.Fatalf("gw1 epoch = %v, %v; want %d", cm, err, want)
 	}
-	gw2.Router().Maps().Invalidate(want)
+	// An authority op through gw2 (a no-op assign) answers with the new
+	// epoch, which raises gw2's map floor to it.
+	c2, err := testWireDial(addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if epoch, err := c2.Assign("vol00", 1); err != nil || epoch != want {
+		t.Fatalf("no-op assign via gw2 = epoch %d, %v; want %d", epoch, err, want)
+	}
 	cm, err := gw2.Router().Refresh()
 	if err != nil || cm.Epoch != want {
 		t.Fatalf("gw2 epoch = %v, %v; want %d", cm, err, want)
 	}
 	if hits := gw2.cfg.Obs.Counter(fleet.CtrMapPeerHits).Load(); hits == 0 {
 		t.Fatal("gw2 refreshed without ever hitting its peer's cache")
+	}
+}
+
+// serveFake answers every request on ln with handle, until the test ends.
+func serveFake(t *testing.T, ln net.Listener, handle func(wire.Request) wire.Response) {
+	t.Helper()
+	var (
+		mu      sync.Mutex
+		conns   []net.Conn
+		serving sync.WaitGroup
+	)
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			serving.Add(1)
+			go func() {
+				defer serving.Done()
+				(&wire.FrameServer{Handle: handle}).Serve(conn, wire.MaxFramePayload)
+				conn.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		serving.Wait()
+	})
+}
+
+// TestGatewayAuthorityOpsFollowTheMap: after a standby promotion the map
+// advertises the promoted authority, and the gateway's authority forwards
+// go there — not to the address the gateway was started with.
+func TestGatewayAuthorityOpsFollowTheMap(t *testing.T) {
+	configured, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		configured.Close()
+		t.Fatal(err)
+	}
+	cm := &placement.ClusterMap{
+		Epoch: 5,
+		Daemons: []placement.DaemonInfo{
+			{ID: 0, Addr: configured.Addr().String(), Speed: 1},
+			{ID: 1, Addr: promoted.Addr().String(), Speed: 1},
+		},
+		Authority: 1,
+	}
+	encoded, err := cm.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	volumeOps := map[string]int{}
+	handler := func(name string) func(wire.Request) wire.Response {
+		return func(req wire.Request) wire.Response {
+			resp := wire.Response{ID: req.ID, Epoch: 5}
+			switch req.Op {
+			case wire.OpMap:
+				resp.Map = encoded
+			case wire.OpVolumeCreate:
+				mu.Lock()
+				volumeOps[name]++
+				mu.Unlock()
+				resp.Epoch = 6
+			}
+			return resp
+		}
+	}
+	serveFake(t, configured, handler("configured"))
+	serveFake(t, promoted, handler("promoted"))
+
+	gw, err := NewGateway(GatewayConfig{Authority: configured.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	resp := gw.serve(wire.Request{Op: wire.OpVolumeCreate, Volume: "acme"})
+	if resp.Err != "" || resp.Epoch != 6 {
+		t.Fatalf("volume create via the gateway = epoch %d, %q", resp.Epoch, resp.Err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if volumeOps["promoted"] != 1 || volumeOps["configured"] != 0 {
+		t.Fatalf("volume creates reached %v, want only the map-advertised authority", volumeOps)
 	}
 }

@@ -76,9 +76,7 @@ func startFleet(t testing.TB, n int) *testFleet {
 			ID:           d.id,
 			Cluster:      d.clus,
 			Disk:         d.disk,
-			DrainTimeout: 2 * time.Second,
 			PollInterval: 20 * time.Millisecond,
-			Dial:         testWireDial,
 		}
 		if d.id == 0 {
 			mc.Authority = auth

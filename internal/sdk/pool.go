@@ -70,9 +70,14 @@ func NewPool(addr string, opts Options) *Pool {
 	}
 	if opts.Obs != nil {
 		// Per-daemon pool health on /metrics: how many connections are up
-		// and how deep the pipelines run, labeled by target address.
+		// and how deep the pipelines run, labeled by target address. A
+		// closed pool reports nothing, so the pool that replaced it is the
+		// only series for its address.
 		lbl := fmt.Sprintf("daemon=%q", addr)
 		opts.Obs.AddGauges(func() []obs.Gauge {
+			if p.isClosed() {
+				return nil
+			}
 			return []obs.Gauge{
 				{Name: "sdk_pool_live", Labels: lbl, Value: float64(p.Live())},
 				{Name: "sdk_pool_inflight", Labels: lbl, Value: float64(p.InFlight())},
@@ -301,6 +306,13 @@ func (p *Pool) healthLoop() {
 			}
 		}
 	}
+}
+
+// isClosed reports whether Close has run.
+func (p *Pool) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
 }
 
 // Close tears the pool down; further calls fail. Idempotent.

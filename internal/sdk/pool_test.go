@@ -1,9 +1,12 @@
 package sdk
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"anufs/internal/obs"
 	"anufs/internal/wire"
 )
 
@@ -106,6 +109,25 @@ func TestPoolClosedErrors(t *testing.T) {
 	p.Close() // idempotent
 	if err := p.Ping(); err == nil {
 		t.Fatal("call on a closed pool succeeded")
+	}
+}
+
+// TestClosedPoolReportsNoGauges: a closed pool's gauges leave /metrics, so
+// the pool that replaces it is the only series for its address.
+func TestClosedPoolReportsNoGauges(t *testing.T) {
+	reg := obs.New()
+	p := NewPool("127.0.0.1:1", Options{PoolSize: 1, HealthInterval: -1, Obs: reg})
+	series := `anufs_sdk_pool_live{daemon="127.0.0.1:1"}`
+	var before bytes.Buffer
+	reg.WriteMetrics(&before)
+	if !strings.Contains(before.String(), series) {
+		t.Fatalf("open pool exports no %s line:\n%s", series, before.String())
+	}
+	p.Close()
+	var after bytes.Buffer
+	reg.WriteMetrics(&after)
+	if strings.Contains(after.String(), series) {
+		t.Fatalf("closed pool still exports %s:\n%s", series, after.String())
 	}
 }
 

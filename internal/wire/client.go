@@ -58,8 +58,14 @@ const maxKeptEncodeBuf = 4 << 20
 // every caller forever.
 const DefaultCallTimeout = 5 * time.Second
 
+// authorityCallTimeout is the least a ClassAuthority call waits under any
+// deadline: an assign, rebalance or volume change runs its handoffs before
+// the authority answers.
+const authorityCallTimeout = 2 * time.Minute
+
 // SetTimeout overrides the per-call response deadline: 0 restores
 // DefaultCallTimeout, a negative duration disables the deadline entirely.
+// ClassAuthority calls still wait at least authorityCallTimeout.
 // Safe to call concurrently with in-flight calls; it applies to calls
 // started after it.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
@@ -206,6 +212,9 @@ func (c *Client) call(req Request) (Response, error) {
 	d := time.Duration(c.timeout.Load())
 	if d == 0 {
 		d = DefaultCallTimeout
+	}
+	if d > 0 && d < authorityCallTimeout && opsByName[req.Op].Class == ClassAuthority {
+		d = authorityCallTimeout
 	}
 	var timeout <-chan time.Time
 	if d > 0 {
@@ -565,12 +574,12 @@ func (c *Client) Leave(id int) (uint64, error) {
 // as the member's epoch probe (the reply carries the authority's current
 // epoch). It changes no membership record: when the authority's map does
 // not list daemon id with this journalDir, the reply is a join-first error
-// (CodeJoinFirst), and the member's join — carrying addr, speed and
+// (CodeJoinFirst), and the member's join — carrying its address, speed and
 // journalDir — is what records them. That is how a roster-started daemon's
 // journal dir reaches the map, which makes its journal replayable on
 // failover.
-func (c *Client) Heartbeat(id int, addr string, speed float64, journalDir string) (uint64, error) {
-	resp, err := c.call(Request{Op: OpHeartbeat, Daemon: id, Addr: addr, Speed: speed, JournalDir: journalDir})
+func (c *Client) Heartbeat(id int, journalDir string) (uint64, error) {
+	resp, err := c.call(Request{Op: OpHeartbeat, Daemon: id, JournalDir: journalDir})
 	return resp.Epoch, err
 }
 

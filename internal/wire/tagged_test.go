@@ -241,7 +241,7 @@ func TestControlPlaneCallsCompleteOutOfOrder(t *testing.T) {
 	go func() { slow <- c.Adopt(7, "fs00", nil, nil) }()
 	<-gate.arrived
 	<-gate.arrived
-	if epoch, err := c.Heartbeat(1, "127.0.0.1:1", 1, ""); err != nil || epoch != 7 {
+	if epoch, err := c.Heartbeat(1, ""); err != nil || epoch != 7 {
 		t.Fatalf("heartbeat behind two blocked calls = epoch %d, %v", epoch, err)
 	}
 	if n := c.InFlight(); n != 2 {

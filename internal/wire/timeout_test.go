@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -179,5 +180,61 @@ func TestMalformedResponseFailsItsCallAtOnce(t *testing.T) {
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after a malformed response: %v", err)
+	}
+}
+
+// TestAuthorityCallOutwaitsTheConnectionDeadline: a ClassAuthority call
+// waits at least authorityCallTimeout under a shorter connection deadline
+// (an assign runs handoffs before it answers), while any other call on the
+// same connection still times out at the connection's own deadline.
+func TestAuthorityCallOutwaitsTheConnectionDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	arrived, release := make(chan struct{}, 2), make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fs := &FrameServer{Handle: func(req Request) Response {
+			arrived <- struct{}{}
+			<-release // every call is held until the test lets go
+			return Response{Epoch: 7}
+		}}
+		fs.Serve(conn, MaxFramePayload)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTimeout(50 * time.Millisecond)
+	var once sync.Once
+	letGo := func() { once.Do(func() { close(release) }) }
+	defer func() {
+		letGo()
+		c.Close()
+		<-served
+	}()
+
+	assigned := make(chan error, 1)
+	go func() {
+		_, err := c.Assign("vol00", 1)
+		assigned <- err
+	}()
+	<-arrived
+	// Sent after the assign, so its deadline passes after the assign's
+	// would under the connection's own.
+	if _, err := c.Stat("vol00", "/a"); !errors.Is(err, ErrTimedOut) {
+		t.Fatalf("stat under a 50ms deadline = %v, want a timeout", err)
+	}
+	letGo()
+	if err := <-assigned; err != nil {
+		t.Fatalf("assign under a 50ms connection deadline = %v, want its answer", err)
 	}
 }

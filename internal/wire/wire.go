@@ -204,8 +204,8 @@ type Request struct {
 	Daemon int    `json:"daemon,omitempty"`
 	Map    []byte `json:"map,omitempty"`
 	// Membership fields. Speed is the joining daemon's relative speed
-	// (OpJoin/OpHeartbeat); JournalDir is its journal directory on the
-	// shared disk — what a surviving daemon replays when this daemon dies
+	// (OpJoin); JournalDir is its journal directory on the shared disk —
+	// what a surviving daemon replays when this daemon dies
 	// (OpJoin/OpHeartbeat report it, OpTakeover carries the victim's).
 	// FileSets lists the file sets one OpTakeover moves to the recipient.
 	Speed      float64  `json:"speed,omitempty"`
