@@ -70,12 +70,12 @@ func (s *fakeMapSource) stats() (calls, closed int) {
 // fakeRouter builds a router whose authority is "auth" and whose peer map
 // sources are peers, over the in-memory sources; dials counts the dials
 // per address.
-func fakeRouter(t *testing.T, srcs map[string]*fakeMapSource, peers ...string) (r *Router, reg *obs.Registry, dials map[string]int, err error) {
+func fakeRouter(t *testing.T, srcs map[string]*fakeMapSource, peers ...string) (*Router, *obs.Registry, map[string]int) {
 	t.Helper()
-	reg = obs.New()
-	dials = map[string]int{}
+	reg := obs.New()
+	dials := map[string]int{}
 	var mu sync.Mutex
-	r, err = NewRouter(RouterConfig{
+	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: "auth",
 		MapSources:    peers,
 		Obs:           reg,
@@ -90,10 +90,11 @@ func fakeRouter(t *testing.T, srcs map[string]*fakeMapSource, peers ...string) (
 			return s, nil
 		},
 	})
-	if err == nil {
-		t.Cleanup(r.Close)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return r, reg, dials, err
+	t.Cleanup(r.Close)
+	return r, reg, dials
 }
 
 // A peer that satisfies the floor spares the authority entirely — that is
@@ -101,10 +102,7 @@ func fakeRouter(t *testing.T, srcs map[string]*fakeMapSource, peers ...string) (
 func TestRouterPeerSparesAuthority(t *testing.T) {
 	peer := &fakeMapSource{epoch: 5}
 	auth := &fakeMapSource{epoch: 5}
-	r, reg, _, err := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, reg, _ := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
 	if cm := r.Map(); cm.Epoch != 5 {
 		t.Fatalf("epoch %d, want 5", cm.Epoch)
 	}
@@ -132,10 +130,7 @@ func TestRouterPeerSparesAuthority(t *testing.T) {
 func TestRouterRaisedFloorFallsThroughStalePeer(t *testing.T) {
 	peer := &fakeMapSource{epoch: 5}
 	auth := &fakeMapSource{epoch: 9}
-	r, _, _, err := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, _ := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
 	if cm := r.Map(); cm.Epoch != 5 {
 		t.Fatalf("initial epoch %d, want 5", cm.Epoch)
 	}
@@ -165,10 +160,7 @@ func TestRouterRaisedFloorFallsThroughStalePeer(t *testing.T) {
 func TestRouterSkipsDownSource(t *testing.T) {
 	peer := &fakeMapSource{down: true}
 	auth := &fakeMapSource{epoch: 2}
-	r, _, dials, err := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, dials := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
 	if cm := r.Map(); cm.Epoch != 2 {
 		t.Fatalf("epoch %d, want 2", cm.Epoch)
 	}
@@ -197,10 +189,7 @@ func TestRouterSkipsDownSource(t *testing.T) {
 func TestRouterAllSourcesDown(t *testing.T) {
 	peer := &fakeMapSource{epoch: 5}
 	auth := &fakeMapSource{epoch: 5}
-	r, _, _, err := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, _ := fakeRouter(t, map[string]*fakeMapSource{"peer": peer, "auth": auth}, "peer")
 	peer.set(5, true)
 	auth.set(5, true)
 	r.raiseFloor(6)
@@ -221,10 +210,7 @@ func TestRouterAllSourcesDown(t *testing.T) {
 // authority also owns file sets dials it once, not once per role.
 func TestRouterDialsEachAddressOnce(t *testing.T) {
 	auth := &fakeMapSource{addr: "auth", epoch: 1}
-	r, _, dials, err := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, dials := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
 	if _, err := r.Forward(wire.Request{Op: wire.OpStat, FileSet: "fs00", Path: "/a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +229,7 @@ func TestRouterDialsEachAddressOnce(t *testing.T) {
 // routed read refetches until the map reaches it.
 func TestRouterCallAuthorityRaisesFloor(t *testing.T) {
 	auth := &fakeMapSource{epoch: 1}
-	r, _, _, err := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, _ := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
 	auth.set(4, false)
 	if _, err := r.CallAuthority(wire.Request{Op: wire.OpAssign, FileSet: "fs00", Daemon: -1}); err != nil {
 		t.Fatal(err)
@@ -308,10 +291,7 @@ func TestRouterCloseNotBlockedByForwardInFlight(t *testing.T) {
 // afterwards the router dials nothing — a refresh or a Caller errors.
 func TestRouterCloseIsFinal(t *testing.T) {
 	auth := &fakeMapSource{epoch: 1}
-	r, _, dials, err := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, dials := fakeRouter(t, map[string]*fakeMapSource{"auth": auth})
 	r.Close()
 	if _, closed := auth.stats(); closed != 1 {
 		t.Fatal("close did not tear down the cached connection")
