@@ -20,6 +20,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResponseDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzTaggedFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterMap -fuzztime 10s ./internal/placement/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeAuthorityImage -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
 

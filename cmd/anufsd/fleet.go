@@ -10,7 +10,6 @@ import (
 	"anufs/internal/fleet"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
-	"anufs/internal/volume"
 	"anufs/internal/wire"
 )
 
@@ -32,21 +31,15 @@ type fleetState struct {
 }
 
 // fleetOptions carries the dynamic-membership knobs from main into
-// setupFleet.
+// setupFleet. disk is the daemon's journaled disk, where a hosted
+// authority keeps its state (nil when the daemon runs volatile).
 type fleetOptions struct {
 	advertise  string
 	speed      float64
 	lease      time.Duration
 	journalDir string
 	standby    string
-	persist    func(*placement.ClusterMap) error
-	// persistVolumes journals the volume registry (the __volumes/registry
-	// image) the way persist journals the map; resumeVols/resumeVolsVer
-	// seed the registry from a recovered image, so quotas survive both an
-	// authority restart and a standby promotion.
-	persistVolumes func(vols []volume.Info, version uint64) error
-	resumeVols     []volume.Info
-	resumeVolsVer  uint64
+	disk       sharedisk.Disk
 }
 
 // assigned lists the file sets the initial map gives this daemon.
@@ -83,26 +76,11 @@ func setupFleet(id int, roster, join string, nFileSets int, opts fleetOptions) (
 		for i := 0; i < nFileSets; i++ {
 			names = append(names, fmt.Sprintf("vol%02d", i))
 		}
-		auth, err := fleet.NewAuthority(fleet.AuthorityConfig{
-			Daemons:              daemons,
-			FileSets:             names,
-			SelfID:               id,
-			Lease:                opts.lease,
-			Persist:              opts.persist,
-			PersistVolumes:       opts.persistVolumes,
-			ResumeVolumes:        opts.resumeVols,
-			ResumeVolumesVersion: opts.resumeVolsVer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &fleetState{
-			id:         id,
-			auth:       auth,
-			speed:      opts.speed,
-			journalDir: opts.journalDir,
-			initial:    auth.Map(),
-		}, nil
+		return hostAuthority(fleet.AuthorityConfig{
+			Daemons:  daemons,
+			FileSets: names,
+			SelfID:   id,
+		}, opts)
 	}
 	cm, err := joinFleet(join, id, opts, 30*time.Second)
 	if err != nil {
@@ -140,60 +118,25 @@ func setupFleet(id int, roster, join string, nFileSets int, opts fleetOptions) (
 	}, nil
 }
 
-// ownAuthorityMap returns the cluster-map image on the recovered disk when
-// it decodes and names daemon id as its authority: id hosted the authority
-// on this journal before.
-func ownAuthorityMap(disk sharedisk.Disk, id int) (sharedisk.Image, bool) {
-	im, err := disk.Load(fleet.MapFileSet)
-	if err != nil {
-		return sharedisk.Image{}, false
-	}
-	cm, err := fleet.DecodeMapImage(im)
-	return im, err == nil && id >= 0 && cm.Authority == id
-}
-
-// resumeFleet rebuilds the fleet authority from a journaled map image — one
-// a promoted standby replayed out of the shipped journal, or the
-// authority's own after a restart on the same journal directory: this
-// process takes the map's authority daemon ID (its file sets are warm in
-// the same store), advertises its own address in the map, and resumes
-// issuing epochs from a floor safely above anything published before.
-func resumeFleet(im sharedisk.Image, advertise string, opts fleetOptions) (*fleetState, error) {
-	cm, err := fleet.DecodeMapImage(im)
+// hostAuthority builds the authority this daemon hosts on its journaled
+// disk — resuming the state journaled there, if any — and the fleet state
+// around it. The daemon takes the ID the authority runs as: a promoted
+// standby becomes the daemon whose journal it replayed.
+func hostAuthority(cfg fleet.AuthorityConfig, opts fleetOptions) (*fleetState, error) {
+	cfg.Lease = opts.lease
+	cfg.Disk = opts.disk
+	cfg.Addr = opts.advertise
+	auth, err := fleet.NewAuthority(cfg)
 	if err != nil {
 		return nil, err
 	}
-	self := cm.Authority
-	patched := *cm
-	patched.Daemons = append([]placement.DaemonInfo(nil), cm.Daemons...)
-	found := false
-	for i := range patched.Daemons {
-		if patched.Daemons[i].ID == self {
-			patched.Daemons[i].Addr = advertise
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("fleet resume: map (epoch %d) does not contain its authority daemon %d", cm.Epoch, self)
-	}
-	auth, err := fleet.NewAuthority(fleet.AuthorityConfig{
-		Resume:               &patched,
-		SelfID:               self,
-		Lease:                opts.lease,
-		Persist:              opts.persist,
-		PersistVolumes:       opts.persistVolumes,
-		ResumeVolumes:        opts.resumeVols,
-		ResumeVolumesVersion: opts.resumeVolsVer,
-	})
-	if err != nil {
-		return nil, err
-	}
+	cm := auth.Map()
 	return &fleetState{
-		id:         self,
+		id:         cm.Authority,
 		auth:       auth,
 		speed:      opts.speed,
 		journalDir: opts.journalDir,
-		initial:    auth.Map(),
+		initial:    cm,
 	}, nil
 }
 

@@ -61,10 +61,8 @@ import (
 	"anufs/internal/journal"
 	"anufs/internal/live"
 	"anufs/internal/obs"
-	"anufs/internal/placement"
 	"anufs/internal/replica"
 	"anufs/internal/sharedisk"
-	"anufs/internal/volume"
 	"anufs/internal/wire"
 )
 
@@ -205,91 +203,48 @@ func main() {
 	reg.AddStatus("daemon", func() any { return map[string]string{"role": role} })
 
 	// Fleet mode changes which file sets this daemon pre-creates: only the
-	// ones the cluster map assigns to it. When the daemon journals, the
-	// authority persists every committed map through the durable disk —
-	// journaled, snapshotted, and log-shipped to a standby authority on the
-	// same machinery as file-set metadata.
-	var persistMap func(*placement.ClusterMap) error
-	var persistVols func([]volume.Info, uint64) error
-	if jnl != nil {
-		if inst, ok := disk.(sharedisk.Installer); ok {
-			persistMap = func(cm *placement.ClusterMap) error {
-				im, err := fleet.EncodeMapImage(cm)
-				if err != nil {
-					return err
-				}
-				return inst.Install(fleet.MapFileSet, im)
-			}
-			// The volume registry replicates the same way: journaled as the
-			// __volumes/registry pseudo file set, shipped to the standby.
-			persistVols = func(vols []volume.Info, version uint64) error {
-				im, err := volume.EncodeImage(vols, version)
-				if err != nil {
-					return err
-				}
-				return inst.Install(volume.VolumesFileSet, im)
-			}
-		}
-	}
-	// A recovered store (authority restart, or a standby about to promote)
-	// may hold a replicated registry image: resume it so tenant quotas and
-	// weights never reset to defaults across a failover.
-	var resumeVols []volume.Info
-	var resumeVolsVer uint64
-	if im, err := disk.Load(volume.VolumesFileSet); err == nil {
-		if vols, ver, derr := volume.DecodeImage(im); derr == nil {
-			resumeVols, resumeVolsVer = vols, ver
-		} else {
-			log.Printf("anufsd: ignoring corrupt %s image: %v", volume.VolumesFileSet, derr)
-		}
-	}
+	// ones the cluster map assigns to it. When the daemon journals, a hosted
+	// authority keeps its state on the durable disk — journaled,
+	// snapshotted, and log-shipped to a standby authority on the same
+	// machinery as file-set metadata — and resumes from it on restart.
 	advertise := *fleetAdvertise
 	if advertise == "" {
 		advertise = defaultAdvertise(*listen)
 	}
 	fopts := fleetOptions{
-		advertise:      advertise,
-		speed:          *fleetSpeed,
-		lease:          *fleetLease,
-		journalDir:     *journalDir,
-		standby:        *fleetStandby,
-		persist:        persistMap,
-		persistVolumes: persistVols,
-		resumeVols:     resumeVols,
-		resumeVolsVer:  resumeVolsVer,
+		advertise:  advertise,
+		speed:      *fleetSpeed,
+		lease:      *fleetLease,
+		journalDir: *journalDir,
+		standby:    *fleetStandby,
 	}
-	var fl *fleetState
-	if im, ok := ownAuthorityMap(disk, *fleetID); ok && *fleetAuthority != "" {
-		// The authority restarted on its own journal: it resumes the map it
-		// persisted, above every epoch it ever published, instead of
-		// building a fresh one from the roster at the initial epoch.
-		fl, err = resumeFleet(im, advertise, fopts)
-		if err == nil {
-			log.Printf("anufsd: resuming fleet authority as daemon %d from the journaled map, at epoch %d",
-				fl.id, fl.initial.Epoch)
-		}
-	} else {
-		fl, err = setupFleet(*fleetID, *fleetAuthority, *fleetJoin, *fileSets, fopts)
+	if jnl != nil {
+		fopts.disk = disk
 	}
+	// A recovered store (authority restart, or a standby about to promote)
+	// holding the authority's image is where a hosted authority resumes.
+	_, err = disk.Load(fleet.MapFileSet)
+	journaled := err == nil
+	fl, err := setupFleet(*fleetID, *fleetAuthority, *fleetJoin, *fileSets, fopts)
 	if err != nil {
 		log.Fatalf("anufsd: %v", err)
 	}
 	if fl != nil && *standby {
 		log.Fatalf("anufsd: -fleet and -standby are mutually exclusive")
 	}
-	if fl == nil && *standby {
-		// A promoted standby whose shipped journal carried a cluster map was
-		// the authority's standby: resume the authority role here, taking
-		// over the dead primary's daemon ID (its file sets are warm in this
-		// very store).
-		if im, err := disk.Load(fleet.MapFileSet); err == nil {
-			fl, err = resumeFleet(im, advertise, fopts)
-			if err != nil {
-				log.Fatalf("anufsd: fleet resume: %v", err)
-			}
-			log.Printf("anufsd: resuming fleet authority as daemon %d at map epoch %d",
-				fl.id, fl.initial.Epoch)
+	if journaled && fl == nil && *standby {
+		// A promoted standby whose shipped journal carried the authority's
+		// image was the authority's standby: resume the authority role here,
+		// taking over the dead primary's daemon ID (its file sets are warm in
+		// this very store).
+		fl, err = hostAuthority(fleet.AuthorityConfig{}, fopts)
+		if err != nil {
+			log.Fatalf("anufsd: fleet resume: %v", err)
 		}
+	}
+	if journaled && fl != nil && fl.auth != nil {
+		log.Printf("anufsd: resuming fleet authority as daemon %d from the journaled map, at map epoch %d",
+			fl.id, fl.initial.Epoch)
 	}
 
 	names := make([]string, 0, *fileSets)

@@ -13,9 +13,10 @@
 // OpLeave), renew liveness leases with OpHeartbeat, and a daemon whose
 // lease lapses is failed over — the authority moves its file sets to new
 // owners that replay the victim's journal tail from shared disk before
-// serving (OpTakeover), so acknowledged writes survive kill -9. The map
-// itself can be journaled (AuthorityConfig.Persist) and log-shipped to a
-// standby authority that resumes it after promotion (AuthorityConfig.Resume).
+// serving (OpTakeover), so acknowledged writes survive kill -9. The
+// authority journals its map and volume registry as one image per commit
+// (AuthorityConfig.Disk); NewAuthority resumes from it after a restart, or
+// on a promoted standby the journal was log-shipped to.
 package fleet
 
 import (
@@ -34,6 +35,7 @@ import (
 	"anufs/internal/election"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
+	"anufs/internal/sharedisk"
 	"anufs/internal/volume"
 	"anufs/internal/wire"
 )
@@ -71,45 +73,34 @@ const PromotionEpochJump = 1000
 type AuthorityConfig struct {
 	// Daemons seeds the fleet: every anufsd process known at startup, with
 	// address and relative speed (> 0). Daemons added later join over the
-	// wire (OpJoin); ignored when Resume is set.
+	// wire (OpJoin). Ignored when the authority resumes from Disk, except
+	// that a resumed map must then name SelfID as its authority.
 	Daemons []placement.DaemonInfo
 	// FileSets seeds the initial assignment, placed by ANU over the daemon
-	// IDs with speed-proportional shares. Ignored when Resume is set.
+	// IDs with speed-proportional shares. Ignored on resume.
 	FileSets []string
 	// SelfID is the ID of the daemon hosting this authority — published in
 	// the map's Authority field so members and routers can find the
 	// authority after a standby promotion. Defaults to 0, the historical
-	// convention.
+	// convention. An authority resumed with no Daemons takes the ID the
+	// journaled map names instead: a promoted standby becomes the daemon it
+	// stood by for.
 	SelfID int
 	// Lease enables heartbeat failure detection when > 0: a daemon that
 	// does not heartbeat within one lease (after a startup grace of four
 	// leases) is declared dead and failed over. Zero disables the detector —
 	// membership changes only through explicit join/leave.
 	Lease time.Duration
-	// Persist, when non-nil, is called with every committed map before it
-	// becomes current — the replication hook (anufsd journals the map as a
-	// pseudo file set, which the existing log shipper then carries to the
-	// standby). Persist failures are counted, not fatal: replication
-	// degrades, serving does not.
-	Persist func(cm *placement.ClusterMap) error
-	// PersistVolumes is Persist's analogue for the volume registry: called
-	// with every mutated registry snapshot (anufsd journals it as the
-	// __volumes/registry pseudo file set, which log shipping carries to the
-	// standby). Failures are counted, not fatal.
-	PersistVolumes func(vols []volume.Info, version uint64) error
-	// Resume, when non-nil, seeds membership and assignment from a
-	// previously persisted map instead of Daemons/FileSets — the promoted
-	// standby's (or restarted authority's) path back to authority. Its
-	// first epoch lands PromotionEpochJump above the resumed one, and Start
-	// publishes that map once, which is how surviving daemons learn where
-	// the authority lives now.
-	Resume *placement.ClusterMap
-	// ResumeVolumes seeds the volume registry from a previously persisted
-	// snapshot (the __volumes/registry image a standby replicated), so
-	// quotas and weights survive authority failover. Empty starts fresh
-	// with only the default volume.
-	ResumeVolumes        []volume.Info
-	ResumeVolumesVersion uint64
+	// Disk (a sharedisk.Installer; nil persists nothing) gets one
+	// MapFileSet image of map and registry per commit; a failed install is
+	// counted, not fatal. When Disk holds that image already, NewAuthority
+	// resumes from it: its first epoch lands PromotionEpochJump above the
+	// journaled one, and Start publishes that map once, which is how
+	// surviving daemons learn where the authority lives now.
+	Disk sharedisk.Disk
+	// Addr is the hosting daemon's wire address, written into a resumed map
+	// as the authority daemon's address. Empty keeps the journaled one.
+	Addr string
 }
 
 // peer is what a reconfiguration asks of one daemon connection. A
@@ -167,6 +158,11 @@ type Authority struct {
 	// map from inside the RPC the authority is waiting on.
 	cur atomic.Pointer[placement.ClusterMap]
 
+	// installer is cfg.Disk, which every commit installs through; resumed
+	// tells Start to announce a map NewAuthority resumed.
+	installer sharedisk.Installer
+	resumed   bool
+
 	// obs is the hosting daemon's registry: NewMember sets it when handed
 	// this authority, before either is started. Nil counts nowhere.
 	obs *obs.Registry
@@ -195,9 +191,11 @@ type Authority struct {
 	done      chan struct{}
 }
 
-// NewAuthority builds the authority and its initial map. No daemons are
-// contacted; the initial assignment is what the daemons themselves fetch
-// (or compute locally, for the authority daemon) at startup.
+// NewAuthority builds the authority and its initial map — resumed from the
+// image on cfg.Disk when there is one, seeded from cfg.Daemons and
+// cfg.FileSets otherwise. No daemons are contacted; the initial assignment
+// is what the daemons themselves fetch (or compute locally, for the
+// authority daemon) at startup.
 func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	a := &Authority{
 		cfg:            cfg,
@@ -210,11 +208,21 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
-	seed := cfg.Resume
-	if seed == nil {
-		seed = &placement.ClusterMap{Daemons: cfg.Daemons}
-	} else {
-		a.issued = seed.Epoch + PromotionEpochJump
+	seed := &placement.ClusterMap{Daemons: cfg.Daemons}
+	if cfg.Disk != nil {
+		inst, ok := cfg.Disk.(sharedisk.Installer)
+		if !ok {
+			return nil, fmt.Errorf("fleet: authority disk %T cannot install images", cfg.Disk)
+		}
+		a.installer = inst
+		resumed, err := a.resume()
+		if err != nil {
+			return nil, err
+		}
+		if resumed != nil {
+			seed, a.resumed = resumed, true
+			a.issued = seed.Epoch + PromotionEpochJump
+		}
 	}
 	// Validate refuses an empty fleet, duplicate IDs, missing addresses and
 	// speeds that are not > 0 (NaN included) before ANU sees any of them.
@@ -232,13 +240,10 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	if err := a.rescaleLocked(cm.Daemons); err != nil {
 		return nil, err
 	}
-	if cfg.Resume == nil {
+	if !a.resumed {
 		for _, fs := range cfg.FileSets {
 			cm.Assign[fs] = a.anu.Owner(fs)
 		}
-	}
-	if len(cfg.ResumeVolumes) > 0 {
-		a.vols.Install(cfg.ResumeVolumes, cfg.ResumeVolumesVersion)
 	}
 	if cfg.Lease > 0 {
 		a.elector = election.New(cfg.Lease, nil)
@@ -247,11 +252,39 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	return a, nil
 }
 
+// resume installs the registry of the image on cfg.Disk, if any, and
+// returns its map with cfg.Addr as the authority daemon's address. With a
+// roster, a map naming another authority is refused: resuming it would
+// publish under another daemon's identity, and seeding afresh would reuse
+// epochs every member already holds.
+func (a *Authority) resume() (*placement.ClusterMap, error) {
+	im, err := a.cfg.Disk.Load(MapFileSet)
+	if err != nil {
+		return nil, nil // the only Load error is an unknown file set: no image yet
+	}
+	cm, vols, version, err := decodeMapImage(im)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: resume: %w", err)
+	}
+	if len(a.cfg.Daemons) > 0 && cm.Authority != a.cfg.SelfID {
+		return nil, fmt.Errorf("fleet: resume: the journaled map (epoch %d) names daemon %d as its authority, not daemon %d",
+			cm.Epoch, cm.Authority, a.cfg.SelfID)
+	}
+	a.cfg.SelfID = cm.Authority
+	a.vols.Install(vols, version)
+	for i, d := range cm.Daemons {
+		if d.ID == cm.Authority && a.cfg.Addr != "" {
+			cm.Daemons[i].Addr = a.cfg.Addr
+		}
+	}
+	return cm, nil
+}
+
 // Start launches the heartbeat failure detector (when Lease > 0) and, on
 // a resumed authority, the announce publish. Idempotent.
 func (a *Authority) Start() {
 	a.startOnce.Do(func() {
-		if a.cfg.Resume != nil {
+		if a.resumed {
 			go a.publish(a.Map())
 		}
 		if a.elector == nil {
@@ -368,13 +401,18 @@ func without(daemons []placement.DaemonInfo, id int) []placement.DaemonInfo {
 	return slices.DeleteFunc(slices.Clone(daemons), func(d placement.DaemonInfo) bool { return d.ID == id })
 }
 
-// commitLocked makes cm the current map, persisting it first when a
-// Persist hook is set (the replication path). A persist failure is counted
-// and the commit proceeds: the fleet must keep reconfiguring even when the
-// map journal is sick.
+// commitLocked makes cm the current map, first installing it with the
+// registry as the authority's image when there is a disk. A failed install
+// is counted and the commit proceeds: the fleet must keep reconfiguring
+// even when the journal is sick.
 func (a *Authority) commitLocked(cm *placement.ClusterMap) {
-	if a.cfg.Persist != nil {
-		if err := a.cfg.Persist(cm); err != nil {
+	if a.installer != nil {
+		vols, version := a.vols.List()
+		im, err := encodeMapImage(cm, vols, version)
+		if err == nil {
+			err = a.installer.Install(MapFileSet, im)
+		}
+		if err != nil {
 			a.obs.Counter(CtrPersistFailures).Add(1)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 
 	"anufs/internal/obs"
 	"anufs/internal/placement"
+	"anufs/internal/sharedisk"
+	"anufs/internal/volume"
 	"anufs/internal/wire"
 )
 
@@ -70,11 +72,28 @@ func (p *fakePeer) Takeover(epoch uint64, fileSets []string, journalDir string, 
 func (p *fakePeer) Call(wire.Request) (wire.Response, error) { return wire.Response{}, nil }
 func (p *fakePeer) Close() error                             { return nil }
 
-// fakeAuthority resumes start as daemon 0's authority, reaching every
-// daemon through net and counting into a registry of its own.
+// journaled returns a disk holding cm, with a fresh registry, as the image
+// an earlier authority committed — what NewAuthority resumes from.
+func journaled(t testing.TB, cm *placement.ClusterMap) *sharedisk.Store {
+	t.Helper()
+	vols, version := volume.NewRegistry().List()
+	im, err := encodeMapImage(cm, vols, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := sharedisk.NewStore(0)
+	if err := disk.Install(MapFileSet, im); err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+// fakeAuthority resumes start as its authority daemon's authority,
+// reaching every daemon through net and counting into a registry of its
+// own.
 func fakeAuthority(t *testing.T, net *fakeNet, start *placement.ClusterMap) *Authority {
 	t.Helper()
-	a, err := NewAuthority(AuthorityConfig{Resume: start})
+	a, err := NewAuthority(AuthorityConfig{Disk: journaled(t, start)})
 	if err != nil {
 		t.Fatal(err)
 	}

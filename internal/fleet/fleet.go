@@ -37,11 +37,11 @@ const (
 	CtrTakeoverEmpty     = "fleet_takeover_empty" // member: adopted with nothing to replay
 	CtrRejoins           = "fleet_rejoins"        // member: heartbeat-triggered re-joins
 	// Multi-tenant volume counters: quota denials (authority MaxFileSets +
-	// member op-rate), registry persist failures (authority), registry
-	// refreshes installed from pushes/polls (member).
-	CtrQuotaDenials          = "fleet_quota_denials"
-	CtrVolumePersistFailures = "fleet_volume_persist_failures"
-	CtrVolumeRefreshes       = "fleet_volume_refreshes"
+	// member op-rate), registry refreshes installed from pushes/polls
+	// (member). A failed registry persist is a fleet_persist_failures: the
+	// registry rides the map's image.
+	CtrQuotaDenials    = "fleet_quota_denials"
+	CtrVolumeRefreshes = "fleet_volume_refreshes"
 )
 
 // unplacedMsg prefixes rejections of operations on file sets absent from
@@ -296,9 +296,9 @@ func (m *Member) authorityCandidates() []string {
 
 // pollOnce probes one authority candidate — a membership heartbeat when
 // this daemon advertises an address, a bare epoch probe otherwise — and
-// fetches the full map when the authority's epoch is newer. A failed probe
-// rotates to the next candidate (primary → standby → …). Returns true on a
-// successful probe (fresh or not).
+// fetches the full map when the authority's epoch or registry version is
+// newer. A failed probe rotates to the next candidate (primary → standby →
+// …). Returns true on a successful probe (fresh or not).
 func (m *Member) pollOnce() bool {
 	cands := m.authorityCandidates()
 	if len(cands) == 0 {
@@ -319,44 +319,46 @@ func (m *Member) pollOnce() bool {
 	return ok
 }
 
-// probe runs one dial + heartbeat/epoch exchange against addr.
+// probe runs one dial + heartbeat/epoch exchange against addr. The reply's
+// registry version counts like its epoch: a daemon that reached the epoch
+// by a path that carries no registry (a join reply, a donor's adopt) still
+// converges here.
 func (m *Member) probe(addr string) bool {
 	c, err := m.dial(addr, DefaultProbeTimeout, DefaultProbeTimeout)
 	if err != nil {
 		return false
 	}
 	defer c.Close()
-	var epoch uint64
+	req := wire.Request{Op: wire.OpMapEpoch}
 	if m.cfg.Addr != "" {
-		epoch, err = c.Heartbeat(m.cfg.ID, m.cfg.JournalDir)
-		if err != nil && wire.ErrorCode(err) == wire.CodeJoinFirst {
-			// The authority's map does not list us with our journal dir: we
-			// were declared dead (and restarted), a promoted standby resumed a
-			// map from before we joined, or we were roster-seeded without the
-			// dir. Re-register; the join reply carries the new map (and
-			// the volume registry — a promoted standby's quotas must bind
-			// here, before this daemon serves another op).
-			jresp, jerr := c.Call(wire.Request{Op: wire.OpJoin, Daemon: m.cfg.ID,
-				Addr: m.cfg.Addr, Speed: m.cfg.Speed, JournalDir: m.cfg.JournalDir})
-			if jerr != nil {
-				return false
-			}
-			cm, derr := placement.DecodeClusterMap(jresp.Map)
-			if derr != nil {
-				return false
-			}
-			m.cfg.Obs.Counter(CtrRejoins).Add(1)
-			m.installVolumes(jresp.Volumes, jresp.VolumesVersion)
-			m.adoptMap(cm)
-			return true
+		req = wire.Request{Op: wire.OpHeartbeat, Daemon: m.cfg.ID, JournalDir: m.cfg.JournalDir}
+	}
+	resp, err := c.Call(req)
+	if err != nil && req.Op == wire.OpHeartbeat && wire.ErrorCode(err) == wire.CodeJoinFirst {
+		// The authority's map does not list us with our journal dir: we
+		// were declared dead (and restarted), a promoted standby resumed a
+		// map from before we joined, or we were roster-seeded without the
+		// dir. Re-register; the join reply carries the new map (and the
+		// volume registry — a promoted standby's quotas must bind here,
+		// before this daemon serves another op).
+		jresp, jerr := c.Call(wire.Request{Op: wire.OpJoin, Daemon: m.cfg.ID,
+			Addr: m.cfg.Addr, Speed: m.cfg.Speed, JournalDir: m.cfg.JournalDir})
+		if jerr != nil {
+			return false
 		}
-	} else {
-		epoch, err = c.MapEpoch()
+		cm, derr := placement.DecodeClusterMap(jresp.Map)
+		if derr != nil {
+			return false
+		}
+		m.cfg.Obs.Counter(CtrRejoins).Add(1)
+		m.installVolumes(jresp.Volumes, jresp.VolumesVersion)
+		m.adoptMap(cm)
+		return true
 	}
 	if err != nil {
 		return false
 	}
-	if epoch <= m.CurrentMap().Epoch {
+	if resp.Epoch <= m.CurrentMap().Epoch && resp.VolumesVersion <= m.vols.Version() {
 		return true
 	}
 	// Full fetch: the OpMap reply carries the volume registry alongside the
@@ -458,10 +460,22 @@ func (m *Member) Gate(op wire.Op, fileSet string) (func(), error) {
 	}, nil
 }
 
+// servedByAuthority reports whether op needs the authority hosted on this
+// daemon: every ClassAuthority op, and the membership ops a member sends
+// the authority.
+func servedByAuthority(op wire.Op) bool {
+	info, _ := wire.Lookup(op)
+	return info.Class == wire.ClassAuthority || op == wire.OpJoin || op == wire.OpLeave || op == wire.OpHeartbeat
+}
+
 // Fleet implements wire.FleetHandler: dispatch for the fleet ops.
 func (m *Member) Fleet(req wire.Request) wire.Response {
 	var resp wire.Response
 	fail := func(err error) wire.Response { return wire.Fail(resp, err) }
+	a := m.cfg.Authority
+	if a == nil && servedByAuthority(req.Op) {
+		return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
+	}
 	switch req.Op {
 	case wire.OpMap:
 		encoded, err := m.CurrentMap().Encode()
@@ -475,6 +489,7 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		resp.Volumes, resp.VolumesVersion = m.vols.List()
 	case wire.OpMapEpoch:
 		resp.Epoch = m.CurrentMap().Epoch
+		resp.VolumesVersion = m.vols.Version()
 	case wire.OpAdopt:
 		if err := m.handleAdopt(req); err != nil {
 			return fail(err)
@@ -486,28 +501,19 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		}
 		resp.Epoch = m.CurrentMap().Epoch
 	case wire.OpAssign:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.Assign(req.FileSet, req.Daemon)
+		epoch, err := a.Assign(req.FileSet, req.Daemon)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Epoch = epoch
 	case wire.OpRebalance:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.Rebalance()
+		epoch, err := a.Rebalance()
 		if err != nil {
 			return fail(err)
 		}
 		resp.Epoch = epoch
 	case wire.OpJoin:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		cm, err := m.cfg.Authority.Join(req.Daemon, req.Addr, req.Speed, req.JournalDir)
+		cm, err := a.Join(req.Daemon, req.Addr, req.Speed, req.JournalDir)
 		if err != nil {
 			return fail(err)
 		}
@@ -519,70 +525,50 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		resp.Epoch = cm.Epoch
 		resp.Volumes, resp.VolumesVersion = m.vols.List()
 	case wire.OpLeave:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.Leave(req.Daemon)
+		epoch, err := a.Leave(req.Daemon)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Epoch = epoch
 	case wire.OpHeartbeat:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.Heartbeat(req.Daemon, req.JournalDir)
+		epoch, err := a.Heartbeat(req.Daemon, req.JournalDir)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Epoch = epoch
+		resp.VolumesVersion = m.vols.Version()
 	case wire.OpTakeover:
 		if err := m.handleTakeover(req); err != nil {
 			return fail(err)
 		}
 		resp.Epoch = m.CurrentMap().Epoch
 	case wire.OpVolumeCreate:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.VolumeCreate(req.Volume)
+		epoch, err := a.VolumeCreate(req.Volume)
 		if err != nil {
 			return fail(err)
 		}
 		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeDelete:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.VolumeDelete(req.Volume)
+		epoch, err := a.VolumeDelete(req.Volume)
 		if err != nil {
 			return fail(err)
 		}
 		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeList:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		resp.Volumes, resp.VolumesVersion = m.cfg.Authority.Volumes()
+		resp.Volumes, resp.VolumesVersion = a.Volumes()
 		resp.Epoch = m.CurrentMap().Epoch
 	case wire.OpVolumeSetQuota:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
 		q := volume.Quota{MaxFileSets: req.MaxFileSets, OpRate: req.OpRate}
-		epoch, err := m.cfg.Authority.VolumeSetQuota(req.Volume, q, req.Weight)
+		epoch, err := a.VolumeSetQuota(req.Volume, q, req.Weight)
 		if err != nil {
 			return fail(err)
 		}
 		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeSetPolicy:
-		if m.cfg.Authority == nil {
-			return fail(fmt.Errorf("fleet: daemon %d is not the authority", m.cfg.ID))
-		}
-		epoch, err := m.cfg.Authority.VolumeSetPolicy(req.Volume, req.Policy)
+		epoch, err := a.VolumeSetPolicy(req.Volume, req.Policy)
 		if err != nil {
 			return fail(err)
 		}

@@ -527,6 +527,30 @@ func TestMemberServesEveryFleetClassOp(t *testing.T) {
 	if resp := m.Fleet(wire.Request{Op: wire.OpStat}); !strings.Contains(resp.Err, "unknown fleet op") {
 		t.Errorf("an op of no fleet class answered %+v", resp)
 	}
+
+	// A join-mode member refuses exactly the ops the authority serves —
+	// every ClassAuthority op plus join, leave and heartbeat — with one
+	// error, and serves the rest itself.
+	joiner := startFleet(t, []float64{1, 1}, nil).daemons[1].member
+	refused := 0
+	for _, info := range wire.Ops {
+		if !info.Class.Fleet() {
+			continue
+		}
+		resp := joiner.Fleet(wire.Request{Op: info.Op, Daemon: 99})
+		want := info.Class == wire.ClassAuthority ||
+			info.Op == wire.OpJoin || info.Op == wire.OpLeave || info.Op == wire.OpHeartbeat
+		got := strings.Contains(resp.Err, "fleet: daemon 1 is not the authority")
+		if got != want {
+			t.Errorf("join-mode member on %s: %q (not-the-authority wanted: %v)", info.Op, resp.Err, want)
+		}
+		if got {
+			refused++
+		}
+	}
+	if refused != 10 {
+		t.Errorf("join-mode member refused %d ops as not the authority, want 10", refused)
+	}
 }
 
 // Two routers on one registry sum into the same fleet_* series, building one

@@ -290,7 +290,7 @@ func TestRebalanceCircuitBreaker(t *testing.T) {
 			"vol00": 0, "vol01": 0, "vol02": 0, "vol03": 0, "vol04": 0, "vol05": 0,
 		},
 	}
-	auth, err := NewAuthority(AuthorityConfig{Resume: resume})
+	auth, err := NewAuthority(AuthorityConfig{Disk: journaled(t, resume)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -831,15 +831,14 @@ func TestTakeoverSurvivesSlowJournalReplay(t *testing.T) {
 	d0 := startElasticDaemon(t, 0, false)
 	pubTimeout := 100 * time.Millisecond
 	auth, err := NewAuthority(AuthorityConfig{
-		Resume: &placement.ClusterMap{
+		Disk: journaled(t, &placement.ClusterMap{
 			Epoch: 3,
 			Daemons: []placement.DaemonInfo{
 				{ID: 0, Addr: d0.addr, Speed: 1},
 				{ID: 1, Addr: "127.0.0.1:1", Speed: 1}, // the dead victim
 			},
 			Assign: map[string]int{"vol00": 1, "vol01": 1},
-		},
-		SelfID: 0,
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -923,15 +922,14 @@ func TestFailoverNeverReusesEpochs(t *testing.T) {
 		d0.clus.Stop()
 	})
 	auth, err := NewAuthority(AuthorityConfig{
-		Resume: &placement.ClusterMap{
+		Disk: journaled(t, &placement.ClusterMap{
 			Epoch: 5,
 			Daemons: []placement.DaemonInfo{
 				{ID: 0, Addr: d0.addr, Speed: 1},
 				{ID: 1, Addr: "127.0.0.1:1", Speed: 1}, // the dead victim
 			},
 			Assign: map[string]int{"vol00": 1, "vol01": 1},
-		},
-		SelfID: 0,
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -975,14 +973,10 @@ func TestPromotedAuthorityReplaysJournalDir(t *testing.T) {
 		d0.srv.Close()
 		d0.clus.Stop()
 	})
-	var persisted sharedisk.Image
+	shared := sharedisk.NewStore(0)
 	primary, err := NewAuthority(AuthorityConfig{
 		Daemons: []placement.DaemonInfo{{ID: 0, Addr: d0.addr, Speed: 1}},
-		Persist: func(cm *placement.ClusterMap) error {
-			im, err := EncodeMapImage(cm)
-			persisted = im
-			return err
-		},
+		Disk:    shared,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -995,11 +989,7 @@ func TestPromotedAuthorityReplaysJournalDir(t *testing.T) {
 	}
 
 	// The standby replays the shipped map image and takes over as authority.
-	cm, err := DecodeMapImage(persisted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	promoted, err := NewAuthority(AuthorityConfig{Resume: cm, SelfID: 0})
+	promoted, err := NewAuthority(AuthorityConfig{Disk: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1078,9 +1068,10 @@ func TestHeartbeatNotBlockedByReconfiguration(t *testing.T) {
 }
 
 // TestResumeFromPersistedMap: the promoted-standby constructor path — a
-// Resume map yields an authority whose first epoch is strictly above the
-// resumed one plus PromotionEpochJump and whose map advertises the new
-// SelfID.
+// journaled image yields an authority whose first epoch is strictly above
+// the resumed one plus PromotionEpochJump, that runs as the image's
+// authority daemon at the address it was given, and whose every commit
+// installs one image at the map's epoch.
 func TestResumeFromPersistedMap(t *testing.T) {
 	persisted := &placement.ClusterMap{
 		Epoch: 37,
@@ -1091,10 +1082,8 @@ func TestResumeFromPersistedMap(t *testing.T) {
 		Assign:    map[string]int{"vol00": 0, "vol01": 1},
 		Authority: 0,
 	}
-	auth, err := NewAuthority(AuthorityConfig{
-		Resume: persisted,
-		SelfID: 0,
-	})
+	disk := journaled(t, persisted)
+	auth, err := NewAuthority(AuthorityConfig{Disk: disk, Addr: "new-auth:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1103,8 +1092,8 @@ func TestResumeFromPersistedMap(t *testing.T) {
 	if cm.Epoch <= persisted.Epoch+PromotionEpochJump {
 		t.Fatalf("resumed epoch %d not above the floor %d", cm.Epoch, persisted.Epoch+PromotionEpochJump)
 	}
-	if cm.Authority != 0 {
-		t.Fatalf("resumed map advertises authority %d, want 0", cm.Authority)
+	if d, ok := cm.AuthorityDaemon(); !ok || d.ID != 0 || d.Addr != "new-auth:1" {
+		t.Fatalf("resumed map advertises authority %+v (%v), want daemon 0 at new-auth:1", d, ok)
 	}
 	if got := cm.Assign["vol01"]; got != 1 {
 		t.Fatalf("resume lost an assignment: vol01 -> %d", got)
@@ -1113,16 +1102,16 @@ func TestResumeFromPersistedMap(t *testing.T) {
 	if _, ok := cm.Daemon(1); !ok {
 		t.Fatal("resume dropped daemon 1")
 	}
-	// A map encode/decode round trip through the persistence image carries
-	// the epoch as the image version (monotonic installs).
-	im, err := EncodeMapImage(cm)
+	// The resumed map is on the disk already, at its epoch as the image
+	// version (monotonic installs).
+	im, err := disk.Load(MapFileSet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if im.Version != cm.Epoch {
 		t.Fatalf("map image version %d != epoch %d", im.Version, cm.Epoch)
 	}
-	back, err := DecodeMapImage(im)
+	back, _, _, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1133,7 +1122,7 @@ func TestResumeFromPersistedMap(t *testing.T) {
 
 // TestMapImageCarriesJournalDir: the persisted map image is how a standby
 // learns each daemon's journal dir, so the dir must survive
-// EncodeMapImage/DecodeMapImage.
+// encodeMapImage/decodeMapImage.
 func TestMapImageCarriesJournalDir(t *testing.T) {
 	cm := &placement.ClusterMap{
 		Epoch: 9,
@@ -1143,11 +1132,11 @@ func TestMapImageCarriesJournalDir(t *testing.T) {
 		},
 		Assign: map[string]int{"vol00": 1},
 	}
-	im, err := EncodeMapImage(cm)
+	im, err := encodeMapImage(cm, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeMapImage(im)
+	back, _, _, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,67 +26,63 @@ func (a *Authority) Volumes() ([]volume.Info, uint64) { return a.vols.List() }
 // VolumeCreate registers a new tenant volume and returns the epoch of the
 // map that announces it.
 func (a *Authority) VolumeCreate(name string) (uint64, error) {
-	if _, err := a.vols.Create(name); err != nil {
-		return a.Epoch(), err
-	}
-	return a.volumesChanged(), nil
+	return a.changeVolumes(func(*placement.ClusterMap) error {
+		_, err := a.vols.Create(name)
+		return err
+	})
 }
 
 // VolumeDelete removes an empty volume; a volume still owning file sets
 // is refused.
 func (a *Authority) VolumeDelete(name string) (uint64, error) {
-	cur := a.Map()
-	_, err := a.vols.Delete(name, func(vol string) int {
-		n := 0
-		for fs := range cur.Assign {
-			if namespace.VolumeOf(fs) == vol {
-				n++
+	return a.changeVolumes(func(cur *placement.ClusterMap) error {
+		_, err := a.vols.Delete(name, func(vol string) int {
+			n := 0
+			for fs := range cur.Assign {
+				if namespace.VolumeOf(fs) == vol {
+					n++
+				}
 			}
-		}
-		return n
+			return n
+		})
+		return err
 	})
-	if err != nil {
-		return cur.Epoch, err
-	}
-	return a.volumesChanged(), nil
 }
 
 // VolumeSetQuota updates a volume's quotas and scheduling weight
 // (weight <= 0 keeps the current weight).
 func (a *Authority) VolumeSetQuota(name string, q volume.Quota, weight float64) (uint64, error) {
-	if _, err := a.vols.SetQuota(name, q, weight); err != nil {
-		return a.Epoch(), err
-	}
-	return a.volumesChanged(), nil
+	return a.changeVolumes(func(*placement.ClusterMap) error {
+		_, err := a.vols.SetQuota(name, q, weight)
+		return err
+	})
 }
 
 // VolumeSetPolicy updates a volume's placement policy (spread | pack).
 func (a *Authority) VolumeSetPolicy(name, policy string) (uint64, error) {
-	if _, err := a.vols.SetPolicy(name, policy); err != nil {
-		return a.Epoch(), err
-	}
-	return a.volumesChanged(), nil
+	return a.changeVolumes(func(*placement.ClusterMap) error {
+		_, err := a.vols.SetPolicy(name, policy)
+		return err
+	})
 }
 
-// volumesChanged persists the registry snapshot (the standby's copy rides
-// the same journal/ship path as the map) and bumps the map epoch with an
-// unchanged assignment, so the publish push and member polls deliver the
-// new registry fleet-wide. Persist failures degrade replication, never
-// serving.
-func (a *Authority) volumesChanged() uint64 {
-	vols, version := a.vols.List()
-	if a.cfg.PersistVolumes != nil {
-		if err := a.cfg.PersistVolumes(vols, version); err != nil {
-			a.obs.Counter(CtrVolumePersistFailures).Add(1)
-		}
-	}
+// changeVolumes is the reconfiguration a registry edit makes: under mu it
+// applies edit to the registry and commits a map at a fresh epoch with an
+// unchanged assignment — one image carries both, so edits reach the disk
+// in epoch order — then publishes it, so the push and member polls deliver
+// the new registry fleet-wide. A refused edit commits nothing.
+func (a *Authority) changeVolumes(edit func(cur *placement.ClusterMap) error) (uint64, error) {
 	a.mu.Lock()
 	cur := a.Map()
+	if err := edit(cur); err != nil {
+		a.mu.Unlock()
+		return cur.Epoch, err
+	}
 	cm := a.nextLocked(cur.Daemons, cur.Assign)
 	a.commitLocked(cm)
 	a.mu.Unlock()
 	a.publish(cm)
-	return cm.Epoch
+	return cm.Epoch, nil
 }
 
 // admitFileSetLocked enforces volume admission for a file set about to

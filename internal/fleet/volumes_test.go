@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -221,12 +222,12 @@ func TestPackPolicyColocates(t *testing.T) {
 // durability: the registry is persisted through the shared disk (the same
 // image machinery the log shipper replicates), the authority daemon dies
 // without any graceful teardown, a standby promotes from the persisted
-// map + registry images, and the tenant that was at its file-set quota is
-// STILL capped — with the same machine-readable code.
+// image of map and registry, and the tenant that was at its file-set quota
+// is STILL capped — with the same machine-readable code.
 func TestQuotaSurvivesFailover(t *testing.T) {
 	shared := sharedisk.NewStore(0)
 
-	// Boot a 2-daemon fleet whose authority persists both images into the
+	// Boot a 2-daemon fleet whose authority persists its image into the
 	// shared store — the in-process stand-in for journal + log shipping.
 	var daemons []*testDaemon
 	for i := 0; i < 2; i++ {
@@ -253,23 +254,7 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 		{ID: 0, Addr: daemons[0].addr, Speed: 1},
 		{ID: 1, Addr: daemons[1].addr, Speed: 1},
 	}
-	auth, err := NewAuthority(AuthorityConfig{
-		Daemons: infos,
-		Persist: func(cm *placement.ClusterMap) error {
-			im, err := EncodeMapImage(cm)
-			if err != nil {
-				return err
-			}
-			return shared.Install(MapFileSet, im)
-		},
-		PersistVolumes: func(vols []volume.Info, version uint64) error {
-			im, err := volume.EncodeImage(vols, version)
-			if err != nil {
-				return err
-			}
-			return shared.Install(volume.VolumesFileSet, im)
-		},
-	})
+	auth, err := NewAuthority(AuthorityConfig{Daemons: infos, Disk: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,32 +302,19 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	daemons[0].srv.Close()
 	auth.Stop()
 
-	// Promote daemon 1 from the shared disk's replicated images.
+	// Promote daemon 1 from the shared disk's replicated image.
 	mapIm, err := shared.Load(MapFileSet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := DecodeMapImage(mapIm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	volIm, err := shared.Load(volume.VolumesFileSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vols, vver, err := volume.DecodeImage(volIm)
+	_, _, vver, err := decodeMapImage(mapIm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vver < 3 {
 		t.Fatalf("replicated registry version %d, want every mutation captured", vver)
 	}
-	promoted, err := NewAuthority(AuthorityConfig{
-		Resume:               cm,
-		SelfID:               1,
-		ResumeVolumes:        vols,
-		ResumeVolumesVersion: vver,
-	})
+	promoted, err := NewAuthority(AuthorityConfig{Disk: shared, Addr: daemons[1].addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,5 +355,70 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	// and the denial is still machine-readable.
 	if _, err := c1.Assign("tenant/c", -1); !wire.IsQuotaExceeded(err) {
 		t.Fatalf("post-promotion: %v (code %q)", err, wire.ErrorCode(err))
+	}
+}
+
+// TestJoinerLearnsRegistryByPolling: a daemon that joins after a tenant
+// volume exists, the way anufsd -fleet-join does — over the wire, before it
+// listens, so the publish to it fails and the join reply is its whole view
+// — takes the registry on its first poll. Its epoch is already current, so
+// only the registry version in the heartbeat reply can tell it to fetch.
+func TestJoinerLearnsRegistryByPolling(t *testing.T) {
+	f := startFleet(t, []float64{1}, nil)
+	c0, err := wire.Dial(f.daemons[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	if _, err := c0.VolumeCreate("tenant"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c0.VolumeSetQuota("tenant", 0, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	disk := sharedisk.NewStore(0)
+	cfg := live.DefaultConfig()
+	cfg.Window = time.Hour
+	cfg.OpCost = 0
+	clus, err := live.NewCluster(cfg, disk, map[int]float64{0: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clus.Stop()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there: the authority's publish to the joiner fails
+	_, encoded, err := c0.Join(1, addr, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := placement.DecodeClusterMap(encoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMember(MemberConfig{ID: 1, Cluster: clus, Disk: disk,
+		AuthorityAddr: f.daemons[0].addr, Addr: addr}, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testSeams(m)
+	if !m.pollOnce() {
+		t.Fatal("the poll did not reach the authority")
+	}
+	_, want := f.auth.Volumes()
+	vols, got := m.Volumes()
+	if got != want {
+		t.Fatalf("joiner's registry at version %d after one poll, authority at %d", got, want)
+	}
+	found := false
+	for _, v := range vols {
+		found = found || v.Name == "tenant" && v.Quota.OpRate == 5
+	}
+	if !found {
+		t.Fatalf("joiner's registry lacks the tenant quota: %+v", vols)
 	}
 }

@@ -87,7 +87,7 @@ func (j *Journal) sleeper() {
 func (j *Journal) gather(first *appendReq, window bool) []*appendReq {
 	j.batch = j.batch[:0]
 	j.take(first)
-	if j.opts.NoGroupCommit {
+	if j.opts.noGroupCommit {
 		return j.batch
 	}
 	if window {
@@ -176,7 +176,7 @@ func (j *Journal) finalDrain() {
 }
 
 // writeBatch appends the batch's frames to the active segment with a single
-// write and a single fsync (NoGroupCommit batches are single records, so
+// write and a single fsync (noGroupCommit batches are single records, so
 // that degenerates to one fsync per record), rotating first if the segment
 // is over its size threshold.
 func (j *Journal) writeBatch(batch []*appendReq) error {

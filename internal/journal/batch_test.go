@@ -274,7 +274,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, arm := range []struct {
 		name string
 		opts Options
-	}{{"group", Options{}}, {"per-record-fsync", Options{NoGroupCommit: true}}} {
+	}{{"group", Options{}}, {"per-record-fsync", Options{noGroupCommit: true}}} {
 		b.Run(arm.name, func(b *testing.B) {
 			const writers = 64
 			reg := obs.New()

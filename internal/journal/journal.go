@@ -113,13 +113,14 @@ type Options struct {
 	// the window's own tests set it; it goes when the benchmark stops
 	// naming it.
 	FsyncInterval time.Duration
-	// NoGroupCommit forces one fsync per record — the baseline the group
-	// commit benchmark compares against. Not for production use.
-	NoGroupCommit bool
 	// Obs, when set, receives commit-path latency histograms
 	// (journal_fsync_seconds, journal_commit_wait_seconds), request trace
 	// spans for traced appends (LogDelta), and the journal counters.
 	Obs *obs.Registry
+
+	// noGroupCommit is a test seam: one fsync per record, the reference arm
+	// of BenchmarkGroupCommit.
+	noGroupCommit bool
 }
 
 func (o Options) withDefaults() Options {
@@ -199,7 +200,7 @@ type Journal struct {
 	// (SetOffer).
 	offer atomic.Pointer[func(seq, trace uint64, payload []byte)]
 	// sleepReq asks the sleep helper for one gather window of the length it
-	// carries and woke is its answer; neither exists under NoGroupCommit.
+	// carries and woke is its answer; neither exists under noGroupCommit.
 	sleepReq chan time.Duration
 	woke     chan struct{}
 }
@@ -280,7 +281,7 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, info, err
 	}
-	if !opts.NoGroupCommit {
+	if !opts.noGroupCommit {
 		j.sleepReq = make(chan time.Duration)
 		j.woke = make(chan struct{})
 		go j.sleeper()

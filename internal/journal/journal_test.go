@@ -355,6 +355,63 @@ func TestConcurrentAppendAndSnapshot(t *testing.T) {
 	requireImagesEqual(t, rec, d.Store.Images())
 }
 
+// TestCompactionKeepsSegmentsOpenedAfterTheCut: a snapshot compacts only the
+// segments its cut covers. When the committer rotates to a new segment
+// between the snapshot's rotation and its compaction — a small segment
+// size makes that routine — the newer segment holds entries past the cut,
+// and deleting it loses flushes that already returned.
+func TestCompactionKeepsSegmentsOpenedAfterTheCut(t *testing.T) {
+	dir := t.TempDir()
+	j, st, _, err := Open(dir, Options{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sharedisk.NewDurable(st, j, 0)
+	if err := d.CreateFileSet("vol0"); err != nil {
+		t.Fatal(err)
+	}
+	flush := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			im, err := d.Load("vol0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			im.Records[fmt.Sprintf("/f%d", i)] = sharedisk.Record{Size: int64(i)}
+			if _, err := d.Flush("vol0", im); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush(3)
+	// Snapshot's first half: the cut, its sequence and the active segment.
+	j.mu.Lock()
+	cut, seq, active := st.Images(), j.durable.Load(), j.f.Name()
+	j.mu.Unlock()
+	if _, err := writeSnapshot(dir, "snap-", seq, cut); err != nil {
+		t.Fatal(err)
+	}
+	// The committer rotates past the active segment before the compaction.
+	flush(20)
+	j.mu.Lock()
+	rotated := j.f.Name() != active
+	j.mu.Unlock()
+	if !rotated {
+		t.Fatal("twenty flushes did not rotate a 512-byte segment")
+	}
+	if err := j.compact(seq, active); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireImagesEqual(t, rec, d.Store.Images())
+}
+
 // TestRecoverMissingDir: recovering a nonexistent directory is an empty
 // store, not an error (first boot).
 func TestRecoverMissingDir(t *testing.T) {

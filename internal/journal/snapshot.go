@@ -51,8 +51,10 @@ func (j *Journal) Snapshot(images func() map[string]sharedisk.Image) error {
 	return j.compact(seq, activeName)
 }
 
-// compact removes everything the snapshot at seq supersedes: all non-active
-// segments and all snapshots below seq.
+// compact removes everything the snapshot at seq supersedes: the segments
+// before activeName, the one active when the cut was taken, and all
+// snapshots below seq. Segment names sort by first sequence, and a segment
+// the committer opened after the cut holds entries past seq, so it stays.
 func (j *Journal) compact(seq uint64, activeName string) error {
 	segs, err := filepath.Glob(filepath.Join(j.dir, "wal-*.log"))
 	if err != nil {
@@ -60,7 +62,7 @@ func (j *Journal) compact(seq uint64, activeName string) error {
 	}
 	removed := 0
 	for _, p := range segs {
-		if p == activeName {
+		if p >= activeName {
 			continue
 		}
 		if err := os.Remove(p); err != nil {

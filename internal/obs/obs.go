@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,9 +52,13 @@ type Registry struct {
 	counters sync.Map // name → *Counter
 
 	mu     sync.Mutex
-	gauges []func() []Gauge
+	gauges []*gaugeSource
 	status map[string]func() any
 }
+
+// gaugeSource is one AddGauges registration; its address is its identity,
+// so the remover can find it again.
+type gaugeSource struct{ fn func() []Gauge }
 
 // Counter is one named 64-bit value in a Registry: a monotonic count (Add),
 // a last-value gauge (Set) or a high-water mark (Max). Resolve the handle
@@ -156,11 +161,19 @@ func (r *Registry) Node() string {
 }
 
 // AddGauges registers a gauge source (e.g. the cluster's per-server share
-// and served totals).
-func (r *Registry) AddGauges(fn func() []Gauge) {
+// and served totals) and returns the function that removes it again: no
+// WriteMetrics that starts after the removal calls fn, and the registry no
+// longer holds it (or anything fn holds). Removing twice is harmless.
+func (r *Registry) AddGauges(fn func() []Gauge) (remove func()) {
+	src := &gaugeSource{fn: fn}
 	r.mu.Lock()
-	r.gauges = append(r.gauges, fn)
+	r.gauges = append(r.gauges, src)
 	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.gauges = slices.DeleteFunc(r.gauges, func(g *gaugeSource) bool { return g == src })
+		r.mu.Unlock()
+	}
 }
 
 // AddStatus registers a named status source for the /status endpoint: a
@@ -215,11 +228,11 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 	}
 
 	r.mu.Lock()
-	gsrcs := append([]func() []Gauge(nil), r.gauges...)
+	gsrcs := slices.Clone(r.gauges)
 	r.mu.Unlock()
 	var gs []Gauge
-	for _, fn := range gsrcs {
-		gs = append(gs, fn()...)
+	for _, src := range gsrcs {
+		gs = append(gs, src.fn()...)
 	}
 	sort.Slice(gs, func(i, j int) bool {
 		if gs[i].Name != gs[j].Name {

@@ -119,6 +119,35 @@ func TestEventFromUpdate(t *testing.T) {
 	}
 }
 
+// TestRemovedGaugeSourceIsGone: the function AddGauges returns takes the
+// source off the registry — no later WriteMetrics calls it, and the source
+// list is back to its length before the add.
+func TestRemovedGaugeSourceIsGone(t *testing.T) {
+	reg := New()
+	reg.AddGauges(func() []Gauge { return []Gauge{{Name: "kept", Value: 1}} })
+	before := len(reg.gauges)
+	calls := 0
+	remove := reg.AddGauges(func() []Gauge {
+		calls++
+		return []Gauge{{Name: "dropped", Value: 2}}
+	})
+	var sb strings.Builder
+	reg.WriteMetrics(&sb)
+	if calls != 1 || !strings.Contains(sb.String(), "anufs_dropped 2") {
+		t.Fatalf("registered source called %d times, metrics:\n%s", calls, sb.String())
+	}
+	remove()
+	remove()
+	if got := len(reg.gauges); got != before {
+		t.Fatalf("%d gauge sources after the removal, want %d", got, before)
+	}
+	sb.Reset()
+	reg.WriteMetrics(&sb)
+	if calls != 1 || strings.Contains(sb.String(), "dropped") || !strings.Contains(sb.String(), "anufs_kept 1") {
+		t.Fatalf("removed source called %d times in all, metrics:\n%s", calls, sb.String())
+	}
+}
+
 func TestRegistryMetricsAndHandler(t *testing.T) {
 	reg := New()
 	if a, b := reg.NextTraceID(), reg.NextTraceID(); a == 0 || a == b {

@@ -46,6 +46,8 @@ type Pool struct {
 	back    []*wire.Backoff
 	next    []time.Time // earliest redial per slot
 	closed  bool
+	// dropGauges takes the pool's gauge source off the registry (Close).
+	dropGauges func()
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -70,14 +72,11 @@ func NewPool(addr string, opts Options) *Pool {
 	}
 	if opts.Obs != nil {
 		// Per-daemon pool health on /metrics: how many connections are up
-		// and how deep the pipelines run, labeled by target address. A
-		// closed pool reports nothing, so the pool that replaced it is the
-		// only series for its address.
+		// and how deep the pipelines run, labeled by target address. Close
+		// removes the source, so the pool that replaced it is the only
+		// series for its address.
 		lbl := fmt.Sprintf("daemon=%q", addr)
-		opts.Obs.AddGauges(func() []obs.Gauge {
-			if p.isClosed() {
-				return nil
-			}
+		p.dropGauges = opts.Obs.AddGauges(func() []obs.Gauge {
 			return []obs.Gauge{
 				{Name: "sdk_pool_live", Labels: lbl, Value: float64(p.Live())},
 				{Name: "sdk_pool_inflight", Labels: lbl, Value: float64(p.InFlight())},
@@ -308,13 +307,6 @@ func (p *Pool) healthLoop() {
 	}
 }
 
-// isClosed reports whether Close has run.
-func (p *Pool) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // Close tears the pool down; further calls fail. Idempotent.
 func (p *Pool) Close() error {
 	p.mu.Lock()
@@ -327,6 +319,9 @@ func (p *Pool) Close() error {
 	p.conns = make([]*Conn, len(conns))
 	close(p.stop)
 	p.mu.Unlock()
+	if p.dropGauges != nil {
+		p.dropGauges()
+	}
 	p.wg.Wait()
 	for _, c := range conns {
 		if c != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"anufs/internal/namespace"
-	"anufs/internal/sharedisk"
 )
 
 func TestRegistryLifecycle(t *testing.T) {
@@ -70,54 +69,6 @@ func TestRegistryInstallMonotone(t *testing.T) {
 	}
 	if r.Version() != 5 {
 		t.Fatalf("version = %d, want 5", r.Version())
-	}
-}
-
-func TestImageRoundTrip(t *testing.T) {
-	vols := []Info{
-		{Name: "default", Policy: PolicySpread, Weight: 1},
-		{Name: "tenantA", Policy: PolicyPack, Weight: 3, Quota: Quota{MaxFileSets: 7, OpRate: 50}},
-	}
-	im, err := EncodeImage(vols, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Version != 9 {
-		t.Fatalf("image version = %d", im.Version)
-	}
-	got, ver, err := DecodeImage(im)
-	if err != nil || ver != 9 || len(got) != 2 {
-		t.Fatalf("DecodeImage: %v %d %v", got, ver, err)
-	}
-	if got[1].Quota.MaxFileSets != 7 || got[1].Policy != PolicyPack {
-		t.Fatalf("round trip lost config: %+v", got[1])
-	}
-}
-
-// TestImageThroughDurableDisk proves the registry image rides the same
-// journaled Install path as file-set metadata: install, reload, decode.
-func TestImageThroughDurableDisk(t *testing.T) {
-	st := sharedisk.NewStore(0)
-	im, err := EncodeImage([]Info{{Name: "t", Weight: 1, Policy: PolicySpread}}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Install(VolumesFileSet, im); err != nil {
-		t.Fatal(err)
-	}
-	// A stale re-install (journal replay of an older segment) must not
-	// roll the registry back.
-	old, _ := EncodeImage(nil, 2)
-	if err := st.Install(VolumesFileSet, old); err == nil {
-		t.Fatal("stale registry image installed over newer one")
-	}
-	loaded, err := st.Load(VolumesFileSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vols, ver, err := DecodeImage(loaded)
-	if err != nil || ver != 3 || len(vols) != 1 || vols[0].Name != "t" {
-		t.Fatalf("reload: %+v %d %v", vols, ver, err)
 	}
 }
 

@@ -570,19 +570,6 @@ func (c *Client) Leave(id int) (uint64, error) {
 	return resp.Epoch, err
 }
 
-// Heartbeat renews a member's liveness lease at the authority and doubles
-// as the member's epoch probe (the reply carries the authority's current
-// epoch). It changes no membership record: when the authority's map does
-// not list daemon id with this journalDir, the reply is a join-first error
-// (CodeJoinFirst), and the member's join — carrying its address, speed and
-// journalDir — is what records them. That is how a roster-started daemon's
-// journal dir reaches the map, which makes its journal replayable on
-// failover.
-func (c *Client) Heartbeat(id int, journalDir string) (uint64, error) {
-	resp, err := c.call(Request{Op: OpHeartbeat, Daemon: id, JournalDir: journalDir})
-	return resp.Epoch, err
-}
-
 // Takeover tells a daemon to adopt the listed file sets from a daemon the
 // authority has declared dead: the recipient replays the victim's journal
 // directory (read-only) up to its durable boundary, installs the replayed

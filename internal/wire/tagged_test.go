@@ -241,8 +241,8 @@ func TestControlPlaneCallsCompleteOutOfOrder(t *testing.T) {
 	go func() { slow <- c.Adopt(7, "fs00", nil, nil) }()
 	<-gate.arrived
 	<-gate.arrived
-	if epoch, err := c.Heartbeat(1, ""); err != nil || epoch != 7 {
-		t.Fatalf("heartbeat behind two blocked calls = epoch %d, %v", epoch, err)
+	if resp, err := c.Call(Request{Op: OpHeartbeat, Daemon: 1}); err != nil || resp.Epoch != 7 {
+		t.Fatalf("heartbeat behind two blocked calls = epoch %d, %v", resp.Epoch, err)
 	}
 	if n := c.InFlight(); n != 2 {
 		t.Fatalf("%d calls in flight after the heartbeat returned, want the 2 it overtook", n)
