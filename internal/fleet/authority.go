@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"anufs/internal/core"
-	"anufs/internal/election"
 	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
@@ -166,8 +165,11 @@ type Authority struct {
 	// obs is the hosting daemon's registry: NewMember sets it when handed
 	// this authority, before either is started. Nil counts nowhere.
 	obs *obs.Registry
-	// elector tracks member liveness leases (nil when Lease == 0).
-	elector *election.Elector
+	// leases holds each daemon's liveness deadline, set one Lease out by
+	// renew. Its own lock, never mu: Heartbeat renews while a
+	// reconfiguration holds mu across network calls.
+	leaseMu sync.Mutex
+	leases  map[int]time.Time
 	// vols is the authoritative volume registry (its own lock; mutations
 	// bump the map epoch through volumesChanged).
 	vols *volume.Registry
@@ -203,6 +205,7 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 		publishTimeout: DefaultPublishTimeout,
 		publishWait:    DefaultPublishWait,
 		startupGrace:   4 * cfg.Lease,
+		leases:         map[int]time.Time{},
 		vols:           volume.NewRegistry(),
 		anu:            placement.NewANU(core.Defaults()),
 		stop:           make(chan struct{}),
@@ -245,9 +248,6 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 			cm.Assign[fs] = a.anu.Owner(fs)
 		}
 	}
-	if cfg.Lease > 0 {
-		a.elector = election.New(cfg.Lease, nil)
-	}
 	a.commitLocked(cm)
 	return a, nil
 }
@@ -287,15 +287,16 @@ func (a *Authority) Start() {
 		if a.resumed {
 			go a.publish(a.Map())
 		}
-		if a.elector == nil {
+		if a.cfg.Lease <= 0 {
 			close(a.done)
 			return
 		}
 		// Everyone starts with a full lease; members renew via OpHeartbeat.
+		now := time.Now()
 		for _, d := range a.Map().Daemons {
-			a.elector.Heartbeat(d.ID)
+			a.renew(d.ID, now)
 		}
-		go a.detectLoop(time.Now().Add(a.startupGrace))
+		go a.detectLoop(now.Add(a.startupGrace))
 	})
 }
 
@@ -306,10 +307,8 @@ func (a *Authority) Stop() {
 	<-a.done
 }
 
-// detectLoop reaps daemons whose liveness lease lapsed, from graceUntil
-// on, and fails over their file sets. The authority daemon vouches for
-// itself each tick — it is running this loop, so it is alive by
-// construction.
+// detectLoop fails over the file sets of daemons whose liveness lease
+// lapsed, from graceUntil on.
 func (a *Authority) detectLoop(graceUntil time.Time) {
 	defer close(a.done)
 	tick := a.cfg.Lease / 4
@@ -322,15 +321,14 @@ func (a *Authority) detectLoop(graceUntil time.Time) {
 			return
 		case <-time.After(tick):
 		}
-		a.elector.Heartbeat(a.cfg.SelfID)
-		if time.Now().Before(graceUntil) {
+		now := time.Now()
+		if now.Before(graceUntil) {
 			continue
 		}
-		live := a.elector.Members()
 		a.mu.Lock()
 		var dead []int
 		for _, d := range a.Map().Daemons {
-			if d.ID != a.cfg.SelfID && !slices.Contains(live, d.ID) {
+			if !a.live(d.ID, now) {
 				dead = append(dead, d.ID)
 			}
 		}
@@ -343,6 +341,37 @@ func (a *Authority) detectLoop(graceUntil time.Time) {
 			a.publish(cm)
 		}
 	}
+}
+
+// renew sets daemon id's lease to expire one Lease after now. With the
+// detector off there are no leases to keep.
+func (a *Authority) renew(id int, now time.Time) {
+	if a.cfg.Lease <= 0 {
+		return
+	}
+	a.leaseMu.Lock()
+	a.leases[id] = now.Add(a.cfg.Lease)
+	a.leaseMu.Unlock()
+}
+
+// forget drops daemon id's lease: it left, or was failed over.
+func (a *Authority) forget(id int) {
+	a.leaseMu.Lock()
+	delete(a.leases, id)
+	a.leaseMu.Unlock()
+}
+
+// live reports whether daemon id holds a lease at now. The authority's own
+// daemon always does — it is running this code — and with the detector off
+// every daemon does.
+func (a *Authority) live(id int, now time.Time) bool {
+	if a.cfg.Lease <= 0 || id == a.cfg.SelfID {
+		return true
+	}
+	a.leaseMu.Lock()
+	deadline, ok := a.leases[id]
+	a.leaseMu.Unlock()
+	return ok && !now.After(deadline)
 }
 
 // rescaleLocked sets the ANU shares proportional to the declared speeds in
@@ -441,9 +470,7 @@ func (a *Authority) Join(id int, addr string, speed float64, journalDir string) 
 	if !(speed > 0) {
 		return nil, fmt.Errorf("fleet: daemon %d speed %v must be > 0", id, speed)
 	}
-	if a.elector != nil {
-		a.elector.Heartbeat(id)
-	}
+	a.renew(id, time.Now())
 	info := placement.DaemonInfo{ID: id, Addr: addr, Speed: speed, JournalDir: journalDir}
 	a.mu.Lock()
 	cur := a.Map()
@@ -509,9 +536,7 @@ func (a *Authority) Leave(id int) (uint64, error) {
 		a.publish(cm)
 		return cm.Epoch, fmt.Errorf("fleet: leave of daemon %d: %w", id, err)
 	}
-	if a.elector != nil {
-		a.elector.Leave(id)
-	}
+	a.forget(id)
 	cur = a.Map()
 	cm := a.nextLocked(without(cur.Daemons, id), cur.Assign)
 	a.commitLocked(cm)
@@ -539,9 +564,7 @@ func (a *Authority) Heartbeat(id int, journalDir string) (uint64, error) {
 		return 0, &wire.CodedError{Code: wire.CodeJoinFirst,
 			Err: fmt.Errorf("fleet: the map has no daemon %d with journal dir %q: join first", id, journalDir)}
 	}
-	if a.elector != nil {
-		a.elector.Heartbeat(id)
-	}
+	a.renew(id, time.Now())
 	return cm.Epoch, nil
 }
 
@@ -727,9 +750,7 @@ func (a *Authority) failoverLocked(victim int) {
 	cm := a.nextLocked(without(cur.Daemons, victim), cur.Assign)
 	unplaced := len(cur.FileSetsOf(victim))
 	maps.DeleteFunc(cm.Assign, func(_ string, id int) bool { return id == victim })
-	if a.elector != nil {
-		a.elector.Leave(victim)
-	}
+	a.forget(victim)
 	a.commitLocked(cm)
 	a.obs.Counter(CtrFailoverFileSets).Add(int64(adopted))
 	a.obs.Counter(CtrFailoverUnplaced).Add(int64(unplaced))
@@ -772,16 +793,12 @@ func (a *Authority) takeoverLocked(owner, victim int, fileSets []string, journal
 
 // liveCandidatesLocked lists takeover fallback recipients in ID order:
 // daemons in the map that are neither the victim nor the already-tried
-// owner and, when the detector is on, hold a live lease (the authority
-// daemon is live by construction).
+// owner and are live.
 func (a *Authority) liveCandidatesLocked(victim, except int) []int {
-	var live []int
-	if a.elector != nil {
-		live = append(a.elector.Members(), a.cfg.SelfID)
-	}
+	now := time.Now()
 	var out []int
 	for _, d := range a.Map().Daemons {
-		if d.ID != victim && d.ID != except && (a.elector == nil || slices.Contains(live, d.ID)) {
+		if d.ID != victim && d.ID != except && a.live(d.ID, now) {
 			out = append(out, d.ID)
 		}
 	}

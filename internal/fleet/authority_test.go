@@ -290,3 +290,37 @@ func TestReconfigurationsOverFakePeers(t *testing.T) {
 		})
 	}
 }
+
+// TestLeaseTable drives the authority's liveness leases with explicit
+// times: no socket, no sleep.
+func TestLeaseTable(t *testing.T) {
+	const lease = time.Second
+	t0 := time.Now()
+	for _, tc := range []struct {
+		name  string
+		lease time.Duration // the authority's; 0 turns the detector off
+		keep  func(a *Authority)
+		id    int
+		at    time.Duration // after t0
+		want  bool
+	}{
+		{"renewed is live", lease, func(a *Authority) { a.renew(1, t0) }, 1, lease, true},
+		{"past the deadline is dead", lease, func(a *Authority) { a.renew(1, t0) }, 1, lease + 1, false},
+		{"never renewed is dead", lease, func(*Authority) {}, 1, 0, false},
+		{"a renewal moves the deadline", lease, func(a *Authority) { a.renew(1, t0); a.renew(1, t0.Add(lease)) }, 1, 2 * lease, true},
+		{"forget drops it", lease, func(a *Authority) { a.renew(1, t0); a.forget(1) }, 1, 0, false},
+		{"the authority's own ID is always live", lease, func(*Authority) {}, 0, 10 * lease, true},
+		{"with the detector off every ID is live", 0, func(*Authority) {}, 2, 10 * lease, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewAuthority(AuthorityConfig{Daemons: fakeFleet(3, 0).Daemons, Lease: tc.lease})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.keep(a)
+			if got := a.live(tc.id, t0.Add(tc.at)); got != tc.want {
+				t.Fatalf("live(%d) %v after t0 = %v, want %v", tc.id, tc.at, got, tc.want)
+			}
+		})
+	}
+}

@@ -205,7 +205,7 @@ func (p *ANU) ServerUp(id int) error {
 }
 
 // delegateID returns the server that runs the delegate round: the lowest
-// live one, as internal/election elects it (§4). A server that takes over
+// live one (§4). A server that takes over
 // as delegate has no memory of the previous interval, so its first round
 // skips divergent tuning (§6).
 func (p *ANU) delegateID() int { return p.mapper.Servers()[0] }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"anufs/internal/election"
 	"anufs/internal/journal"
 	"anufs/internal/obs"
 	"anufs/internal/sharedisk"
@@ -19,6 +18,12 @@ import (
 // journal that now has a local writer.
 var ErrPromoted = errors.New("replica: standby promoted")
 
+// startupGrace is how many leases a freshly started standby waits for the
+// primary's first contact: a standby that boots first must not promote
+// over a primary that is still starting, and one whose primary never
+// appears still promotes, after the grace.
+const startupGrace = 5
+
 // ReceiverOptions parameterizes a Receiver.
 type ReceiverOptions struct {
 	// Journal is the standby's own journal, opened on its local directory.
@@ -29,14 +34,9 @@ type ReceiverOptions struct {
 	// takes ownership and keeps it warm by applying shipped entries.
 	Images map[string]sharedisk.Image
 	// Lease is how long the primary may go silent before promotion
-	// (default DefaultLease).
+	// (default DefaultLease); before its first contact it has
+	// startupGrace leases.
 	Lease time.Duration
-	// StartupGrace is how long a freshly started standby waits for the
-	// primary's FIRST contact before the promotion clock starts; once the
-	// primary has shipped anything, its lease is on its own traffic.
-	// Default 5×Lease. A standby whose primary never appears still
-	// promotes — after the grace.
-	StartupGrace time.Duration
 	// SnapshotEvery compacts the standby journal after this many applied
 	// entries, bounding standby restart time (default 4096; negative
 	// disables).
@@ -49,9 +49,6 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 	if o.Lease <= 0 {
 		o.Lease = DefaultLease
 	}
-	if o.StartupGrace <= 0 {
-		o.StartupGrace = 5 * o.Lease
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
 	}
@@ -62,14 +59,14 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 // ship-status requests, persists shipped entries through the standby's own
 // journal (mirroring the primary's sequence numbering), applies them to a
 // warm in-memory store, and promotes itself when the primary's lease
-// lapses. What it holds may run ahead of what its primary has made durable
-// (entries are shipped at gather time); promotion keeps that suffix, and a
-// primary's next incarnation replaces it, log and warm store alike, with a
-// reset cut. Every other wire op is refused — a standby serves replication
-// only, until promotion.
+// lapses: one lease after it answered the primary's last ship or
+// ship-status, never while one is in flight. What it holds may run ahead
+// of what its primary has made durable (entries are shipped at gather
+// time); promotion keeps that suffix, and a primary's next incarnation
+// replaces it, log and warm store alike, with a reset cut. Every other
+// wire op is refused — a standby serves replication only, until promotion.
 type Receiver struct {
-	opts    ReceiverOptions
-	elector *election.Elector
+	opts ReceiverOptions
 
 	mu        sync.Mutex
 	images    map[string]sharedisk.Image
@@ -77,12 +74,17 @@ type Receiver struct {
 	sinceSnap int
 	ln        net.Listener
 	conns     map[net.Conn]struct{}
-	sawShip   bool
 	closed    bool
+	// lease fires lapsed when the primary has been silent too long: armed
+	// by Listen with the startup grace, stopped while a ship or ship-status
+	// is in flight (absorbing counts them), re-armed one Lease out when the
+	// last of them is answered.
+	lease      *time.Timer
+	absorbing  int
+	sawPrimary bool
 
 	promoted    chan struct{}
 	promoteOnce sync.Once
-	stop        chan struct{}
 	stopOnce    sync.Once
 	wg          sync.WaitGroup
 }
@@ -99,12 +101,10 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 	opts = opts.withDefaults()
 	r := &Receiver{
 		opts:     opts,
-		elector:  election.New(opts.Lease, nil),
 		images:   opts.Images,
 		applied:  opts.Journal.DurableSeq(),
 		conns:    map[net.Conn]struct{}{},
 		promoted: make(chan struct{}),
-		stop:     make(chan struct{}),
 	}
 	if reg := opts.Obs; reg != nil {
 		reg.AddGauges(func() []obs.Gauge {
@@ -115,7 +115,7 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 		})
 		reg.AddStatus("replication", func() any {
 			r.mu.Lock()
-			applied, sawShip := r.applied, r.sawShip
+			applied, sawPrimary := r.applied, r.sawPrimary
 			r.mu.Unlock()
 			mode := "standby"
 			if r.isPromoted() {
@@ -124,7 +124,7 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 			return map[string]any{
 				"mode":        mode,
 				"applied_seq": applied,
-				"saw_primary": sawShip,
+				"saw_primary": sawPrimary,
 				"lease":       r.opts.Lease.String(),
 			}
 		})
@@ -132,9 +132,8 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 	return r, nil
 }
 
-// Listen binds the replication listener and starts the accept loop, the
-// standby's self-heartbeat, and the promotion watcher. Returns the bound
-// address.
+// Listen binds the replication listener, starts the accept loop and arms
+// the lease with the startup grace. Returns the bound address.
 func (r *Receiver) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -142,18 +141,10 @@ func (r *Receiver) Listen(addr string) (string, error) {
 	}
 	r.mu.Lock()
 	r.ln = ln
+	r.lease = time.AfterFunc(startupGrace*r.opts.Lease, r.lapsed)
 	r.mu.Unlock()
-
-	// The standby is always a live election member. The primary's startup
-	// grant must land before the promotion watcher starts: its initial poll
-	// reports current state immediately, and a one-member election would
-	// make the standby delegate — instant self-promotion at boot.
-	r.elector.Heartbeat(StandbyID)
-	r.elector.Heartbeat(PrimaryID)
-	r.wg.Add(3)
+	r.wg.Add(1)
 	go r.acceptLoop(ln)
-	go r.selfHeartbeat()
-	go r.watchPromotion()
 	return ln.Addr().String(), nil
 }
 
@@ -173,9 +164,11 @@ func (r *Receiver) State() (map[string]sharedisk.Image, uint64) {
 // journal (the caller owns it — promotion keeps using it).
 func (r *Receiver) Stop() {
 	r.stopOnce.Do(func() {
-		close(r.stop)
 		r.mu.Lock()
 		r.closed = true
+		if r.lease != nil {
+			r.lease.Stop()
+		}
 		ln := r.ln
 		conns := make([]net.Conn, 0, len(r.conns))
 		for c := range r.conns {
@@ -192,48 +185,47 @@ func (r *Receiver) Stop() {
 	r.wg.Wait()
 }
 
-// selfHeartbeat keeps the standby's own candidacy alive, and grants the
-// primary a startup grace: until the primary's first ship (or the grace
-// deadline), its lease is renewed on its behalf so a standby that boots
-// first does not instantly promote over a primary that is still starting.
-func (r *Receiver) selfHeartbeat() {
-	defer r.wg.Done()
-	graceUntil := time.Now().Add(r.opts.StartupGrace)
-	t := time.NewTicker(r.opts.Lease / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.elector.Heartbeat(StandbyID)
-			r.mu.Lock()
-			saw := r.sawShip
-			r.mu.Unlock()
-			if !saw && time.Now().Before(graceUntil) {
-				r.elector.Heartbeat(PrimaryID)
-			}
-		}
+// lapsed is the lease timer's function: the primary has been silent for
+// a lease (or never appeared within the grace). It promotes, unless a ship
+// is in flight or the receiver has stopped.
+func (r *Receiver) lapsed() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.absorbing > 0 || r.closed {
+		return
+	}
+	r.promote()
+}
+
+// arrive admits a ship or ship-status from the primary, holding the lease
+// until answered: a ship that takes longer than a lease to absorb (a reset
+// cut of a big store on a slow disk) must not promote the standby under
+// the primary still sending it. False once promoted.
+func (r *Receiver) arrive() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.isPromoted() {
+		return false
+	}
+	r.lease.Stop()
+	r.absorbing++
+	r.sawPrimary = true
+	return true
+}
+
+// answered re-arms the lease one Lease out when the last request in flight
+// has been answered.
+func (r *Receiver) answered() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.absorbing--; r.absorbing == 0 && !r.closed {
+		r.lease.Reset(r.opts.Lease)
 	}
 }
 
-// watchPromotion promotes the standby when it becomes the delegate —
-// i.e. when the primary's lease (renewed only by its ship traffic after
-// the startup grace) has lapsed.
-func (r *Receiver) watchPromotion() {
-	defer r.wg.Done()
-	ch := r.elector.Watch(r.opts.Lease/4, r.stop)
-	for change := range ch {
-		if change.OK && change.Delegate == StandbyID {
-			r.promote()
-			return
-		}
-	}
-}
-
-// promote closes Promoted and tears the replication listener down: from
-// here the journal belongs to the daemon's local write path, and any
-// straggler ship from the old primary is refused.
+// promote closes Promoted: from here the journal belongs to the daemon's
+// local write path, and any straggler ship from the old primary is
+// refused. Callers hold r.mu, so no ship is admitted past it.
 func (r *Receiver) promote() {
 	r.promoteOnce.Do(func() {
 		r.opts.Obs.Counter("replica_promotions").Add(1)
@@ -294,23 +286,16 @@ func (r *Receiver) serveConn(conn net.Conn) {
 
 func (r *Receiver) handle(req wire.Request) wire.Response {
 	switch req.Op {
-	case wire.OpShipStatus:
-		if r.isPromoted() {
+	case wire.OpShipStatus, wire.OpShip:
+		if !r.arrive() {
 			return wire.Fail(wire.Response{}, ErrPromoted)
 		}
-		r.elector.Heartbeat(PrimaryID)
-		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
-	case wire.OpShip:
-		if r.isPromoted() {
-			return wire.Fail(wire.Response{}, ErrPromoted)
-		}
-		r.elector.Heartbeat(PrimaryID)
-		r.mu.Lock()
-		r.sawShip = true
-		r.mu.Unlock()
-		if err := r.absorb(req); err != nil {
-			r.opts.Obs.Counter("replica_recv_errors").Add(1)
-			return wire.Fail(wire.Response{}, err)
+		defer r.answered()
+		if req.Op == wire.OpShip {
+			if err := r.absorb(req); err != nil {
+				r.opts.Obs.Counter("replica_recv_errors").Add(1)
+				return wire.Fail(wire.Response{}, err)
+			}
 		}
 		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
 	case wire.OpTracePull:

@@ -26,7 +26,7 @@
 // counter) when the standby is down or slow rather than blocking writes.
 //
 // Split-brain is explicitly out of scope: promotion is decided by the
-// standby's local lease on the primary (renewed by every ship request), so
+// standby's local lease on the primary (renewed by every ship it answers), so
 // a network partition can yield two writers. The deployment must fence the
 // old primary (kill it, or cut its clients) — the same assumption the
 // paper makes for delegate failover.
@@ -44,18 +44,10 @@ import (
 	"anufs/internal/wire"
 )
 
-// Election member IDs on the standby's elector: the primary (renewed by
-// ship traffic) and the standby itself (self-heartbeated). Lowest live ID
-// wins, so the standby is delegate exactly when the primary's lease lapsed.
-const (
-	PrimaryID = 0
-	StandbyID = 1
-)
-
 // Defaults.
 const (
-	// DefaultLease is how long the standby waits after the last ship
-	// request before promoting itself.
+	// DefaultLease is how long the standby waits after answering the last
+	// ship request before promoting itself.
 	DefaultLease = 2 * time.Second
 	// DefaultHeartbeat is the shipper's idle heartbeat interval; it must be
 	// well under the standby's lease so an idle-but-alive primary is never
@@ -106,12 +98,8 @@ type ShipperOptions struct {
 	// the snapshot fallback when the standby is behind the compaction
 	// horizon. Must deep-copy.
 	Images func() map[string]sharedisk.Image
-	// Heartbeat is the idle heartbeat interval (default DefaultHeartbeat).
-	Heartbeat time.Duration
 	// SyncTimeout bounds WaitAcked (default DefaultSyncTimeout).
 	SyncTimeout time.Duration
-	// Backoff is the reconnect delay (default DefaultBackoff).
-	Backoff time.Duration
 	// Obs, when set, receives the shipper's counters, lag gauge, and the
 	// replica_ship_rtt_seconds / replica_replication_lag_seconds histograms
 	// (all labeled peer="<Addr>"), plus "replica-ship" spans for shipped
@@ -124,14 +112,8 @@ type ShipperOptions struct {
 }
 
 func (o ShipperOptions) withDefaults() ShipperOptions {
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = DefaultHeartbeat
-	}
 	if o.SyncTimeout <= 0 {
 		o.SyncTimeout = DefaultSyncTimeout
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = DefaultBackoff
 	}
 	return o
 }
@@ -143,12 +125,19 @@ type Shipper struct {
 	opts ShipperOptions
 	rtt  *obs.Histogram
 	lag  *obs.Histogram
+	// heartbeat is the idle heartbeat interval and backoff the reconnect
+	// delay: DefaultHeartbeat and DefaultBackoff, which tests shorten
+	// before Start.
+	heartbeat time.Duration
+	backoff   time.Duration
 
 	mu      sync.Mutex
 	acked   uint64
 	ackSig  chan struct{}
 	stopped bool
 	conn    *wire.Client // the session's connection, closed by Stop
+	// lastErr is why the last session ended (nil before the first ends).
+	lastErr error
 
 	// The ship-ahead hand-off: a ring of the entries the journal's committer
 	// offered and the shipper has not consumed, oldest at head. offMu is
@@ -189,11 +178,13 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		return nil, errors.New("replica: shipper needs an image capture func")
 	}
 	s := &Shipper{
-		opts:   opts.withDefaults(),
-		ackSig: make(chan struct{}),
-		offSig: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		opts:      opts.withDefaults(),
+		heartbeat: DefaultHeartbeat,
+		backoff:   DefaultBackoff,
+		ackSig:    make(chan struct{}),
+		offSig:    make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	if r := s.opts.Obs; r != nil {
 		// Every series carries the peer label, so a primary shipping to
@@ -212,6 +203,10 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		})
 		r.AddStatus("replication", func() any {
 			durable, acked, lag := s.progress()
+			lastErr := ""
+			if err := s.lastError(); err != nil {
+				lastErr = err.Error()
+			}
 			return map[string]any{
 				"mode":        "shipping",
 				"standby":     s.opts.Addr,
@@ -219,6 +214,7 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 				"acked_seq":   acked,
 				"lag_entries": lag,
 				"degraded":    r.Counter("replica_sync_degraded").Load(),
+				"last_error":  lastErr,
 			}
 		})
 	} else {
@@ -318,6 +314,14 @@ func (s *Shipper) consumeOffers(n int) {
 	s.offMu.Unlock()
 }
 
+// lastError reports why the last replication session ended: nil before
+// one has failed.
+func (s *Shipper) lastError() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastErr
+}
+
 // Acked reports the highest standby-acknowledged sequence.
 func (s *Shipper) Acked() uint64 {
 	s.mu.Lock()
@@ -376,7 +380,7 @@ func (s *Shipper) run() {
 	// policy) from the configured base, so a fleet of shippers that lost the
 	// same standby does not re-dial in lockstep; a session that got as far
 	// as a successful resume resets the ladder.
-	backoff := wire.NewBackoff(s.opts.Backoff, 10*s.opts.Backoff)
+	backoff := wire.NewBackoff(s.backoff, 10*s.backoff)
 	for {
 		select {
 		case <-s.stop:
@@ -389,6 +393,9 @@ func (s *Shipper) run() {
 		}
 		if err != nil {
 			s.opts.Obs.Counter("replica_stream_errors").Add(1)
+			s.mu.Lock()
+			s.lastErr = err
+			s.mu.Unlock()
 		}
 		select {
 		case <-s.stop:
@@ -433,7 +440,7 @@ func (s *Shipper) stream(c *wire.Client, backoff *wire.Backoff) error {
 	s.aligned = true
 	tailer := s.opts.Journal.NewTailer(next)
 	defer func() { tailer.Close() }()
-	hb := time.NewTicker(s.opts.Heartbeat)
+	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
 	for {
 		select {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -263,11 +264,12 @@ func TestSyncGateDegradesWhenStandbyUnreachable(t *testing.T) {
 	reg := obs.New()
 	ship, err := NewShipper(ShipperOptions{
 		Addr: "127.0.0.1:1", Journal: jnl, Images: store.Images,
-		SyncTimeout: 20 * time.Millisecond, Backoff: 10 * time.Millisecond, Obs: reg,
+		SyncTimeout: 20 * time.Millisecond, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ship.backoff = 10 * time.Millisecond
 	ship.Start()
 	defer ship.Stop()
 	jnl.SetAckGate(ship.WaitAcked)
@@ -296,14 +298,12 @@ func TestPromotionOnPrimarySilence(t *testing.T) {
 	}
 	appendFlushes(t, jnl, "fs00", 1, 8)
 
-	recv, addr := startStandby(t, sDir, ReceiverOptions{
-		Lease:        200 * time.Millisecond,
-		StartupGrace: 10 * time.Second, // primary will appear; grace irrelevant
-	})
-	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, Heartbeat: 20 * time.Millisecond})
+	recv, addr := startStandby(t, sDir, ReceiverOptions{Lease: 200 * time.Millisecond})
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ship.heartbeat = 20 * time.Millisecond
 	ship.Start()
 	waitAcked(t, ship, jnl.DurableSeq())
 
@@ -337,15 +337,89 @@ func TestPromotionOnPrimarySilence(t *testing.T) {
 
 func TestStandbyPromotesWhenPrimaryNeverAppears(t *testing.T) {
 	_, sDir := t.TempDir(), t.TempDir()
-	recv, _ := startStandby(t, sDir, ReceiverOptions{
-		Lease:        100 * time.Millisecond,
-		StartupGrace: 300 * time.Millisecond,
-	})
+	recv, _ := startStandby(t, sDir, ReceiverOptions{Lease: 100 * time.Millisecond})
 	select {
 	case <-recv.Promoted():
 		// Promotion must come AFTER the startup grace, not instantly.
 	case <-time.After(10 * time.Second):
 		t.Fatal("lone standby never promoted")
+	}
+}
+
+// TestLeaseHeldWhileAShipIsAbsorbed: a ship the standby is still absorbing
+// holds the primary's lease however long it takes, and the lease lapses
+// only after the answer. The test calls the lease timer's function itself
+// at each point, so it waits out no lease.
+func TestLeaseHeldWhileAShipIsAbsorbed(t *testing.T) {
+	pJnl, _ := openJournal(t, t.TempDir(), journal.Options{})
+	defer pJnl.Close()
+	if err := pJnl.LogCreateFileSet("fs00"); err != nil {
+		t.Fatal(err)
+	}
+	ent := readLog(t, pJnl, 1, 1)[0]
+	ship := wire.Request{Op: wire.OpShip, Entries: []wire.ShipEntry{{Seq: ent.Seq, Payload: ent.Payload}}}
+
+	sDir := t.TempDir()
+	sJnl, sStore := openJournal(t, sDir, journal.Options{})
+	defer sJnl.Close()
+	recv, err := NewReceiver(ReceiverOptions{Journal: sJnl, Images: sStore.Images(), Lease: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Stop()
+
+	release := holdCommits(t, sJnl, diskImages(t, sDir))
+	answer := make(chan wire.Response, 1)
+	go func() { answer <- recv.handle(ship) }()
+	inFlight := func() bool {
+		recv.mu.Lock()
+		defer recv.mu.Unlock()
+		return recv.absorbing > 0
+	}
+	for !inFlight() {
+		runtime.Gosched()
+	}
+	recv.lapsed()
+	if recv.isPromoted() {
+		t.Error("promoted while the primary's ship was being absorbed")
+	}
+
+	release()
+	if resp := <-answer; resp.Err != "" || resp.AckSeq != ent.Seq {
+		t.Fatalf("ship answered %+v, want ack %d", resp, ent.Seq)
+	}
+	recv.lapsed()
+	if !recv.isPromoted() {
+		t.Fatal("not promoted when the lease lapsed after the answer")
+	}
+	if resp := recv.handle(ship); resp.Err != ErrPromoted.Error() {
+		t.Fatalf("a ship after promotion answered %+v, want %v", resp, ErrPromoted)
+	}
+}
+
+// TestShipperReportsWhyItsSessionEnded: a primary shipping to a standby
+// that promoted says so on /status, rather than only counting stream
+// errors.
+func TestShipperReportsWhyItsSessionEnded(t *testing.T) {
+	recv, addr := startStandby(t, t.TempDir(), ReceiverOptions{Lease: 20 * time.Millisecond})
+	<-recv.Promoted()
+	jnl, store := openJournal(t, t.TempDir(), journal.Options{})
+	defer jnl.Close()
+	reg := obs.New()
+	ship, err := NewShipper(ShipperOptions{Addr: addr, Journal: jnl, Images: store.Images, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship.backoff = time.Millisecond
+	ship.Start()
+	defer ship.Stop()
+	waitFor(t, "a failed session", func() bool { return ship.lastError() != nil })
+	status := reg.Status()["replication"].(map[string]any)
+	if got := status["last_error"]; got != ErrPromoted.Error() {
+		t.Fatalf("replication last_error = %q, want %q", got, ErrPromoted)
 	}
 }
 

@@ -43,11 +43,12 @@ func (p *primary) replicate(t testing.TB, addr string, syncTimeout time.Duration
 	p.obs = obs.New()
 	ship, err := NewShipper(ShipperOptions{
 		Addr: addr, Journal: p.jnl, Images: p.d.Store.Images,
-		SyncTimeout: syncTimeout, Backoff: 5 * time.Millisecond, Obs: p.obs,
+		SyncTimeout: syncTimeout, Obs: p.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ship.backoff = 5 * time.Millisecond
 	p.ship = ship
 	ship.aligned = p.skipFirstSessionRule
 	ship.Start()
@@ -599,7 +600,7 @@ func alignment(t *testing.T, seed int64, promote, skipFirstSessionRule bool) (ah
 	deadline := time.Now().Add(wait)
 	for p2.ship.Acked() < wantSeq {
 		if time.Now().After(deadline) {
-			return ahead, diverged, fmt.Errorf("standby stuck at %d of %d (%d stream errors)", p2.ship.Acked(), wantSeq, p2.obs.Counter("replica_stream_errors").Load())
+			return ahead, diverged, fmt.Errorf("standby stuck at %d of %d (%d stream errors, the last: %v)", p2.ship.Acked(), wantSeq, p2.obs.Counter("replica_stream_errors").Load(), p2.ship.lastError())
 		}
 		time.Sleep(time.Millisecond)
 	}

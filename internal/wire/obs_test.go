@@ -123,7 +123,7 @@ func TestSlowRequestCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(cl)
-	srv.SetSlowThreshold(0)
+	srv.slow = 0
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ const (
 )
 
 // DefaultSlowThreshold classifies a request as slow for the
-// wire_slow_requests counter; override with SetSlowThreshold.
+// wire_slow_requests counter.
 const DefaultSlowThreshold = 500 * time.Millisecond
 
 // connState is one connection's request accounting (see ConnStat).
@@ -62,7 +62,7 @@ type Server struct {
 	// held; the rarer wire_* counters are looked up where they count.
 	ctrRequests *obs.Counter
 	ctrErrors   *obs.Counter
-	slow        time.Duration
+	slow        time.Duration // fixed by NewServer: serve reads it without s.mu
 	// histDepth observes the connection's pipeline depth at each
 	// admission and histBatch the item count of each OpBatch. Both encode
 	// a unitless count as nanoseconds (obs histograms observe durations):
@@ -156,14 +156,6 @@ func NewServer(c *live.Cluster) *Server {
 		return out
 	})
 	return s
-}
-
-// SetSlowThreshold overrides the latency above which a request counts as
-// slow. Call before Listen.
-func (s *Server) SetSlowThreshold(d time.Duration) {
-	s.mu.Lock()
-	s.slow = d
-	s.mu.Unlock()
 }
 
 // SetFleet puts the server in fleet mode: every gated op (Ops) passes
@@ -315,10 +307,7 @@ func (s *Server) serve(cs *connState, req Request) Response {
 		}
 		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	slow := s.slow
-	s.mu.Unlock()
-	if dur >= slow {
+	if dur >= s.slow {
 		s.obs.Counter(CtrSlow).Add(1)
 		cs.slow.Add(1)
 	}
