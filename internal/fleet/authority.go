@@ -326,21 +326,28 @@ func (a *Authority) detectLoop(graceUntil time.Time) {
 			continue
 		}
 		a.mu.Lock()
-		var dead []int
-		for _, d := range a.Map().Daemons {
-			if !a.live(d.ID, now) {
-				dead = append(dead, d.ID)
-			}
-		}
-		for _, id := range dead {
-			a.failoverLocked(id)
-		}
+		reaped := a.reapLocked(now)
 		cm := a.Map()
 		a.mu.Unlock()
-		if len(dead) > 0 {
+		if reaped {
 			a.publish(cm)
 		}
 	}
+}
+
+// reapLocked fails over every daemon whose lease lapsed by now and reports
+// whether there was one. Caller holds mu and publishes the map.
+func (a *Authority) reapLocked(now time.Time) bool {
+	var dead []int
+	for _, d := range a.Map().Daemons {
+		if !a.live(d.ID, now) {
+			dead = append(dead, d.ID)
+		}
+	}
+	for _, id := range dead {
+		a.failoverLocked(id)
+	}
+	return len(dead) > 0
 }
 
 // renew sets daemon id's lease to expire one Lease after now. With the

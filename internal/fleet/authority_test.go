@@ -324,3 +324,113 @@ func TestLeaseTable(t *testing.T) {
 		})
 	}
 }
+
+// leasedAuthority is fakeAuthority with the failure detector's lease
+// table on (the detector loop itself is not started), and daemons 1 and 2
+// renewed at t0.
+func leasedAuthority(t *testing.T, net *fakeNet, start *placement.ClusterMap, lease time.Duration, t0 time.Time) *Authority {
+	t.Helper()
+	a, err := NewAuthority(AuthorityConfig{Disk: journaled(t, start), Lease: lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.dial = net.dial
+	a.obs = obs.New()
+	a.renew(1, t0)
+	a.renew(2, t0)
+	return a
+}
+
+// reap runs one detector sweep at now.
+func reap(a *Authority, now time.Time) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.reapLocked(now)
+}
+
+// TestFailoverOnLeaseLapse: a daemon that stops renewing is failed over
+// once its lease lapses and not before. Its file sets go to live daemons
+// by takeover of its journal, under a higher epoch; the daemon that kept
+// renewing stays.
+func TestFailoverOnLeaseLapse(t *testing.T) {
+	const lease = 10 * time.Second
+	t0 := time.Now()
+	start := fakeFleet(3, 1)
+	start.Daemons[1].JournalDir = "j1"
+	net := &fakeNet{}
+	a := leasedAuthority(t, net, start, lease, t0)
+	epoch0 := a.Map().Epoch
+
+	// Daemon 2 keeps renewing; daemon 1 goes silent.
+	a.renew(2, t0.Add(6*time.Second))
+	if reap(a, t0.Add(6*time.Second)) || a.Map().Epoch != epoch0 {
+		t.Fatal("a daemon was failed over before any lease lapsed")
+	}
+	if !reap(a, t0.Add(12*time.Second)) {
+		t.Fatal("daemon 1's lapsed lease was not failed over")
+	}
+	cm := a.Map()
+	if _, ok := cm.Daemon(1); ok {
+		t.Fatal("daemon 1 is still in the map after its lease lapsed")
+	}
+	if _, ok := cm.Daemon(2); !ok {
+		t.Fatal("daemon 2 renewed its lease and was failed over")
+	}
+	if cm.Epoch <= epoch0 {
+		t.Fatalf("epoch did not advance on failover: %d -> %d", epoch0, cm.Epoch)
+	}
+	if len(cm.Assign) != 12 || len(cm.FileSetsOf(1)) != 0 {
+		t.Fatalf("assignment after failover = %v, want all 12 file sets off daemon 1", cm.Assign)
+	}
+	calls := net.log()
+	if len(calls) == 0 {
+		t.Fatal("no takeover was sent")
+	}
+	for _, c := range calls {
+		if c.op != wire.OpTakeover || c.journalDir != "j1" || c.addr == fakeAddr(1) {
+			t.Fatalf("failover sent %+v, want takeovers of j1 by live daemons", c)
+		}
+	}
+}
+
+// TestLeaveTriggersImmediateFailover: a leave moves the leaver's file sets
+// and drops it from the map at once, by live handoffs and with no wait for
+// its lease to lapse, and leaves no lease behind for the detector to fail
+// over later.
+func TestLeaveTriggersImmediateFailover(t *testing.T) {
+	const lease = 10 * time.Second
+	t0 := time.Now()
+	net := &fakeNet{}
+	a := leasedAuthority(t, net, fakeFleet(3, 1), lease, t0)
+	epoch0 := a.Map().Epoch
+
+	epoch, err := a.Leave(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := a.Map()
+	if epoch <= epoch0 || cm.Epoch != epoch {
+		t.Fatalf("after Leave: epoch %d -> %d, map at %d", epoch0, epoch, cm.Epoch)
+	}
+	if _, ok := cm.Daemon(1); ok {
+		t.Fatal("daemon 1 is still in the map after it left")
+	}
+	if len(cm.Assign) != 12 || len(cm.FileSetsOf(1)) != 0 {
+		t.Fatalf("assignment after leave = %v, want all 12 file sets off daemon 1", cm.Assign)
+	}
+	if a.live(1, t0) {
+		t.Fatal("the leaver still holds a lease")
+	}
+	for _, c := range net.log() {
+		if c.op != wire.OpHandoff || c.addr != fakeAddr(1) {
+			t.Fatalf("leave sent %+v, want handoffs from daemon 1", c)
+		}
+	}
+
+	// Past the moment the leaver's lease would have lapsed, the detector
+	// has nothing left to fail over.
+	a.renew(2, t0.Add(11*time.Second))
+	if reap(a, t0.Add(12*time.Second)) || a.Map().Epoch != epoch {
+		t.Fatal("the detector failed a daemon over after the leave")
+	}
+}
