@@ -87,12 +87,11 @@ func TestFleetDaemonDeathJournalFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	gln, err := net.Listen("tcp", "127.0.0.1:0")
+	gwAddr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go gw.ServeListener(gln)
-	gc := dialRetry(t, gln.Addr().String())
+	gc := dialRetry(t, gwAddr)
 	defer gc.Close()
 	gc.SetTimeout(30 * time.Second)
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -58,17 +57,11 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(gw.Close)
+	gwAddr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
-		gw.Close()
 		t.Fatal(err)
 	}
-	gwAddr := ln.Addr().String()
-	go gw.ServeListener(ln)
-	t.Cleanup(func() {
-		ln.Close()
-		gw.Close()
-	})
 
 	// Pick a file set the initial map places on daemon 1.
 	ac := dialRetry(t, d0Addr)

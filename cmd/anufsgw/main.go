@@ -103,17 +103,15 @@ func main() {
 		log.Printf("anufsgw: observability HTTP at %s", hln.Addr())
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	addr, err := gw.Listen(*listen)
 	if err != nil {
 		log.Fatalf("anufsgw: %v", err)
 	}
 	log.Printf("anufsgw: routing for fleet authority %s at %s (map epoch %d, %d peers)",
-		*authority, ln.Addr(), gw.Router().Map().Epoch, len(peerAddrs))
-	go gw.ServeListener(ln)
+		*authority, addr, gw.Router().Map().Epoch, len(peerAddrs))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Println("anufsgw: shutting down")
-	ln.Close()
 }

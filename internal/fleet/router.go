@@ -557,15 +557,13 @@ func (r *Router) SyncTraced(trace, parent uint64) error {
 // Forward routes a raw request by its FileSet field — the gateway's (and
 // the traced sdk client's) pass-through. The request's trace context rides
 // through untouched, and routing retries join its trace as route-retry
-// spans. The response keeps the caller's request ID.
+// spans.
 func (r *Router) Forward(req wire.Request) (wire.Response, error) {
 	var resp wire.Response
 	err := r.do(req.Trace, req.FileSet, func(_ placement.DaemonInfo, c Caller) error {
-		fwd := req
-		got, err := c.Call(fwd)
+		got, err := c.Call(req)
 		resp = got
 		return err
 	})
-	resp.ID = req.ID
 	return resp, err
 }

@@ -45,7 +45,7 @@ func (s *fakeMapSource) Call(req wire.Request) (wire.Response, error) {
 	if err != nil {
 		return wire.Response{}, err
 	}
-	return wire.Response{ID: req.ID, Map: b, Epoch: s.epoch}, nil
+	return wire.Response{Map: b, Epoch: s.epoch}, nil
 }
 
 func (s *fakeMapSource) Close() error {
@@ -249,7 +249,7 @@ type silentPeer struct {
 func (p *silentPeer) Call(req wire.Request) (wire.Response, error) {
 	p.entered <- struct{}{}
 	<-p.release
-	return wire.Response{ID: req.ID}, nil
+	return wire.Response{}, nil
 }
 
 func (p *silentPeer) Close() error { return nil }

@@ -3,7 +3,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -41,7 +40,8 @@ type ReceiverOptions struct {
 	// entries, bounding standby restart time (default 4096; negative
 	// disables).
 	SnapshotEvery int
-	// Obs, when set, receives the receiver's counters and applied gauge.
+	// Obs receives the receiver's counters, gauges and status; nil keeps
+	// them in a registry of the receiver's own that nothing exports.
 	Obs *obs.Registry
 }
 
@@ -51,6 +51,9 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
+	}
+	if o.Obs == nil {
+		o.Obs = obs.New()
 	}
 	return o
 }
@@ -63,17 +66,18 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 // ship-status, never while one is in flight. What it holds may run ahead
 // of what its primary has made durable (entries are shipped at gather
 // time); promotion keeps that suffix, and a primary's next incarnation
-// replaces it, log and warm store alike, with a reset cut. Every other
-// wire op is refused — a standby serves replication only, until promotion.
+// replaces it, log and warm store alike, with a reset cut. It serves
+// through a wire.Endpoint named "replica_recv" and answers, besides, only
+// what every process answers (wire.Endpoint.Local); every other wire op is
+// refused — a standby serves replication only, until promotion.
 type Receiver struct {
 	opts ReceiverOptions
+	ep   *wire.Endpoint
 
 	mu        sync.Mutex
 	images    map[string]sharedisk.Image
 	applied   uint64
 	sinceSnap int
-	ln        net.Listener
-	conns     map[net.Conn]struct{}
 	closed    bool
 	// lease fires lapsed when the primary has been silent too long: armed
 	// by Listen with the startup grace, stopped while a ship or ship-status
@@ -85,8 +89,6 @@ type Receiver struct {
 
 	promoted    chan struct{}
 	promoteOnce sync.Once
-	stopOnce    sync.Once
-	wg          sync.WaitGroup
 }
 
 // NewReceiver creates a standby receiver over a recovered journal + image
@@ -103,49 +105,47 @@ func NewReceiver(opts ReceiverOptions) (*Receiver, error) {
 		opts:     opts,
 		images:   opts.Images,
 		applied:  opts.Journal.DurableSeq(),
-		conns:    map[net.Conn]struct{}{},
 		promoted: make(chan struct{}),
 	}
-	if reg := opts.Obs; reg != nil {
-		reg.AddGauges(func() []obs.Gauge {
-			r.mu.Lock()
-			applied := r.applied
-			r.mu.Unlock()
-			return []obs.Gauge{{Name: "replica_applied_seq", Value: float64(applied)}}
-		})
-		reg.AddStatus("replication", func() any {
-			r.mu.Lock()
-			applied, sawPrimary := r.applied, r.sawPrimary
-			r.mu.Unlock()
-			mode := "standby"
-			if r.isPromoted() {
-				mode = "promoted"
-			}
-			return map[string]any{
-				"mode":        mode,
-				"applied_seq": applied,
-				"saw_primary": sawPrimary,
-				"lease":       r.opts.Lease.String(),
-			}
-		})
-	}
+	// The Shipper keeps one ship in flight per connection, so serving a
+	// connection's requests concurrently cannot reorder entries (and absorb
+	// checks sequences regardless).
+	r.ep = wire.NewEndpoint(opts.Obs, "replica_recv", "standby", maxShipFrame, r.handle)
+	opts.Obs.AddGauges(func() []obs.Gauge {
+		r.mu.Lock()
+		applied := r.applied
+		r.mu.Unlock()
+		return []obs.Gauge{{Name: "replica_applied_seq", Value: float64(applied)}}
+	})
+	opts.Obs.AddStatus("replication", func() any {
+		r.mu.Lock()
+		applied, sawPrimary := r.applied, r.sawPrimary
+		r.mu.Unlock()
+		mode := "standby"
+		if r.isPromoted() {
+			mode = "promoted"
+		}
+		return map[string]any{
+			"mode":        mode,
+			"applied_seq": applied,
+			"saw_primary": sawPrimary,
+			"lease":       r.opts.Lease.String(),
+		}
+	})
 	return r, nil
 }
 
-// Listen binds the replication listener, starts the accept loop and arms
-// the lease with the startup grace. Returns the bound address.
+// Listen binds the replication listener and arms the lease with the
+// startup grace. Returns the bound address. The lease is armed under r.mu,
+// so no request is admitted (arrive) before it exists.
 func (r *Receiver) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
 	r.mu.Lock()
-	r.ln = ln
-	r.lease = time.AfterFunc(startupGrace*r.opts.Lease, r.lapsed)
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go r.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	defer r.mu.Unlock()
+	bound, err := r.ep.Listen(addr)
+	if err == nil {
+		r.lease = time.AfterFunc(startupGrace*r.opts.Lease, r.lapsed)
+	}
+	return bound, err
 }
 
 // Promoted is closed when the standby has taken over as primary.
@@ -160,29 +160,17 @@ func (r *Receiver) State() (map[string]sharedisk.Image, uint64) {
 	return r.images, r.applied
 }
 
-// Stop halts the listener and every connection. It does not close the
-// journal (the caller owns it — promotion keeps using it).
+// Stop halts the lease, the listener and every connection, and returns
+// once every handler has exited. It does not close the journal (the
+// caller owns it — promotion keeps using it).
 func (r *Receiver) Stop() {
-	r.stopOnce.Do(func() {
-		r.mu.Lock()
-		r.closed = true
-		if r.lease != nil {
-			r.lease.Stop()
-		}
-		ln := r.ln
-		conns := make([]net.Conn, 0, len(r.conns))
-		for c := range r.conns {
-			conns = append(conns, c)
-		}
-		r.mu.Unlock()
-		if ln != nil {
-			ln.Close()
-		}
-		for _, c := range conns {
-			c.Close()
-		}
-	})
-	r.wg.Wait()
+	r.mu.Lock()
+	r.closed = true
+	if r.lease != nil {
+		r.lease.Stop()
+	}
+	r.mu.Unlock()
+	r.ep.Close()
 }
 
 // lapsed is the lease timer's function: the primary has been silent for
@@ -242,48 +230,6 @@ func (r *Receiver) isPromoted() bool {
 	}
 }
 
-func (r *Receiver) acceptLoop(ln net.Listener) {
-	defer r.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go r.serveConn(conn)
-	}
-}
-
-func (r *Receiver) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		conn.Close()
-	}()
-	fs := &wire.FrameServer{
-		Handle: func(req wire.Request) wire.Response {
-			resp := r.handle(req)
-			resp.ID = req.ID
-			return resp
-		},
-		OnBadFrame: func() { r.opts.Obs.Counter("replica_recv_bad_frames").Add(1) },
-	}
-	// The Shipper keeps one ship in flight per connection, so the frame
-	// loop's per-request dispatch cannot reorder entries (and absorb checks
-	// sequences regardless).
-	fs.Serve(conn, maxShipFrame)
-}
-
 func (r *Receiver) handle(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpShipStatus, wire.OpShip:
@@ -293,21 +239,14 @@ func (r *Receiver) handle(req wire.Request) wire.Response {
 		defer r.answered()
 		if req.Op == wire.OpShip {
 			if err := r.absorb(req); err != nil {
-				r.opts.Obs.Counter("replica_recv_errors").Add(1)
 				return wire.Fail(wire.Response{}, err)
 			}
 		}
 		return wire.Response{AckSeq: r.opts.Journal.DurableSeq()}
-	case wire.OpTracePull:
-		// The standby participates in the fleet tracing plane: its
-		// standby-ack spans complete a replicated write's timeline.
-		resp := wire.Response{Now: time.Now().UnixNano()}
-		if reg := r.opts.Obs; reg != nil {
-			resp.Spans = reg.Spans.ByTrace(req.Trace)
-			resp.Spans = append(resp.Spans, reg.Slow.ByTrace(req.Trace)...)
-			resp.Node = reg.Node()
-		}
-		return resp
+	case wire.OpPing, wire.OpTrace, wire.OpTracePull:
+		// The standby is a hop in the fleet's traces: its standby-ack spans
+		// complete a replicated write's timeline.
+		return r.ep.Local(req)
 	default:
 		return wire.Response{Err: fmt.Sprintf("replica: standby serves replication only (op %q refused until promotion)", req.Op)}
 	}
@@ -377,15 +316,13 @@ func (r *Receiver) absorb(req wire.Request) error {
 		r.applied = e.Seq
 		applied++
 	}
-	if reg := r.opts.Obs; reg != nil {
-		dur := time.Since(start)
-		for i := range req.Entries {
-			if tr := req.Entries[i].Trace; tr != 0 {
-				reg.Spans.Add(obs.Span{
-					Trace: tr, Name: "standby-ack",
-					Server: req.Daemon, Start: start, Dur: dur,
-				})
-			}
+	dur := time.Since(start)
+	for i := range req.Entries {
+		if tr := req.Entries[i].Trace; tr != 0 {
+			r.opts.Obs.Spans.Add(obs.Span{
+				Trace: tr, Name: "standby-ack",
+				Server: req.Daemon, Start: start, Dur: dur,
+			})
 		}
 	}
 	r.opts.Obs.Counter("replica_recv_ships").Add(1)

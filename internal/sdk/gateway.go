@@ -2,7 +2,6 @@ package sdk
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,13 +10,6 @@ import (
 	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/wire"
-)
-
-// Gateway counter names.
-const (
-	CtrGwRequests  = "gw_requests"
-	CtrGwErrors    = "gw_errors"
-	CtrGwBadFrames = "gw_bad_frames"
 )
 
 // GatewayConfig parameterizes a gateway.
@@ -36,7 +28,8 @@ type GatewayConfig struct {
 	// Timeout is the per-call deadline toward daemons (0 =
 	// wire.DefaultCallTimeout).
 	Timeout time.Duration
-	// Obs receives gateway counters and gauges; nil disables.
+	// Obs receives gateway counters, gauges and spans; nil keeps them in a
+	// registry of the gateway's own that nothing exports.
 	Obs *obs.Registry
 }
 
@@ -48,8 +41,9 @@ type GatewayConfig struct {
 // is what makes the tier horizontally scalable — any gateway can serve any
 // client, and the only cross-gateway state (the cluster map) is a cache
 // that peers share and epochs invalidate. Client connections are served by
-// the same wire.FrameServer loop as a daemon's, so the pipelining extends
-// end to end.
+// a wire.Endpoint named "gw", as a daemon's are, so the pipelining extends
+// end to end, and the gateway is the fleet's trace edge: its "gateway"
+// span roots a stitched timeline at the tier the client talked to.
 //
 // The exception to statelessness is lock sessions: a session minted here
 // maps lazily to per-daemon sessions, which pins a lock holder to the
@@ -58,18 +52,11 @@ type GatewayConfig struct {
 type Gateway struct {
 	cfg      GatewayConfig
 	router   *fleet.Router
-	requests *obs.Counter // CtrGwRequests, bumped per request
-	inflight atomic.Int64
+	ep       *wire.Endpoint
 	nextSess atomic.Uint64
-	// opHists holds each op's gw_request_seconds histogram at the op's Code
-	// in wire.Ops, made on the op's first request, so the label is
-	// formatted and looked up once per op rather than once per request.
-	opHists [256]atomic.Pointer[obs.Histogram]
 
 	mu       sync.Mutex
 	sessions map[uint64]*gwSession
-	conns    map[net.Conn]struct{}
-	closed   bool
 }
 
 // gwSession maps one gateway-minted lock session to per-daemon sessions,
@@ -114,13 +101,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Authority == "" {
 		return nil, fmt.Errorf("sdk: gateway needs an authority address")
 	}
-	opts := Options{PoolSize: cfg.PoolSize, Timeout: cfg.Timeout}.withDefaults()
-	g := &Gateway{
-		cfg:      cfg,
-		requests: cfg.Obs.Counter(CtrGwRequests),
-		sessions: map[uint64]*gwSession{},
-		conns:    map[net.Conn]struct{}{},
+	if cfg.Obs == nil {
+		cfg.Obs = obs.New()
 	}
+	opts := Options{PoolSize: cfg.PoolSize, Timeout: cfg.Timeout}.withDefaults()
+	g := &Gateway{cfg: cfg, sessions: map[uint64]*gwSession{}}
 	dial := func(addr string) (fleet.Caller, error) { return NewPool(addr, opts), nil }
 	router, err := fleet.NewRouter(fleet.RouterConfig{
 		AuthorityAddr: cfg.Authority,
@@ -133,67 +118,24 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, err
 	}
 	g.router = router
-	if cfg.Obs != nil {
-		cfg.Obs.AddGauges(func() []obs.Gauge {
-			return []obs.Gauge{{Name: "gw_inflight_requests", Value: float64(g.inflight.Load())}}
-		})
-	}
+	g.ep = wire.NewEndpoint(cfg.Obs, "gw", "gateway", wire.MaxFramePayload, g.route)
 	return g, nil
 }
 
 // Router exposes the gateway's fleet router (map cache, counters).
 func (g *Gateway) Router() *fleet.Router { return g.router }
 
-// ServeListener accepts and serves connections until the listener closes.
-func (g *Gateway) ServeListener(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			return
-		}
-		g.conns[conn] = struct{}{}
-		g.mu.Unlock()
-		go g.ServeConn(conn)
-	}
-}
+// Listen starts serving clients on addr ("host:port"; ":0" picks a free
+// port) and returns the bound address.
+func (g *Gateway) Listen(addr string) (string, error) { return g.ep.Listen(addr) }
 
-// ServeConn serves one client connection until it closes.
-func (g *Gateway) ServeConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-	}()
-	fs := &wire.FrameServer{
-		Handle:     g.serve,
-		OnBadFrame: func() { g.cfg.Obs.Counter(CtrGwBadFrames).Add(1) },
-		OnInflight: func(d int64) { g.inflight.Add(d) },
-	}
-	fs.Serve(conn, wire.MaxFramePayload)
-}
-
-// Close tears down client connections and daemon pools. Idempotent.
+// Close tears down the daemon pools, then the client connections, and
+// returns once every connection handler has exited: with the pools gone
+// first, a handler waiting on a daemon fails at once instead of being
+// waited out. Idempotent.
 func (g *Gateway) Close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	conns := g.conns
-	g.conns = map[net.Conn]struct{}{}
-	g.mu.Unlock()
-	for conn := range conns {
-		conn.Close()
-	}
 	g.router.Close()
+	g.ep.Close()
 }
 
 // session looks a gateway-minted lock session up.
@@ -203,97 +145,17 @@ func (g *Gateway) session(id uint64) *gwSession {
 	return g.sessions[id]
 }
 
-// serve routes one request. Responses keep the caller's request ID even
-// when the routed call failed; server-reported errors are relayed with
-// their Code (and wrong-owner epoch), so a client behind the gateway sees
-// the same typed errors it would see against the daemon.
-//
-// With a registry, the gateway is the fleet's trace edge: a request
-// arriving without trace context gets a fresh trace ID minted here, the
-// gateway hop is recorded as a "gateway" span, and the span's ID rides
-// downstream as the daemons' Parent — so a stitched timeline roots at the
-// tier the client actually talked to. The trace ID is echoed in the
-// response for clients that want to pull the timeline afterwards.
-func (g *Gateway) serve(req wire.Request) wire.Response {
-	g.requests.Add(1)
-	reg := g.cfg.Obs
-	// Observer ops reuse the Trace field to address a target trace; Ping is
-	// the health no-op. Neither should mint or join traces.
-	observer := req.Op == wire.OpTrace || req.Op == wire.OpTunerLog || req.Op == wire.OpTracePull
-	traced := reg != nil && !observer && req.Op != wire.OpPing
-	var trace, span, inParent uint64
-	var start time.Time
-	if traced {
-		trace = req.Trace
-		if trace == 0 {
-			trace = reg.NextTraceID()
-		}
-		span = reg.NextSpanID()
-		inParent = req.Parent
-		req.Trace = trace
-		req.Parent = span
-		start = time.Now()
-	}
-	resp := g.route(req)
-	resp.ID = req.ID
-	if resp.Err != "" {
-		g.cfg.Obs.Counter(CtrGwErrors).Add(1)
-	}
-	if traced {
-		dur := time.Since(start)
-		op := string(req.Op)
-		if info, ok := wire.Lookup(req.Op); ok {
-			g.opHist(info).ObserveTrace(dur, trace)
-		}
-		reg.Spans.Add(obs.Span{
-			Trace: trace, ID: span, Parent: inParent, Name: "gateway", Op: op,
-			FileSet: req.FileSet, Server: -1, Start: start, Dur: dur, Err: resp.Err,
-		})
-		reg.Slow.MaybePromote(reg.Spans, trace, op, dur)
-		resp.Trace = trace
-	}
-	return resp
-}
-
-// opHist returns the op's gw_request_seconds histogram.
-func (g *Gateway) opHist(info wire.OpInfo) *obs.Histogram {
-	p := &g.opHists[info.Code]
-	h := p.Load()
-	if h == nil {
-		h = g.cfg.Obs.Hist.Get("gw_request_seconds", fmt.Sprintf("op=%q", info.Op))
-		p.Store(h)
-	}
-	return h
-}
-
+// route serves one request: the endpoint's handler. Server-reported
+// errors are relayed with their Code (and wrong-owner epoch), so a client
+// behind the gateway sees the same typed errors it would see against the
+// daemon; a traced request's context rides downstream in req.Trace and
+// req.Parent (wire.Endpoint).
 func (g *Gateway) route(req wire.Request) wire.Response {
-	resp := wire.Response{ID: req.ID}
+	var resp wire.Response
 	fail := func(err error) wire.Response { return wire.Fail(resp, err) }
 	switch req.Op {
-	case wire.OpPing:
-		return resp
-	case wire.OpTrace:
-		// Like a daemon, the gateway answers trace dumps from its own span
-		// ring — its edge spans; the fleet stitcher is the cross-node view.
-		if g.cfg.Obs != nil {
-			if req.Trace != 0 {
-				resp.Spans = g.cfg.Obs.Spans.ByTrace(req.Trace)
-			} else {
-				resp.Spans = g.cfg.Obs.Spans.Snapshot(req.Count)
-			}
-		}
-		return resp
-	case wire.OpTracePull:
-		// The gateway is a hop in fleet traces, so it answers trace pulls
-		// from its own rings instead of forwarding — the stitcher queries
-		// each process directly, this one included.
-		resp.Now = time.Now().UnixNano()
-		if g.cfg.Obs != nil {
-			resp.Spans = g.cfg.Obs.Spans.ByTrace(req.Trace)
-			resp.Spans = append(resp.Spans, g.cfg.Obs.Slow.ByTrace(req.Trace)...)
-			resp.Node = g.cfg.Obs.Node()
-		}
-		return resp
+	case wire.OpPing, wire.OpTrace, wire.OpTracePull:
+		return g.ep.Local(req)
 	case wire.OpMap:
 		cm, err := g.router.Refresh()
 		if err != nil && cm == nil {

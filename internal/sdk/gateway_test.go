@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anufs/internal/fleet"
+	"anufs/internal/obs"
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
@@ -257,9 +258,9 @@ func TestWrongOwnerSurvivesGateway(t *testing.T) {
 	}
 	stub := &wire.FrameServer{Handle: func(req wire.Request) wire.Response {
 		if req.Op == wire.OpMap {
-			return wire.Response{ID: req.ID, Map: encoded, Epoch: cm.Epoch}
+			return wire.Response{Map: encoded, Epoch: cm.Epoch}
 		}
-		return wire.Fail(wire.Response{ID: req.ID}, &wire.WrongOwnerError{Epoch: 9})
+		return wire.Fail(wire.Response{}, &wire.WrongOwnerError{Epoch: 9})
 	}}
 	go func() {
 		for {
@@ -277,16 +278,12 @@ func TestWrongOwnerSurvivesGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gln, err := net.Listen("tcp", "127.0.0.1:0")
+	defer gw.Close()
+	gwAddr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go gw.ServeListener(gln)
-	defer func() {
-		gln.Close()
-		gw.Close()
-	}()
-	pool := NewPool(gln.Addr().String(), Options{PoolSize: 1, HealthInterval: -1})
+	pool := NewPool(gwAddr, Options{PoolSize: 1, HealthInterval: -1})
 	defer pool.Close()
 	_, err = pool.Call(wire.Request{Op: wire.OpStat, FileSet: "vol00", Path: "/a"})
 	if epoch, ok := wire.IsWrongOwner(err); !ok || epoch != 9 {
@@ -497,6 +494,59 @@ func serveFake(t *testing.T, ln net.Listener, handle func(wire.Request) wire.Res
 	})
 }
 
+// TestGatewayCloseWaitsForHandlers: Close returns only once every
+// connection handler has exited. A handler held on a daemon call is not
+// waited out: Close closes the router first, so the call fails at once,
+// and by the time Close returns the handler has answered and counted its
+// error.
+func TestGatewayCloseWaitsForHandlers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := &placement.ClusterMap{Epoch: 1,
+		Daemons: []placement.DaemonInfo{{ID: 0, Addr: ln.Addr().String(), Speed: 1}},
+		Assign:  map[string]int{"vol00": 0}}
+	encoded, err := cm.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stub plays authority and daemon: it serves the map and holds the
+	// one stat until the test ends.
+	var arrived sync.Once
+	held, release := make(chan struct{}), make(chan struct{})
+	serveFake(t, ln, func(req wire.Request) wire.Response {
+		if req.Op == wire.OpStat {
+			arrived.Do(func() { close(held) })
+			<-release
+		}
+		return wire.Response{Map: encoded, Epoch: cm.Epoch}
+	})
+	t.Cleanup(func() { close(release) })
+	reg := obs.New()
+	gw, err := NewGateway(GatewayConfig{Authority: ln.Addr().String(), Budget: time.Minute, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := gw.Listen("127.0.0.1:0")
+	if err != nil {
+		gw.Close()
+		t.Fatal(err)
+	}
+	c, err := testWireDial(addr)
+	if err != nil {
+		gw.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go func() { _, _ = c.Stat("vol00", "/a") }()
+	<-held
+	gw.Close()
+	if n := reg.Counter("gw_errors").Load(); n != 1 {
+		t.Fatalf("Close returned before the held request's handler answered (%d errors counted, want 1)", n)
+	}
+}
+
 // TestGatewayAuthorityOpsFollowTheMap: after a standby promotion the map
 // advertises the promoted authority, and the gateway's authority forwards
 // go there — not to the address the gateway was started with.
@@ -526,7 +576,7 @@ func TestGatewayAuthorityOpsFollowTheMap(t *testing.T) {
 	volumeOps := map[string]int{}
 	handler := func(name string) func(wire.Request) wire.Response {
 		return func(req wire.Request) wire.Response {
-			resp := wire.Response{ID: req.ID, Epoch: 5}
+			resp := wire.Response{Epoch: 5}
 			switch req.Op {
 			case wire.OpMap:
 				resp.Map = encoded
@@ -547,7 +597,7 @@ func TestGatewayAuthorityOpsFollowTheMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	resp := gw.serve(wire.Request{Op: wire.OpVolumeCreate, Volume: "acme"})
+	resp := gw.route(wire.Request{Op: wire.OpVolumeCreate, Volume: "acme"})
 	if resp.Err != "" || resp.Epoch != 6 {
 		t.Fatalf("volume create via the gateway = epoch %d, %q", resp.Epoch, resp.Err)
 	}

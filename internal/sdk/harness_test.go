@@ -1,7 +1,6 @@
 package sdk
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -117,15 +116,10 @@ func startGateway(t testing.TB, f *testFleet, peers ...string) (*Gateway, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(gw.Close)
+	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
-		gw.Close()
 		t.Fatal(err)
 	}
-	go gw.ServeListener(ln)
-	t.Cleanup(func() {
-		ln.Close()
-		gw.Close()
-	})
-	return gw, ln.Addr().String()
+	return gw, addr
 }

@@ -15,11 +15,14 @@ import (
 )
 
 // TestEveryListenerServesTheOneFrameLoop drives the three listeners of a
-// deployment — daemon, gateway, standby — with the same hostile inputs.
-// All three serve through wire.FrameServer, so all three must refuse
-// non-frame bytes and oversized length fields at once (never wait on
-// them), count each as one bad frame, and keep a connection whose framing
-// is intact even when a payload is garbage.
+// deployment — daemon, gateway, standby — with the same inputs. All three
+// serve through wire.Endpoint, so all three must refuse non-frame bytes
+// and oversized length fields at once (never wait on them), count each as
+// one bad frame, and keep a connection whose framing is intact even when a
+// payload is garbage. And all three answer trace and trace-pull from
+// their own registry alike: a traced request's edge span from the ring,
+// and from the flight recorder too, under the process's node name and
+// clock.
 func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 	f := startFleet(t, 1)
 	gw, gwAddr := startGateway(t, f)
@@ -49,6 +52,8 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 		addr      string
 		ceiling   int // the frame-payload ceiling this listener must enforce
 		badFrames func() int64
+		reg       *obs.Registry
+		edge      string // the name of the listener's edge spans
 	}{
 		{"daemon", f.daemons[0].addr, wire.MaxFramePayload, func() int64 {
 			ws, _, err := stats.WireStats()
@@ -56,9 +61,9 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			return ws[wire.CtrBadFrames]
-		}},
-		{"gateway", gwAddr, wire.MaxFramePayload, func() int64 { return gw.cfg.Obs.Counter(CtrGwBadFrames).Load() }},
-		{"standby", standbyAddr, 65 << 20, func() int64 { return standbyObs.Counter("replica_recv_bad_frames").Load() }},
+		}, f.daemons[0].clus.Obs(), "wire"},
+		{"gateway", gwAddr, wire.MaxFramePayload, func() int64 { return gw.cfg.Obs.Counter("gw_bad_frames").Load() }, gw.cfg.Obs, "gateway"},
+		{"standby", standbyAddr, 65 << 20, func() int64 { return standbyObs.Counter("replica_recv_bad_frames").Load() }, standbyObs, "standby"},
 	}
 	// closedPromptly reports whether the server hung up (EOF, or a reset
 	// when it left bytes unread) rather than the read deadline passing.
@@ -135,7 +140,7 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 			conn = dial()
 			fw, fr := wire.NewFrameWriter(conn, l.ceiling), wire.NewFrameReader(conn, l.ceiling)
 			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-			ping, _ := wire.AppendRequest(nil, &wire.Request{ID: 8, Op: wire.OpPing})
+			ping, _ := wire.AppendRequest(nil, &wire.Request{Op: wire.OpPing})
 			garbage := append(append([]byte(nil), ping...), 0xff, 0xff, 0xff) // a field tag no field carries
 			if err := fw.WriteFrame(wire.FrameRequest, 7, garbage); err != nil {
 				t.Fatal(err)
@@ -156,6 +161,42 @@ func TestEveryListenerServesTheOneFrameLoop(t *testing.T) {
 			}
 			if _, tag, _, err := fr.ReadFrame(); err != nil || tag != 8 {
 				t.Fatalf("ping after a garbage payload: tag %d, %v", tag, err)
+			}
+
+			// A traced request (register: every listener answers it, if only
+			// with a refusal) over a zero-length slow-trace budget lands in
+			// the ring and the flight recorder both.
+			l.reg.SetNode(l.name)
+			l.reg.Slow.SetThreshold(time.Nanosecond)
+			c, err := wire.Dial(l.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetTimeout(5 * time.Second)
+			from := time.Now().UnixNano()
+			resp, _ = c.Call(wire.Request{Op: wire.OpRegister})
+			if resp.Trace == 0 {
+				t.Fatalf("register answered %+v, with no trace", resp)
+			}
+			edgeSpans := func(spans []obs.Span) (n int) {
+				for _, s := range spans {
+					if s.Name == l.edge && s.Trace == resp.Trace {
+						n++
+					}
+				}
+				return n
+			}
+			ring, err := c.Trace(resp.Trace, 0)
+			if err != nil || edgeSpans(ring) != 1 {
+				t.Fatalf("trace %d: %d %q spans (%v), want the ring's one: %+v", resp.Trace, edgeSpans(ring), l.edge, err, ring)
+			}
+			pulled, node, now, err := c.TracePull(resp.Trace)
+			if err != nil || edgeSpans(pulled) != 2 {
+				t.Fatalf("trace-pull %d: %d %q spans (%v), want the ring's and the flight recorder's: %+v", resp.Trace, edgeSpans(pulled), l.edge, err, pulled)
+			}
+			if to := time.Now().UnixNano(); node != l.name || now < from || now > to {
+				t.Fatalf("trace-pull answered node %q at %d, want %q within [%d, %d]", node, now, l.name, from, to)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package sdk
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -207,18 +206,13 @@ func TestGatewayTraceEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(gw.Close)
+	addr, err := gw.Listen("127.0.0.1:0")
 	if err != nil {
-		gw.Close()
 		t.Fatal(err)
 	}
-	go gw.ServeListener(ln)
-	t.Cleanup(func() {
-		ln.Close()
-		gw.Close()
-	})
 
-	wc, err := wire.Dial(ln.Addr().String())
+	wc, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,5 +310,55 @@ func TestGatewayTraceEdge(t *testing.T) {
 	}
 	if syncSpan.Trace != syncTrace || syncSpan.Parent == 0 {
 		t.Fatalf("fanned-out sync dropped trace context on the daemon: %+v", dSpans)
+	}
+}
+
+// TestPingsJoinNoTrace: which requests join a trace is the op table's rule,
+// the same at every edge. A ping to a daemon and a ping to a gateway add no
+// span to either ring; a create through the gateway adds exactly one edge
+// span on each hop.
+func TestPingsJoinNoTrace(t *testing.T) {
+	f := startFleet(t, 1)
+	gw, gwAddr := startGateway(t, f)
+	rings := map[string]*obs.Registry{"wire": f.daemons[0].clus.Obs(), "gateway": gw.cfg.Obs}
+	// spans counts, per hop, the spans of op in its ring — of one trace,
+	// and edge spans only, when trace is not 0.
+	spans := func(op wire.Op, trace uint64) map[string]int {
+		n := map[string]int{}
+		for edge, reg := range rings {
+			for _, s := range reg.Spans.Snapshot(0) {
+				if s.Op == string(op) && (trace == 0 || (s.Trace == trace && s.Name == edge)) {
+					n[edge]++
+				}
+			}
+		}
+		return n
+	}
+	for _, addr := range []string{f.daemons[0].addr, gwAddr} {
+		c, err := testWireDial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := spans(wire.OpPing, 0); len(n) != 0 {
+		t.Fatalf("pings to a daemon and a gateway left spans %v", n)
+	}
+	c, err := testWireDial(gwAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateFileSet("vol00"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Create("vol00", "/a", sharedisk.Record{Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := spans(wire.OpCreate, c.LastTrace()); n["wire"] != 1 || n["gateway"] != 1 {
+		t.Fatalf("a create through the gateway left edge spans %v, want one on each hop", n)
 	}
 }

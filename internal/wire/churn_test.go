@@ -55,9 +55,9 @@ func TestConnChurnReapsAndAggregates(t *testing.T) {
 	// live map to drain and the aggregate to catch up.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		srv.mu.Lock()
-		live, closed := len(srv.conns), srv.closedConns
-		srv.mu.Unlock()
+		srv.ep.mu.Lock()
+		live, closed := len(srv.ep.conns), srv.ep.closedConns
+		srv.ep.mu.Unlock()
 		if live == 0 && closed == churn {
 			break
 		}

@@ -134,7 +134,7 @@ func (c *Client) readLoop(fr *FrameReader) {
 		if !dec.DecodeResponse(payload, &resp) {
 			// Intact framing, broken body: the header still names the call,
 			// so fail that call now instead of letting it wait out its deadline.
-			resp = Response{ID: tag, Err: "wire: malformed response body"}
+			resp = Response{Err: "wire: malformed response body"}
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[tag]
@@ -196,7 +196,6 @@ func (c *Client) call(req Request) (Response, error) {
 	}
 	c.nextTag++
 	tag := c.nextTag
-	req.ID = tag
 	c.pending[tag] = ch
 	c.mu.Unlock()
 

@@ -46,7 +46,7 @@ import (
 // Request field tags: the field the constant names, its tag number, and
 // (in the comment) its encoding. Append-only: never renumber, never reuse.
 const (
-	reqID             = 1  // uint
+	_                 = 1  // retired: the request ID, which the frame tag carries
 	reqFileSet        = 2  // string
 	reqPath           = 3  // string
 	reqRecord         = 4  // record
@@ -80,7 +80,7 @@ const (
 
 // Response field tags, likewise.
 const (
-	respID             = 1  // uint
+	_                  = 1  // retired: the response ID, which the frame tag carries
 	respErr            = 2  // string
 	respCode           = 3  // string
 	respRecord         = 4  // record
@@ -124,7 +124,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 	code := opsByName[r.Op].Code
 	ok := code != 0
 	dst = append(dst, code)
-	dst = putUint(dst, reqID, r.ID)
 	dst = putString(dst, reqFileSet, r.FileSet)
 	dst = putString(dst, reqPath, r.Path)
 	dst = putRecord(dst, reqRecord, r.Record)
@@ -184,7 +183,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 // TestEncodeDecodeAllocFree holds it to zero allocations.
 func AppendResponse(dst []byte, r *Response) ([]byte, bool) {
 	ok := true
-	dst = putUint(dst, respID, r.ID)
 	dst = putString(dst, respErr, r.Err)
 	dst = putString(dst, respCode, r.Code)
 	dst = putRecord(dst, respRecord, r.Record)
@@ -337,8 +335,6 @@ func (*Decoder) DecodeRequest(data []byte, r *Request) bool {
 		}
 		last = tag
 		switch tag {
-		case reqID:
-			r.ID = c.Uvarint()
 		case reqFileSet:
 			r.FileSet = reuseString(old.FileSet, c.Bytes())
 		case reqPath:
@@ -446,8 +442,6 @@ func (*Decoder) DecodeResponse(data []byte, r *Response) bool {
 		last = tag
 		var doc any // the operator collection this tag carries, if it is one
 		switch tag {
-		case respID:
-			r.ID = c.Uvarint()
 		case respErr:
 			r.Err = reuseString(old.Err, c.Bytes())
 		case respCode:

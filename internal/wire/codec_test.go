@@ -256,22 +256,22 @@ func TestDecodeZeroesReusedStruct(t *testing.T) {
 		Volume: "t", Batch: []BatchItem{{Op: OpCreate, Record: &sharedisk.Record{Size: 1}}}, Speed: 2,
 		FileSet: "old", Record: &sharedisk.Record{Size: 3}, FileSets: []string{"a"}, Durable: true, Reset: true,
 	}
-	ping, _ := AppendRequest(nil, &Request{ID: 42, Op: OpPing})
+	ping, _ := AppendRequest(nil, &Request{Op: OpPing, Trace: 42})
 	if !dec.DecodeRequest(ping, &r) {
 		t.Fatal("decoder refused a ping")
 	}
-	if want := (Request{ID: 42, Op: OpPing}); !reflect.DeepEqual(r, want) {
+	if want := (Request{Op: OpPing, Trace: 42}); !reflect.DeepEqual(r, want) {
 		t.Errorf("reused request not zeroed: %+v", r)
 	}
 	resp := Response{
 		Err: "old", Record: &sharedisk.Record{Size: 3}, Paths: []string{"/a"}, Map: []byte("m"),
 		Results: []BatchResult{{Err: "e"}}, Journal: map[string]int64{"x": 1}, Closed: &ConnStat{Requests: 1},
 	}
-	ack, _ := AppendResponse(nil, &Response{ID: 42, AckSeq: 7})
+	ack, _ := AppendResponse(nil, &Response{AckSeq: 7})
 	if !dec.DecodeResponse(ack, &resp) {
 		t.Fatal("decoder refused an ack")
 	}
-	if want := (Response{ID: 42, AckSeq: 7}); !reflect.DeepEqual(resp, want) {
+	if want := (Response{AckSeq: 7}); !reflect.DeepEqual(resp, want) {
 		t.Errorf("reused response not zeroed: %+v", resp)
 	}
 }
@@ -300,9 +300,10 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"op code past the table":           {byte(len(Ops) + 1)},
 		"field tag 0":                      cat(ping, []byte{0}),
 		"field tag past the last":          cat(ping, []byte{reqReset + 1}),
-		"repeated tag":                     cat(ping, []byte{reqID, 1, reqID, 1}),
-		"descending tags":                  cat(ping, []byte{reqTrace, 1, reqID, 1}),
-		"truncated uvarint":                cat(ping, []byte{reqID, 0x80}),
+		"retired tag 1 (the request ID)":   cat(ping, []byte{1, 1}),
+		"repeated tag":                     cat(ping, []byte{reqTrace, 1, reqTrace, 1}),
+		"descending tags":                  cat(ping, []byte{reqParent, 1, reqTrace, 1}),
+		"truncated uvarint":                cat(ping, []byte{reqTrace, 0x80}),
 		"truncated float":                  cat(ping, []byte{reqSpeed, 1, 2, 3}),
 		"record cut short":                 cat(ping, []byte{reqRecord, 2, 3}),
 		"record mode over 32 bits":         cat(ping, []byte{reqRecord, 0}, uv(1<<33), []byte{0, 0, 0}),
@@ -331,7 +332,8 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 	resps := map[string][]byte{
 		"field tag 0":                {0},
 		"field tag past the last":    {respVolumesVersion + 1},
-		"repeated tag":               {respID, 1, respID, 1},
+		"retired tag 1 (the ID)":     {1, 1},
+		"repeated tag":               {respTrace, 1, respTrace, 1},
 		"results over MaxBatchItems": cat([]byte{respResults}, uv(MaxBatchItems+1), pad),
 		"result record flag 2":       {respResults, 1, 0, 2},
 	}
@@ -381,20 +383,20 @@ func TestGoldenVectors(t *testing.T) {
 		req  Request
 		hex  string
 	}{
-		{"stat", Request{ID: 2, Op: OpStat, FileSet: "fs00", Path: "/bench", Trace: 77, Parent: 3},
-			"030102020466733030030" + "62f62656e6368084d0903"},
-		{"durable batch of one", Request{ID: 7, Op: OpBatch, FileSet: "vol00", Durable: true,
+		{"stat", Request{Op: OpStat, FileSet: "fs00", Path: "/bench", Trace: 77, Parent: 3},
+			"03" + "020466733030" + "03062f62656e6368" + "084d" + "0903"},
+		{"durable batch of one", Request{Op: OpBatch, FileSet: "vol00", Durable: true,
 			Batch: []BatchItem{{Op: OpUpdate, Path: "/a/b/c", Record: rec, Trace: 9}}},
-			"2a0107" + "0205766f6c3030" + "1c01" + "0400062f612f622f63" + "018040a403eabfaea70d959aef3a" + "05616c696365" + "09" + "1d"},
-		{"one-entry ship", Request{ID: 9, Op: OpShip, Daemon: 1,
+			"2a" + "0205766f6c3030" + "1c01" + "0400062f612f622f63" + "018040a403eabfaea70d959aef3a" + "05616c696365" + "09" + "1d"},
+		{"one-entry ship", Request{Op: OpShip, Daemon: 1,
 			Entries: []ShipEntry{{Seq: 41, Trace: 5, Payload: []byte{4, 2, 'f', 's', 0xff}}}},
-			"180109" + "0b01" + "2905" + "05040266 73ff" + "1002"},
-		{"snapshot ship", Request{ID: 3, Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}},
-			"180103" + "0c020102" + "0d09"},
+			"18" + "0b01" + "2905" + "05040266 73ff" + "1002"},
+		{"snapshot ship", Request{Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}},
+			"18" + "0c020102" + "0d09"},
 		// The reset flag is one appended byte: the frame before it is the
 		// plain snapshot ship, which decodes as it always did.
-		{"reset ship", Request{ID: 3, Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}, Reset: true},
-			"180103" + "0c020102" + "0d09" + "1e"},
+		{"reset ship", Request{Op: OpShip, SnapSeq: 9, Snap: []byte{1, 2}, Reset: true},
+			"18" + "0c020102" + "0d09" + "1e"},
 	}
 	for _, g := range reqs {
 		got, ok := AppendRequest(nil, &g.req)
@@ -406,9 +408,9 @@ func TestGoldenVectors(t *testing.T) {
 			t.Errorf("%s request decodes to %+v", g.name, back)
 		}
 	}
-	reply := Response{ID: 7, Trace: 9, Results: []BatchResult{{}}}
+	reply := Response{Trace: 9, Results: []BatchResult{{}}}
 	got, ok := AppendResponse(nil, &reply)
-	if want := unhex(t, "0107"+"0d09"+"1901"+"0000"); !ok || string(got) != string(want) {
+	if want := unhex(t, "0d09"+"1901"+"0000"); !ok || string(got) != string(want) {
 		t.Errorf("durable batch-of-one reply:\n got  %x\n want %x", got, want)
 	}
 }
@@ -437,13 +439,13 @@ func hotShapes() (s struct {
 }) {
 	mod := time.Date(2026, 8, 7, 12, 30, 45, 123456789, time.UTC)
 	rec := &sharedisk.Record{Size: 4096, Mode: 0o644, ModTime: mod, Owner: "alice"}
-	s.update = Request{ID: 7, Op: OpUpdate, FileSet: "fs00", Path: "/a/b/c", Trace: 9, Record: rec}
-	s.batch = Request{ID: 7, Op: OpBatch, FileSet: "vol00", Durable: true, Trace: 9, Parent: 3,
+	s.update = Request{Op: OpUpdate, FileSet: "fs00", Path: "/a/b/c", Trace: 9, Record: rec}
+	s.batch = Request{Op: OpBatch, FileSet: "vol00", Durable: true, Trace: 9, Parent: 3,
 		Batch: []BatchItem{{Op: OpUpdate, Path: "/a/b/c", Record: rec, Trace: 11}}}
-	s.ship = Request{ID: 8, Op: OpShip, Daemon: 1,
+	s.ship = Request{Op: OpShip, Daemon: 1,
 		Entries: []ShipEntry{{Seq: 41, Trace: 9, Payload: make([]byte, 90)}}}
-	s.stat = Response{ID: 7, Record: rec, Trace: 9}
-	s.batchReply = Response{ID: 7, Trace: 9, Results: []BatchResult{{}}}
+	s.stat = Response{Record: rec, Trace: 9}
+	s.batchReply = Response{Trace: 9, Results: []BatchResult{{}}}
 	return s
 }
 

@@ -152,7 +152,6 @@ type FleetHandler interface {
 	// ErrArriving (ours, adoption pending), or a plain error (unplaced).
 	Gate(op Op, fileSet string) (release func(), err error)
 	// Fleet serves every op whose Class.Fleet() is true: the cluster-map
-	// reads, the member-to-member ops and the authority-only ops. The
-	// returned Response's ID is overwritten by the server.
+	// reads, the member-to-member ops and the authority-only ops.
 	Fleet(req Request) Response
 }

@@ -28,17 +28,15 @@ const connBufBytes = 64 << 10
 // reading of its requests too (every client here reads them on a goroutine
 // of its own).
 //
-// It is the one server loop — wire.Server, the sdk gateway and the
-// standby's replica.Receiver all serve through it. Handle is the only
-// required hook and is called concurrently.
+// It is the one server loop: an Endpoint serves each of its connections
+// through one, with the connection's accounting attached. Handle is called
+// concurrently.
 type FrameServer struct {
 	// Handle serves one decoded request; called concurrently.
 	Handle func(Request) Response
-	// OnBadFrame, if set, is called once per undecodable frame (accounting).
-	OnBadFrame func()
-	// OnInflight, if set, observes admissions (+1) and completions (-1) —
-	// the hook behind in-flight gauges and pipeline-depth histograms.
-	OnInflight func(delta int64)
+	// conn, when set, counts the connection's bad frames and requests in
+	// flight (Endpoint); a bare FrameServer counts nothing.
+	conn *connState
 }
 
 // Serve reads frames until the connection closes or loses framing — a bad
@@ -68,7 +66,7 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 		defer writeMu.Unlock()
 		payload, ok := AppendResponse(encBuf[:0], &resp)
 		if !ok {
-			payload, _ = AppendResponse(encBuf[:0], &Response{ID: resp.ID, Err: "wire: unencodable response"})
+			payload, _ = AppendResponse(encBuf[:0], &Response{Err: "wire: unencodable response"})
 		}
 		if cap(payload) <= maxKeptEncodeBuf {
 			encBuf = payload
@@ -84,12 +82,12 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 		kind, tag, payload, err := fr.ReadFrame()
 		if err != nil {
 			if errors.Is(err, ErrBadFrameHeader) || errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrBadFrameKind) {
-				f.badFrame()
+				f.conn.badFrame()
 			}
 			return
 		}
 		if kind != FrameRequest {
-			f.badFrame()
+			f.conn.badFrame()
 			return
 		}
 		// Each request is decoded into a struct of its own and handed over
@@ -99,11 +97,11 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 		if !dec.DecodeRequest(payload, &r.req) {
 			// Framing is intact (the length field delimited the payload);
 			// answer the tag and keep the connection.
-			f.badFrame()
+			f.conn.badFrame()
 			send(tag, Response{Err: "bad frame: malformed request body"})
 			continue
 		}
-		f.inflight(1)
+		f.conn.admit()
 		if free.Load() > 0 {
 			free.Add(-1)
 			next <- r
@@ -116,7 +114,7 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 				resp := f.Handle(r.req)
 				free.Add(1)
 				send(r.tag, resp)
-				f.inflight(-1)
+				f.conn.done()
 			}
 		}(r)
 	}
@@ -126,16 +124,4 @@ func (f *FrameServer) Serve(conn net.Conn, maxPayload int) {
 type taggedRequest struct {
 	tag uint64
 	req Request
-}
-
-func (f *FrameServer) badFrame() {
-	if f.OnBadFrame != nil {
-		f.OnBadFrame()
-	}
-}
-
-func (f *FrameServer) inflight(d int64) {
-	if f.OnInflight != nil {
-		f.OnInflight(d)
-	}
 }

@@ -46,7 +46,7 @@ func (h *handlerLog) handle(req Request) Response {
 	if hold {
 		<-h.all
 	}
-	return Response{ID: req.ID}
+	return Response{}
 }
 
 func (h *handlerLog) handlers() int {
@@ -77,7 +77,7 @@ func serveFrames(t *testing.T, handle func(Request) Response) (net.Conn, *FrameW
 func pingRoundTrips(t *testing.T, fw *FrameWriter, fr *FrameReader, n int) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
-		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, Request{ID: uint64(i), Op: OpPing})); err != nil {
+		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, Request{Op: OpPing})); err != nil {
 			t.Fatal(err)
 		}
 		if _, tag, _, err := fr.ReadFrame(); err != nil || tag != uint64(i) {
@@ -108,7 +108,7 @@ func TestFrameServerHandlersFollowInflightPeak(t *testing.T) {
 	log := newHandlerLog(peak)
 	cli, fw, fr, served := serveFrames(t, log.handle)
 	for i := 1; i <= peak; i++ { // pipelined: none is answered before all arrive
-		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, Request{ID: uint64(i), Op: OpPing})); err != nil {
+		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, Request{Op: OpPing})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,9 +139,9 @@ func TestFrameServerHandlersFollowInflightPeak(t *testing.T) {
 // Formatting its two histogram labels and looking them up cost four more.
 const serveStatAllocs = 5
 
-// TestServeStatAllocs: serving one stat through Server.serve finds its per-op
-// and per-volume histograms by table row and volume entry; it formats no
-// label.
+// TestServeStatAllocs: serving one stat through the daemon's endpoint edge
+// finds its per-op and per-volume histograms by table row and volume entry;
+// it formats no label.
 func TestServeStatAllocs(t *testing.T) {
 	disk := sharedisk.NewStore(0)
 	if err := disk.CreateFileSet("fs00"); err != nil {
@@ -154,12 +154,12 @@ func TestServeStatAllocs(t *testing.T) {
 	defer cl.Stop()
 	srv := NewServer(cl)
 	cs := &connState{remote: "test"}
-	if resp := srv.serve(cs, Request{Op: OpCreate, FileSet: "fs00", Path: "/a", Record: &sharedisk.Record{Size: 1}}); resp.Err != "" {
+	if resp := srv.ep.serve(cs, Request{Op: OpCreate, FileSet: "fs00", Path: "/a", Record: &sharedisk.Record{Size: 1}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	stat := Request{Op: OpStat, FileSet: "fs00", Path: "/a"}
 	if n := testing.AllocsPerRun(200, func() {
-		if resp := srv.serve(cs, stat); resp.Err != "" {
+		if resp := srv.ep.serve(cs, stat); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
 	}); n > serveStatAllocs {

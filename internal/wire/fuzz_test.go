@@ -42,8 +42,8 @@ func fuzzCluster(f *testing.F) *Server {
 func seedRequests() []Request {
 	rec := &sharedisk.Record{Size: 1, Mode: 0o644, ModTime: time.Unix(1786105845, 5).UTC(), Owner: "fuzz"}
 	reqs := make([]Request, 0, len(Ops))
-	for i, info := range Ops {
-		req := Request{ID: uint64(i + 1), Op: info.Op, Trace: 7}
+	for _, info := range Ops {
+		req := Request{Op: info.Op, Trace: 7}
 		switch info.Class {
 		case ClassOwner:
 			req.FileSet, req.Path, req.Record, req.Client = "fs00", "/a", rec, 1
@@ -87,7 +87,7 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02"))
 	f.Add([]byte{stat, reqFileSet, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}) // a length past the end
 	f.Add([]byte{stat, reqBatch, 0xff, 0x7f})                          // a count past the end
-	f.Add([]byte{stat, reqID, 1, reqID, 2})                            // a repeated tag
+	f.Add([]byte{stat, reqTrace, 1, reqTrace, 2})                      // a repeated tag
 	f.Add([]byte(`{"id":1,"op":"stat","fileset":"fs00","path":"/a"}`)) // what version 1 carried
 	srv := fuzzCluster(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -106,10 +106,7 @@ func FuzzRequestDecode(f *testing.F) {
 		if twice, _ := AppendRequest(nil, &back); !bytes.Equal(twice, again) {
 			t.Fatalf("request changes on its second trip:\n %x\n %x", again, twice)
 		}
-		resp := srv.serve(&connState{remote: "fuzz"}, req)
-		if resp.ID != req.ID {
-			t.Fatalf("response ID %d for request ID %d", resp.ID, req.ID)
-		}
+		resp := srv.ep.serve(&connState{remote: "fuzz"}, req)
 		// Whatever came back must be encodable, or the write path would die.
 		out, ok := AppendResponse(nil, &resp)
 		var got Response
@@ -124,7 +121,7 @@ func FuzzRequestDecode(f *testing.F) {
 func FuzzResponseDecode(f *testing.F) {
 	srv := fuzzCluster(f)
 	for _, req := range seedRequests() {
-		resp := srv.serve(&connState{remote: "fuzz"}, req)
+		resp := srv.ep.serve(&connState{remote: "fuzz"}, req)
 		body, ok := AppendResponse(nil, &resp)
 		if !ok {
 			f.Fatalf("the reply to %s has no encoding: %+v", req.Op, resp)
@@ -166,8 +163,8 @@ func FuzzTaggedFrame(f *testing.F) {
 		copy(buf[FrameHeaderSize:], payload)
 		return buf
 	}
-	ping, _ := AppendRequest(nil, &Request{ID: 1, Op: OpPing})
-	reply, _ := AppendResponse(nil, &Response{ID: 42})
+	ping, _ := AppendRequest(nil, &Request{Op: OpPing})
+	reply, _ := AppendResponse(nil, &Response{Trace: 42})
 	seeds := [][]byte{
 		frame(FrameRequest, 1, ping),
 		frame(FrameResponse, 42, reply),

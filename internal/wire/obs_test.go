@@ -68,14 +68,14 @@ func TestConnCounters(t *testing.T) {
 		return respOf(t, body)
 	}
 
-	stat := reqBody(t, Request{ID: 2, Op: OpStat, FileSet: "fs00", Path: "/missing"})
+	stat := reqBody(t, Request{Op: OpStat, FileSet: "fs00", Path: "/missing"})
 	if resp := send(1, stat[:len(stat)-3]); !strings.HasPrefix(resp.Err, "bad frame") {
 		t.Fatalf("truncated body answered %+v", resp)
 	}
 	if resp := send(2, stat); resp.Err == "" {
 		t.Fatal("stat of missing path succeeded")
 	}
-	if resp := send(3, reqBody(t, Request{ID: 3, Op: OpOwner, FileSet: "fs00"})); resp.Err != "" {
+	if resp := send(3, reqBody(t, Request{Op: OpOwner, FileSet: "fs00"})); resp.Err != "" {
 		t.Fatalf("owner failed: %s", resp.Err)
 	}
 
@@ -108,8 +108,19 @@ func TestConnCounters(t *testing.T) {
 	}
 }
 
-// TestSlowRequestCounter lowers the slow threshold to zero so every request
-// counts as slow.
+// slowGate holds every file-set op in its fleet gate for the slow
+// threshold, so each one is a slow request.
+type slowGate struct{}
+
+func (slowGate) Gate(Op, string) (func(), error) {
+	time.Sleep(DefaultSlowThreshold)
+	return func() {}, nil
+}
+
+func (slowGate) Fleet(Request) Response { return Response{} }
+
+// TestSlowRequestCounter: one request held past DefaultSlowThreshold counts
+// as slow, once.
 func TestSlowRequestCounter(t *testing.T) {
 	disk := sharedisk.NewStore(0)
 	if err := disk.CreateFileSet("fs00"); err != nil {
@@ -123,7 +134,7 @@ func TestSlowRequestCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(cl)
-	srv.slow = 0
+	srv.SetFleet(slowGate{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +148,14 @@ func TestSlowRequestCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if _, err := c.Owner("fs00"); err != nil {
+	if err := c.Create("fs00", "/slow", sharedisk.Record{}); err != nil {
 		t.Fatal(err)
 	}
 	ws, _, err := c.WireStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws[CtrSlow] < 1 {
-		t.Fatalf("zero threshold counted no slow requests: %v", ws)
+	if ws[CtrSlow] != 1 {
+		t.Fatalf("one request held past the threshold counted %d slow requests: %v", ws[CtrSlow], ws)
 	}
 }

@@ -54,6 +54,10 @@ type OpInfo struct {
 	// ops. Everything else has semantics (locks, namespace, fleet) that do
 	// not fold into a batch.
 	Batchable bool
+	// Untraced ops join no trace at any edge (Endpoint): the health ping,
+	// the ops that read traces (their Request.Trace names the trace to
+	// read) and log shipping, whose entries carry their writes' own traces.
+	Untraced bool
 }
 
 // Ops is the op table: the one place an op's wire code and routing are
@@ -81,11 +85,11 @@ var Ops = []OpInfo{
 	{Op: OpPRemove, Code: 18, Class: ClassOwner},
 	{Op: OpMapping, Code: 19, Class: ClassLocal},
 	{Op: OpSync, Code: 20, Class: ClassBroadcast},
-	{Op: OpTrace, Code: 21, Class: ClassLocal},
-	{Op: OpTracePull, Code: 22, Class: ClassLocal},
-	{Op: OpTunerLog, Code: 23, Class: ClassLocal},
-	{Op: OpShip, Code: 24, Class: ClassStandby},
-	{Op: OpShipStatus, Code: 25, Class: ClassStandby},
+	{Op: OpTrace, Code: 21, Class: ClassLocal, Untraced: true},
+	{Op: OpTracePull, Code: 22, Class: ClassLocal, Untraced: true},
+	{Op: OpTunerLog, Code: 23, Class: ClassLocal, Untraced: true},
+	{Op: OpShip, Code: 24, Class: ClassStandby, Untraced: true},
+	{Op: OpShipStatus, Code: 25, Class: ClassStandby, Untraced: true},
 	{Op: OpMap, Code: 26, Class: ClassMap},
 	{Op: OpMapEpoch, Code: 27, Class: ClassMap},
 	{Op: OpAdopt, Code: 28, Class: ClassMember},
@@ -101,7 +105,7 @@ var Ops = []OpInfo{
 	{Op: OpVolumeList, Code: 38, Class: ClassAuthority},
 	{Op: OpVolumeSetQuota, Code: 39, Class: ClassAuthority},
 	{Op: OpVolumeSetPolicy, Code: 40, Class: ClassAuthority},
-	{Op: OpPing, Code: 41, Class: ClassLocal},
+	{Op: OpPing, Code: 41, Class: ClassLocal, Untraced: true},
 	{Op: OpBatch, Code: 42, Class: ClassOwner},
 }
 

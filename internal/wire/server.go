@@ -3,11 +3,9 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anufs/internal/live"
@@ -18,6 +16,7 @@ import (
 )
 
 // Wire server counter names, exported via the obs registry and OpStats.
+// The endpoint counts the first four under its name, "wire".
 const (
 	CtrRequests   = "wire_requests"
 	CtrErrors     = "wire_errors"
@@ -27,66 +26,26 @@ const (
 	CtrBatchItems = "wire_batch_items"
 )
 
-// DefaultSlowThreshold classifies a request as slow for the
-// wire_slow_requests counter.
-const DefaultSlowThreshold = 500 * time.Millisecond
-
-// connState is one connection's request accounting (see ConnStat).
-type connState struct {
-	remote    string
-	requests  atomic.Int64
-	errors    atomic.Int64
-	slow      atomic.Int64
-	badFrames atomic.Int64
-	// inflight counts requests admitted but not yet answered on this
-	// connection — one connection carries many.
-	inflight atomic.Int64
-}
-
-// Server exposes a live.Cluster over TCP. One goroutine per connection
-// reads frames (FrameServer) and hands each request to a handler goroutine
-// of that connection's, so a slow metadata operation does not
-// head-of-line-block the connection's other requests (responses are
-// correlated by tag, not order).
-//
-// Every request is traced: the server mints a trace ID (unless the client
-// supplied one), times the handler into a per-op latency histogram, emits a
-// "wire" span, and echoes the ID in the response so the client can fetch
-// the request's full span timeline with OpTrace.
+// Server exposes a live.Cluster over TCP through an Endpoint named "wire",
+// whose edge spans are "wire" spans. Each connection's requests are served
+// concurrently, so a slow metadata operation does not head-of-line-block
+// the connection's other requests (responses are correlated by tag, not
+// order). What the server adds to the endpoint is the op switch and the
+// per-volume RED accounting.
 type Server struct {
 	cluster *live.Cluster
 	ns      *namespace.Table
 	obs     *obs.Registry
-
-	// ctrRequests and ctrErrors are bumped per request, so the handles are
-	// held; the rarer wire_* counters are looked up where they count.
-	ctrRequests *obs.Counter
-	ctrErrors   *obs.Counter
-	slow        time.Duration // fixed by NewServer: serve reads it without s.mu
-	// histDepth observes the connection's pipeline depth at each
-	// admission and histBatch the item count of each OpBatch. Both encode
-	// a unitless count as nanoseconds (obs histograms observe durations):
-	// bucket boundaries read directly as counts.
-	histDepth *obs.Histogram
+	ep      *Endpoint
+	// histBatch observes the item count of each OpBatch, a count encoded
+	// as nanoseconds: bucket boundaries read directly as counts.
 	histBatch *obs.Histogram
-	// opHists holds each op's wire_request_seconds histogram at the op's
-	// Code in Ops, made on the op's first request: a label is formatted and
-	// looked up once per op, not once per request.
-	opHists [256]atomic.Pointer[obs.Histogram]
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]*connState
-	closed   bool
-	handlers sync.WaitGroup
-	// closedAgg folds the accounting of disconnected connections (whose
-	// conns entries are reaped on close) into one retained aggregate, so
-	// per-connection totals survive connection churn with O(1) state.
-	closedAgg   ConnStat
-	closedConns int64
 	// fleet, when set, fences file-set ops against the cluster map and
-	// serves the fleet ops (SetFleet).
+	// serves the fleet ops (SetFleet, before Listen: handle reads it
+	// without a lock).
 	fleet FleetHandler
+
+	mu sync.Mutex
 	// volStats is the per-tenant RED accounting for file-set-addressed
 	// requests, keyed by the volume of the request's file set (the prefix
 	// of its qualified ID). Exposed as labeled gauges on /metrics and as a
@@ -110,31 +69,13 @@ type volStat struct {
 // queues, and (when the daemon shares the registry) the journal.
 func NewServer(c *live.Cluster) *Server {
 	s := &Server{
-		cluster:     c,
-		ns:          namespace.New(),
-		obs:         c.Obs(),
-		ctrRequests: c.Obs().Counter(CtrRequests),
-		ctrErrors:   c.Obs().Counter(CtrErrors),
-		slow:        DefaultSlowThreshold,
-		conns:       map[net.Conn]*connState{},
-		volStats:    map[string]*volStat{},
+		cluster:  c,
+		ns:       namespace.New(),
+		obs:      c.Obs(),
+		volStats: map[string]*volStat{},
 	}
-	s.histDepth = s.obs.Hist.Get("wire_pipeline_depth", "")
+	s.ep = NewEndpoint(s.obs, "wire", "wire", MaxFramePayload, s.serve)
 	s.histBatch = s.obs.Hist.Get("wire_batch_items", "")
-	s.obs.AddGauges(func() []obs.Gauge {
-		s.mu.Lock()
-		n, nc := len(s.conns), s.closedConns
-		var inflight int64
-		for _, cs := range s.conns {
-			inflight += cs.inflight.Load()
-		}
-		s.mu.Unlock()
-		return []obs.Gauge{
-			{Name: "wire_open_connections", Value: float64(n)},
-			{Name: "wire_closed_connections", Value: float64(nc)},
-			{Name: "wire_inflight_requests", Value: float64(inflight)},
-		}
-	})
 	s.obs.AddGauges(func() []obs.Gauge {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -161,208 +102,51 @@ func NewServer(c *live.Cluster) *Server {
 // SetFleet puts the server in fleet mode: every gated op (Ops) passes
 // h.Gate before dispatch (wrong-owner fencing), and every op of a fleet
 // class (Class.Fleet) dispatches to h.Fleet. Call before Listen.
-func (s *Server) SetFleet(h FleetHandler) {
-	s.mu.Lock()
-	s.fleet = h
-	s.mu.Unlock()
-}
+func (s *Server) SetFleet(h FleetHandler) { s.fleet = h }
 
 // Listen starts accepting on addr ("host:port"; ":0" picks a free port)
 // and returns the bound address. Serving happens on background goroutines.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("wire: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.handlers.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.handlers.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		cs := &connState{remote: conn.RemoteAddr().String()}
-		s.conns[conn] = cs
-		s.mu.Unlock()
-		s.handlers.Add(1)
-		go s.serveConn(conn, cs)
-	}
-}
+func (s *Server) Listen(addr string) (string, error) { return s.ep.Listen(addr) }
 
 // Close stops accepting, closes all connections, and waits for handlers.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.handlers.Wait()
-}
+func (s *Server) Close() { s.ep.Close() }
 
-func (s *Server) serveConn(conn net.Conn, cs *connState) {
-	defer s.handlers.Done()
-	defer func() {
-		conn.Close()
-		// Reap the per-connection entry but keep its totals: fold them into
-		// the closed-connection aggregate under the same lock, so stats
-		// never double-count a connection mid-teardown and the map stays
-		// bounded by the number of LIVE connections.
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.closedConns++
-		s.closedAgg.Requests += cs.requests.Load()
-		s.closedAgg.Errors += cs.errors.Load()
-		s.closedAgg.Slow += cs.slow.Load()
-		s.closedAgg.BadFrames += cs.badFrames.Load()
-		s.mu.Unlock()
-	}()
-	fs := &FrameServer{
-		Handle: func(req Request) Response { return s.serve(cs, req) },
-		OnBadFrame: func() {
-			s.obs.Counter(CtrBadFrames).Add(1)
-			cs.badFrames.Add(1)
-		},
-		OnInflight: func(d int64) {
-			n := cs.inflight.Add(d)
-			if d > 0 {
-				s.histDepth.Observe(time.Duration(n))
-			}
-		},
+// serve is the endpoint's handler: the op switch, then the per-tenant RED
+// accounting of a file-set-addressed request — rate and errors by volume,
+// latency in the volume's histogram. Quota denials are broken out: they
+// are the throttle working, not the tenant failing. A request that joins
+// a trace carries it in req.Trace (Endpoint), which handle takes as its
+// trace; no arm of an op that joins none uses that argument.
+func (s *Server) serve(req Request) Response {
+	if req.FileSet == "" {
+		return s.handle(req.Trace, req)
 	}
-	fs.Serve(conn, MaxFramePayload)
-}
-
-// serve instruments one request around handle: per-op latency histogram,
-// request/error/slow counters (global and per connection), and — except for
-// the observability ops themselves — a trace ID and a "wire" span.
-func (s *Server) serve(cs *connState, req Request) Response {
 	start := time.Now()
-	// OpTrace/OpTunerLog/OpTracePull inspect traces rather than participate
-	// in them (they reuse the Trace field to address the target trace).
-	observer := req.Op == OpTrace || req.Op == OpTunerLog || req.Op == OpTracePull
-	var trace uint64
-	if !observer {
-		trace = req.Trace
-		if trace == 0 {
-			trace = s.obs.NextTraceID()
-		}
-	}
-	resp := s.handle(trace, req)
+	resp := s.handle(req.Trace, req)
 	dur := time.Since(start)
-	op := string(req.Op)
-	if info, ok := Lookup(req.Op); ok {
-		s.opHist(info).ObserveTrace(dur, trace)
+	vol := namespace.VolumeOf(req.FileSet)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vs := s.volStats[vol]
+	if vs == nil {
+		vs = &volStat{hist: s.obs.Hist.Get("volume_request_seconds", fmt.Sprintf("volume=%q", vol))}
+		s.volStats[vol] = vs
 	}
-	s.ctrRequests.Add(1)
-	cs.requests.Add(1)
+	vs.hist.Observe(dur)
+	vs.requests++
 	if resp.Err != "" {
-		s.ctrErrors.Add(1)
-		cs.errors.Add(1)
-	}
-	if req.FileSet != "" {
-		// Per-tenant RED: rate and errors by volume (latency rides the
-		// histogram below). Quota denials are broken out — they are the
-		// throttle working, not the tenant failing.
-		vol := namespace.VolumeOf(req.FileSet)
-		s.mu.Lock()
-		vs := s.volStats[vol]
-		if vs == nil {
-			vs = &volStat{hist: s.obs.Hist.Get("volume_request_seconds", fmt.Sprintf("volume=%q", vol))}
-			s.volStats[vol] = vs
+		vs.errors++
+		if resp.Code == CodeQuotaExceeded {
+			vs.quotaDenials++
 		}
-		vs.hist.Observe(dur)
-		vs.requests++
-		if resp.Err != "" {
-			vs.errors++
-			if resp.Code == CodeQuotaExceeded {
-				vs.quotaDenials++
-			}
-		}
-		s.mu.Unlock()
-	}
-	if dur >= s.slow {
-		s.obs.Counter(CtrSlow).Add(1)
-		cs.slow.Add(1)
-	}
-	if !observer {
-		resp.Trace = trace
-		// The wire span carries the propagated context: its Parent is the
-		// upstream hop's span ID (a gateway or sdk client), and its own ID
-		// lets further hops parent under it.
-		s.obs.Spans.Add(obs.Span{
-			Trace: trace, Name: "wire", Op: op, FileSet: req.FileSet,
-			Server: -1, Start: start, Dur: dur, Err: resp.Err,
-			ID: s.obs.NextSpanID(), Parent: req.Parent,
-		})
-		// Over-budget requests go to the flight recorder now that every
-		// span of the trace this node will record is in the ring.
-		s.obs.Slow.MaybePromote(s.obs.Spans, trace, op, dur)
 	}
 	return resp
 }
 
-// opHist returns the op's wire_request_seconds histogram.
-func (s *Server) opHist(info OpInfo) *obs.Histogram {
-	p := &s.opHists[info.Code]
-	h := p.Load()
-	if h == nil {
-		h = s.obs.Hist.Get("wire_request_seconds", fmt.Sprintf("op=%q", info.Op))
-		p.Store(h)
-	}
-	return h
-}
-
-// connStats snapshots per-connection accounting, sorted by remote address.
-func (s *Server) connStats() []ConnStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ConnStat, 0, len(s.conns))
-	for _, cs := range s.conns {
-		out = append(out, ConnStat{
-			Remote:    cs.remote,
-			Requests:  cs.requests.Load(),
-			Errors:    cs.errors.Load(),
-			Slow:      cs.slow.Load(),
-			BadFrames: cs.badFrames.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Remote < out[j].Remote })
-	return out
-}
-
 func (s *Server) handle(trace uint64, req Request) Response {
-	resp := Response{ID: req.ID}
+	var resp Response
 	fail := func(err error) Response { return Fail(resp, err) }
-	s.mu.Lock()
 	fleet := s.fleet
-	s.mu.Unlock()
 	info, ok := Lookup(req.Op)
 	if !ok {
 		return fail(fmt.Errorf("wire: unknown op %q", req.Op))
@@ -371,9 +155,7 @@ func (s *Server) handle(trace uint64, req Request) Response {
 		if fleet == nil {
 			return fail(errors.New("wire: not in fleet mode (start anufsd with -fleet)"))
 		}
-		r := fleet.Fleet(req)
-		r.ID = req.ID
-		return r
+		return fleet.Fleet(req)
 	}
 	if fleet != nil && info.Gated {
 		release, err := fleet.Gate(req.Op, req.FileSet)
@@ -386,8 +168,8 @@ func (s *Server) handle(trace uint64, req Request) Response {
 	// (and, for sync, journal) spans land under this request's trace.
 	v := s.cluster.WithTrace(trace)
 	switch req.Op {
-	case OpPing:
-		// Liveness no-op: connection pools health-check with it.
+	case OpPing, OpTrace, OpTracePull:
+		return s.ep.Local(req)
 	case OpBatch:
 		// Batches gate per touched file set inside handleBatch (the
 		// generic gate above is single-file-set).
@@ -469,30 +251,15 @@ func (s *Server) handle(trace uint64, req Request) Response {
 				resp.Journal[name] = v
 			}
 		}
-		resp.Conns = s.connStats()
-		s.mu.Lock()
-		if s.closedConns > 0 {
-			agg := s.closedAgg
-			resp.Closed, resp.ClosedConns = &agg, s.closedConns
+		var closed ConnStat
+		resp.Conns, closed, resp.ClosedConns = s.ep.connStats()
+		if resp.ClosedConns > 0 {
+			resp.Closed = &closed
 		}
-		s.mu.Unlock()
 	case OpSync:
 		if err := v.CheckpointAll(); err != nil {
 			return fail(err)
 		}
-	case OpTrace:
-		if req.Trace != 0 {
-			resp.Spans = s.obs.Spans.ByTrace(req.Trace)
-		} else {
-			resp.Spans = s.obs.Spans.Snapshot(req.Count)
-		}
-	case OpTracePull:
-		// The fleet stitcher's per-node pull: live ring plus flight
-		// recorder (it dedupes), with identity and clock for skew.
-		resp.Spans = s.obs.Spans.ByTrace(req.Trace)
-		resp.Spans = append(resp.Spans, s.obs.Slow.ByTrace(req.Trace)...)
-		resp.Node = s.obs.Node()
-		resp.Now = time.Now().UnixNano()
 	case OpTunerLog:
 		resp.Tuner = s.obs.Tuner.Snapshot(req.Count)
 	case OpMount:
@@ -564,7 +331,7 @@ func (s *Server) handle(trace uint64, req Request) Response {
 // applied, so the client retries the batch intact after a map refetch and
 // no partially-admitted batch can be acknowledged.
 func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Response {
-	resp := Response{ID: req.ID}
+	var resp Response
 	fail := func(err error) Response { return Fail(resp, err) }
 	n := len(req.Batch)
 	if n == 0 {

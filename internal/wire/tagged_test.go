@@ -170,7 +170,7 @@ func TestPipelining(t *testing.T) {
 	// only a pipelined server can answer them all.
 	const n = 32
 	for i := 1; i <= n; i++ {
-		req := Request{ID: uint64(i), Op: OpStat, FileSet: "fs00", Path: "/missing"}
+		req := Request{Op: OpStat, FileSet: "fs00", Path: "/missing"}
 		if err := fw.WriteFrame(FrameRequest, uint64(i), reqBody(t, req)); err != nil {
 			t.Fatal(err)
 		}

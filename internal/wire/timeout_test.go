@@ -160,7 +160,7 @@ func TestMalformedResponseFailsItsCallAtOnce(t *testing.T) {
 		if _, tag, _, err = fr.ReadFrame(); err != nil {
 			return
 		}
-		ok, _ := AppendResponse(nil, &Response{ID: tag})
+		ok, _ := AppendResponse(nil, &Response{})
 		_ = fw.WriteFrame(FrameResponse, tag, ok)
 	}()
 

@@ -161,7 +161,6 @@ type ShipEntry struct {
 // Request is one client frame. The JSON tags are for rendering a decoded
 // frame (anufsctl -json); the wire encoding is codec.go's.
 type Request struct {
-	ID      uint64            `json:"id"`
 	Op      Op                `json:"op"`
 	FileSet string            `json:"fileset,omitempty"`
 	Path    string            `json:"path,omitempty"`
@@ -253,7 +252,6 @@ type ServerStat struct {
 
 // Response is one server frame.
 type Response struct {
-	ID  uint64 `json:"id"`
 	Err string `json:"err,omitempty"`
 	// Code is a machine-readable classification of Err (ErrorCode) for the
 	// errors client control flow keys on — rewording Err must never change
