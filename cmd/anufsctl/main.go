@@ -184,16 +184,16 @@ func main() {
 			check(err)
 			fmt.Printf("ok (epoch %d)\n", epoch)
 		case "ls":
-			vols, version, err := c.VolumeList()
+			vols, epoch, err := c.VolumeList()
 			check(err)
 			if *jsonOut {
 				emitJSON(struct {
-					Version uint64        `json:"version"`
+					Epoch   uint64        `json:"epoch"`
 					Volumes []volume.Info `json:"volumes"`
-				}{version, vols})
+				}{epoch, vols})
 				return
 			}
-			fmt.Printf("registry version %d\n", version)
+			fmt.Printf("map epoch %d\n", epoch)
 			tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "VOLUME\tPOLICY\tWEIGHT\tMAX-FILESETS\tOP-RATE")
 			for _, v := range vols {
@@ -337,10 +337,7 @@ func main() {
 		n := 64
 		if len(rest) >= 1 {
 			if rest[0] == "last" {
-				// Run a traced sync so the dumped trace crosses the whole
-				// stack (wire, queue, apply, journal when enabled).
-				check(c.Sync())
-				trace = c.LastTrace()
+				trace = lastTrace(c)
 			} else {
 				trace, err = strconv.ParseUint(rest[0], 10, 64)
 				check(err)
@@ -420,6 +417,30 @@ func check(err error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "anufsctl:", err)
 	os.Exit(1)
+}
+
+// lastTrace runs a traced sync, so the trace it returns crosses the whole
+// stack (wire, queue, apply, journal when enabled). A node that answers but
+// refuses the sync — a standby serves replication only — has no such
+// trace; the newest trace in its own ring stands in, which on a standby is
+// a shipped write's standby-ack.
+func lastTrace(c *wire.Client) uint64 {
+	err := c.Sync()
+	if err == nil || wire.TransientError(err) {
+		check(err)
+		return c.LastTrace()
+	}
+	refused := c.LastTrace() // the refusal is a trace of its own; skip it
+	fmt.Fprintf(os.Stderr, "sync refused (%v); showing the newest trace in the node's ring\n", err)
+	spans, err := c.Trace(0, 64)
+	check(err)
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Trace != refused {
+			return spans[i].Trace
+		}
+	}
+	fatal(fmt.Errorf("no trace in the node's ring"))
+	return 0
 }
 
 func usage() {

@@ -14,9 +14,9 @@
 // lease lapses is failed over — the authority moves its file sets to new
 // owners that replay the victim's journal tail from shared disk before
 // serving (OpTakeover), so acknowledged writes survive kill -9. The
-// authority journals its map and volume registry as one image per commit
-// (AuthorityConfig.Disk); NewAuthority resumes from it after a restart, or
-// on a promoted standby the journal was log-shipped to.
+// authority journals its map, tenant volumes included, as one image per
+// commit (AuthorityConfig.Disk); NewAuthority resumes from it after a
+// restart, or on a promoted standby the journal was log-shipped to.
 package fleet
 
 import (
@@ -91,7 +91,7 @@ type AuthorityConfig struct {
 	// membership changes only through explicit join/leave.
 	Lease time.Duration
 	// Disk (a sharedisk.Installer; nil persists nothing) gets one
-	// MapFileSet image of map and registry per commit; a failed install is
+	// MapFileSet image of the map per commit; a failed install is
 	// counted, not fatal. When Disk holds that image already, NewAuthority
 	// resumes from it: its first epoch lands PromotionEpochJump above the
 	// journaled one, and Start publishes that map once, which is how
@@ -170,9 +170,6 @@ type Authority struct {
 	// reconfiguration holds mu across network calls.
 	leaseMu sync.Mutex
 	leases  map[int]time.Time
-	// vols is the authoritative volume registry (its own lock; mutations
-	// bump the map epoch through volumesChanged).
-	vols *volume.Registry
 
 	// mu serializes reconfigurations; nothing else takes it.
 	mu sync.Mutex
@@ -206,12 +203,11 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 		publishWait:    DefaultPublishWait,
 		startupGrace:   4 * cfg.Lease,
 		leases:         map[int]time.Time{},
-		vols:           volume.NewRegistry(),
 		anu:            placement.NewANU(core.Defaults()),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
-	seed := &placement.ClusterMap{Daemons: cfg.Daemons}
+	seed := &placement.ClusterMap{Daemons: cfg.Daemons, Volumes: []volume.Info{volume.Default()}}
 	if cfg.Disk != nil {
 		inst, ok := cfg.Disk.(sharedisk.Installer)
 		if !ok {
@@ -229,7 +225,7 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	}
 	// Validate refuses an empty fleet, duplicate IDs, missing addresses and
 	// speeds that are not > 0 (NaN included) before ANU sees any of them.
-	cm := a.nextLocked(seed.Daemons, seed.Assign)
+	cm := a.nextLocked(seed, seed.Daemons)
 	if err := cm.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: initial map: %w", err)
 	}
@@ -252,17 +248,17 @@ func NewAuthority(cfg AuthorityConfig) (*Authority, error) {
 	return a, nil
 }
 
-// resume installs the registry of the image on cfg.Disk, if any, and
-// returns its map with cfg.Addr as the authority daemon's address. With a
-// roster, a map naming another authority is refused: resuming it would
-// publish under another daemon's identity, and seeding afresh would reuse
-// epochs every member already holds.
+// resume returns the map of the image on cfg.Disk, if any, volumes
+// included, with cfg.Addr as the authority daemon's address. With a roster,
+// a map naming another authority is refused: resuming it would publish
+// under another daemon's identity, and seeding afresh would reuse epochs
+// every member already holds.
 func (a *Authority) resume() (*placement.ClusterMap, error) {
 	im, err := a.cfg.Disk.Load(MapFileSet)
 	if err != nil {
 		return nil, nil // the only Load error is an unknown file set: no image yet
 	}
-	cm, vols, version, err := decodeMapImage(im)
+	cm, err := decodeMapImage(im)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resume: %w", err)
 	}
@@ -271,7 +267,6 @@ func (a *Authority) resume() (*placement.ClusterMap, error) {
 			cm.Epoch, cm.Authority, a.cfg.SelfID)
 	}
 	a.cfg.SelfID = cm.Authority
-	a.vols.Install(vols, version)
 	for i, d := range cm.Daemons {
 		if d.ID == cm.Authority && a.cfg.Addr != "" {
 			cm.Daemons[i].Addr = a.cfg.Addr
@@ -404,21 +399,22 @@ func (a *Authority) reshapeLocked(change func(id int) error, id int, daemons []p
 
 // nextLocked reserves a fresh epoch — strictly above every map ever
 // composed, committed or abandoned — and returns a candidate map at it
-// with daemons (sorted by ID) and a copy of assign, for the caller to edit
-// and then commit or abandon. Failed reconfigurations leave gaps in the
-// epoch sequence; consumers only need monotonicity. The candidate never
-// consults ANU, so a membership change cannot silently move file sets
-// without the handoff or takeover that makes the move safe.
-func (a *Authority) nextLocked(daemons []placement.DaemonInfo, assign map[string]int) *placement.ClusterMap {
+// with daemons (sorted by ID) and base's assignment and volumes, for the
+// caller to edit and then commit or abandon. Failed reconfigurations leave
+// gaps in the epoch sequence; consumers only need monotonicity. The
+// candidate never consults ANU, so a membership change cannot silently
+// move file sets without the handoff or takeover that makes the move safe.
+func (a *Authority) nextLocked(base *placement.ClusterMap, daemons []placement.DaemonInfo) *placement.ClusterMap {
 	a.issued++
 	cm := &placement.ClusterMap{
 		Epoch:     a.issued,
 		Daemons:   slices.Clone(daemons),
-		Assign:    make(map[string]int, len(assign)+1),
+		Assign:    make(map[string]int, len(base.Assign)+1),
 		Authority: a.cfg.SelfID,
+		Volumes:   base.Volumes, // shared: an edit makes a new list
 	}
 	sort.Slice(cm.Daemons, func(i, j int) bool { return cm.Daemons[i].ID < cm.Daemons[j].ID })
-	maps.Copy(cm.Assign, assign)
+	maps.Copy(cm.Assign, base.Assign)
 	return cm
 }
 
@@ -437,14 +433,13 @@ func without(daemons []placement.DaemonInfo, id int) []placement.DaemonInfo {
 	return slices.DeleteFunc(slices.Clone(daemons), func(d placement.DaemonInfo) bool { return d.ID == id })
 }
 
-// commitLocked makes cm the current map, first installing it with the
-// registry as the authority's image when there is a disk. A failed install
-// is counted and the commit proceeds: the fleet must keep reconfiguring
-// even when the journal is sick.
+// commitLocked makes cm the current map, first installing it as the
+// authority's image when there is a disk. A failed install is counted and
+// the commit proceeds: the fleet must keep reconfiguring even when the
+// journal is sick.
 func (a *Authority) commitLocked(cm *placement.ClusterMap) {
 	if a.installer != nil {
-		vols, version := a.vols.List()
-		im, err := encodeMapImage(cm, vols, version)
+		im, err := encodeMapImage(cm)
 		if err == nil {
 			err = a.installer.Install(MapFileSet, im)
 		}
@@ -504,7 +499,7 @@ func (a *Authority) Join(id int, addr string, speed float64, journalDir string) 
 		a.mu.Unlock()
 		return nil, err
 	}
-	cm := a.nextLocked(daemons, cur.Assign)
+	cm := a.nextLocked(cur, daemons)
 	a.commitLocked(cm)
 	a.obs.Counter(CtrJoins).Add(1)
 	a.mu.Unlock()
@@ -545,7 +540,7 @@ func (a *Authority) Leave(id int) (uint64, error) {
 	}
 	a.forget(id)
 	cur = a.Map()
-	cm := a.nextLocked(without(cur.Daemons, id), cur.Assign)
+	cm := a.nextLocked(cur, without(cur.Daemons, id))
 	a.commitLocked(cm)
 	a.obs.Counter(CtrLeaves).Add(1)
 	a.mu.Unlock()
@@ -608,7 +603,7 @@ func (a *Authority) Assign(fileSet string, daemon int) (uint64, error) {
 		err = a.handoffLocked(fileSet, daemon)
 	} else {
 		// A brand-new file set needs no handoff.
-		cm := a.nextLocked(cur.Daemons, cur.Assign)
+		cm := a.nextLocked(cur, cur.Daemons)
 		cm.Assign[fileSet] = daemon
 		a.commitLocked(cm)
 	}
@@ -688,7 +683,7 @@ func (a *Authority) handoffLocked(fileSet string, to int) error {
 	from := cur.Assign[fileSet]
 	donor, _ := cur.Daemon(from)
 	recipient, _ := cur.Daemon(to)
-	candidate := a.nextLocked(cur.Daemons, cur.Assign)
+	candidate := a.nextLocked(cur, cur.Daemons)
 	candidate.Assign[fileSet] = to
 	encoded, err := candidate.Encode()
 	if err != nil {
@@ -754,7 +749,7 @@ func (a *Authority) failoverLocked(victim int) {
 	// Final map: the victim is gone, and anything still assigned to it
 	// (a group every candidate refused) is dropped to unplaced.
 	cur = a.Map()
-	cm := a.nextLocked(without(cur.Daemons, victim), cur.Assign)
+	cm := a.nextLocked(cur, without(cur.Daemons, victim))
 	unplaced := len(cur.FileSetsOf(victim))
 	maps.DeleteFunc(cm.Assign, func(_ string, id int) bool { return id == victim })
 	a.forget(victim)
@@ -772,7 +767,7 @@ func (a *Authority) takeoverLocked(owner, victim int, fileSets []string, journal
 	if !ok || owner == victim {
 		return false
 	}
-	candidate := a.nextLocked(cur.Daemons, cur.Assign)
+	candidate := a.nextLocked(cur, cur.Daemons)
 	for _, fs := range fileSets {
 		candidate.Assign[fs] = owner
 	}
@@ -822,10 +817,6 @@ func (a *Authority) publish(cm *placement.ClusterMap) {
 	if err != nil {
 		return
 	}
-	// The volume registry piggybacks on every map push (members install it
-	// only when the version is newer), so quota/weight changes converge on
-	// the same machinery as the map.
-	vols, vversion := a.vols.List()
 	var wg sync.WaitGroup
 	for _, d := range cm.Daemons {
 		wg.Add(1)
@@ -838,8 +829,7 @@ func (a *Authority) publish(cm *placement.ClusterMap) {
 			}
 			defer c.Close()
 			// Empty FileSet = map-only push.
-			_, err = c.Call(wire.Request{Op: wire.OpAdopt, Epoch: cm.Epoch, Map: encoded,
-				Volumes: vols, VolumesVersion: vversion})
+			_, err = c.Call(wire.Request{Op: wire.OpAdopt, Epoch: cm.Epoch, Map: encoded})
 			if err != nil {
 				a.obs.Counter(CtrPublishStragglers).Add(1)
 			}

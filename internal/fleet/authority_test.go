@@ -72,12 +72,17 @@ func (p *fakePeer) Takeover(epoch uint64, fileSets []string, journalDir string, 
 func (p *fakePeer) Call(wire.Request) (wire.Response, error) { return wire.Response{}, nil }
 func (p *fakePeer) Close() error                             { return nil }
 
-// journaled returns a disk holding cm, with a fresh registry, as the image
-// an earlier authority committed — what NewAuthority resumes from.
+// journaled returns a disk holding cm — with the default volume, when cm
+// lists no volumes — as the image an earlier authority committed: what
+// NewAuthority resumes from.
 func journaled(t testing.TB, cm *placement.ClusterMap) *sharedisk.Store {
 	t.Helper()
-	vols, version := volume.NewRegistry().List()
-	im, err := encodeMapImage(cm, vols, version)
+	if cm.Volumes == nil {
+		withDefault := *cm
+		withDefault.Volumes = []volume.Info{volume.Default()}
+		cm = &withDefault
+	}
+	im, err := encodeMapImage(cm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ const (
 	CtrTakeoverEmpty     = "fleet_takeover_empty" // member: adopted with nothing to replay
 	CtrRejoins           = "fleet_rejoins"        // member: heartbeat-triggered re-joins
 	// Multi-tenant volume counters: quota denials (authority MaxFileSets +
-	// member op-rate), registry refreshes installed from pushes/polls
-	// (member). A failed registry persist is a fleet_persist_failures: the
-	// registry rides the map's image.
+	// member op-rate), and adopted maps whose volumes changed (member). A
+	// failed volume persist is a fleet_persist_failures: the volumes are
+	// part of the map.
 	CtrQuotaDenials    = "fleet_quota_denials"
 	CtrVolumeRefreshes = "fleet_volume_refreshes"
 )
@@ -139,14 +139,9 @@ type Member struct {
 	// invariant: every acknowledged write either completed before the
 	// flush or was never admitted.
 	inflight map[string]int
-	// buckets holds one op-rate token bucket per quota'd volume (nil entry
-	// or absent = unlimited); rebuilt by applyVolumes.
+	// buckets holds one op-rate token bucket per volume of cur (nil entry
+	// or absent = unlimited); rebuilt by setMapLocked.
 	buckets map[string]*volume.Bucket
-
-	// vols is this daemon's volume registry view — the authority's own
-	// registry on the authority daemon, a replica installed from pushes and
-	// polls elsewhere. Has its own lock.
-	vols *volume.Registry
 
 	stop chan struct{}
 	done chan struct{}
@@ -183,16 +178,13 @@ func NewMember(cfg MemberConfig, initial *placement.ClusterMap) (*Member, error)
 		lastContact:  time.Now(),
 		ready:        map[string]bool{},
 		inflight:     map[string]int{},
-		buckets:      map[string]*volume.Bucket{},
-		vols:         volume.NewRegistry(),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
 	if cfg.Authority != nil {
-		m.vols = cfg.Authority.vols
 		cfg.Authority.obs = cfg.Obs
 	}
-	m.applyVolumes()
+	m.applyVolumesLocked(initial.Volumes) // no one else holds m yet
 	onDisk := map[string]bool{}
 	for _, fs := range cfg.Disk.FileSets() {
 		onDisk[fs] = true
@@ -296,9 +288,9 @@ func (m *Member) authorityCandidates() []string {
 
 // pollOnce probes one authority candidate — a membership heartbeat when
 // this daemon advertises an address, a bare epoch probe otherwise — and
-// fetches the full map when the authority's epoch or registry version is
-// newer. A failed probe rotates to the next candidate (primary → standby →
-// …). Returns true on a successful probe (fresh or not).
+// fetches the full map when the authority's epoch is newer. A failed probe
+// rotates to the next candidate (primary → standby → …). Returns true on a
+// successful probe (fresh or not).
 func (m *Member) pollOnce() bool {
 	cands := m.authorityCandidates()
 	if len(cands) == 0 {
@@ -319,10 +311,7 @@ func (m *Member) pollOnce() bool {
 	return ok
 }
 
-// probe runs one dial + heartbeat/epoch exchange against addr. The reply's
-// registry version counts like its epoch: a daemon that reached the epoch
-// by a path that carries no registry (a join reply, a donor's adopt) still
-// converges here.
+// probe runs one dial + heartbeat/epoch exchange against addr.
 func (m *Member) probe(addr string) bool {
 	c, err := m.dial(addr, DefaultProbeTimeout, DefaultProbeTimeout)
 	if err != nil {
@@ -338,9 +327,9 @@ func (m *Member) probe(addr string) bool {
 		// The authority's map does not list us with our journal dir: we
 		// were declared dead (and restarted), a promoted standby resumed a
 		// map from before we joined, or we were roster-seeded without the
-		// dir. Re-register; the join reply carries the new map (and the
-		// volume registry — a promoted standby's quotas must bind here,
-		// before this daemon serves another op).
+		// dir. Re-register; the join reply carries the new map, volumes
+		// included — a promoted standby's quotas bind here, before this
+		// daemon serves another op.
 		jresp, jerr := c.Call(wire.Request{Op: wire.OpJoin, Daemon: m.cfg.ID,
 			Addr: m.cfg.Addr, Speed: m.cfg.Speed, JournalDir: m.cfg.JournalDir})
 		if jerr != nil {
@@ -351,18 +340,15 @@ func (m *Member) probe(addr string) bool {
 			return false
 		}
 		m.cfg.Obs.Counter(CtrRejoins).Add(1)
-		m.installVolumes(jresp.Volumes, jresp.VolumesVersion)
 		m.adoptMap(cm)
 		return true
 	}
 	if err != nil {
 		return false
 	}
-	if resp.Epoch <= m.CurrentMap().Epoch && resp.VolumesVersion <= m.vols.Version() {
+	if resp.Epoch <= m.CurrentMap().Epoch {
 		return true
 	}
-	// Full fetch: the OpMap reply carries the volume registry alongside the
-	// map, so one poll converges both.
 	mresp, err := c.Call(wire.Request{Op: wire.OpMap})
 	if err != nil {
 		return false
@@ -371,12 +357,12 @@ func (m *Member) probe(addr string) bool {
 	if err != nil {
 		return false
 	}
-	m.installVolumes(mresp.Volumes, mresp.VolumesVersion)
 	m.adoptMap(cm)
 	return true
 }
 
-// adoptMap installs a validated map if it is newer than the current one.
+// adoptMap installs a validated map, volumes included, if it is newer than
+// the current one.
 func (m *Member) adoptMap(cm *placement.ClusterMap) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -387,7 +373,7 @@ func (m *Member) adoptMapLocked(cm *placement.ClusterMap) {
 	if cm.Epoch <= m.cur.Epoch {
 		return
 	}
-	m.cur = cm
+	m.setMapLocked(cm)
 	m.cfg.Obs.Counter(CtrMapRefreshes).Add(1)
 }
 
@@ -484,12 +470,8 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		}
 		resp.Map = encoded
 		resp.Epoch = m.CurrentMap().Epoch
-		// Volume registry rides every map fetch: pollers converge on quotas
-		// and weights with the same RPC that converges the map.
-		resp.Volumes, resp.VolumesVersion = m.vols.List()
 	case wire.OpMapEpoch:
 		resp.Epoch = m.CurrentMap().Epoch
-		resp.VolumesVersion = m.vols.Version()
 	case wire.OpAdopt:
 		if err := m.handleAdopt(req); err != nil {
 			return fail(err)
@@ -523,7 +505,6 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		}
 		resp.Map = encoded
 		resp.Epoch = cm.Epoch
-		resp.Volumes, resp.VolumesVersion = m.vols.List()
 	case wire.OpLeave:
 		epoch, err := a.Leave(req.Daemon)
 		if err != nil {
@@ -536,7 +517,6 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 			return fail(err)
 		}
 		resp.Epoch = epoch
-		resp.VolumesVersion = m.vols.Version()
 	case wire.OpTakeover:
 		if err := m.handleTakeover(req); err != nil {
 			return fail(err)
@@ -547,32 +527,28 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 		if err != nil {
 			return fail(err)
 		}
-		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeDelete:
 		epoch, err := a.VolumeDelete(req.Volume)
 		if err != nil {
 			return fail(err)
 		}
-		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeList:
-		resp.Volumes, resp.VolumesVersion = a.Volumes()
-		resp.Epoch = m.CurrentMap().Epoch
+		cm := a.Map()
+		resp.Volumes, resp.Epoch = cm.Volumes, cm.Epoch
 	case wire.OpVolumeSetQuota:
 		q := volume.Quota{MaxFileSets: req.MaxFileSets, OpRate: req.OpRate}
 		epoch, err := a.VolumeSetQuota(req.Volume, q, req.Weight)
 		if err != nil {
 			return fail(err)
 		}
-		m.applyVolumes()
 		resp.Epoch = epoch
 	case wire.OpVolumeSetPolicy:
 		epoch, err := a.VolumeSetPolicy(req.Volume, req.Policy)
 		if err != nil {
 			return fail(err)
 		}
-		m.applyVolumes()
 		resp.Epoch = epoch
 	default:
 		return fail(fmt.Errorf("fleet: unknown fleet op %q", req.Op))
@@ -583,9 +559,6 @@ func (m *Member) Fleet(req wire.Request) wire.Response {
 // handleAdopt serves OpAdopt: a map-only push (no FileSet) or a donated
 // file set arriving with its image and the map of the handoff's epoch.
 func (m *Member) handleAdopt(req wire.Request) error {
-	// A pushed volume registry installs independently of the map's fate:
-	// its own version check makes stale snapshots no-ops.
-	m.installVolumes(req.Volumes, req.VolumesVersion)
 	var cm *placement.ClusterMap
 	if len(req.Map) > 0 {
 		var err error
@@ -780,7 +753,7 @@ func (m *Member) donate(req wire.Request) error {
 		// Restore the pre-handoff map unless something even newer arrived
 		// while we were failing.
 		if m.cur.Epoch == cm.Epoch {
-			m.cur = prev
+			m.setMapLocked(prev)
 		}
 		m.ready[fs] = true
 		m.mu.Unlock()

@@ -6,73 +6,57 @@ import (
 
 	"anufs/internal/placement"
 	"anufs/internal/sharedisk"
-	"anufs/internal/volume"
 )
 
 // MapFileSet is the pseudo file set the authority keeps its durable state
-// under: the cluster map and the volume registry, in one image. Writing it
-// through the daemon's Durable disk makes it a journaled, snapshot-surviving
-// record that the existing log shipper carries to the standby authority for
-// free — the authority replicates on the same machinery as file-set
-// metadata. The "/" in the name keeps it out of the flat client namespace,
-// and it is never in any map's Assign, so the fleet gate rejects every
-// client operation addressed to it.
+// under: the cluster map, volumes included, as an image of one record.
+// Writing it through the daemon's Durable disk makes it a journaled,
+// snapshot-surviving record that the existing log shipper carries to the
+// standby authority for free — the authority replicates on the same
+// machinery as file-set metadata. The "/" in the name keeps it out of the
+// flat client namespace, and it is never in any map's Assign, so the fleet
+// gate rejects every client operation addressed to it.
 const MapFileSet = "__fleet/map"
 
-// The image's two records; each JSON encoding rides in its record's Owner
-// field (Record has no byte payload).
-const (
-	mapRecordKey     = "clustermap"
-	volumesRecordKey = "volumes"
-)
+// mapRecordKey names the image's one record; the map's JSON encoding rides
+// in its Owner field (Record has no byte payload).
+const mapRecordKey = "clustermap"
 
-// encodeMapImage wraps the map and the registry snapshot of one commit in a
-// shared-disk image whose Version is the map's epoch — Install's downgrade
-// check then enforces monotonicity for free, and a standby replaying
-// shipped segments always ends at the newest commit it received.
-func encodeMapImage(cm *placement.ClusterMap, vols []volume.Info, version uint64) (sharedisk.Image, error) {
+// encodeMapImage wraps one committed map in a shared-disk image whose
+// Version is the map's epoch — Install's downgrade check then enforces
+// monotonicity for free, and a standby replaying shipped segments always
+// ends at the newest commit it received.
+func encodeMapImage(cm *placement.ClusterMap) (sharedisk.Image, error) {
 	encoded, err := cm.Encode()
 	if err != nil {
 		return sharedisk.Image{}, err
 	}
-	registry, err := volume.Encode(vols, version)
-	if err != nil {
-		return sharedisk.Image{}, err
-	}
-	now := time.Now()
 	return sharedisk.Image{
 		Version: cm.Epoch,
 		Records: map[string]sharedisk.Record{
-			mapRecordKey:     {Size: int64(len(encoded)), ModTime: now, Owner: string(encoded)},
-			volumesRecordKey: {Size: int64(len(registry)), ModTime: now, Owner: string(registry)},
+			mapRecordKey: {Size: int64(len(encoded)), ModTime: time.Now(), Owner: string(encoded)},
 		},
 	}, nil
 }
 
-// decodeMapImage recovers the map and the registry snapshot from an image
-// encodeMapImage wrote. It refuses an image that lacks either record, or
-// whose map does not list its own authority daemon — an authority resumed
-// from it could not say where it lives.
-func decodeMapImage(im sharedisk.Image) (*placement.ClusterMap, []volume.Info, uint64, error) {
-	mrec, ok := im.Records[mapRecordKey]
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("fleet: image %q carries no %s record", MapFileSet, mapRecordKey)
+// decodeMapImage recovers the map from an image encodeMapImage wrote. It
+// refuses an image that is not the one map record — an earlier layout kept
+// the volumes in a second record, and resuming its map alone would drop
+// every tenant — and one whose map does not list its own authority daemon:
+// an authority resumed from it could not say where it lives.
+func decodeMapImage(im sharedisk.Image) (*placement.ClusterMap, error) {
+	rec, ok := im.Records[mapRecordKey]
+	if !ok || len(im.Records) != 1 {
+		return nil, fmt.Errorf("fleet: image %q holds %d records, want one %s record",
+			MapFileSet, len(im.Records), mapRecordKey)
 	}
-	vrec, ok := im.Records[volumesRecordKey]
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("fleet: image %q carries no %s record", MapFileSet, volumesRecordKey)
-	}
-	cm, err := placement.DecodeClusterMap([]byte(mrec.Owner))
+	cm, err := placement.DecodeClusterMap([]byte(rec.Owner))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	if _, ok := cm.AuthorityDaemon(); !ok {
-		return nil, nil, 0, fmt.Errorf("fleet: map (epoch %d) does not contain its authority daemon %d",
+		return nil, fmt.Errorf("fleet: map (epoch %d) does not contain its authority daemon %d",
 			cm.Epoch, cm.Authority)
 	}
-	vols, version, err := volume.Decode([]byte(vrec.Owner))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return cm, vols, version, nil
+	return cm, nil
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,30 +16,30 @@ import (
 	"anufs/internal/wire"
 )
 
-// TestAuthorityImageRoundTrip: one image carries the map and the registry
-// snapshot, at the map's epoch, and gives both back unchanged.
+// TestAuthorityImageRoundTrip: one image of one record carries the map,
+// volumes included, at the map's epoch, and gives it back unchanged.
 func TestAuthorityImageRoundTrip(t *testing.T) {
 	cm := fakeFleet(2, 1)
-	vols := []volume.Info{
+	cm.Volumes = []volume.Info{
 		{Name: "default", Policy: volume.PolicySpread, Weight: 1},
 		{Name: "tenantA", Policy: volume.PolicyPack, Weight: 3, Quota: volume.Quota{MaxFileSets: 7, OpRate: 50}},
 	}
-	im, err := encodeMapImage(cm, vols, 9)
+	im, err := encodeMapImage(cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Version != cm.Epoch {
-		t.Fatalf("image version = %d, want the map epoch %d", im.Version, cm.Epoch)
+	if im.Version != cm.Epoch || len(im.Records) != 1 {
+		t.Fatalf("image version = %d with %d records, want the map epoch %d with one", im.Version, len(im.Records), cm.Epoch)
 	}
-	back, got, version, err := decodeMapImage(im)
+	back, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Epoch != cm.Epoch || len(back.Assign) != len(cm.Assign) {
 		t.Fatalf("map round trip drifted: %+v", back)
 	}
-	if version != 9 || len(got) != 2 || got[1] != vols[1] {
-		t.Fatalf("registry round trip = %+v at version %d, want %+v at 9", got, version, vols)
+	if !reflect.DeepEqual(back.Volumes, cm.Volumes) {
+		t.Fatalf("volumes round trip = %+v, want %+v", back.Volumes, cm.Volumes)
 	}
 }
 
@@ -50,14 +52,23 @@ func TestResumeRefusesBadImages(t *testing.T) {
 	otherAuthority.Authority = 1
 	missingAuthority := fakeFleet(2, 0)
 	missingAuthority.Authority = 7
-	noRegistry := journaled(t, fakeFleet(2, 0))
-	im, err := noRegistry.Load(MapFileSet)
+	noMap := journaled(t, fakeFleet(2, 0))
+	im, err := noMap.Load(MapFileSet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delete(im.Records, volumesRecordKey)
+	delete(im.Records, mapRecordKey)
 	im.Version++
-	if err := noRegistry.Install(MapFileSet, im); err != nil {
+	if err := noMap.Install(MapFileSet, im); err != nil {
+		t.Fatal(err)
+	}
+	twoRecords := journaled(t, fakeFleet(2, 0))
+	if im, err = twoRecords.Load(MapFileSet); err != nil {
+		t.Fatal(err)
+	}
+	im.Records["volumes"] = sharedisk.Record{Owner: `{"version":2,"volumes":[]}`}
+	im.Version++
+	if err := twoRecords.Install(MapFileSet, im); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -69,8 +80,10 @@ func TestResumeRefusesBadImages(t *testing.T) {
 			AuthorityConfig{Daemons: roster, Disk: journaled(t, otherAuthority)}, "names daemon 1 as its authority"},
 		{"authority absent from its own map",
 			AuthorityConfig{Disk: journaled(t, missingAuthority)}, "does not contain its authority daemon 7"},
-		{"no registry record",
-			AuthorityConfig{Disk: noRegistry}, "carries no " + volumesRecordKey + " record"},
+		{"no map record",
+			AuthorityConfig{Disk: noMap}, "holds 0 records"},
+		{"a second record, as an earlier layout kept the volumes",
+			AuthorityConfig{Disk: twoRecords}, "holds 2 records"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, err := NewAuthority(tc.cfg)
@@ -82,7 +95,7 @@ func TestResumeRefusesBadImages(t *testing.T) {
 }
 
 // TestQuotaSurvivesAuthorityRestart: an authority restarted on its own
-// journal resumes the registry with the map. A volume edit is one journaled
+// journal resumes the volumes with the map. A volume edit is one journaled
 // install, a stale image cannot roll the disk back, and after the journal
 // is recovered a second NewAuthority with the same roster still caps the
 // tenant at its quota, above every epoch the first one committed.
@@ -118,8 +131,8 @@ func TestQuotaSurvivesAuthorityRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := first.Epoch()
-	_, version := first.Volumes()
-	stale, err := encodeMapImage(first.Map(), nil, 1)
+	want := first.Map().Volumes
+	stale, err := encodeMapImage(first.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +155,9 @@ func TestQuotaSurvivesAuthorityRestart(t *testing.T) {
 	if got := second.Epoch(); got <= last+PromotionEpochJump {
 		t.Fatalf("restarted authority at epoch %d, not above the floor %d", got, last+PromotionEpochJump)
 	}
-	vols, got := second.Volumes()
-	if got != version {
-		t.Fatalf("restarted registry at version %d, want %d", got, version)
+	vols := second.Map().Volumes
+	if !slices.Equal(vols, want) {
+		t.Fatalf("restarted authority holds volumes %+v, want %+v", vols, want)
 	}
 	found := false
 	for _, v := range vols {
@@ -158,10 +171,10 @@ func TestQuotaSurvivesAuthorityRestart(t *testing.T) {
 	}
 }
 
-// TestConcurrentVolumeEditsInstallInOrder: registry edits commit under the
+// TestConcurrentVolumeEditsInstallInOrder: volume edits commit under the
 // reconfiguration lock, one image each, so concurrent edits reach the disk
 // in epoch order — none is refused as a downgrade — and the image on disk
-// ends with the last registry.
+// ends with the last volume list.
 func TestConcurrentVolumeEditsInstallInOrder(t *testing.T) {
 	disk := sharedisk.NewStore(0)
 	a, err := NewAuthority(AuthorityConfig{
@@ -193,58 +206,54 @@ func TestConcurrentVolumeEditsInstallInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, vols, version, err := decodeMapImage(im)
+	cm, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, want := a.Volumes(); cm.Epoch != a.Epoch() || version != want || len(vols) != 41 {
-		t.Fatalf("disk holds epoch %d with %d volumes at version %d; authority at epoch %d, version %d",
-			cm.Epoch, len(vols), version, a.Epoch(), want)
+	if want := a.Map(); cm.Epoch != want.Epoch || len(cm.Volumes) != 41 || !slices.Equal(cm.Volumes, want.Volumes) {
+		t.Fatalf("disk holds epoch %d with %d volumes; authority at epoch %d with %d",
+			cm.Epoch, len(cm.Volumes), want.Epoch, len(want.Volumes))
 	}
 }
 
 // FuzzDecodeAuthorityImage: the image is read back from the recovered
 // journal at every authority start, so no record contents may panic the
-// decode. An image that decodes re-encodes to the same epoch and registry
-// version. An empty record string stands for a missing record.
+// decode. An image that decodes re-encodes to the same epoch and volumes.
+// An empty record string stands for a missing record.
 func FuzzDecodeAuthorityImage(f *testing.F) {
 	for _, cm := range []*placement.ClusterMap{fakeFleet(1, 0), fakeFleet(3, 2)} {
-		vols, version := volume.NewRegistry().List()
-		vols = append(vols, volume.Info{Name: "tenant", Policy: volume.PolicyPack, Weight: 2,
-			Quota: volume.Quota{MaxFileSets: 1, OpRate: 5}})
-		im, err := encodeMapImage(cm, vols, version+3)
+		cm.Volumes = []volume.Info{volume.Default(), {Name: "tenant", Policy: volume.PolicyPack, Weight: 2,
+			Quota: volume.Quota{MaxFileSets: 1, OpRate: 5}}}
+		im, err := encodeMapImage(cm)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(im.Records[mapRecordKey].Owner, im.Records[volumesRecordKey].Owner)
-		f.Add(im.Records[mapRecordKey].Owner, "")
+		f.Add(im.Records[mapRecordKey].Owner)
 	}
-	f.Add(`{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{},"authority":3}`,
-		`{"version":1,"volumes":[]}`)
-	f.Add("", "")
-	f.Fuzz(func(t *testing.T, mapRec, volRec string) {
+	f.Add(`{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{},"authority":3}`)
+	f.Add(`{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{},"volumes":[{"name":"t","policy":"pack"},{"name":"t","policy":"pack"}]}`)
+	f.Add(`{"epoch":2,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{"t/a":0},"volumes":[{"name":"t","policy":"spread","weight":-1}]}`)
+	f.Add("")
+	f.Fuzz(func(t *testing.T, mapRec string) {
 		im := sharedisk.Image{Records: map[string]sharedisk.Record{}}
 		if mapRec != "" {
 			im.Records[mapRecordKey] = sharedisk.Record{Owner: mapRec}
 		}
-		if volRec != "" {
-			im.Records[volumesRecordKey] = sharedisk.Record{Owner: volRec}
-		}
-		cm, vols, version, err := decodeMapImage(im)
+		cm, err := decodeMapImage(im)
 		if err != nil {
 			return
 		}
-		again, err := encodeMapImage(cm, vols, version)
+		again, err := encodeMapImage(cm)
 		if err != nil {
 			t.Fatalf("a decoded image does not re-encode: %v", err)
 		}
-		cm2, _, version2, err := decodeMapImage(again)
+		cm2, err := decodeMapImage(again)
 		if err != nil {
 			t.Fatalf("a re-encoded image does not decode: %v", err)
 		}
-		if again.Version != cm.Epoch || cm2.Epoch != cm.Epoch || version2 != version {
-			t.Fatalf("round trip moved epoch %d -> %d (image version %d), registry version %d -> %d",
-				cm.Epoch, cm2.Epoch, again.Version, version, version2)
+		if again.Version != cm.Epoch || cm2.Epoch != cm.Epoch || !slices.Equal(cm2.Volumes, cm.Volumes) {
+			t.Fatalf("round trip moved epoch %d -> %d (image version %d), volumes %+v -> %+v",
+				cm.Epoch, cm2.Epoch, again.Version, cm.Volumes, cm2.Volumes)
 		}
 	})
 }

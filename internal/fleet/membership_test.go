@@ -1054,7 +1054,7 @@ func TestHeartbeatNotBlockedByReconfiguration(t *testing.T) {
 	if got := auth.Map().Epoch; got != before {
 		t.Fatalf("map at epoch %d while the first handoff is parked, want %d", got, before)
 	}
-	if vols, _ := auth.Volumes(); len(vols) == 0 {
+	if len(auth.Map().Volumes) == 0 {
 		t.Fatal("no volumes during reconfiguration")
 	}
 
@@ -1111,7 +1111,7 @@ func TestResumeFromPersistedMap(t *testing.T) {
 	if im.Version != cm.Epoch {
 		t.Fatalf("map image version %d != epoch %d", im.Version, cm.Epoch)
 	}
-	back, _, _, err := decodeMapImage(im)
+	back, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1132,11 +1132,11 @@ func TestMapImageCarriesJournalDir(t *testing.T) {
 		},
 		Assign: map[string]int{"vol00": 1},
 	}
-	im, err := encodeMapImage(cm, nil, 1)
+	im, err := encodeMapImage(cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, _, err := decodeMapImage(im)
+	back, err := decodeMapImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}

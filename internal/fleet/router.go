@@ -535,20 +535,22 @@ func (r *Router) Batch(fileSet string, durable bool, items []wire.BatchItem) ([]
 
 // Sync checkpoints every daemon in the fleet (the fleet-wide durability
 // barrier); the first error wins but every daemon is attempted.
-func (r *Router) Sync() error { return r.SyncTraced(0, 0) }
+func (r *Router) Sync() error { return r.Broadcast(wire.Request{Op: wire.OpSync}) }
 
-// SyncTraced is Sync carrying trace context: every fanned-out checkpoint
-// joins the caller's trace, so a stitched timeline shows the barrier
-// landing on each daemon.
-func (r *Router) SyncTraced(trace, parent uint64) error {
+// Broadcast sends req to every daemon in the map — a wire.ClassBroadcast
+// op, which changes or flushes state every daemon keeps its own copy of.
+// The first error wins but every daemon is attempted. A traced req's
+// context rides to each daemon, so a stitched timeline shows the op
+// landing on every one.
+func (r *Router) Broadcast(req wire.Request) error {
 	var firstErr error
 	for _, d := range r.Map().Daemons {
 		c, err := r.Caller(d.Addr)
 		if err == nil {
-			_, err = c.Call(wire.Request{Op: wire.OpSync, Trace: trace, Parent: parent})
+			_, err = c.Call(req)
 		}
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("fleet: sync daemon %d: %w", d.ID, err)
+			firstErr = fmt.Errorf("fleet: %s on daemon %d: %w", req.Op, d.ID, err)
 		}
 	}
 	return firstErr

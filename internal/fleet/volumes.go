@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"anufs/internal/namespace"
 	"anufs/internal/placement"
@@ -9,80 +10,82 @@ import (
 	"anufs/internal/wire"
 )
 
-// Volume plumbing. The authority owns the mutable volume registry
-// (tenants, quotas, weights, placement policy); every mutation bumps the
-// cluster-map epoch so the registry snapshot rides the same push/poll
-// convergence machinery as the map itself — OpAdopt publishes and OpMap
-// replies carry the snapshot, members install newer versions and apply
-// them to their serving plane (owner-queue weights, op-rate buckets).
+// Volume plumbing. The tenant volumes (quotas, weights, placement policy)
+// are a field of the cluster map, so the authority edits them the way it
+// makes any other change — a candidate map at a fresh epoch, committed,
+// then published — and a member applies them to its serving plane
+// (owner-queue weights, op-rate buckets) whenever it adopts a map whose
+// volumes differ from the ones in force, by whatever path the map came.
 // Enforcement splits by what each side can see: the authority holds the
 // global assignment, so MaxFileSets and placement policy apply at Assign;
 // a member only sees its own traffic, so OpRate is a per-daemon token
 // bucket at the gate.
 
-// Volumes snapshots the authority's registry.
-func (a *Authority) Volumes() ([]volume.Info, uint64) { return a.vols.List() }
-
 // VolumeCreate registers a new tenant volume and returns the epoch of the
 // map that announces it.
 func (a *Authority) VolumeCreate(name string) (uint64, error) {
-	return a.changeVolumes(func(*placement.ClusterMap) error {
-		_, err := a.vols.Create(name)
-		return err
+	return a.changeVolumes(func(cur *placement.ClusterMap) ([]volume.Info, error) {
+		return volume.Create(cur.Volumes, name)
 	})
 }
 
 // VolumeDelete removes an empty volume; a volume still owning file sets
-// is refused.
+// is refused, so quota state never vanishes under live data.
 func (a *Authority) VolumeDelete(name string) (uint64, error) {
-	return a.changeVolumes(func(cur *placement.ClusterMap) error {
-		_, err := a.vols.Delete(name, func(vol string) int {
-			n := 0
-			for fs := range cur.Assign {
-				if namespace.VolumeOf(fs) == vol {
-					n++
-				}
-			}
-			return n
-		})
-		return err
+	return a.changeVolumes(func(cur *placement.ClusterMap) ([]volume.Info, error) {
+		vols, err := volume.Delete(cur.Volumes, name)
+		if n := fileSetsIn(cur, name); err == nil && n > 0 {
+			err = fmt.Errorf("volume: %q still owns %d file sets", name, n)
+		}
+		return vols, err
 	})
 }
 
 // VolumeSetQuota updates a volume's quotas and scheduling weight
 // (weight <= 0 keeps the current weight).
 func (a *Authority) VolumeSetQuota(name string, q volume.Quota, weight float64) (uint64, error) {
-	return a.changeVolumes(func(*placement.ClusterMap) error {
-		_, err := a.vols.SetQuota(name, q, weight)
-		return err
+	return a.changeVolumes(func(cur *placement.ClusterMap) ([]volume.Info, error) {
+		return volume.SetQuota(cur.Volumes, name, q, weight)
 	})
 }
 
 // VolumeSetPolicy updates a volume's placement policy (spread | pack).
 func (a *Authority) VolumeSetPolicy(name, policy string) (uint64, error) {
-	return a.changeVolumes(func(*placement.ClusterMap) error {
-		_, err := a.vols.SetPolicy(name, policy)
-		return err
+	return a.changeVolumes(func(cur *placement.ClusterMap) ([]volume.Info, error) {
+		return volume.SetPolicy(cur.Volumes, name, policy)
 	})
 }
 
-// changeVolumes is the reconfiguration a registry edit makes: under mu it
-// applies edit to the registry and commits a map at a fresh epoch with an
-// unchanged assignment — one image carries both, so edits reach the disk
-// in epoch order — then publishes it, so the push and member polls deliver
-// the new registry fleet-wide. A refused edit commits nothing.
-func (a *Authority) changeVolumes(edit func(cur *placement.ClusterMap) error) (uint64, error) {
+// changeVolumes is the reconfiguration a volume edit makes: under mu, edit
+// derives the new volume list from the current map, and a map at a fresh
+// epoch with that list and an unchanged assignment is committed — one
+// image, so edits reach the disk in epoch order — then published. A
+// refused edit commits nothing.
+func (a *Authority) changeVolumes(edit func(cur *placement.ClusterMap) ([]volume.Info, error)) (uint64, error) {
 	a.mu.Lock()
 	cur := a.Map()
-	if err := edit(cur); err != nil {
+	vols, err := edit(cur)
+	if err != nil {
 		a.mu.Unlock()
 		return cur.Epoch, err
 	}
-	cm := a.nextLocked(cur.Daemons, cur.Assign)
+	cm := a.nextLocked(cur, cur.Daemons)
+	cm.Volumes = vols
 	a.commitLocked(cm)
 	a.mu.Unlock()
 	a.publish(cm)
 	return cm.Epoch, nil
+}
+
+// fileSetsIn counts the file sets cm assigns to volume vol.
+func fileSetsIn(cm *placement.ClusterMap, vol string) int {
+	n := 0
+	for fs := range cm.Assign {
+		if namespace.VolumeOf(fs) == vol {
+			n++
+		}
+	}
+	return n
 }
 
 // admitFileSetLocked enforces volume admission for a file set about to
@@ -93,18 +96,12 @@ func (a *Authority) admitFileSetLocked(cur *placement.ClusterMap, fileSet string
 	if namespace.SystemVolume(vol) {
 		return nil
 	}
-	info, ok := a.vols.Get(vol)
+	info, ok := volume.Find(cur.Volumes, vol)
 	if !ok {
 		return fmt.Errorf("fleet: unknown volume %q: create it first (anufsctl volume create)", vol)
 	}
 	if max := info.Quota.MaxFileSets; max > 0 {
-		n := 0
-		for fs := range cur.Assign {
-			if namespace.VolumeOf(fs) == vol {
-				n++
-			}
-		}
-		if n >= max {
+		if n := fileSetsIn(cur, vol); n >= max {
 			a.obs.Counter(CtrQuotaDenials).Add(1)
 			return wire.QuotaExceeded(fmt.Errorf(
 				"fleet: volume %q at its file-set quota (%d of %d)", vol, n, max))
@@ -121,7 +118,7 @@ func (a *Authority) admitFileSetLocked(cur *placement.ClusterMap, fileSet string
 func (a *Authority) placeLocked(cur *placement.ClusterMap, fileSet string, owned bool) int {
 	if !owned {
 		vol := namespace.VolumeOf(fileSet)
-		if info, ok := a.vols.Get(vol); ok && info.Policy == volume.PolicyPack {
+		if info, ok := volume.Find(cur.Volumes, vol); ok && info.Policy == volume.PolicyPack {
 			if id, ok := a.packOwnerLocked(cur, vol); ok {
 				return id
 			}
@@ -149,46 +146,34 @@ func (a *Authority) packOwnerLocked(cur *placement.ClusterMap, vol string) (int,
 	return best, best != -1
 }
 
-// Volumes snapshots the member's registry view (the authority's own on
-// the authority daemon).
-func (m *Member) Volumes() ([]volume.Info, uint64) { return m.vols.List() }
-
-// installVolumes adopts a pushed registry snapshot when it is newer than
-// the member's view, then re-applies it to the serving plane.
-func (m *Member) installVolumes(vols []volume.Info, version uint64) {
-	if version == 0 || len(vols) == 0 {
-		return
-	}
-	if m.vols.Install(vols, version) {
+// setMapLocked makes cm the member's map. When cm's volumes differ from
+// the ones in force it applies them to the serving plane — owner queue
+// weights on the live cluster, per-volume op-rate token buckets on the
+// gate — and counts a volume refresh. Buckets keep their accrued tokens
+// across updates that do not change their rate, so a quota edit elsewhere
+// never refills a throttled tenant. Caller holds mu.
+func (m *Member) setMapLocked(cm *placement.ClusterMap) {
+	if !slices.Equal(cm.Volumes, m.cur.Volumes) {
 		m.cfg.Obs.Counter(CtrVolumeRefreshes).Add(1)
-		m.applyVolumes()
+		m.applyVolumesLocked(cm.Volumes)
 	}
+	m.cur = cm
 }
 
-// applyVolumes pushes the current registry into the serving plane: owner
-// queue weights on the live cluster, per-volume op-rate token buckets on
-// the gate. Buckets keep their accrued tokens across updates that do not
-// change their rate, so a quota edit elsewhere never refills a throttled
-// tenant.
-func (m *Member) applyVolumes() {
-	vols, _ := m.vols.List()
+// applyVolumesLocked rebuilds the op-rate buckets and the queue weights
+// from vols. Caller holds mu, which keeps concurrent adopts applying their
+// weights in map order.
+func (m *Member) applyVolumesLocked(vols []volume.Info) {
 	weights := make(map[string]float64, len(vols))
-	known := make(map[string]bool, len(vols))
-	m.mu.Lock()
+	buckets := make(map[string]*volume.Bucket, len(vols))
 	for _, v := range vols {
 		weights[v.Name] = v.Weight
-		known[v.Name] = true
-		if old, ok := m.buckets[v.Name]; ok && (old == nil && v.Quota.OpRate <= 0 ||
-			old != nil && old.Rate() == v.Quota.OpRate) {
-			continue
+		b := m.buckets[v.Name]
+		if b.Rate() != v.Quota.OpRate {
+			b = volume.NewBucket(v.Quota.OpRate) // nil = unlimited
 		}
-		m.buckets[v.Name] = volume.NewBucket(v.Quota.OpRate) // nil = unlimited
+		buckets[v.Name] = b
 	}
-	for name := range m.buckets {
-		if !known[name] {
-			delete(m.buckets, name)
-		}
-	}
-	m.mu.Unlock()
+	m.buckets = buckets
 	m.cfg.Cluster.SetVolumeWeights(weights)
 }

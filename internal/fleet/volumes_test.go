@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,12 +43,12 @@ func TestVolumeLifecycleOverWire(t *testing.T) {
 	if _, err := c.VolumeSetPolicy("acme", volume.PolicyPack); err != nil {
 		t.Fatal(err)
 	}
-	vols, version, err := c.VolumeList()
+	vols, epoch, err := c.VolumeList()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version < 3 {
-		t.Fatalf("registry version %d after two mutations", version)
+	if epoch < e0+2 {
+		t.Fatalf("map epoch %d after two mutations from epoch %d", epoch, e0)
 	}
 	names := map[string]volume.Info{}
 	for _, v := range vols {
@@ -120,7 +121,7 @@ func TestFileSetQuotaTyped(t *testing.T) {
 
 // TestOpRateQuotaTyped: the op-rate token bucket at the owning daemon's
 // gate throttles a tenant with the typed code — including when the owner
-// is not the authority daemon, which proves the registry replicated.
+// is not the authority daemon, which proves the volumes replicated.
 func TestOpRateQuotaTyped(t *testing.T) {
 	f := startFleet(t, []float64{1, 1}, nil)
 	c, err := wire.Dial(f.daemons[0].addr)
@@ -138,12 +139,12 @@ func TestOpRateQuotaTyped(t *testing.T) {
 	if err := r.CreateFileSet("slow/fs"); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the owning member (possibly daemon 1) to install the quota'd
-	// registry from the publish push or its poll loop.
+	// Wait for the owning member (possibly daemon 1) to adopt the quota'd
+	// map from the publish push or its poll loop.
 	owner := f.auth.Map().Assign["slow/fs"]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		vols, _ := f.daemons[owner].member.Volumes()
+		vols := f.daemons[owner].member.CurrentMap().Volumes
 		found := false
 		for _, v := range vols {
 			if v.Name == "slow" && v.Quota.OpRate == 3 {
@@ -154,12 +155,12 @@ func TestOpRateQuotaTyped(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon %d never installed the quota'd registry", owner)
+			t.Fatalf("daemon %d never adopted the quota'd volumes", owner)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	// Burst is ~3 tokens (one already spent by the gated create if the
-	// registry landed first); hammering far past it must trip the bucket.
+	// quota landed first); hammering far past it must trip the bucket.
 	var denied error
 	for i := 0; i < 20 && denied == nil; i++ {
 		if err := r.Create("slow/fs", "/p"+string(rune('a'+i)), sharedisk.Record{Size: 1}); err != nil {
@@ -219,10 +220,10 @@ func TestPackPolicyColocates(t *testing.T) {
 }
 
 // TestQuotaSurvivesFailover is the acceptance scenario for volume
-// durability: the registry is persisted through the shared disk (the same
-// image machinery the log shipper replicates), the authority daemon dies
-// without any graceful teardown, a standby promotes from the persisted
-// image of map and registry, and the tenant that was at its file-set quota
+// durability: the volumes are persisted with the map through the shared
+// disk (the same image machinery the log shipper replicates), the
+// authority daemon dies without any graceful teardown, a standby promotes
+// from the persisted image, and the tenant that was at its file-set quota
 // is STILL capped — with the same machine-readable code.
 func TestQuotaSurvivesFailover(t *testing.T) {
 	shared := sharedisk.NewStore(0)
@@ -307,12 +308,12 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, vver, err := decodeMapImage(mapIm)
+	persisted, err := decodeMapImage(mapIm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vver < 3 {
-		t.Fatalf("replicated registry version %d, want every mutation captured", vver)
+	if tenant, ok := volume.Find(persisted.Volumes, "tenant"); !ok || tenant.Quota.MaxFileSets != 1 {
+		t.Fatalf("replicated volumes %+v, want every mutation captured", persisted.Volumes)
 	}
 	promoted, err := NewAuthority(AuthorityConfig{Disk: shared, Addr: daemons[1].addr})
 	if err != nil {
@@ -335,12 +336,12 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	pvols, pver, err := c1.VolumeList()
+	pvols, _, err := c1.VolumeList()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pver != vver {
-		t.Fatalf("promoted registry version %d, persisted %d", pver, vver)
+	if !slices.Equal(pvols, persisted.Volumes) {
+		t.Fatalf("promoted volumes %+v, persisted %+v", pvols, persisted.Volumes)
 	}
 	found := false
 	for _, v := range pvols {
@@ -358,12 +359,12 @@ func TestQuotaSurvivesFailover(t *testing.T) {
 	}
 }
 
-// TestJoinerLearnsRegistryByPolling: a daemon that joins after a tenant
+// TestJoinerLearnsVolumesFromJoinReply: a daemon that joins after a tenant
 // volume exists, the way anufsd -fleet-join does — over the wire, before it
 // listens, so the publish to it fails and the join reply is its whole view
-// — takes the registry on its first poll. Its epoch is already current, so
-// only the registry version in the heartbeat reply can tell it to fetch.
-func TestJoinerLearnsRegistryByPolling(t *testing.T) {
+// — holds the tenant's quota from that reply alone, before any poll: the
+// map it joins with carries the volumes.
+func TestJoinerLearnsVolumesFromJoinReply(t *testing.T) {
 	f := startFleet(t, []float64{1}, nil)
 	c0, err := wire.Dial(f.daemons[0].addr)
 	if err != nil {
@@ -405,20 +406,63 @@ func TestJoinerLearnsRegistryByPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testSeams(m)
-	if !m.pollOnce() {
-		t.Fatal("the poll did not reach the authority")
+	if got, want := m.CurrentMap().Volumes, f.auth.Map().Volumes; !slices.Equal(got, want) {
+		t.Fatalf("joiner holds volumes %+v from its join reply, authority %+v", got, want)
 	}
-	_, want := f.auth.Volumes()
-	vols, got := m.Volumes()
-	if got != want {
-		t.Fatalf("joiner's registry at version %d after one poll, authority at %d", got, want)
+	if rate := bucketRate(m, "tenant"); rate != 5 {
+		t.Fatalf("joiner's op-rate bucket for the tenant runs at %v ops/s, want 5", rate)
 	}
-	found := false
-	for _, v := range vols {
-		found = found || v.Name == "tenant" && v.Quota.OpRate == 5
+}
+
+// TestStaleAdoptKeepsQuotas: volumes ride the map, and a member adopts only
+// a newer map, so a stale push — a reordered or replayed publish — cannot
+// roll a quota back.
+func TestStaleAdoptKeepsQuotas(t *testing.T) {
+	f := startFleet(t, []float64{1, 1}, nil)
+	c0, err := wire.Dial(f.daemons[0].addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("joiner's registry lacks the tenant quota: %+v", vols)
+	defer c0.Close()
+	if _, err := c0.VolumeCreate("tenant"); err != nil {
+		t.Fatal(err)
 	}
+	stale, err := f.auth.Map().Encode() // the tenant without a quota
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleEpoch := f.auth.Epoch()
+	epoch, err := c0.VolumeSetQuota("tenant", 0, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.daemons[1].member
+	deadline := time.Now().Add(5 * time.Second)
+	for m.CurrentMap().Epoch < epoch {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon 1 never adopted epoch %d", epoch)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	c1, err := wire.Dial(f.daemons[1].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if _, err := c1.Call(wire.Request{Op: wire.OpAdopt, Epoch: staleEpoch, Map: stale}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CurrentMap().Epoch; got != epoch {
+		t.Fatalf("daemon 1 at epoch %d after a stale push, want %d", got, epoch)
+	}
+	if rate := bucketRate(m, "tenant"); rate != 5 {
+		t.Fatalf("a stale push rolled the tenant's op rate back to %v ops/s", rate)
+	}
+}
+
+// bucketRate reads the op-rate quota m enforces for vol (0 = unlimited).
+func bucketRate(m *Member, vol string) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.buckets[vol].Rate()
 }

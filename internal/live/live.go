@@ -296,8 +296,8 @@ func (c *Cluster) newServer(id int, speed float64) *server {
 
 // SetVolumeWeights installs the per-volume WFQ weight table on every
 // server queue (volumes not listed get weight 1). In fleet mode the
-// member calls this whenever it adopts a newer volume registry, so quota
-// changes published by the authority reshape scheduling fleet-wide.
+// member calls this whenever it adopts a map whose volumes changed, so
+// quota changes published by the authority reshape scheduling fleet-wide.
 func (c *Cluster) SetVolumeWeights(w map[string]float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -461,39 +461,25 @@ func (c *Cluster) doT(trace uint64, op, fileSet string, fn func(*server) error) 
 
 // Create adds a metadata record.
 func (c *Cluster) Create(fileSet, path string, rec sharedisk.Record) error {
-	return c.do(fileSet, func(s *server) error { return s.ms.Create(fileSet, path, rec) })
+	return c.WithTrace(0).Create(fileSet, path, rec)
 }
 
 // Stat reads a metadata record.
 func (c *Cluster) Stat(fileSet, path string) (sharedisk.Record, error) {
-	var rec sharedisk.Record
-	err := c.do(fileSet, func(s *server) error {
-		r, e := s.ms.Stat(fileSet, path)
-		rec = r
-		return e
-	})
-	return rec, err
+	return c.WithTrace(0).Stat(fileSet, path)
 }
 
 // Update overwrites a metadata record.
 func (c *Cluster) Update(fileSet, path string, rec sharedisk.Record) error {
-	return c.do(fileSet, func(s *server) error { return s.ms.Update(fileSet, path, rec) })
+	return c.WithTrace(0).Update(fileSet, path, rec)
 }
 
 // Remove deletes a metadata record.
-func (c *Cluster) Remove(fileSet, path string) error {
-	return c.do(fileSet, func(s *server) error { return s.ms.Remove(fileSet, path) })
-}
+func (c *Cluster) Remove(fileSet, path string) error { return c.WithTrace(0).Remove(fileSet, path) }
 
 // List returns paths under a prefix.
 func (c *Cluster) List(fileSet, prefix string) ([]string, error) {
-	var out []string
-	err := c.do(fileSet, func(s *server) error {
-		l, e := s.ms.List(fileSet, prefix)
-		out = l
-		return e
-	})
-	return out, err
+	return c.WithTrace(0).List(fileSet, prefix)
 }
 
 // Checkpoint flushes one file set's dirty state to shared disk without
@@ -609,9 +595,9 @@ func (v Traced) CheckpointEach(fileSets []string) error {
 }
 
 // CheckpointAll is Cluster.CheckpointAll under the view's trace. System
-// images the disk also holds (the fleet map, the volume registry) are
-// skipped: no server owns them, so there is no cache to flush and waiting
-// for an owner would only time out.
+// images the disk also holds (the fleet map) are skipped: no server owns
+// them, so there is no cache to flush and waiting for an owner would only
+// time out.
 func (v Traced) CheckpointAll() error {
 	var fileSets []string
 	for _, fs := range v.c.disk.FileSets() {

@@ -89,7 +89,7 @@ func VolumeOf(id string) string {
 
 // SystemVolume reports whether vol is a reserved system namespace (the
 // "__" prefix carried by pseudo file sets like __fleet/map): system
-// volumes bypass registry admission, quotas, and placement policy.
+// volumes bypass volume admission, quotas, and placement policy.
 func SystemVolume(vol string) bool {
 	return strings.HasPrefix(vol, "__")
 }

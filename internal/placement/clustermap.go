@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"anufs/internal/volume"
 )
 
 // DaemonInfo describes one anufsd process in a fleet: its numeric ID (the
@@ -18,11 +20,12 @@ type DaemonInfo struct {
 	JournalDir string  `json:"journal_dir,omitempty"`
 }
 
-// ClusterMap is the fleet's routing plane: an epoch-numbered assignment of
-// file sets to daemons. The authority publishes it; routers cache it and
-// refetch on wrong-owner errors. A map is immutable once published — every
-// change produces a new map with a strictly larger epoch, which is what
-// makes "stale" a well-defined client state.
+// ClusterMap is the fleet's configuration: an epoch-numbered assignment of
+// file sets to daemons, and the tenant volumes they belong to. The
+// authority publishes it; routers cache it and refetch on wrong-owner
+// errors, and members adopt it whole, volumes included. A map is immutable
+// once published — every change produces a new map with a strictly larger
+// epoch, which is what makes "stale" a well-defined client state.
 type ClusterMap struct {
 	Epoch   uint64       `json:"epoch"`
 	Daemons []DaemonInfo `json:"daemons"`
@@ -36,6 +39,10 @@ type ClusterMap struct {
 	// authority field, and daemon 0 hosting the authority is the historical
 	// convention either way, so the ambiguity is harmless by construction.
 	Authority int `json:"authority,omitempty"`
+	// Volumes lists the tenant volumes, sorted by name: their quotas,
+	// weights and placement policies. A volume edit is a new map, so the
+	// epoch versions the volumes too.
+	Volumes []volume.Info `json:"volumes,omitempty"`
 }
 
 // Encode serializes the map for the wire (`map` op payload). The daemon
@@ -65,7 +72,10 @@ func DecodeClusterMap(b []byte) (*ClusterMap, error) {
 
 // Validate checks the structural invariants a router relies on: a positive
 // epoch, at least one daemon, unique daemon IDs with dialable addresses and
-// positive speeds, and every assignment targeting a known daemon.
+// positive speeds, and every assignment targeting a known daemon — and the
+// ones a member applying the volumes relies on: named volumes sorted by
+// unique name, each with a known policy and a non-negative quota and
+// weight.
 func (m *ClusterMap) Validate() error {
 	if m.Epoch == 0 {
 		return fmt.Errorf("placement: cluster map epoch must be > 0")
@@ -91,6 +101,20 @@ func (m *ClusterMap) Validate() error {
 	for fs, id := range m.Assign {
 		if !seen[id] {
 			return fmt.Errorf("placement: file set %q assigned to unknown daemon %d", fs, id)
+		}
+	}
+	for i, v := range m.Volumes {
+		switch {
+		case v.Name == "":
+			return fmt.Errorf("placement: volume %d has no name", i)
+		case i > 0 && v.Name == m.Volumes[i-1].Name:
+			return fmt.Errorf("placement: duplicate volume %q", v.Name)
+		case i > 0 && v.Name < m.Volumes[i-1].Name:
+			return fmt.Errorf("placement: volume %q listed after %q: volumes must be sorted by name", v.Name, m.Volumes[i-1].Name)
+		case !volume.ValidPolicy(v.Policy):
+			return fmt.Errorf("placement: volume %q has unknown policy %q", v.Name, v.Policy)
+		case v.Quota.MaxFileSets < 0 || !(v.Quota.OpRate >= 0) || !(v.Weight >= 0):
+			return fmt.Errorf("placement: volume %q has a negative quota or weight", v.Name)
 		}
 	}
 	return nil

@@ -7,11 +7,14 @@ import "testing"
 // corrupt input must produce an error, never a panic, and anything the
 // decoder accepts must satisfy the same invariants Validate enforces.
 func FuzzDecodeClusterMap(f *testing.F) {
-	if b, err := sampleMap().Encode(); err == nil {
-		f.Add(b)
+	for _, m := range []*ClusterMap{sampleMap(), tenantMap()} {
+		if b, err := m.Encode(); err == nil {
+			f.Add(b)
+		}
 	}
 	f.Add([]byte(`{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{"v":0}}`))
 	f.Add([]byte(`{"epoch":2,"daemons":[{"id":0,"addr":"a","speed":1,"journal_dir":"/shared/d0"},{"id":1,"addr":"b","speed":2,"journal_dir":""}],"assign":{"v":1}}`))
+	f.Add([]byte(`{"epoch":4,"daemons":[{"id":0,"addr":"a","speed":1}],"assign":{"t/v":0},"volumes":[{"name":"default","quota":{},"policy":"spread","weight":1},{"name":"t","quota":{"max_filesets":2,"op_rate":5},"policy":"pack","weight":2}]}`))
 	f.Add([]byte(`{"epoch":0,"daemons":[],"assign":null}`))
 	f.Add([]byte(`{"epoch":18446744073709551615,"daemons":[{"id":-1,"addr":"x","speed":1e308}]}`))
 	f.Add([]byte(`{"daemons":[{"id":0,"addr":"a","speed":1},{"id":0,"addr":"b","speed":2}]}`))
@@ -35,7 +38,8 @@ func FuzzDecodeClusterMap(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if m2.Epoch != m.Epoch || len(m2.Daemons) != len(m.Daemons) || len(m2.Assign) != len(m.Assign) {
+		if m2.Epoch != m.Epoch || len(m2.Daemons) != len(m.Daemons) || len(m2.Assign) != len(m.Assign) ||
+			len(m2.Volumes) != len(m.Volumes) {
 			t.Fatalf("round trip drifted: %+v vs %+v", m, m2)
 		}
 	})

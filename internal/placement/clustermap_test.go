@@ -1,8 +1,11 @@
 package placement
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"anufs/internal/volume"
 )
 
 func sampleMap() *ClusterMap {
@@ -14,6 +17,17 @@ func sampleMap() *ClusterMap {
 		},
 		Assign: map[string]int{"vol00": 0, "vol01": 1, "vol02": 1},
 	}
+}
+
+// tenantMap is sampleMap with two volumes besides the default one.
+func tenantMap() *ClusterMap {
+	m := sampleMap()
+	m.Volumes = []volume.Info{
+		{Name: "acme", Policy: volume.PolicyPack, Weight: 3, Quota: volume.Quota{MaxFileSets: 7, OpRate: 50}},
+		volume.Default(),
+		{Name: "zephyr", Policy: volume.PolicySpread, Weight: 1},
+	}
+	return m
 }
 
 func TestClusterMapRoundTrip(t *testing.T) {
@@ -39,6 +53,23 @@ func TestClusterMapRoundTrip(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Fatalf("encoding not deterministic:\n%s\n%s", b, b2)
+	}
+}
+
+// TestClusterMapVolumesRoundTrip: the volume list travels inside the map
+// and comes back unchanged.
+func TestClusterMapVolumesRoundTrip(t *testing.T) {
+	m := tenantMap()
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeClusterMap(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Volumes, m.Volumes) {
+		t.Fatalf("volumes after the round trip = %+v, want %+v", got.Volumes, m.Volumes)
 	}
 }
 
@@ -111,10 +142,19 @@ func TestClusterMapValidate(t *testing.T) {
 		{"zero speed", func(m *ClusterMap) { m.Daemons[0].Speed = 0 }, "speed"},
 		{"nan speed", func(m *ClusterMap) { m.Daemons[0].Speed = nan() }, "speed"},
 		{"unknown owner", func(m *ClusterMap) { m.Assign["vol00"] = 42 }, "unknown daemon"},
+		{"duplicate volume", func(m *ClusterMap) { m.Volumes[2].Name = m.Volumes[1].Name }, "duplicate volume"},
+		{"unsorted volumes", func(m *ClusterMap) { m.Volumes[0].Name = "zz" }, "sorted"},
+		{"empty volume name", func(m *ClusterMap) { m.Volumes[0].Name = "" }, "no name"},
+		{"unknown policy", func(m *ClusterMap) { m.Volumes[1].Policy = "sideways" }, "unknown policy"},
+		{"empty policy", func(m *ClusterMap) { m.Volumes[1].Policy = "" }, "unknown policy"},
+		{"negative weight", func(m *ClusterMap) { m.Volumes[1].Weight = -1 }, "negative"},
+		{"nan weight", func(m *ClusterMap) { m.Volumes[1].Weight = nan() }, "negative"},
+		{"negative file-set quota", func(m *ClusterMap) { m.Volumes[0].Quota.MaxFileSets = -1 }, "negative"},
+		{"negative op rate", func(m *ClusterMap) { m.Volumes[0].Quota.OpRate = -1 }, "negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := sampleMap()
+			m := tenantMap()
 			tc.mut(m)
 			err := m.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -133,7 +173,13 @@ func nan() float64 {
 }
 
 func TestDecodeClusterMapRejectsGarbage(t *testing.T) {
-	for _, b := range []string{"", "null", "{}", "[1,2]", `{"epoch":1}`, "\x00\x01"} {
+	const daemons = `{"epoch":1,"daemons":[{"id":0,"addr":"a","speed":1}],`
+	for _, b := range []string{"", "null", "{}", "[1,2]", `{"epoch":1}`, "\x00\x01",
+		daemons + `"volumes":[{"name":"a","policy":"spread","weight":1}`,
+		daemons + `"volumes":[{"name":"","policy":"spread"}]}`,
+		daemons + `"volumes":[{"name":"a","policy":"spread","weight":-1}]}`,
+		daemons + `"volumes":{"name":"a"}}`,
+	} {
 		if _, err := DecodeClusterMap([]byte(b)); err == nil {
 			t.Fatalf("DecodeClusterMap(%q) accepted garbage", b)
 		}

@@ -271,11 +271,12 @@ func (c *Client) VolumeDelete(name string) (uint64, error) {
 	return resp.Epoch, err
 }
 
-// VolumeList fetches every volume and the registry version.
+// VolumeList fetches every volume and the epoch of the map it was read
+// from.
 func (c *Client) VolumeList() ([]volume.Info, uint64, error) {
 	defer c.track()()
 	resp, err := c.router.CallAuthority(wire.Request{Op: wire.OpVolumeList})
-	return resp.Volumes, resp.VolumesVersion, err
+	return resp.Volumes, resp.Epoch, err
 }
 
 // VolumeSetQuota sets a volume's quotas and WFQ weight (zero values mean

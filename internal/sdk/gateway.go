@@ -175,11 +175,6 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 		}
 		resp.Epoch = cm.Epoch
 		return resp
-	case wire.OpSync:
-		if err := g.router.SyncTraced(req.Trace, req.Parent); err != nil {
-			return fail(err)
-		}
-		return resp
 	case wire.OpCreateFileSet:
 		// Placement-aware create: unplaced file sets are assigned by the
 		// authority first, which plain forwarding cannot do.
@@ -273,10 +268,13 @@ func (g *Gateway) route(req wire.Request) wire.Response {
 		}
 		return out
 	case wire.ClassBroadcast:
-		// State every daemon keeps its own copy of (the mount table): apply
-		// it everywhere so every daemon resolves the same namespace. First
-		// error wins, all attempted.
-		return g.broadcast(req)
+		// State every daemon keeps a copy of (the mount table) or its own
+		// share of (the dirty records a sync flushes): the op goes to every
+		// daemon. First error wins, all attempted.
+		if err := g.router.Broadcast(req); err != nil {
+			return fail(err)
+		}
+		return resp
 	case wire.ClassOwner:
 		if req.FileSet != "" {
 			return g.forward(req)
@@ -297,25 +295,6 @@ func (g *Gateway) forward(req wire.Request) wire.Response {
 		return wire.Fail(out, err)
 	}
 	return out
-}
-
-// broadcast sends a request to every daemon in the map; first error wins
-// but every daemon is attempted.
-func (g *Gateway) broadcast(req wire.Request) wire.Response {
-	var firstErr error
-	for _, d := range g.router.Map().Daemons {
-		c, err := g.router.Caller(d.Addr)
-		if err == nil {
-			_, err = c.Call(req)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("sdk: daemon %d: %w", d.ID, err)
-		}
-	}
-	if firstErr != nil {
-		return wire.Fail(wire.Response{}, firstErr)
-	}
-	return wire.Response{}
 }
 
 // anyDaemon tries the request against each daemon until one answers

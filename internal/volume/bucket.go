@@ -32,8 +32,13 @@ func NewBucket(rate float64) *Bucket {
 }
 
 // Rate reports the configured rate (for change detection on quota
-// updates).
-func (b *Bucket) Rate() float64 { return b.rate }
+// updates); 0 for the nil bucket of an unlimited volume.
+func (b *Bucket) Rate() float64 {
+	if b == nil {
+		return 0
+	}
+	return b.rate
+}
 
 // Allow consumes one token if available.
 func (b *Bucket) Allow() bool {

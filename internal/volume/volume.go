@@ -1,17 +1,18 @@
-// Package volume is the multi-tenant registry: named volumes (tenants)
-// that own private file-set namespaces, quotas (file-set count, op rate),
-// a weighted-fair-queueing weight, and a placement policy. The paper's
-// ANU mapper balances one flat namespace of 21 file sets; a production
-// shared-disk system serves tenants, so every file-set ID is
-// volume-qualified ("vol/fileset", see internal/namespace) and this
-// registry is the authority's source of truth for what each tenant may do.
+// Package volume describes tenants: named volumes that own private file-set
+// namespaces, quotas (file-set count, op rate), a weighted-fair-queueing
+// weight, and a placement policy. The paper's ANU mapper balances one flat
+// namespace of 21 file sets; a production shared-disk system serves
+// tenants, so every file-set ID is volume-qualified ("vol/fileset", see
+// internal/namespace). The volume list is a field of the cluster map
+// (placement.ClusterMap.Volumes), versioned by the map's epoch; the edits
+// here return a new list and never change the one they are given.
 package volume
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
+	"math"
+	"slices"
+	"strings"
 
 	"anufs/internal/namespace"
 )
@@ -52,177 +53,77 @@ func Default() Info {
 	return Info{Name: namespace.DefaultVolume, Policy: PolicySpread, Weight: 1}
 }
 
-// Registry is the volume table. The authority owns the only mutable
-// instance; members and standbys hold read-only installed copies. Safe
-// for concurrent use.
-type Registry struct {
-	mu      sync.Mutex
-	version uint64
-	vols    map[string]Info
+// search finds name in vols, a list sorted by name: its index, or where
+// it would go.
+func search(vols []Info, name string) (int, bool) {
+	return slices.BinarySearchFunc(vols, name, func(v Info, name string) int { return strings.Compare(v.Name, name) })
 }
 
-// NewRegistry creates a registry holding only the default volume, at
-// version 1 (versions are monotone and survive re-encoding; version 0 is
-// "never persisted").
-func NewRegistry() *Registry {
-	return &Registry{version: 1, vols: map[string]Info{namespace.DefaultVolume: Default()}}
-}
-
-// Version returns the registry's monotone version.
-func (r *Registry) Version() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.version
-}
-
-// Get returns a volume's config. Unknown volumes return ok=false.
-func (r *Registry) Get(name string) (Info, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vols[name]
-	return v, ok
-}
-
-// List returns every volume sorted by name, plus the registry version.
-func (r *Registry) List() ([]Info, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sortedLocked(), r.version
-}
-
-func (r *Registry) sortedLocked() []Info {
-	out := make([]Info, 0, len(r.vols))
-	for _, v := range r.vols {
-		out = append(out, v)
+// Find returns the volume called name in vols, a list sorted by name.
+func Find(vols []Info, name string) (Info, bool) {
+	if i, ok := search(vols, name); ok {
+		return vols[i], true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Info{}, false
 }
 
-// Create adds a volume with default config (unlimited quota, spread,
-// unit weight) and returns the new registry version.
-func (r *Registry) Create(name string) (uint64, error) {
+// Create returns vols plus a new volume with the default config (unlimited
+// quota, spread, unit weight).
+func Create(vols []Info, name string) ([]Info, error) {
 	if err := namespace.ValidVolumeName(name); err != nil {
-		return 0, err
+		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.vols[name]; ok {
-		return 0, fmt.Errorf("volume: %q already exists", name)
+	i, ok := search(vols, name)
+	if ok {
+		return nil, fmt.Errorf("volume: %q already exists", name)
 	}
-	r.vols[name] = Info{Name: name, Policy: PolicySpread, Weight: 1}
-	r.version++
-	return r.version, nil
+	return slices.Insert(slices.Clone(vols), i, Info{Name: name, Policy: PolicySpread, Weight: 1}), nil
 }
 
-// Delete removes a volume. The default volume is permanent, and inUse
-// (when non-nil) lets the caller refuse deleting a volume that still owns
-// file sets — quota state must not silently vanish under live data.
-func (r *Registry) Delete(name string, inUse func(vol string) int) (uint64, error) {
+// Delete returns vols without the volume called name. The default volume
+// is permanent.
+func Delete(vols []Info, name string) ([]Info, error) {
 	if name == namespace.DefaultVolume {
-		return 0, fmt.Errorf("volume: the default volume cannot be deleted")
+		return nil, fmt.Errorf("volume: the default volume cannot be deleted")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.vols[name]; !ok {
-		return 0, fmt.Errorf("volume: %q does not exist", name)
+	i, ok := search(vols, name)
+	if !ok {
+		return nil, fmt.Errorf("volume: %q does not exist", name)
 	}
-	if inUse != nil {
-		if n := inUse(name); n > 0 {
-			return 0, fmt.Errorf("volume: %q still owns %d file sets", name, n)
+	return slices.Delete(slices.Clone(vols), i, i+1), nil
+}
+
+// SetQuota returns vols with the named volume's quota replaced and, when
+// weight > 0, its WFQ weight.
+func SetQuota(vols []Info, name string, q Quota, weight float64) ([]Info, error) {
+	for _, x := range []float64{float64(q.MaxFileSets), q.OpRate, weight} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("volume: quota and weight must be finite and non-negative")
 		}
 	}
-	delete(r.vols, name)
-	r.version++
-	return r.version, nil
+	return update(vols, name, func(v *Info) {
+		v.Quota = q
+		if weight > 0 {
+			v.Weight = weight
+		}
+	})
 }
 
-// SetQuota updates a volume's quota and WFQ weight.
-func (r *Registry) SetQuota(name string, q Quota, weight float64) (uint64, error) {
-	if q.MaxFileSets < 0 || q.OpRate < 0 || weight < 0 {
-		return 0, fmt.Errorf("volume: negative quota or weight")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vols[name]
-	if !ok {
-		return 0, fmt.Errorf("volume: %q does not exist", name)
-	}
-	v.Quota = q
-	if weight > 0 {
-		v.Weight = weight
-	}
-	r.vols[name] = v
-	r.version++
-	return r.version, nil
-}
-
-// SetPolicy updates a volume's placement policy.
-func (r *Registry) SetPolicy(name, policy string) (uint64, error) {
+// SetPolicy returns vols with the named volume's placement policy replaced.
+func SetPolicy(vols []Info, name, policy string) ([]Info, error) {
 	if !ValidPolicy(policy) {
-		return 0, fmt.Errorf("volume: unknown policy %q (want %s or %s)", policy, PolicySpread, PolicyPack)
+		return nil, fmt.Errorf("volume: unknown policy %q (want %s or %s)", policy, PolicySpread, PolicyPack)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vols[name]
+	return update(vols, name, func(v *Info) { v.Policy = policy })
+}
+
+// update returns a copy of vols with edit applied to the named volume.
+func update(vols []Info, name string, edit func(*Info)) ([]Info, error) {
+	i, ok := search(vols, name)
 	if !ok {
-		return 0, fmt.Errorf("volume: %q does not exist", name)
+		return nil, fmt.Errorf("volume: %q does not exist", name)
 	}
-	v.Policy = policy
-	r.vols[name] = v
-	r.version++
-	return r.version, nil
-}
-
-// Install replaces the registry contents with a newer snapshot (adopted
-// from the authority, or replayed from the journal on promotion). Stale
-// versions are ignored, so replays and reordered pushes cannot roll
-// quotas back. Returns whether the snapshot was applied.
-func (r *Registry) Install(vols []Info, version uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if version <= r.version {
-		// A fresh registry starts at version 1 holding only the default
-		// volume, and any other version-1 snapshot is that same content —
-		// so equal versions never carry news.
-		return false
-	}
-	m := make(map[string]Info, len(vols)+1)
-	for _, v := range vols {
-		m[v.Name] = v
-	}
-	if _, ok := m[namespace.DefaultVolume]; !ok {
-		m[namespace.DefaultVolume] = Default()
-	}
-	r.vols = m
-	r.version = version
-	return true
-}
-
-// Encode serializes a volume list for the wire or the durable image.
-func Encode(vols []Info, version uint64) ([]byte, error) {
-	return json.Marshal(struct {
-		Version uint64 `json:"version"`
-		Volumes []Info `json:"volumes"`
-	}{version, vols})
-}
-
-// Decode parses what Encode produced.
-func Decode(data []byte) ([]Info, uint64, error) {
-	var payload struct {
-		Version uint64 `json:"version"`
-		Volumes []Info `json:"volumes"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, 0, fmt.Errorf("volume: decode: %w", err)
-	}
-	for _, v := range payload.Volumes {
-		if v.Name == "" {
-			return nil, 0, fmt.Errorf("volume: decode: volume with empty name")
-		}
-		if v.Weight < 0 || v.Quota.MaxFileSets < 0 || v.Quota.OpRate < 0 {
-			return nil, 0, fmt.Errorf("volume: decode: %q has negative quota or weight", v.Name)
-		}
-	}
-	return payload.Volumes, payload.Version, nil
+	out := slices.Clone(vols)
+	edit(&out[i])
+	return out, nil
 }

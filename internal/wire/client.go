@@ -582,7 +582,7 @@ func (c *Client) Takeover(epoch uint64, fileSets []string, journalDir string, ma
 
 // VolumeCreate registers a tenant volume with default config (unlimited
 // quota, spread placement, unit WFQ weight). Authority daemons only; the
-// reply carries the epoch whose publish distributed the new registry.
+// reply carries the epoch of the map that announces the new volume.
 func (c *Client) VolumeCreate(name string) (uint64, error) {
 	resp, err := c.call(Request{Op: OpVolumeCreate, Volume: name})
 	return resp.Epoch, err
@@ -595,11 +595,11 @@ func (c *Client) VolumeDelete(name string) (uint64, error) {
 	return resp.Epoch, err
 }
 
-// VolumeList returns every volume's durable config and the registry
-// version it was cut at.
+// VolumeList returns every volume's durable config and the epoch of the
+// map it was read from.
 func (c *Client) VolumeList() ([]volume.Info, uint64, error) {
 	resp, err := c.call(Request{Op: OpVolumeList})
-	return resp.Volumes, resp.VolumesVersion, err
+	return resp.Volumes, resp.Epoch, err
 }
 
 // VolumeSetQuota updates a volume's quotas and WFQ weight: maxFileSets

@@ -46,67 +46,67 @@ import (
 // Request field tags: the field the constant names, its tag number, and
 // (in the comment) its encoding. Append-only: never renumber, never reuse.
 const (
-	_                 = 1  // retired: the request ID, which the frame tag carries
-	reqFileSet        = 2  // string
-	reqPath           = 3  // string
-	reqRecord         = 4  // record
-	reqClient         = 5  // uint
-	reqExclusive      = 6  // flag
-	reqPrefix         = 7  // string
-	reqTrace          = 8  // uint
-	reqParent         = 9  // uint
-	reqCount          = 10 // int
-	reqEntries        = 11 // entries
-	reqSnap           = 12 // bytes
-	reqSnapSeq        = 13 // uint
-	reqEpoch          = 14 // uint
-	reqAddr           = 15 // string
-	reqDaemon         = 16 // int
-	reqMap            = 17 // bytes
-	reqSpeed          = 18 // float
-	reqJournalDir     = 19 // string
-	reqFileSets       = 20 // strings
-	reqVolume         = 21 // string
-	reqMaxFileSets    = 22 // int
-	reqOpRate         = 23 // float
-	reqWeight         = 24 // float
-	reqPolicy         = 25 // string
-	reqVolumes        = 26 // json
-	reqVolumesVersion = 27 // uint
-	reqBatch          = 28 // items
-	reqDurable        = 29 // flag
-	reqReset          = 30 // flag
+	_              = 1  // retired: the request ID, which the frame tag carries
+	reqFileSet     = 2  // string
+	reqPath        = 3  // string
+	reqRecord      = 4  // record
+	reqClient      = 5  // uint
+	reqExclusive   = 6  // flag
+	reqPrefix      = 7  // string
+	reqTrace       = 8  // uint
+	reqParent      = 9  // uint
+	reqCount       = 10 // int
+	reqEntries     = 11 // entries
+	reqSnap        = 12 // bytes
+	reqSnapSeq     = 13 // uint
+	reqEpoch       = 14 // uint
+	reqAddr        = 15 // string
+	reqDaemon      = 16 // int
+	reqMap         = 17 // bytes
+	reqSpeed       = 18 // float
+	reqJournalDir  = 19 // string
+	reqFileSets    = 20 // strings
+	reqVolume      = 21 // string
+	reqMaxFileSets = 22 // int
+	reqOpRate      = 23 // float
+	reqWeight      = 24 // float
+	reqPolicy      = 25 // string
+	_              = 26 // retired: the volume list a map push carried, which the map carries now
+	_              = 27 // retired: the volume list's own version, which the map epoch is now
+	reqBatch       = 28 // items
+	reqDurable     = 29 // flag
+	reqReset       = 30 // flag
 )
 
 // Response field tags, likewise.
 const (
-	_                  = 1  // retired: the response ID, which the frame tag carries
-	respErr            = 2  // string
-	respCode           = 3  // string
-	respRecord         = 4  // record
-	respPaths          = 5  // strings
-	respOwner          = 6  // int
-	respClient         = 7  // uint
-	respStats          = 8  // json
-	respFileSet        = 9  // string
-	respRel            = 10 // string
-	respMapping        = 11 // bytes
-	respJournal        = 12 // json
-	respTrace          = 13 // uint
-	respSpans          = 14 // json
-	respTuner          = 15 // json
-	respWire           = 16 // json
-	respConns          = 17 // json
-	respClosed         = 18 // json
-	respClosedConns    = 19 // int
-	respAckSeq         = 20 // uint
-	respEpoch          = 21 // uint
-	respMap            = 22 // bytes
-	respNode           = 23 // string
-	respNow            = 24 // int
-	respResults        = 25 // results
-	respVolumes        = 26 // json
-	respVolumesVersion = 27 // uint
+	_               = 1  // retired: the response ID, which the frame tag carries
+	respErr         = 2  // string
+	respCode        = 3  // string
+	respRecord      = 4  // record
+	respPaths       = 5  // strings
+	respOwner       = 6  // int
+	respClient      = 7  // uint
+	respStats       = 8  // json
+	respFileSet     = 9  // string
+	respRel         = 10 // string
+	respMapping     = 11 // bytes
+	respJournal     = 12 // json
+	respTrace       = 13 // uint
+	respSpans       = 14 // json
+	respTuner       = 15 // json
+	respWire        = 16 // json
+	respConns       = 17 // json
+	respClosed      = 18 // json
+	respClosedConns = 19 // int
+	respAckSeq      = 20 // uint
+	respEpoch       = 21 // uint
+	respMap         = 22 // bytes
+	respNode        = 23 // string
+	respNow         = 24 // int
+	respResults     = 25 // results
+	respVolumes     = 26 // json
+	_               = 27 // retired: the volume list's own version, which the map epoch is now
 )
 
 // MaxShipEntries caps the entries of one OpShip request. The shipper cuts
@@ -116,8 +116,7 @@ const MaxShipEntries = 512
 
 // AppendRequest appends r's body to dst. It reports false — and what it
 // appended is then not a body — only for a request that has no encoding: an
-// op (the request's or a batch item's) the Ops table does not hold, or a
-// Volumes list encoding/json refuses.
+// op (the request's or a batch item's) the Ops table does not hold.
 //
 // TestEncodeDecodeAllocFree holds it to zero allocations.
 func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
@@ -156,8 +155,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, bool) {
 	dst = putFloat(dst, reqOpRate, r.OpRate)
 	dst = putFloat(dst, reqWeight, r.Weight)
 	dst = putString(dst, reqPolicy, r.Policy)
-	dst = putJSON(dst, &ok, reqVolumes, len(r.Volumes), r.Volumes)
-	dst = putUint(dst, reqVolumesVersion, r.VolumesVersion)
 	if len(r.Batch) != 0 {
 		dst = binary.AppendUvarint(append(dst, reqBatch), uint64(len(r.Batch)))
 		for i := range r.Batch {
@@ -216,7 +213,6 @@ func AppendResponse(dst []byte, r *Response) ([]byte, bool) {
 		}
 	}
 	dst = putJSON(dst, &ok, respVolumes, len(r.Volumes), r.Volumes)
-	dst = putUint(dst, respVolumesVersion, r.VolumesVersion)
 	return dst, ok
 }
 
@@ -392,12 +388,6 @@ func (*Decoder) DecodeRequest(data []byte, r *Request) bool {
 			r.Weight = decodeFloat(&c)
 		case reqPolicy:
 			r.Policy = reuseString(old.Policy, c.Bytes())
-		case reqVolumes:
-			if !decodeJSON(&c, &r.Volumes) {
-				return false
-			}
-		case reqVolumesVersion:
-			r.VolumesVersion = c.Uvarint()
 		case reqBatch:
 			n := c.Count()
 			if n > MaxBatchItems {
@@ -502,8 +492,6 @@ func (*Decoder) DecodeResponse(data []byte, r *Response) bool {
 			}
 		case respVolumes:
 			doc = &r.Volumes
-		case respVolumesVersion:
-			r.VolumesVersion = c.Uvarint()
 		default:
 			return false
 		}

@@ -301,6 +301,8 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"field tag 0":                      cat(ping, []byte{0}),
 		"field tag past the last":          cat(ping, []byte{reqReset + 1}),
 		"retired tag 1 (the request ID)":   cat(ping, []byte{1, 1}),
+		"retired tag 26 (pushed volumes)":  cat(ping, []byte{26, 2, '[', ']'}),
+		"retired tag 27 (volumes version)": cat(ping, []byte{27, 1}),
 		"repeated tag":                     cat(ping, []byte{reqTrace, 1, reqTrace, 1}),
 		"descending tags":                  cat(ping, []byte{reqParent, 1, reqTrace, 1}),
 		"truncated uvarint":                cat(ping, []byte{reqTrace, 0x80}),
@@ -308,14 +310,13 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"record cut short":                 cat(ping, []byte{reqRecord, 2, 3}),
 		"record mode over 32 bits":         cat(ping, []byte{reqRecord, 0}, uv(1<<33), []byte{0, 0, 0}),
 		"record nanoseconds over a second": cat(ping, []byte{reqRecord, 0, 0, 0}, uv(1e9), []byte{0}),
-		"volumes not json":                 cat(ping, []byte{reqVolumes, 1, '{'}),
 		"batch over MaxBatchItems":         cat(ping, []byte{reqBatch}, uv(MaxBatchItems+1), pad),
 		"ship over MaxShipEntries":         cat(ping, []byte{reqEntries}, uv(MaxShipEntries+1), pad),
 		"batch item with op code 0":        cat(ping, []byte{reqBatch, 1, 0, 0, 0, 0, 0}),
 		"batch item record flag 2":         cat(ping, []byte{reqBatch, 1, opsByName[OpStat].Code, 0, 0, 2, 0}),
 	}
 	for _, tag := range []byte{reqFileSet, reqPath, reqPrefix, reqSnap, reqAddr, reqMap, reqJournalDir,
-		reqVolume, reqPolicy, reqVolumes, reqEntries, reqFileSets, reqBatch} {
+		reqVolume, reqPolicy, reqEntries, reqFileSets, reqBatch} {
 		reqs[fmt.Sprintf("length or count past the end, tag %d", tag)] = cat(ping, []byte{tag}, huge, []byte("xy"))
 	}
 	var dec Decoder
@@ -324,15 +325,16 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		if dec.DecodeRequest(body, &req) {
 			t.Errorf("request, %s: accepted %x as %+v", name, body, req)
 		}
-		if n := testing.AllocsPerRun(10, func() { dec.DecodeRequest(body, &req) }); n != 0 && name != "volumes not json" {
+		if n := testing.AllocsPerRun(10, func() { dec.DecodeRequest(body, &req) }); n != 0 {
 			t.Errorf("request, %s: %v allocs to refuse it, want 0", name, n)
 		}
 	}
 
 	resps := map[string][]byte{
 		"field tag 0":                {0},
-		"field tag past the last":    {respVolumesVersion + 1},
+		"field tag past the last":    {28},
 		"retired tag 1 (the ID)":     {1, 1},
+		"retired tag 27 (version)":   {27, 1},
 		"repeated tag":               {respTrace, 1, respTrace, 1},
 		"results over MaxBatchItems": cat([]byte{respResults}, uv(MaxBatchItems+1), pad),
 		"result record flag 2":       {respResults, 1, 0, 2},

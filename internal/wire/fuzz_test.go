@@ -12,7 +12,6 @@ import (
 
 	"anufs/internal/live"
 	"anufs/internal/sharedisk"
-	"anufs/internal/volume"
 )
 
 // fuzzCluster builds one small cluster per fuzz process. The retry budget
@@ -54,7 +53,6 @@ func seedRequests() []Request {
 		case ClassMember:
 			req.Epoch, req.Addr, req.Daemon, req.Speed, req.JournalDir = 3, "127.0.0.1:1", 2, 1.5, "/wal"
 			req.FileSets, req.Map, req.Snap = []string{"fs00", "fs01"}, []byte("map"), []byte("snap")
-			req.Volumes, req.VolumesVersion = []volume.Info{{Name: "acme", Policy: "pack", Weight: 1}}, 4
 		case ClassStandby:
 			req.Daemon, req.SnapSeq, req.Reset = 1, 9, true
 			req.Entries = []ShipEntry{{Seq: 8, Trace: 7, Payload: []byte{1, 2, 'f', 's'}}, {Seq: 9}}

@@ -103,11 +103,11 @@ const (
 	// Volume (multi-tenant) operations — authority-only, forwarded through
 	// the fleet dispatch like OpAssign. OpVolumeCreate registers a tenant;
 	// OpVolumeDelete removes an empty one; OpVolumeList returns every
-	// volume's config plus the registry version; OpVolumeSetQuota updates a
+	// volume's config plus the map epoch; OpVolumeSetQuota updates a
 	// tenant's file-set/op-rate quota and WFQ weight; OpVolumeSetPolicy
-	// flips its placement policy between spread and pack. Every mutation
-	// bumps the cluster-map epoch so the new registry rides the existing
-	// publish/adopt pipeline to all members.
+	// flips its placement policy between spread and pack. The volumes are a
+	// field of the cluster map, so every mutation is a new map epoch, and
+	// the existing publish/adopt pipeline carries it to all members.
 	OpVolumeCreate    Op = "volume-create"
 	OpVolumeDelete    Op = "volume-delete"
 	OpVolumeList      Op = "volume-list"
@@ -212,17 +212,12 @@ type Request struct {
 	FileSets   []string `json:"filesets,omitempty"`
 	// Volume fields. Volume names the tenant for the OpVolume* ops;
 	// MaxFileSets/OpRate/Weight carry OpVolumeSetQuota's limits and Policy
-	// carries OpVolumeSetPolicy's choice. Volumes/VolumesVersion piggyback
-	// the authority's registry snapshot on OpAdopt map pushes so members
-	// learn quota and weight changes on the same frame as the epoch that
-	// carries them.
-	Volume         string        `json:"volume,omitempty"`
-	MaxFileSets    int           `json:"max_filesets,omitempty"`
-	OpRate         float64       `json:"op_rate,omitempty"`
-	Weight         float64       `json:"weight,omitempty"`
-	Policy         string        `json:"policy,omitempty"`
-	Volumes        []volume.Info `json:"volumes,omitempty"`
-	VolumesVersion uint64        `json:"volumes_version,omitempty"`
+	// carries OpVolumeSetPolicy's choice.
+	Volume      string  `json:"volume,omitempty"`
+	MaxFileSets int     `json:"max_filesets,omitempty"`
+	OpRate      float64 `json:"op_rate,omitempty"`
+	Weight      float64 `json:"weight,omitempty"`
+	Policy      string  `json:"policy,omitempty"`
 	// Batch carries the items of an OpBatch; Durable asks the server to
 	// checkpoint each touched file set after applying the batch, so the
 	// whole batch rides one journal group commit before it is acked.
@@ -301,9 +296,7 @@ type Response struct {
 	Now  int64  `json:"now,omitempty"`
 	// Results answers OpBatch, index-aligned with Request.Batch.
 	Results []BatchResult `json:"results,omitempty"`
-	// Volumes answers OpVolumeList (and rides OpMap/OpJoin replies so a
-	// member refreshing its map also refreshes tenant configs);
-	// VolumesVersion is the registry version the snapshot was cut at.
-	Volumes        []volume.Info `json:"volumes,omitempty"`
-	VolumesVersion uint64        `json:"volumes_version,omitempty"`
+	// Volumes answers OpVolumeList, with Epoch the map they were read from.
+	// Members learn volumes from the map itself, never from this field.
+	Volumes []volume.Info `json:"volumes,omitempty"`
 }
