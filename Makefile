@@ -23,6 +23,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAuthorityImage -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzVolumeQualifiedName -fuzztime 10s ./internal/namespace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s ./internal/journal/
 
 # loc prints each directory's non-blank, non-test Go lines (testdata
 # excluded): the per-package figures CHANGES.md and ROADMAP.md report.

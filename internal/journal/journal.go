@@ -100,6 +100,10 @@ const (
 	CtrWriteFailed = "journal_write_failed"
 	// CtrGatherWindow is the gather window the last batch waited, in µs.
 	CtrGatherWindow = "journal_gather_window_us"
+
+	// snapshotFailures counts Snapshot calls that returned an error; the
+	// cut they would have taken is retried at the next one.
+	snapshotFailures = "journal_snapshot_failures"
 )
 
 // Options parameterizes a journal.
@@ -147,6 +151,11 @@ type Journal struct {
 	ctrBatches     *obs.Counter
 	ctrMaxBatch    *obs.Counter
 	ctrWindow      *obs.Counter
+	// The snapshot counters are made here too, so /metrics shows them at 0
+	// before the first snapshot.
+	ctrSnapshots    *obs.Counter
+	ctrCompacted    *obs.Counter
+	ctrSnapFailures *obs.Counter
 
 	appendCh chan *appendReq
 	quit     chan struct{} // closed by Close; stops accepting appends
@@ -250,19 +259,22 @@ func Open(dir string, opts Options) (*Journal, *sharedisk.Store, RecoverInfo, er
 		}
 	}
 	j := &Journal{
-		dir:         dir,
-		opts:        opts,
-		obs:         opts.Obs,
-		ctrRecords:  opts.Obs.Counter(CtrRecords),
-		ctrBytes:    opts.Obs.Counter(CtrBytes),
-		ctrFsyncs:   opts.Obs.Counter(CtrFsyncs),
-		ctrBatches:  opts.Obs.Counter(CtrBatches),
-		ctrMaxBatch: opts.Obs.Counter(CtrMaxBatch),
-		ctrWindow:   opts.Obs.Counter(CtrGatherWindow),
-		appendCh:    make(chan *appendReq, 256),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
-		syncFile:    (*os.File).Sync,
+		dir:             dir,
+		opts:            opts,
+		obs:             opts.Obs,
+		ctrRecords:      opts.Obs.Counter(CtrRecords),
+		ctrBytes:        opts.Obs.Counter(CtrBytes),
+		ctrFsyncs:       opts.Obs.Counter(CtrFsyncs),
+		ctrBatches:      opts.Obs.Counter(CtrBatches),
+		ctrMaxBatch:     opts.Obs.Counter(CtrMaxBatch),
+		ctrWindow:       opts.Obs.Counter(CtrGatherWindow),
+		ctrSnapshots:    opts.Obs.Counter(CtrSnapshots),
+		ctrCompacted:    opts.Obs.Counter(CtrCompacted),
+		ctrSnapFailures: opts.Obs.Counter(snapshotFailures),
+		appendCh:        make(chan *appendReq, 256),
+		quit:            make(chan struct{}),
+		done:            make(chan struct{}),
+		syncFile:        (*os.File).Sync,
 	}
 	j.durable.Store(info.LastSeq)
 	j.obs.Counter(CtrRecoveryNanos).Set(info.Duration.Nanoseconds())

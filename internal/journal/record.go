@@ -174,30 +174,48 @@ func release(scratch []string) []string {
 // as path, size, mode, mod time (zero flagged explicitly — the zero
 // time.Time has no representable UnixNano), owner. Records go in sorted
 // path order, so the bytes are a function of the image alone, not of map
-// iteration; keys is the reusable scratch the paths are sorted in.
+// iteration; keys is the reusable scratch the paths are sorted in. The
+// snapshot writer streams the same bytes piece by piece (appendImageHead,
+// then appendRecord per path).
 func appendImage(dst []byte, im sharedisk.Image, keys *[]string) []byte {
+	dst = appendImageHead(dst, im)
+	paths := sortedPaths(im, keys)
+	for _, path := range paths {
+		dst = appendRecord(dst, path, im.Records[path])
+	}
+	*keys = release(paths)
+	return dst
+}
+
+// appendImageHead serializes what precedes an image's records.
+func appendImageHead(dst []byte, im sharedisk.Image) []byte {
 	dst = binary.AppendUvarint(dst, im.Version)
-	dst = binary.AppendUvarint(dst, uint64(len(im.Records)))
+	return binary.AppendUvarint(dst, uint64(len(im.Records)))
+}
+
+// sortedPaths returns the image's paths in sorted order, in keys' storage;
+// the caller hands it back through release.
+func sortedPaths(im sharedisk.Image, keys *[]string) []string {
 	paths := (*keys)[:0]
 	for path := range im.Records {
 		paths = append(paths, path)
 	}
 	slices.Sort(paths)
-	for _, path := range paths {
-		rec := im.Records[path]
-		dst = binenc.AppendString(dst, path)
-		dst = binary.AppendVarint(dst, rec.Size)
-		dst = binary.AppendUvarint(dst, uint64(rec.Mode))
-		if rec.ModTime.IsZero() {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-			dst = binary.AppendVarint(dst, rec.ModTime.UnixNano())
-		}
-		dst = binenc.AppendString(dst, rec.Owner)
+	return paths
+}
+
+// appendRecord serializes one record of an image.
+func appendRecord(dst []byte, path string, rec sharedisk.Record) []byte {
+	dst = binenc.AppendString(dst, path)
+	dst = binary.AppendVarint(dst, rec.Size)
+	dst = binary.AppendUvarint(dst, uint64(rec.Mode))
+	if rec.ModTime.IsZero() {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		dst = binary.AppendVarint(dst, rec.ModTime.UnixNano())
 	}
-	*keys = release(paths)
-	return dst
+	return binenc.AppendString(dst, rec.Owner)
 }
 
 // decodeStrings decodes a counted string list.

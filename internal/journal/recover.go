@@ -310,6 +310,11 @@ func loadSnapshot(path string) (map[string]sharedisk.Image, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot verifies and decodes a snapshot file's bytes.
+func decodeSnapshot(data []byte) (map[string]sharedisk.Image, uint64, error) {
 	seq, ok := parseHeader(data, snapMagic)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)

@@ -269,7 +269,7 @@ func buildOldStandby(t *testing.T) (dir string, old map[string]sharedisk.Image) 
 	if err := j.AppendShipped(shipped(1, resetOld[:6])); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Snapshot(func() map[string]sharedisk.Image { return expectedPrefix(resetOld, 6) }); err != nil {
+	if err := j.Snapshot(lend(expectedPrefix(resetOld, 6))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 6; i < len(resetOld); i++ {

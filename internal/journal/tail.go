@@ -318,7 +318,7 @@ func (j *Journal) InstallSnapshot(seq uint64, images map[string]sharedisk.Image)
 	if _, err := writeSnapshot(j.dir, "snap-", seq, images); err != nil {
 		return err
 	}
-	j.obs.Counter(CtrSnapshots).Add(1)
+	j.ctrSnapshots.Add(1)
 
 	j.mu.Lock()
 	j.advanceLocked(seq)
@@ -370,7 +370,7 @@ func (j *Journal) ResetTo(seq uint64, images map[string]sharedisk.Image) error {
 	if err != nil {
 		return j.failLocked(err)
 	}
-	j.obs.Counter(CtrSnapshots).Add(1)
+	j.ctrSnapshots.Add(1)
 	j.advanceLocked(seq)
 	if err := j.openSegmentLocked(); err != nil {
 		return j.failLocked(err)

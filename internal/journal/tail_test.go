@@ -228,7 +228,7 @@ func TestTailerSnapshotFallbackAndInstall(t *testing.T) {
 	appendEntries(t, p, head)
 	apply(head)
 	// Compact: entries 1..2 now live only in the snapshot.
-	if err := p.Snapshot(func() map[string]sharedisk.Image { return images }); err != nil {
+	if err := p.Snapshot(lend(images)); err != nil {
 		t.Fatal(err)
 	}
 	tail := []Entry{

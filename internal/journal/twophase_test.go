@@ -121,7 +121,7 @@ func TestSnapshotCutAheadOfQueuedAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	var commits []sharedisk.Commit
-	err = j.Snapshot(func() map[string]sharedisk.Image {
+	err = j.Snapshot(func(encode func(map[string]sharedisk.Image) error) error {
 		// The committer is paused for the cut: these three are applied and
 		// queued, and cannot reach the log before the snapshot is taken.
 		for i := 0; i < 3; i++ {
@@ -132,7 +132,7 @@ func TestSnapshotCutAheadOfQueuedAppends(t *testing.T) {
 			}
 			v, commits = nv, append(commits, c)
 		}
-		return d.Store.Images()
+		return encode(d.Store.Images())
 	})
 	if err != nil {
 		t.Fatal(err)

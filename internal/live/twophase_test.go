@@ -44,11 +44,11 @@ func (w *heldWAL) waitQueued(n int) []string {
 	}
 }
 
-func (w *heldWAL) LogCreateFileSet(string) error                    { return nil }
-func (w *heldWAL) LogFlush(string, sharedisk.Image) error           { return nil }
-func (w *heldWAL) LogDrop(string) error                             { return nil }
-func (w *heldWAL) Snapshot(func() map[string]sharedisk.Image) error { return nil }
-func (w *heldWAL) Close() error                                     { return nil }
+func (w *heldWAL) LogCreateFileSet(string) error                                     { return nil }
+func (w *heldWAL) LogFlush(string, sharedisk.Image) error                            { return nil }
+func (w *heldWAL) LogDrop(string) error                                              { return nil }
+func (w *heldWAL) Snapshot(func(func(map[string]sharedisk.Image) error) error) error { return nil }
+func (w *heldWAL) Close() error                                                      { return nil }
 
 // oneOwnerCluster serves the named file sets from a single server over a
 // Durable whose log is wal.

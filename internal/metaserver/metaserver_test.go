@@ -428,11 +428,11 @@ func (w *heldWAL) entries() []chan error {
 	return append([]chan error(nil), w.queued...)
 }
 
-func (w *heldWAL) LogCreateFileSet(string) error                    { return nil }
-func (w *heldWAL) LogFlush(string, sharedisk.Image) error           { return nil }
-func (w *heldWAL) LogDrop(string) error                             { return nil }
-func (w *heldWAL) Snapshot(func() map[string]sharedisk.Image) error { return nil }
-func (w *heldWAL) Close() error                                     { return nil }
+func (w *heldWAL) LogCreateFileSet(string) error                                     { return nil }
+func (w *heldWAL) LogFlush(string, sharedisk.Image) error                            { return nil }
+func (w *heldWAL) LogDrop(string) error                                              { return nil }
+func (w *heldWAL) Snapshot(func(func(map[string]sharedisk.Image) error) error) error { return nil }
+func (w *heldWAL) Close() error                                                      { return nil }
 
 func newHeldPair(t *testing.T) (*heldWAL, *sharedisk.Durable, *Server) {
 	t.Helper()

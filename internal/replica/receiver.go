@@ -330,9 +330,10 @@ func (r *Receiver) absorb(req wire.Request) error {
 	r.sinceSnap += applied
 	if r.opts.SnapshotEvery > 0 && r.sinceSnap >= r.opts.SnapshotEvery {
 		r.sinceSnap = 0
-		// Safe under r.mu: Snapshot reads the map via this closure before
-		// any other goroutine can mutate it (all mutations hold r.mu).
-		if err := r.opts.Journal.Snapshot(func() map[string]sharedisk.Image { return r.images }); err != nil {
+		// Safe under r.mu: Snapshot encodes the map inside this closure,
+		// and every mutation of it holds r.mu.
+		cut := func(encode func(map[string]sharedisk.Image) error) error { return encode(r.images) }
+		if err := r.opts.Journal.Snapshot(cut); err != nil {
 			return err
 		}
 		r.opts.Obs.Counter("replica_standby_snapshots").Add(1)

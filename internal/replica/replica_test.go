@@ -204,7 +204,7 @@ func TestSnapshotFallbackWhenStandbyBehindCompaction(t *testing.T) {
 	appendFlushes(t, jnl, "fs00", 1, 10)
 	// Compact everything into a snapshot: a standby starting from zero can
 	// no longer be served from segments.
-	if err := jnl.Snapshot(store.Images); err != nil {
+	if err := jnl.Snapshot(func(encode func(map[string]sharedisk.Image) error) error { return encode(store.Images()) }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -86,10 +86,10 @@ func holdCommits(t testing.TB, j *journal.Journal, images func() map[string]shar
 	t.Helper()
 	held, resume, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		done <- j.Snapshot(func() map[string]sharedisk.Image {
+		done <- j.Snapshot(func(encode func(map[string]sharedisk.Image) error) error {
 			close(held)
 			<-resume
-			return images()
+			return encode(images())
 		})
 	}()
 	<-held

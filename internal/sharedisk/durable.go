@@ -33,9 +33,11 @@ type WAL interface {
 	// LogDrop records the removal of a file set.
 	LogDrop(fileSet string) error
 	// Snapshot persists a full consistent cut of the store and lets the log
-	// compact everything the cut covers. It takes a closure so the log can
-	// capture the cut at a sequence of its choosing (with commits paused).
-	Snapshot(images func() map[string]Image) error
+	// compact everything the cut covers. cut is called once, at a sequence of
+	// the log's choosing (with commits paused); it calls encode with the
+	// live image map, held still for the length of the call, and returns
+	// encode's error. encode keeps no reference to the map.
+	Snapshot(cut func(encode func(map[string]Image) error) error) error
 	// Close flushes and closes the log.
 	Close() error
 }
@@ -169,7 +171,8 @@ func (d *Durable) DropFileSet(fileSet string) error {
 
 // settle closes one mutation the store has already taken, given the
 // journal's answer: a durable one counts toward the next snapshot and cuts
-// it (compacting the log) every snapshotEvery entries. A failed one needs
+// it (compacting the log) every snapshotEvery entries, in the commit wait
+// of the mutation that makes it due. A failed one needs
 // no repair here — the WAL fails stop, so nothing can be logged above the
 // hole it left.
 func (d *Durable) settle(fileSet, what string, err error) error {
@@ -186,15 +189,18 @@ func (d *Durable) settle(fileSet, what string, err error) error {
 	if !due {
 		return nil
 	}
-	if err := d.wal.Snapshot(d.Store.Images); err != nil {
-		return fmt.Errorf("sharedisk: snapshot: %w", err)
-	}
+	// The entry is durable whatever the snapshot does: a failed one is the
+	// WAL's to count, and the next is tried snapshotEvery entries later.
+	_ = d.wal.Snapshot(d.Store.cut)
 	return nil
 }
 
 // Snapshot forces a snapshot + compaction now (shutdown path).
 func (d *Durable) Snapshot() error {
-	return d.wal.Snapshot(d.Store.Images)
+	if err := d.wal.Snapshot(d.Store.cut); err != nil {
+		return fmt.Errorf("sharedisk: snapshot: %w", err)
+	}
+	return nil
 }
 
 // Close closes the underlying journal.

@@ -60,12 +60,15 @@ func TestDropFileSet(t *testing.T) {
 // recording it, as a journal whose append did not reach the disk — and, as
 // the WAL contract requires, every call after it fails the same way. With
 // release set, delta appends queue but become durable only once it is
-// closed.
+// closed. Snapshot encodes the cut it is lent with snapErr as encode's
+// answer, and counts the calls.
 type fakeWAL struct {
 	creates, deltas, flushes, drops []string
 	failNext                        bool
 	failed                          error
 	release                         chan struct{}
+	snapErr                         error
+	snapshots                       int
 }
 
 func (w *fakeWAL) log(list *[]string, fs string) error {
@@ -98,11 +101,15 @@ func (w *fakeWAL) LogDelta(_ uint64, fs string, _ Delta) (LogWait, error) {
 	return fakeWait{w.release}, nil
 }
 
-func (w *fakeWAL) LogCreateFileSet(fs string) error       { return w.log(&w.creates, fs) }
-func (w *fakeWAL) LogFlush(fs string, _ Image) error      { return w.log(&w.flushes, fs) }
-func (w *fakeWAL) LogDrop(fs string) error                { return w.log(&w.drops, fs) }
-func (w *fakeWAL) Snapshot(func() map[string]Image) error { return nil }
-func (w *fakeWAL) Close() error                           { return nil }
+func (w *fakeWAL) LogCreateFileSet(fs string) error  { return w.log(&w.creates, fs) }
+func (w *fakeWAL) LogFlush(fs string, _ Image) error { return w.log(&w.flushes, fs) }
+func (w *fakeWAL) LogDrop(fs string) error           { return w.log(&w.drops, fs) }
+func (w *fakeWAL) Close() error                      { return nil }
+
+func (w *fakeWAL) Snapshot(cut func(func(map[string]Image) error) error) error {
+	w.snapshots++
+	return cut(func(map[string]Image) error { return w.snapErr })
+}
 
 func TestDurableInstallJournalsFlush(t *testing.T) {
 	wal := &fakeWAL{}
@@ -207,3 +214,32 @@ var (
 	_ Dropper   = (*Store)(nil)
 	_ Dropper   = (*Durable)(nil)
 )
+
+// TestFailedAutomaticSnapshotDoesNotFailTheWrite: a snapshot made due by a
+// durable write runs in that write's commit wait, but the entry is durable
+// whatever the snapshot does — the write succeeds and the next snapshot is
+// tried at the next entry. Only an explicit Snapshot reports the failure.
+func TestFailedAutomaticSnapshotDoesNotFailTheWrite(t *testing.T) {
+	wal := &fakeWAL{snapErr: errors.New("fakeWAL: injected snapshot failure")}
+	d := NewDurable(NewStore(0), wal, 1)
+	if err := d.CreateFileSet("vol00"); err != nil {
+		t.Fatalf("create whose snapshot failed: %v", err)
+	}
+	v := uint64(1)
+	for i := 0; i < 3; i++ {
+		nv, c, err := d.FlushDelta(0, "vol00", Delta{Base: v, Puts: map[string]Record{"/a": {Size: int64(i)}}})
+		if err != nil {
+			t.Fatalf("flush %d: %v", i, err)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatalf("flush %d, whose snapshot failed: %v", i, err)
+		}
+		v = nv
+	}
+	if wal.snapshots != 4 {
+		t.Fatalf("%d snapshots tried over 4 entries with snapshotEvery 1", wal.snapshots)
+	}
+	if err := d.Snapshot(); !errors.Is(err, wal.snapErr) {
+		t.Fatalf("explicit snapshot = %v, want the WAL's failure", err)
+	}
+}

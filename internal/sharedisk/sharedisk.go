@@ -105,8 +105,8 @@ func NewStoreFromImages(images map[string]Image, latency time.Duration) *Store {
 	return s
 }
 
-// Images deep-copies every file-set image — the consistent cut a journal
-// snapshot persists.
+// Images deep-copies every file-set image: the consistent cut a primary
+// ships to a standby that needs one.
 func (s *Store) Images() map[string]Image {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -115,6 +115,14 @@ func (s *Store) Images() map[string]Image {
 		out[fs] = im.clone()
 	}
 	return out
+}
+
+// cut lends the live image map to encode, under the read lock — the
+// consistent cut a journal snapshot streams to disk without copying it.
+func (s *Store) cut(encode func(map[string]Image) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return encode(s.images)
 }
 
 // CreateFileSet initializes an empty image for a new file set.
